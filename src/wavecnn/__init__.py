@@ -3,8 +3,8 @@
 Subpackages by theme:
 
 - :mod:`wavecnn.filterbank` — wavelet coefficient registry and validation
-- :mod:`wavecnn.transform` — 1D/2D DWT/IDWT as truncated matrices, with exact
-  vector-Jacobian products
+- :mod:`wavecnn.transform` — 1D/2D DWT/IDWT as truncated matrices, evaluated
+  tile by tile along their bands, with exact vector-Jacobian products
 - :mod:`wavecnn.denoise` — soft-shrinkage wavelet denoising
 - :mod:`wavecnn.layers` / :mod:`wavecnn.network` — a small NumPy neural
   network with wavelet down-sampling layers, training, and checkpoints

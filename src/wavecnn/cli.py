@@ -69,11 +69,20 @@ def _sniff(path) -> str:
     raise FormatError(f"{path}: neither a PGM image nor a raw tensor file")
 
 
+def _read_finite_tensor(path, dtype) -> np.ndarray:
+    """Raw tensor file -> ``dtype`` array; NaN or infinite entries are a FormatError."""
+    arr = fileio.read_tensor(path).astype(dtype)
+    if not np.isfinite(arr).all():
+        raise FormatError(
+            f"{path}: tensor holds NaN or infinite values as {np.dtype(dtype).name}")
+    return arr
+
+
 def _read_plane(path, dtype) -> np.ndarray:
     """Image file -> 2-D float array; PGM pixels keep their 0..255 scale."""
     if _sniff(path) == "pgm":
         return fileio.read_pgm(path).astype(dtype)
-    arr = fileio.read_tensor(path).astype(dtype)
+    arr = _read_finite_tensor(path, dtype)
     if arr.ndim != 2:
         raise FormatError(f"{path}: expected a 2-D tensor, got rank {arr.ndim}")
     return arr
@@ -133,7 +142,7 @@ def _cmd_transform(args) -> int:
 def _cmd_idwt(args) -> int:
     spec = get_wavelet(args.wavelet)
     dt = _np_precision(args.precision or "f64")
-    bands = [fileio.read_tensor(f"{args.in_prefix}_{name}.wtn").astype(dt)
+    bands = [_read_finite_tensor(f"{args.in_prefix}_{name}.wtn", dt)
              for name in SUBBANDS]
     d = Decomposition2D(*bands, original_shape=args.shape)
     _write_plane(args.out, idwt2d(d, spec))
@@ -149,7 +158,7 @@ def _cmd_denoise(args) -> int:
             out = out.astype(np.float64) / 255.0
     else:
         dt = _np_precision(args.precision or "f64")
-        out = denoise.denoise_image(fileio.read_tensor(args.input).astype(dt), cfg)
+        out = denoise.denoise_image(_read_finite_tensor(args.input, dt), cfg)
         if str(args.out).lower().endswith(".pgm"):
             out = np.asarray(out) * 255.0
     _write_plane(args.out, out)

@@ -5,8 +5,14 @@ is a chained product of a ``m/2 x m`` operator, the image, and a ``n x n/2``
 transposed operator, evaluated left to right, counting every scalar multiply
 and add.  Conv and dense layers use the usual fused kernel-size times
 output-size convention.  Reports also expose two alternative readings of the
-wavelet cost (ll-subband-only quarter count, and the banded cost of the
-actual filtering implementation) so the headline convention is auditable.
+wavelet cost (ll-subband-only quarter count, and a banded count of the filter
+taps alone) so the headline convention is auditable.
+
+These are counting conventions, not a trace of the executed arithmetic.
+:mod:`wavecnn.transform` evaluates a side of at most 32 samples (one tile;
+every feature map of the reference network) with the dense truncated
+operators, and a longer side in tiles of 16 coefficient pairs, where each
+tile still multiplies the zeros inside its band.
 """
 
 from __future__ import annotations
@@ -34,11 +40,14 @@ def idwt2d_madds(m: int, n: int, c: int) -> int:
 
 
 def dwt2d_banded_madds(m: int, n: int, c: int, taps: int) -> int:
-    """Fused multiply-adds of the banded filtering path actually implemented.
+    """Fused multiply-adds of a banded analysis that touches only the taps.
 
     Two stride-2 row passes shared by the four subbands, then four column
     passes, each output coefficient costing ``taps`` fused multiply-adds.
-    Not a published counting convention; reported for contrast only.
+    This is the floor the transform's evaluation works toward, not its exact
+    cost: :mod:`wavecnn.transform` runs short sides densely and longer ones
+    tile by tile, and each tile still multiplies some zeros.  Not a published
+    counting convention; reported for contrast only.
     """
     _check_dims(m, n, c)
     row = 2 * (m // 2) * n * taps

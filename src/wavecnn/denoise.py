@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeLambda, ShapeMismatch
+from .errors import InvalidConfig, NegativeLambda, ShapeMismatch
 from .filterbank import get_wavelet
 from .transform import Decomposition2D, dwt2d, idwt2d
 
@@ -34,16 +34,20 @@ def soft_shrink(x, threshold):
     """Move ``x`` toward zero by ``threshold``, zeroing the band within it.
 
     Piecewise: ``x - t`` for ``x > t``; ``x + t`` for ``x < -t``; else 0.
-    Accepts scalars or arrays; never increases magnitude and is odd in ``x``.
+    Evaluated as ``x - clip(x, -t, t)``, which equals the piecewise form bit
+    for bit on finite input and propagates NaN.  Accepts scalars or arrays;
+    never increases magnitude and is odd in ``x``.
     """
     if threshold < 0:
         raise NegativeLambda(f"threshold must be >= 0, got {threshold}")
     arr = np.asarray(x)
-    out = np.where(arr > threshold, arr - threshold,
-                   np.where(arr < -threshold, arr + threshold, 0.0))
+    if arr.dtype.kind in "biu":  # as before: integer input shrinks in double
+        arr = arr.astype(np.float64)
+    clipped = np.clip(arr, -threshold, threshold)
     if arr.ndim == 0:
-        return float(out)
-    return out
+        return float(arr - clipped)
+    # subtract in place: a second large temporary costs more than the math
+    return np.subtract(arr, clipped, out=clipped)
 
 
 def _denoise_plane(plane: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
@@ -65,6 +69,9 @@ def denoise_image(img, cfg: DenoiseConfig = DenoiseConfig()):
     Channels are processed independently.  Float inputs are assumed to be on
     the [0,1] scale already; integer inputs are divided by 255, denoised, and
     returned as the same integer type (rounded and clipped).
+
+    Raises:
+        InvalidConfig: if any pixel is NaN or infinite.
     """
     arr = np.asarray(img)
     if arr.ndim not in (2, 3):
@@ -72,6 +79,8 @@ def denoise_image(img, cfg: DenoiseConfig = DenoiseConfig()):
 
     integer_input = np.issubdtype(arr.dtype, np.integer)
     work = arr.astype(np.float64) / 255.0 if integer_input else arr
+    if not integer_input and not np.isfinite(work).all():
+        raise InvalidConfig("denoise_image needs finite pixel values")
 
     if work.ndim == 2:
         out = _denoise_plane(work, cfg)

@@ -62,8 +62,9 @@ def corrupt(image: np.ndarray, kind: str, severity: int, rng_seed=0,
     """
     param = _severity_param(kind, severity, table)
     x = np.asarray(image, dtype=np.float64)
-    if x.size and (x.min() < -1e-9 or x.max() > 1 + 1e-9):
-        raise InvalidConfig("corrupt expects images on the [0, 1] scale")
+    # written so that NaN, which fails every comparison, fails the check too
+    if x.size and not (x.min() >= -1e-9 and x.max() <= 1 + 1e-9):
+        raise InvalidConfig("corrupt expects finite images on the [0, 1] scale")
     rng = np.random.default_rng(rng_seed)
     if kind == GAUSSIAN:
         out = x + rng.normal(0.0, param, size=x.shape)

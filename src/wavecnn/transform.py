@@ -11,17 +11,42 @@ for Haar on even lengths where it is globally exact.
 ``ll = L @ X @ L.T`` and so on, channel by channel for batched tensors.
 Every forward has a matching vector-Jacobian product built from the same
 matrices, so the layers in :mod:`wavecnn.layers` backpropagate exactly.
+
+Evaluation is tiled-banded.  An operator row holds only ``taps`` nonzeros, so
+the dense product of a 2D plane costs the cube of its side while the useful
+work grows with the square.  Every public function goes through one
+separable core that applies the stacked ``[L; H]`` (low and high rows
+interleaved), or its transpose, along one axis in tiles of ``_TILE``
+coefficient pairs.  Each tile multiplies one small cached block of that
+operator against a strided window view of the input.  The interior tiles of
+an axis run as one batched BLAS ``matmul`` on the input in place; the tiles
+at its two ends read a zero-padded copy of the few samples they need.  A
+side of at most ``2 * _TILE`` samples fits in one tile and takes the plain
+dense product with a slice of the same block, with no padding at all.
+:func:`build_operator` materializes the dense matrices; it is the reference
+definition the core is tested against.
+
+Every array a transform returns is C-contiguous and shares no memory with
+its inputs, so callers may reshape it and write into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeMismatch, TooShort
 from .filterbank import WaveletSpec
+
+# Coefficient pairs per tile, chosen by measurement (see CHANGES.md).  Smaller
+# tiles multiply fewer zeros, larger ones give BLAS bigger blocks; 8 and 16
+# tie on 128-1024 px planes, and 16 keeps every feature map of the reference
+# network (28 px and below) on the dense one-tile path.
+_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -36,47 +61,187 @@ class AnalysisOperator:
     H_syn: np.ndarray
 
 
-def _place(coeffs, n: int) -> np.ndarray:
-    rows = n // 2
-    mat = np.zeros((rows, n))
+def _place(coeffs, rows: int, cols: int) -> np.ndarray:
+    """``rows x cols`` matrix whose row k holds ``coeffs`` from column 2k on."""
+    mat = np.zeros((rows, cols))
     for k in range(rows):
         for j, c in enumerate(coeffs):
             col = 2 * k + j
-            if col < n:
+            if col < cols:
                 mat[k, col] = c
     return mat
 
 
-@lru_cache(maxsize=None)
 def build_operator(spec: WaveletSpec, n: int) -> AnalysisOperator:
-    """Materialize the four operator matrices for signal length ``n``.
+    """Materialize the four dense operator matrices for signal length ``n``.
 
-    Results are cached per (wavelet, n); the cache is transparent in the
-    sense that a freshly built operator is bit-identical to a cached one.
+    The transforms never build these; they are the reference definition of
+    the truncated operators, against which the tiled core is checked.
 
     Raises:
         TooShort: if ``n < 2``.
     """
     if n < 2:
         raise TooShort(f"operator length must be >= 2, got {n}")
+    rows = n // 2
     return AnalysisOperator(
         wavelet=spec,
         signal_length=n,
-        L=_place(spec.analysis_low, n),
-        H=_place(spec.analysis_high, n),
-        L_syn=_place(spec.synthesis_low, n),
-        H_syn=_place(spec.synthesis_high, n),
+        L=_place(spec.analysis_low, rows, n),
+        H=_place(spec.analysis_high, rows, n),
+        L_syn=_place(spec.synthesis_low, rows, n),
+        H_syn=_place(spec.synthesis_high, rows, n),
     )
 
 
+class _Bank(NamedTuple):
+    """Tile blocks of one filter pair, low and high rows interleaved.
+
+    ``fwd`` is ``(2*tile, 2*tile + taps - 2)``: rows 2k and 2k+1 hold the low
+    and high filters from column 2k.  Applied to a window of samples it gives
+    ``tile`` interleaved coefficient pairs, and its top-left
+    ``2*(n//2) x n`` corner is the whole stacked operator of a side
+    ``n <= 2*tile``.  ``adj`` is ``(2*tile, 2*(tile + q))`` with
+    ``q = (taps - 1) // 2``: one tile of the transposed operator, mapping the
+    ``tile + q`` interleaved pairs that start ``q`` pairs before the tile to
+    its ``2*tile`` samples.
+    """
+
+    fwd: np.ndarray
+    adj: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _mats(spec: WaveletSpec, n: int, dtype_char: str):
-    op = build_operator(spec, n)
-    if dtype_char == "d":
-        return op.L, op.H, op.L_syn, op.H_syn
-    dt = np.dtype(dtype_char)
-    return (op.L.astype(dt), op.H.astype(dt),
-            op.L_syn.astype(dt), op.H_syn.astype(dt))
+def _tiles(spec: WaveletSpec, tile: int, dtype_char: str):
+    """``(analysis, synthesis)`` banks of tile blocks, read-only."""
+    taps = len(spec.analysis_low)
+    q = (taps - 1) // 2
+
+    def bank(*pair):
+        fwd = np.empty((2 * tile, 2 * tile + taps - 2))
+        adj = np.empty((2 * tile, 2 * (tile + q)))
+        for b, f in enumerate(pair):
+            fwd[b::2] = _place(f, tile, 2 * tile + taps - 2)
+            # adj[r, 2c + b] = f[r + 2q - 2c]: pair c is (tile start - q + c)
+            adj[:, b::2] = _place(f, tile + q, 2 * (tile + q))[:, 2 * q:].T
+        mats = [m.astype(dtype_char) for m in (fwd, adj)]
+        for m in mats:
+            m.setflags(write=False)
+        return _Bank(*mats)
+
+    return (bank(spec.analysis_low, spec.analysis_high),
+            bank(spec.synthesis_low, spec.synthesis_high))
+
+
+def _bank(spec: WaveletSpec, dt: np.dtype, synthesis: bool) -> _Bank:
+    return _tiles(spec, _TILE, dt.char)[synthesis]
+
+
+# --- the separable core: one axis (-1 or -2) at a time ---
+
+
+def _span(axis: int, start: int, stop: int) -> tuple:
+    """Index selecting ``start:stop`` along ``axis`` (-1 or -2)."""
+    return (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - axis)
+
+
+def _along(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """Apply ``mat`` to axis -2 of ``x`` from the left or to axis -1 from the right."""
+    if axis == -2:
+        return np.matmul(mat, x)
+    # one GEMM over all leading axes rather than one per row
+    y = np.matmul(x.reshape(-1, x.shape[-1]), mat.T)
+    return y.reshape(x.shape[:-1] + (mat.shape[0],))
+
+
+def _windows(x: np.ndarray, axis: int, step: int, width: int, count: int):
+    """Read-only view of ``count`` windows of ``width`` samples, ``step`` apart,
+    from the start of ``x`` along ``axis``; the window axis goes just before it."""
+    ax = x.ndim + axis
+    st = x.strides
+    return as_strided(x, x.shape[:ax] + (count, width) + x.shape[ax + 1:],
+                      st[:ax] + (step * st[ax], st[ax]) + st[ax + 1:], writeable=False)
+
+
+def _banded(mat: np.ndarray, x: np.ndarray, axis: int, front: int, length: int):
+    """Apply along ``axis`` the banded operator that ``mat`` tiles.
+
+    With ``mat`` of shape ``(s, w)``, output ``i*s + r`` (for ``i*s + r <
+    length``) is ``sum_c mat[r, c] * x[i*s - front + c]``, reading ``x`` as
+    zero outside its bounds.  The tiles whose window lies inside ``x`` run as
+    one batched ``matmul`` on strided windows of ``x`` itself; the tiles at
+    either end read a zero-padded copy of just the samples they need.
+    """
+    step, width = mat.shape
+    count = -(-length // step)
+    n = x.shape[axis]
+    ax = x.ndim + axis
+    out = np.empty(x.shape[:ax] + (count * step,) + x.shape[ax + 1:], x.dtype)
+    first = -(-front // step)
+    stop = max(first, min(count, (n + front - width) // step + 1))
+    for begin, end in ((first, stop), (0, first), (stop, count)):
+        if begin == end:
+            continue
+        start, size = begin * step - front, (end - begin - 1) * step + width
+        if 0 <= start and start + size <= n:
+            src = x[_span(axis, start, start + size)]
+        else:
+            src = np.zeros(x.shape[:ax] + (size,) + x.shape[ax + 1:], x.dtype)
+            lo, hi = max(start, 0), min(start + size, n)
+            src[_span(axis, lo - start, hi - start)] = x[_span(axis, lo, hi)]
+        win = _windows(src, axis, step, width, end - begin)
+        dest = out[_span(axis, begin * step, end * step)]
+        dest = dest.reshape(dest.shape[:ax] + (end - begin, step) + dest.shape[ax + 1:])
+        if axis == -2:
+            np.matmul(mat, win, out=dest)
+        else:
+            np.matmul(win, mat.T, out=dest)
+    return out[_span(axis, 0, length)]
+
+
+def _analyze(x: np.ndarray, bank: _Bank, axis: int) -> np.ndarray:
+    """``[L; H] @ x`` along ``axis``: n samples become ``(n//2, 2)`` pairs."""
+    n = x.shape[axis]
+    if n < 2:
+        raise TooShort(f"transform length must be >= 2, got shape {x.shape}")
+    h = n // 2
+    if n <= 2 * _TILE:
+        y = _along(bank.fwd[:2 * h, :n], x, axis)
+    else:
+        y = _banded(bank.fwd, x, axis, 0, 2 * h)
+    ax = y.ndim + axis
+    return y.reshape(y.shape[:ax] + (h, 2) + y.shape[ax + 1:])
+
+
+def _synthesize(pairs: np.ndarray, bank: _Bank, axis: int, n: int) -> np.ndarray:
+    """Transpose of :func:`_analyze`: ``(n//2, 2)`` pairs become n samples."""
+    if n < 2:
+        raise TooShort(f"transform length must be >= 2, got {n}")
+    ax = pairs.ndim - 1 + axis
+    c = pairs.reshape(pairs.shape[:ax] + (2 * pairs.shape[ax],) + pairs.shape[ax + 2:])
+    if n <= 2 * _TILE:
+        return _along(bank.fwd[:c.shape[axis], :n].T, c, axis)
+    return _banded(bank.adj, c, axis, bank.adj.shape[1] - bank.adj.shape[0], n)
+
+
+# (row band, column band) of ll, lh, hl, hh
+_QUADRANTS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _analysis2d(x: np.ndarray, bank: _Bank):
+    """``(ll, lh, hl, hh)`` over the last two axes, rows first."""
+    z = _analyze(_analyze(x, bank, -2), bank, -1)  # [..., h, 2, w, 2]
+    return tuple(np.ascontiguousarray(z[..., r, :, c]) for r, c in _QUADRANTS)
+
+
+def _synthesis2d(ll, lh, hl, hh, bank: _Bank, shape_hw) -> np.ndarray:
+    """Transpose of :func:`_analysis2d`, onto spatial shape ``shape_hw``."""
+    m, n = shape_hw
+    z = np.empty(ll.shape[:-2] + (m // 2, 2, n // 2, 2), ll.dtype)
+    for (r, c), band in zip(_QUADRANTS, (ll, lh, hl, hh)):
+        z[..., r, :, c] = band
+    y = _synthesize(z, bank, -1, n)  # [..., h, 2, n]
+    return np.ascontiguousarray(_synthesize(y, bank, -2, m))
 
 
 def _work_dtype(x: np.ndarray) -> np.dtype:
@@ -85,8 +250,25 @@ def _work_dtype(x: np.ndarray) -> np.dtype:
     return np.dtype(np.float32) if x.dtype == np.float32 else np.dtype(np.float64)
 
 
-def _operator_pair(spec, n, dtype):
-    return _mats(spec, n, np.dtype(dtype).char)
+def _input(x, ndim: int, what: str) -> np.ndarray:
+    """``x`` as an array of rank ``ndim``, in its work dtype."""
+    X = np.asarray(x)
+    if X.ndim != ndim:
+        raise ShapeMismatch(f"expected {what}, got shape {X.shape}")
+    return X.astype(_work_dtype(X), copy=False)
+
+
+def _bands(bands, shape, ndim: int, what: str):
+    """Subbands of rank ``ndim`` checked against the ``shape`` they came from,
+    in the work dtype of the first one; returns ``(bands, dtype)``."""
+    want = tuple(d // 2 for d in shape)
+    bands = [np.asarray(b) for b in bands]
+    for b in bands:
+        if b.ndim != ndim or b.shape[ndim - len(want):] != want or b.shape != bands[0].shape:
+            raise ShapeMismatch(f"{what} shapes {[b.shape for b in bands]} do not match "
+                                f"original shape {tuple(shape)} (need equal, ending {want})")
+    dt = _work_dtype(bands[0])
+    return [b.astype(dt, copy=False) for b in bands], dt
 
 
 # --- 1D ---
@@ -94,15 +276,9 @@ def _operator_pair(spec, n, dtype):
 
 def dwt1d(signal, spec: WaveletSpec):
     """One analysis step: returns ``(L @ s, H @ s)``, each of length N//2."""
-    s = np.asarray(signal)
-    if s.ndim != 1:
-        raise ShapeMismatch(f"expected a 1-D signal, got shape {s.shape}")
-    if s.shape[0] < 2:
-        raise TooShort(f"signal length must be >= 2, got {s.shape[0]}")
-    dt = _work_dtype(s)
-    s = s.astype(dt, copy=False)
-    L, H, _, _ = _operator_pair(spec, s.shape[0], dt)
-    return L @ s, H @ s
+    s = _input(signal, 1, "a 1-D signal")
+    pairs = _analyze(s, _bank(spec, s.dtype, synthesis=False), -1)
+    return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
 
 
 def idwt1d(low, high, spec: WaveletSpec, n: int) -> np.ndarray:
@@ -111,14 +287,8 @@ def idwt1d(low, high, spec: WaveletSpec, n: int) -> np.ndarray:
     ``n`` must be passed explicitly because ``N//2`` does not determine
     whether the original length was even or odd.
     """
-    lo = np.asarray(low)
-    hi = np.asarray(high)
-    if lo.shape != (n // 2,) or hi.shape != (n // 2,):
-        raise ShapeMismatch(
-            f"subband lengths {lo.shape}/{hi.shape} do not match n={n} (need {n // 2})")
-    dt = _work_dtype(lo)
-    _, _, Ls, Hs = _operator_pair(spec, n, dt)
-    return Ls.T @ lo.astype(dt, copy=False) + Hs.T @ hi.astype(dt, copy=False)
+    bands, dt = _bands((low, high), (n,), 1, "subband")
+    return _synthesize(np.stack(bands, axis=-1), _bank(spec, dt, synthesis=True), -1, n)
 
 
 def dwt1d_vjp(upstream_low, upstream_high, spec: WaveletSpec, n: int) -> np.ndarray:
@@ -126,14 +296,8 @@ def dwt1d_vjp(upstream_low, upstream_high, spec: WaveletSpec, n: int) -> np.ndar
 
     Uses the analysis matrices (transposed), not the synthesis duals.
     """
-    gl = np.asarray(upstream_low)
-    gh = np.asarray(upstream_high)
-    if gl.shape != (n // 2,) or gh.shape != (n // 2,):
-        raise ShapeMismatch(
-            f"upstream lengths {gl.shape}/{gh.shape} do not match n={n} (need {n // 2})")
-    dt = _work_dtype(gl)
-    L, H, _, _ = _operator_pair(spec, n, dt)
-    return L.T @ gl.astype(dt, copy=False) + H.T @ gh.astype(dt, copy=False)
+    bands, dt = _bands((upstream_low, upstream_high), (n,), 1, "upstream")
+    return _synthesize(np.stack(bands, axis=-1), _bank(spec, dt, synthesis=False), -1, n)
 
 
 # --- 2D ---
@@ -160,45 +324,15 @@ def dwt2d(x, spec: WaveletSpec) -> Decomposition2D:
     ``ll = L @ X @ L.T``, ``lh = H @ X @ L.T``, ``hl = L @ X @ H.T``,
     ``hh = H @ X @ H.T`` (lh carries the row high-pass).
     """
-    X = np.asarray(x)
-    if X.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {X.shape}")
-    m, n = X.shape
-    if m < 2 or n < 2:
-        raise TooShort(f"both dimensions must be >= 2, got {X.shape}")
-    dt = _work_dtype(X)
-    X = X.astype(dt, copy=False)
-    Lm, Hm, _, _ = _operator_pair(spec, m, dt)
-    Ln, Hn, _, _ = _operator_pair(spec, n, dt)
-    return Decomposition2D(
-        ll=Lm @ X @ Ln.T,
-        lh=Hm @ X @ Ln.T,
-        hl=Lm @ X @ Hn.T,
-        hh=Hm @ X @ Hn.T,
-        original_shape=(m, n),
-    )
-
-
-def _check_subbands(d: Decomposition2D):
-    m, n = d.original_shape
-    want = (m // 2, n // 2)
-    for name, band in (("ll", d.ll), ("lh", d.lh), ("hl", d.hl), ("hh", d.hh)):
-        if np.asarray(band).shape != want:
-            raise ShapeMismatch(
-                f"subband {name} has shape {np.asarray(band).shape}, expected {want} "
-                f"for original shape {d.original_shape}")
+    X = _input(x, 2, "a matrix")
+    return Decomposition2D(*_analysis2d(X, _bank(spec, X.dtype, synthesis=False)),
+                           original_shape=X.shape)
 
 
 def idwt2d(d: Decomposition2D, spec: WaveletSpec) -> np.ndarray:
     """Reconstruct a matrix of ``d.original_shape`` from its four subbands."""
-    _check_subbands(d)
-    m, n = d.original_shape
-    dt = _work_dtype(np.asarray(d.ll))
-    _, _, Lms, Hms = _operator_pair(spec, m, dt)
-    _, _, Lns, Hns = _operator_pair(spec, n, dt)
-    ll, lh, hl, hh = (np.asarray(b).astype(dt, copy=False) for b in d.subbands())
-    return (Lms.T @ ll @ Lns + Hms.T @ lh @ Lns
-            + Lms.T @ hl @ Hns + Hms.T @ hh @ Hns)
+    bands, dt = _bands(d.subbands(), d.original_shape, 2, "subband")
+    return _synthesis2d(*bands, _bank(spec, dt, synthesis=True), d.original_shape)
 
 
 def dwt2d_vjp(grads: Decomposition2D, spec: WaveletSpec) -> np.ndarray:
@@ -209,14 +343,8 @@ def dwt2d_vjp(grads: Decomposition2D, spec: WaveletSpec) -> np.ndarray:
     ``L.T @ g_ll @ L + H.T @ g_lh @ L + L.T @ g_hl @ H + H.T @ g_hh @ H``
     built from the analysis matrices.
     """
-    _check_subbands(grads)
-    m, n = grads.original_shape
-    dt = _work_dtype(np.asarray(grads.ll))
-    Lm, Hm, _, _ = _operator_pair(spec, m, dt)
-    Ln, Hn, _, _ = _operator_pair(spec, n, dt)
-    gll, glh, ghl, ghh = (np.asarray(b).astype(dt, copy=False) for b in grads.subbands())
-    return (Lm.T @ gll @ Ln + Hm.T @ glh @ Ln
-            + Lm.T @ ghl @ Hn + Hm.T @ ghh @ Hn)
+    bands, dt = _bands(grads.subbands(), grads.original_shape, 2, "gradient")
+    return _synthesis2d(*bands, _bank(spec, dt, synthesis=False), grads.original_shape)
 
 
 def idwt2d_vjp(upstream, spec: WaveletSpec) -> Decomposition2D:
@@ -226,35 +354,12 @@ def idwt2d_vjp(upstream, spec: WaveletSpec) -> Decomposition2D:
     decomposition holds the gradients of the four subbands,
     ``(Ls @ G @ Ls.T, Hs @ G @ Ls.T, Ls @ G @ Hs.T, Hs @ G @ Hs.T)``.
     """
-    G = np.asarray(upstream)
-    if G.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {G.shape}")
-    m, n = G.shape
-    if m < 2 or n < 2:
-        raise TooShort(f"both dimensions must be >= 2, got {G.shape}")
-    dt = _work_dtype(G)
-    G = G.astype(dt, copy=False)
-    _, _, Lms, Hms = _operator_pair(spec, m, dt)
-    _, _, Lns, Hns = _operator_pair(spec, n, dt)
-    return Decomposition2D(
-        ll=Lms @ G @ Lns.T,
-        lh=Hms @ G @ Lns.T,
-        hl=Lms @ G @ Hns.T,
-        hh=Hms @ G @ Hns.T,
-        original_shape=(m, n),
-    )
+    G = _input(upstream, 2, "a matrix")
+    return Decomposition2D(*_analysis2d(G, _bank(spec, G.dtype, synthesis=True)),
+                           original_shape=G.shape)
 
 
 # --- batched NCHW ---
-
-
-def _check_nchw(x) -> np.ndarray:
-    X = np.asarray(x)
-    if X.ndim != 4:
-        raise ShapeMismatch(f"expected an NCHW tensor, got shape {X.shape}")
-    if X.shape[2] < 2 or X.shape[3] < 2:
-        raise TooShort(f"spatial dims must be >= 2, got {X.shape}")
-    return X
 
 
 def dwt2d_batch(x, spec: WaveletSpec):
@@ -263,51 +368,17 @@ def dwt2d_batch(x, spec: WaveletSpec):
     Returns the four subband tensors ``(ll, lh, hl, hh)``, each of shape
     ``[N, C, H//2, W//2]``.
     """
-    X = _check_nchw(x)
-    h, w = X.shape[2], X.shape[3]
-    dt = _work_dtype(X)
-    X = X.astype(dt, copy=False)
-    Lh, Hh, _, _ = _operator_pair(spec, h, dt)
-    Lw, Hw, _, _ = _operator_pair(spec, w, dt)
-    low = np.matmul(Lh, X)
-    high = np.matmul(Hh, X)
-    return (np.matmul(low, Lw.T), np.matmul(high, Lw.T),
-            np.matmul(low, Hw.T), np.matmul(high, Hw.T))
+    X = _input(x, 4, "an NCHW tensor")
+    return _analysis2d(X, _bank(spec, X.dtype, synthesis=False))
 
 
 def idwt2d_batch(ll, lh, hl, hh, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:
     """Reconstruct an NCHW tensor of spatial shape ``shape_hw`` from subbands."""
-    h, w = shape_hw
-    bands = [np.asarray(b) for b in (ll, lh, hl, hh)]
-    want = (h // 2, w // 2)
-    for b in bands:
-        if b.ndim != 4 or b.shape[2:] != want:
-            raise ShapeMismatch(
-                f"subband shape {b.shape} does not match spatial target {shape_hw}")
-    dt = _work_dtype(bands[0])
-    _, _, Lhs, Hhs = _operator_pair(spec, h, dt)
-    _, _, Lws, Hws = _operator_pair(spec, w, dt)
-    ll, lh, hl, hh = (b.astype(dt, copy=False) for b in bands)
-    return (np.matmul(Lhs.T, np.matmul(ll, Lws))
-            + np.matmul(Hhs.T, np.matmul(lh, Lws))
-            + np.matmul(Lhs.T, np.matmul(hl, Hws))
-            + np.matmul(Hhs.T, np.matmul(hh, Hws)))
+    bands, dt = _bands((ll, lh, hl, hh), shape_hw, 4, "subband")
+    return _synthesis2d(*bands, _bank(spec, dt, synthesis=True), shape_hw)
 
 
 def dwt2d_batch_vjp(gll, glh, ghl, ghh, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:
     """Backward of :func:`dwt2d_batch` for NCHW subband gradients."""
-    h, w = shape_hw
-    bands = [np.asarray(b) for b in (gll, glh, ghl, ghh)]
-    want = (h // 2, w // 2)
-    for b in bands:
-        if b.ndim != 4 or b.shape[2:] != want:
-            raise ShapeMismatch(
-                f"gradient shape {b.shape} does not match spatial target {shape_hw}")
-    dt = _work_dtype(bands[0])
-    Lh, Hh, _, _ = _operator_pair(spec, h, dt)
-    Lw, Hw, _, _ = _operator_pair(spec, w, dt)
-    gll, glh, ghl, ghh = (b.astype(dt, copy=False) for b in bands)
-    return (np.matmul(Lh.T, np.matmul(gll, Lw))
-            + np.matmul(Hh.T, np.matmul(glh, Lw))
-            + np.matmul(Lh.T, np.matmul(ghl, Hw))
-            + np.matmul(Hh.T, np.matmul(ghh, Hw)))
+    bands, dt = _bands((gll, glh, ghl, ghh), shape_hw, 4, "gradient")
+    return _synthesis2d(*bands, _bank(spec, dt, synthesis=False), shape_hw)

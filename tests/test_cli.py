@@ -140,6 +140,43 @@ class TestTransformRoundTrip:
         assert np.max(np.abs(read_tensor(out) - x)) < 1e-12
 
 
+class TestNonFinitePixels:
+    @pytest.fixture()
+    def nan_tensor(self, tmp_path):
+        x = np.full((8, 8), 0.5)
+        x[2, 3] = np.nan
+        path = tmp_path / "nan.wtn"
+        write_tensor(path, x)
+        return path
+
+    def test_transform_rejects(self, capsys, tmp_path, nan_tensor):
+        code, _, err = run_cli(capsys, "transform", "--wavelet", "haar",
+                               "--in", str(nan_tensor),
+                               "--out-prefix", str(tmp_path / "b"))
+        assert code == 2
+        assert "FormatError" in err
+        assert not (tmp_path / "b_ll.wtn").exists()
+
+    def test_idwt_rejects(self, capsys, tmp_path):
+        prefix = tmp_path / "b"
+        for i, name in enumerate(("ll", "lh", "hl", "hh")):
+            band = np.zeros((4, 4))
+            band[1, 1] = np.inf if name == "hh" else float(i)
+            write_tensor(f"{prefix}_{name}.wtn", band)
+        code, _, err = run_cli(capsys, "idwt", "--wavelet", "haar",
+                               "--in-prefix", str(prefix), "--shape", "8x8",
+                               "--out", str(tmp_path / "o.wtn"))
+        assert code == 2
+        assert "FormatError" in err
+
+    def test_denoise_rejects(self, capsys, tmp_path, nan_tensor):
+        code, _, err = run_cli(capsys, "denoise", "--in", str(nan_tensor),
+                               "--out", str(tmp_path / "o.wtn"))
+        assert code == 2
+        assert "FormatError" in err
+        assert not (tmp_path / "o.wtn").exists()
+
+
 class TestDenoiseCommand:
     def test_pgm_to_pgm(self, capsys, tmp_path, pgm):
         out = tmp_path / "den.pgm"

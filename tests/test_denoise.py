@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavecnn.denoise import DenoiseConfig, denoise_image, soft_shrink
-from wavecnn.errors import NegativeLambda, ShapeMismatch
+from wavecnn.errors import InvalidConfig, NegativeLambda, ShapeMismatch
 
 
 class TestSoftShrink:
@@ -11,6 +11,19 @@ class TestSoftShrink:
         t = 0.3
         expected = np.where(x > t, x - t, np.where(x < -t, x + t, 0.0))
         assert np.array_equal(soft_shrink(x, t), expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_piecewise_form(self, dtype):
+        rng = np.random.default_rng(5)
+        for t in (0.0, 0.1, 0.3, 1.7):
+            t = float(dtype(t))  # a threshold exactly representable in dtype
+            x = rng.standard_normal(4000).astype(dtype)
+            inside, outside = np.nextafter(dtype(t), dtype(0)), np.nextafter(dtype(t), dtype(9))
+            x[:6] = [t, -t, 0.0, -0.0, inside, -outside]
+            old = np.where(x > t, x - t, np.where(x < -t, x + t, 0.0)).astype(dtype)
+            got = soft_shrink(x, t)
+            assert got.dtype == dtype
+            assert got.tobytes() == old.tobytes()
 
     def test_scalar_input_returns_float(self):
         assert soft_shrink(0.5, 0.1) == pytest.approx(0.4)
@@ -77,6 +90,15 @@ class TestDenoiseImage:
         out = denoise_image(chw, cfg)
         for c in range(3):
             assert np.array_equal(out[c], denoise_image(chw[c], cfg))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, bad):
+        img = np.full((16, 16), 0.5)
+        img[3, 4] = bad
+        with pytest.raises(InvalidConfig):
+            denoise_image(img)
+        with pytest.raises(InvalidConfig):
+            denoise_image(np.stack([np.zeros((16, 16)), img]))
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ShapeMismatch):

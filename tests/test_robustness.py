@@ -70,6 +70,13 @@ class TestCorrupt:
         with pytest.raises(InvalidConfig):
             corrupt(np.full((4, 4), 1.5), "gaussian", 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        img = np.full((4, 4), 0.5)
+        img[1, 2] = bad
+        with pytest.raises(InvalidConfig):
+            corrupt(img, "gaussian", 1)
+
 
 class TestCorruptDataset:
     def _ds(self, n=6):

@@ -1,6 +1,11 @@
+import gc
+import types
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from wavecnn import transform
 from wavecnn.errors import ShapeMismatch, TooShort
 from wavecnn.filterbank import get_wavelet, wavelet_names
 from wavecnn.transform import (Decomposition2D, build_operator, dwt1d,
@@ -230,3 +235,178 @@ class TestBatch:
     def test_batch_rejects_non_nchw(self):
         with pytest.raises(ShapeMismatch):
             dwt2d_batch(np.zeros((4, 4)), HAAR)
+
+    def test_batch_synthesis_rejects_mismatched_batches(self):
+        ll = np.zeros((2, 3, 4, 4))
+        with pytest.raises(ShapeMismatch):
+            idwt2d_batch(ll, ll, ll, ll[:1], HAAR, (8, 8))
+
+
+TILE = transform._TILE
+
+
+def _sides(spec):
+    """Lengths around every tile boundary of the core, plus two long sides."""
+    t = len(spec.analysis_low)
+    return sorted({2, 3, 7, 2 * TILE - 1, 2 * TILE, 2 * TILE + 1,
+                   2 * TILE + t - 1, 257, 1024})
+
+
+_dense = lru_cache(maxsize=None)(build_operator)
+
+
+def _close(got, ref, dtype):
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    assert got.dtype == dtype
+    assert got.shape == ref.shape
+    scale = max(np.max(np.abs(ref)), 1e-300)
+    assert np.max(np.abs(got - ref)) <= tol * scale
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", ALL)
+class TestTiledCoreMatchesDense:
+    """Every tiled code path against the dense truncated operators."""
+
+    def test_1d(self, name, dtype):
+        spec = get_wavelet(name)
+        rng = np.random.default_rng(12)
+        for n in _sides(spec):
+            op = _dense(spec, n)
+            x = rng.standard_normal(n).astype(dtype)
+            gl, gh = rng.standard_normal((2, n // 2)).astype(dtype)
+            low, high = dwt1d(x, spec)
+            _close(low, op.L @ x.astype(np.float64), dtype)
+            _close(high, op.H @ x.astype(np.float64), dtype)
+            _close(idwt1d(gl, gh, spec, n),
+                   op.L_syn.T @ gl.astype(np.float64) + op.H_syn.T @ gh.astype(np.float64), dtype)
+            _close(dwt1d_vjp(gl, gh, spec, n),
+                   op.L.T @ gl.astype(np.float64) + op.H.T @ gh.astype(np.float64), dtype)
+
+    def test_2d_non_square(self, name, dtype):
+        spec = get_wavelet(name)
+        rng = np.random.default_rng(13)
+        sides = _sides(spec)
+        # each side once along the rows and once along the columns
+        for m, n in zip(sides, reversed(sides)):
+            om, on = _dense(spec, m), _dense(spec, n)
+            x = rng.standard_normal((m, n)).astype(dtype)
+            bands = rng.standard_normal((4, m // 2, n // 2)).astype(dtype)
+            X, (b0, b1, b2, b3) = x.astype(np.float64), bands.astype(np.float64)
+            for got, ref in zip(dwt2d(x, spec).subbands(),
+                                (om.L @ X @ on.L.T, om.H @ X @ on.L.T,
+                                 om.L @ X @ on.H.T, om.H @ X @ on.H.T)):
+                _close(got, ref, dtype)
+            for got, ref in zip(idwt2d_vjp(x, spec).subbands(),
+                                (om.L_syn @ X @ on.L_syn.T, om.H_syn @ X @ on.L_syn.T,
+                                 om.L_syn @ X @ on.H_syn.T, om.H_syn @ X @ on.H_syn.T)):
+                _close(got, ref, dtype)
+            d = Decomposition2D(*bands, (m, n))
+            _close(idwt2d(d, spec),
+                   om.L_syn.T @ b0 @ on.L_syn + om.H_syn.T @ b1 @ on.L_syn
+                   + om.L_syn.T @ b2 @ on.H_syn + om.H_syn.T @ b3 @ on.H_syn, dtype)
+            _close(dwt2d_vjp(d, spec),
+                   om.L.T @ b0 @ on.L + om.H.T @ b1 @ on.L
+                   + om.L.T @ b2 @ on.H + om.H.T @ b3 @ on.H, dtype)
+
+    def test_batch(self, name, dtype):
+        spec = get_wavelet(name)
+        rng = np.random.default_rng(14)
+        t = len(spec.analysis_low)
+        for h, w in ((2 * TILE + t - 1, 2 * TILE + 3), (7, 2 * TILE)):
+            x = rng.standard_normal((2, 3, h, w)).astype(dtype)
+            bands = dwt2d_batch(x, spec)
+            grads = rng.standard_normal((4, 2, 3, h // 2, w // 2)).astype(dtype)
+            back = idwt2d_batch(*grads, spec, (h, w))
+            vjp = dwt2d_batch_vjp(*grads, spec, (h, w))
+            for i in range(2):
+                for c in range(3):
+                    plane = dwt2d(x[i, c].astype(np.float64), spec)
+                    for got, ref in zip(bands, plane.subbands()):
+                        _close(got[i, c], ref, dtype)
+                    d = Decomposition2D(*(g[i, c].astype(np.float64) for g in grads), (h, w))
+                    _close(back[i, c], idwt2d(d, spec), dtype)
+                    _close(vjp[i, c], dwt2d_vjp(d, spec), dtype)
+
+
+MULTI_TILE = [(2 * TILE + 7, 6 * TILE + 5), (257, 130)]
+
+
+class TestTiledAdjoints:
+    @pytest.mark.parametrize("shape", MULTI_TILE)
+    @pytest.mark.parametrize("name", ["haar", "db6", "ch5.5"])
+    def test_2d_maps_are_adjoint_pairs(self, name, shape):
+        spec = get_wavelet(name)
+        rng = np.random.default_rng(15)
+        x, g = rng.standard_normal((2,) + shape)
+        y = Decomposition2D(*rng.standard_normal((4, shape[0] // 2, shape[1] // 2)), shape)
+
+        def dot(a, b):
+            return sum(float((p * q).sum()) for p, q in zip(a.subbands(), b.subbands()))
+
+        assert _rel(dot(dwt2d(x, spec), y), float((x * dwt2d_vjp(y, spec)).sum())) < 1e-12
+        assert _rel(float((idwt2d(y, spec) * g).sum()), dot(y, idwt2d_vjp(g, spec))) < 1e-12
+
+    @pytest.mark.parametrize("name", ["db2", "ch3.3"])
+    def test_batch_pair_is_adjoint(self, name):
+        spec = get_wavelet(name)
+        rng = np.random.default_rng(16)
+        h, w = MULTI_TILE[0]
+        x = rng.standard_normal((2, 2, h, w))
+        ys = rng.standard_normal((4, 2, 2, h // 2, w // 2))
+        lhs = sum(float((b * y).sum()) for b, y in zip(dwt2d_batch(x, spec), ys))
+        assert _rel(lhs, float((x * dwt2d_batch_vjp(*ys, spec, (h, w))).sum())) < 1e-12
+
+
+class TestResultLayout:
+    @pytest.mark.parametrize("shape", [(12, 10), (2 * TILE + 5, 4 * TILE + 3)])
+    def test_results_are_contiguous_and_own_their_memory(self, shape):
+        spec = get_wavelet("db3")
+        rng = np.random.default_rng(17)
+        # strided inputs: every other column of a wider array
+        x = rng.standard_normal((shape[0], 2 * shape[1]))[:, ::2]
+        nchw = rng.standard_normal((2, 2) + shape)[:, :, :, ::-1]
+        d = dwt2d(x, spec)
+        g = d.ll[:, ::-1]
+        low, high = dwt1d(x[0], spec)
+        results = [low, high, idwt1d(low, high, spec, shape[1]),
+                   dwt1d_vjp(low, high, spec, shape[1]), *d.subbands(),
+                   idwt2d(d, spec), dwt2d_vjp(d, spec),
+                   *idwt2d_vjp(x, spec).subbands(),
+                   idwt2d(Decomposition2D(g, g, g, g, shape), spec)]
+        bands = dwt2d_batch(nchw, spec)
+        results += [*bands, idwt2d_batch(*bands, spec, shape),
+                    dwt2d_batch_vjp(*bands, spec, shape)]
+        for r in results:
+            assert r.flags.c_contiguous
+            assert not np.shares_memory(r, x) and not np.shares_memory(r, nchw)
+
+
+def _arrays_reachable_from_caches():
+    """Every ndarray (and base) held by the functools caches of the module."""
+    found, seen = [], set()
+    todo = [f for f in vars(transform).values() if hasattr(f, "cache_info")]
+    todo = [r for f in todo for r in gc.get_referents(f) if isinstance(r, dict)]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.FunctionType, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            if obj.base is not None:
+                todo.append(obj.base)
+        else:
+            todo.extend(gc.get_referents(obj))
+    return found
+
+
+def test_large_transform_caches_no_dense_operator():
+    for f in vars(transform).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    d = dwt2d(np.ones((1024, 1024)), get_wavelet("db4"))
+    idwt2d(d, get_wavelet("db4"))
+    held = _arrays_reachable_from_caches()
+    assert held, "expected the tile blocks to be cached"
+    assert max(a.size for a in held) < 512 * 1024
