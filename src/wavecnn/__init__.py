@@ -28,8 +28,7 @@ from .filterbank import (Family, ValidationReport, WaveletSpec,
                          wavelet_names)
 from .network import (DOWNSAMPLE_MODES, LayerSpec, Model, ModelConfig,
                       TrainConfig, TrainReport, build_model, evaluate,
-                      gradcheck, load_model, mini_config, predict, save_model,
-                      train)
+                      gradcheck, load_model, mini_config, save_model, train)
 from .robustness import (DEFAULT_SEVERITY, NOISE_CORRUPTIONS, ErrorMatrix,
                          RobustnessReport, ShiftTrialConfig, corrupt,
                          corrupt_dataset, corruption_error, error_matrix,
@@ -53,7 +52,7 @@ __all__ = [
     "evaluate", "get_wavelet", "gradcheck", "idwt1d", "idwt2d",
     "idwt2d_batch", "idwt2d_madds", "idwt2d_vjp", "load_dataset",
     "load_model", "load_pgm_dir", "mean_ce", "mini_config", "model_madds",
-    "predict", "read_idx", "read_pgm", "read_tensor", "robustness_report",
+    "read_idx", "read_pgm", "read_tensor", "robustness_report",
     "save_dataset", "save_model", "shift_consistency", "shift_image",
     "soft_shrink", "synthetic_classification", "train", "validate_filterbank",
     "wavelet_names", "write_idx", "write_pgm", "write_tensor",

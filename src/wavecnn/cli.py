@@ -314,7 +314,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--precision", choices=("f32", "f64"), default=None,
                         help="float width; transforms/denoise default f64, training f32")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads where a subcommand supports fan-out")
+                        help="corruption worker threads for 'robustness'; "
+                             "every other subcommand ignores it")
 
     top = _Parser(prog="wavecnn",
                   description="Wavelet transforms, wavelet-downsampled CNNs, "

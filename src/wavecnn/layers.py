@@ -4,7 +4,22 @@ Every layer implements ``forward(x, training)`` and ``backward(grad)`` where
 backward is the exact adjoint of the forward linearization; the gradient
 suite checks each one against central finite differences.  Layers cache what
 they need for backward on ``self``, so a layer instance is used by one
-training loop at a time.
+training loop at a time:
+
+- ``Conv2d``: the im2col matrix ``(C_in*k*k, N*Ho*Wo)`` and the input shape.
+- ``BatchNorm2d``: the normalized input ``xhat``, ``1/sqrt(var + eps)`` per
+  channel and the training flag.
+- ``ReLU``: the boolean mask ``x > 0``.
+- ``MaxPool2``: three boolean masks per output (a beats b, c beats d, the
+  top pair beats the bottom pair of each 2x2 window) and the input shape.
+- ``AvgPool2``, ``PadToEven``, ``Flatten``, ``WaveletDown``: shapes only;
+  ``Dense``: its input.
+
+No layer reads NaN specially.  ``ReLU`` returns ``max(x, 0)``, which passes
+NaN on (the earlier ``np.where(x > 0, x, 0)`` turned it into 0), so a NaN
+that enters training reaches the loss and ``train`` stops with
+``DivergedLoss``.  On finite input ``ReLU``, ``MaxPool2`` and ``AvgPool2``
+give the same bits as those earlier formulations, signs of zero included.
 
 Shape bookkeeping for model validation and multiply-add accounting lives in
 ``output_shape``/``madds``; spatial shapes are (C, H, W) tuples before
@@ -98,34 +113,33 @@ class Conv2d(Layer):
         n, _, h, w = x.shape
         k, s, p = self.kernel, self.stride, self.kernel // 2
         ho, wo = self._out_hw(h, w)
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        # pad straight into channel-major order, so every tap is one slice
+        xp = np.zeros((self.c_in, n, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
         cols = np.empty((self.c_in, k, k, n, ho, wo), dtype=x.dtype)
         for ki in range(k):
             for kj in range(k):
-                cols[:, ki, kj] = np.moveaxis(
-                    xp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s], 0, 1)
-        self._cols = cols
+                cols[:, ki, kj] = xp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
+        self._cols = cols.reshape(self.c_in * k * k, n * ho * wo)
         self._x_shape = x.shape
-        out = np.tensordot(self.weight, cols, axes=([1, 2, 3], [0, 1, 2]))
-        out += self.bias[:, None, None, None]
-        return np.moveaxis(out, 0, 1)
+        out = self.weight.reshape(self.c_out, -1) @ self._cols
+        out += self.bias[:, None]
+        return out.reshape(self.c_out, n, ho, wo).transpose(1, 0, 2, 3)
 
     def backward(self, grad):
         n, _, h, w = self._x_shape
         k, s, p = self.kernel, self.stride, self.kernel // 2
         ho, wo = self._out_hw(h, w)
-        gm = np.moveaxis(grad, 1, 0)  # (c_out, N, Ho, Wo)
-        self.grad_bias = gm.sum(axis=(1, 2, 3))
-        self.grad_weight = np.tensordot(gm, self._cols, axes=([1, 2, 3], [3, 4, 5]))
-        gcols = np.tensordot(self.weight, gm, axes=([0], [0]))  # (c_in,k,k,N,Ho,Wo)
-        gxp = np.zeros((n, self.c_in, h + 2 * p, w + 2 * p), dtype=grad.dtype)
+        g = grad.transpose(1, 0, 2, 3).reshape(self.c_out, n * ho * wo)
+        self.grad_bias = g.sum(axis=1)
+        self.grad_weight = (self._cols @ g.T).T.reshape(self.weight.shape)
+        gcols = (self.weight.reshape(self.c_out, -1).T @ g).reshape(
+            self.c_in, k, k, n, ho, wo)
+        gxp = np.zeros((self.c_in, n, h + 2 * p, w + 2 * p), dtype=grad.dtype)
         for ki in range(k):
             for kj in range(k):
-                gxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += np.moveaxis(
-                    gcols[:, ki, kj], 1, 0)
-        if p:
-            return gxp[:, :, p:-p, p:-p]
-        return gxp
+                gxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += gcols[:, ki, kj]
+        return gxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
 
     def output_shape(self, in_shape):
         c, h, w = _require_chw(in_shape, "conv")
@@ -177,28 +191,46 @@ class BatchNorm2d(Layer):
                 f"batchnorm expects NCHW with C={self.channels}, got {x.shape}")
         if training:
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            m = self.MOMENTUM
-            self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(x.dtype)
-            self.running_var = ((1 - m) * self.running_var + m * var).astype(x.dtype)
+            xhat = x - mean[:, None, None]
+            m = x.shape[0] * x.shape[2] * x.shape[3]
+            var = np.einsum("nchw,nchw->c", xhat, xhat) / m
+            mo = self.MOMENTUM
+            self.running_mean = ((1 - mo) * self.running_mean + mo * mean).astype(x.dtype)
+            self.running_var = ((1 - mo) * self.running_var + mo * var).astype(x.dtype)
         else:
-            mean, var = self.running_mean, self.running_var
+            xhat = x - self.running_mean[:, None, None]
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (x - mean[:, None, None]) * inv_std[:, None, None]
+        xhat *= inv_std[:, None, None]
         self._cache = (xhat, inv_std, training)
-        return self.gamma[:, None, None] * xhat + self.beta[:, None, None]
+        out = xhat * self.gamma[:, None, None]
+        out += self.beta[:, None, None]
+        return out
 
     def backward(self, grad):
         xhat, inv_std, training = self._cache
-        self.grad_gamma = (grad * xhat).sum(axis=(0, 2, 3))
-        self.grad_beta = grad.sum(axis=(0, 2, 3))
-        gxhat = grad * self.gamma[:, None, None]
+        self.grad_gamma = np.einsum("nchw,nchw->c", grad, xhat)
+        self.grad_beta = np.einsum("nchw->c", grad)
+        scale = (self.gamma * inv_std)[:, None, None]
         if not training:
-            return gxhat * inv_std[:, None, None]
+            return grad * scale
         m = grad.shape[0] * grad.shape[2] * grad.shape[3]
-        sum_g = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        return (inv_std[:, None, None] / m) * (m * gxhat - sum_g - xhat * sum_gx)
+        # (grad - xhat * sum(grad * xhat) / m - sum(grad) / m) * gamma * inv_std
+        gx = xhat * (-self.grad_gamma / m)[:, None, None]
+        gx += grad
+        gx -= (self.grad_beta / m)[:, None, None]
+        gx *= scale
+        return gx
+
+
+def _where0(mask, a):
+    """``np.where(mask, a, 0)`` bit for bit, as one AND of ``a``'s bit patterns
+    with all-ones or all-zero words (``np.where`` on a boolean mask is ~10x
+    slower).  Unlike ``a * mask`` it keeps ``+0.0`` where the mask is off."""
+    word = np.dtype(f"u{a.dtype.itemsize}")
+    bits = np.multiply(mask, word.type(np.iinfo(word).max))
+    bits &= a.view(word)
+    return bits.view(a.dtype)
 
 
 class ReLU(Layer):
@@ -207,17 +239,10 @@ class ReLU(Layer):
 
     def forward(self, x, training=False):
         self._mask = x > 0
-        return np.where(self._mask, x, 0)
+        return np.maximum(x, 0)
 
     def backward(self, grad):
-        return np.where(self._mask, grad, 0)
-
-
-def _window4(x):
-    """(N,C,H,W) -> (N,C,H/2,W/2,4) with the 2x2 window unrolled row-major."""
-    n, c, h, w = x.shape
-    v = x.reshape(n, c, h // 2, 2, w // 2, 2)
-    return np.moveaxis(v, 3, 4).reshape(n, c, h // 2, w // 2, 4)
+        return _where0(self._mask, grad)
 
 
 def _check_even(x, who):
@@ -227,26 +252,43 @@ def _check_even(x, who):
         raise OddSpatial(f"{who} needs even spatial dims, got {x.shape[2:]}")
 
 
+def _quarters(x):
+    """The four strided views of each 2x2 window, in row-major window order."""
+    return (x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2],
+            x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
+
+
 class MaxPool2(Layer):
     """2x2 stride-2 max pooling; ties route to the first (row-major) argmax."""
 
     def __init__(self):
-        self._arg = None
+        self._wins = None
         self._shape = None
 
     def forward(self, x, training=False):
         _check_even(x, "max pooling")
-        win = _window4(x)
-        self._arg = win.argmax(axis=-1)
+        a, b, c, d = _quarters(x)
+        # a knockout in window order: a beats b and c beats d on ties, then
+        # the (a, b) winner beats the (c, d) winner.  np.maximum returns its
+        # second argument on ties, so the argument order also keeps the
+        # first winner's sign of zero.
+        top = np.maximum(b, a)
+        bottom = np.maximum(d, c)
+        self._wins = (a >= b, c >= d, top >= bottom)
         self._shape = x.shape
-        return np.take_along_axis(win, self._arg[..., None], axis=-1)[..., 0]
+        return np.maximum(bottom, top)
 
     def backward(self, grad):
-        n, c, h, w = self._shape
-        gwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=grad.dtype)
-        np.put_along_axis(gwin, self._arg[..., None], grad[..., None], axis=-1)
-        v = gwin.reshape(n, c, h // 2, w // 2, 2, 2)
-        return np.moveaxis(v, 4, 3).reshape(n, c, h, w)
+        a_wins, c_wins, top_wins = self._wins
+        top = _where0(top_wins, grad)
+        bottom = _where0(~top_wins, grad)
+        gx = np.empty(self._shape, dtype=grad.dtype)
+        ga, gb, gc, gd = _quarters(gx)
+        ga[...] = _where0(a_wins, top)
+        gb[...] = _where0(~a_wins, top)
+        gc[...] = _where0(c_wins, bottom)
+        gd[...] = _where0(~c_wins, bottom)
+        return gx
 
     def output_shape(self, in_shape):
         c, h, w = _require_chw(in_shape, "max pooling")
@@ -264,13 +306,21 @@ class AvgPool2(Layer):
     def forward(self, x, training=False):
         _check_even(x, "average pooling")
         self._shape = x.shape
-        return _window4(x).mean(axis=-1)
+        a, b, c, d = _quarters(x)
+        out = a + b
+        out += c
+        out += d
+        out *= 0.25
+        return out
 
     def backward(self, grad):
         n, c, h, w = self._shape
-        gwin = np.broadcast_to((grad / 4.0)[..., None], grad.shape + (4,))
-        v = gwin.reshape(n, c, h // 2, w // 2, 2, 2)
-        return np.moveaxis(v, 4, 3).reshape(n, c, h, w)
+        gx = np.empty((n, c, h // 2, 2, w // 2, 2), dtype=grad.dtype)
+        q = grad / 4.0
+        gx[:, :, :, 0, :, 0] = q
+        gx[:, :, :, 0, :, 1] = q
+        gx[:, :, :, 1] = gx[:, :, :, 0]  # copy the top row of each window down
+        return gx.reshape(n, c, h, w)
 
     output_shape = MaxPool2.output_shape
 

@@ -421,13 +421,16 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
     return partial_report()
 
 
-def predict(model: Model, images: np.ndarray) -> np.ndarray:
-    return model.predict(images)
-
-
 def evaluate(model: Model, dataset) -> float:
-    """Top-1 error rate on a dataset, in [0, 1]."""
-    preds = model.predict(np.asarray(dataset.images, dtype=model.dtype))
+    """Top-1 error rate on a dataset, in [0, 1].
+
+    Raises InvalidConfig if an image holds NaN or an infinity at the model's
+    precision, since such an image would be classified as garbage silently.
+    """
+    images = np.asarray(dataset.images, dtype=model.dtype)
+    if not np.isfinite(images).all():
+        raise InvalidConfig("evaluate needs finite image values")
+    preds = model.predict(images)
     labels = np.asarray(dataset.labels)
     if preds.shape != labels.shape:
         raise ShapeMismatch(

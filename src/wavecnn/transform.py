@@ -260,14 +260,15 @@ def _input(x, ndim: int, what: str) -> np.ndarray:
 
 def _bands(bands, shape, ndim: int, what: str):
     """Subbands of rank ``ndim`` checked against the ``shape`` they came from,
-    in the work dtype of the first one; returns ``(bands, dtype)``."""
+    in one work dtype: float32 only if every band is float32, else float64
+    (so no band is rounded to a coarser type); returns ``(bands, dtype)``."""
     want = tuple(d // 2 for d in shape)
     bands = [np.asarray(b) for b in bands]
     for b in bands:
         if b.ndim != ndim or b.shape[ndim - len(want):] != want or b.shape != bands[0].shape:
             raise ShapeMismatch(f"{what} shapes {[b.shape for b in bands]} do not match "
                                 f"original shape {tuple(shape)} (need equal, ending {want})")
-    dt = _work_dtype(bands[0])
+    dt = np.result_type(*(_work_dtype(b) for b in bands))
     return [b.astype(dt, copy=False) for b in bands], dt
 
 

@@ -181,3 +181,195 @@ class TestLoss:
         logits = np.array([[1e4, -1e4], [-1e4, 1e4]])
         value = loss.forward(logits, np.array([0, 1]))
         assert np.isfinite(value) and value < 1e-6
+
+
+# --- the formulations the layers replaced, kept as references ---
+
+
+def _ref_window4(x):
+    n, c, h, w = x.shape
+    v = x.reshape(n, c, h // 2, 2, w // 2, 2)
+    return np.moveaxis(v, 3, 4).reshape(n, c, h // 2, w // 2, 4)
+
+
+def _ref_unwindow4(gwin):
+    n, c, h2, w2, _ = gwin.shape
+    v = gwin.reshape(n, c, h2, w2, 2, 2)
+    return np.moveaxis(v, 4, 3).reshape(n, c, 2 * h2, 2 * w2)
+
+
+def ref_relu(x, g):
+    mask = x > 0
+    return np.where(mask, x, 0), np.where(mask, g, 0)
+
+
+def ref_max_pool(x, g):
+    win = _ref_window4(x)
+    arg = win.argmax(axis=-1)
+    y = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    gwin = np.zeros(win.shape, dtype=g.dtype)
+    np.put_along_axis(gwin, arg[..., None], g[..., None], axis=-1)
+    return y, _ref_unwindow4(gwin)
+
+
+def ref_avg_pool(x, g):
+    gwin = np.broadcast_to((g / 4.0)[..., None], g.shape + (4,))
+    return _ref_window4(x).mean(axis=-1), _ref_unwindow4(gwin)
+
+
+def ref_batchnorm(x, g, gamma, beta, mean, var, training, eps=1e-5):
+    """Returns (y, grad_x, grad_gamma, grad_beta, batch_mean, batch_var)."""
+    if training:
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[:, None, None]) * inv_std[:, None, None]
+    y = gamma[:, None, None] * xhat + beta[:, None, None]
+    ggamma = (g * xhat).sum(axis=(0, 2, 3))
+    gbeta = g.sum(axis=(0, 2, 3))
+    gxhat = g * gamma[:, None, None]
+    if training:
+        m = g.shape[0] * g.shape[2] * g.shape[3]
+        sum_g = gxhat.sum(axis=(0, 2, 3), keepdims=True)
+        sum_gx = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        gx = (inv_std[:, None, None] / m) * (m * gxhat - sum_g - xhat * sum_gx)
+    else:
+        gx = gxhat * inv_std[:, None, None]
+    return y, gx, ggamma, gbeta, mean, var
+
+
+def ref_conv(x, g, weight, bias, stride):
+    """Returns (y, grad_x, grad_weight, grad_bias) of the per-tap moveaxis im2col."""
+    n, c_in, h, w = x.shape
+    k, s, p = weight.shape[-1], stride, weight.shape[-1] // 2
+    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols = np.empty((c_in, k, k, n, ho, wo), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, ki, kj] = np.moveaxis(xp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s], 0, 1)
+    out = np.tensordot(weight, cols, axes=([1, 2, 3], [0, 1, 2]))
+    out += bias[:, None, None, None]
+    gm = np.moveaxis(g, 1, 0)
+    gbias = gm.sum(axis=(1, 2, 3))
+    gweight = np.tensordot(gm, cols, axes=([1, 2, 3], [3, 4, 5]))
+    gcols = np.tensordot(weight, gm, axes=([0], [0]))
+    gxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=g.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            gxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += np.moveaxis(gcols[:, ki, kj], 1, 0)
+    return np.moveaxis(out, 0, 1), gxp[:, :, p:p + h, p:p + w], gweight, gbias
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    word = f"u{a.dtype.itemsize}"
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(word), b.view(word))
+
+
+def _tie_heavy(shape, dtype, seed):
+    """Small integers with random signs of zero: many ties, ±0 in every window mix."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=shape).astype(dtype)
+    zero = x == 0
+    x[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    return x
+
+
+def _close(got, ref, dtype):
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.max(np.abs(got - ref)) <= tol * max(1.0, float(np.max(np.abs(ref))))
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestMatchesReplacedFormulation:
+    """The rewritten layers against the formulations they replaced."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("data", ["normal", "ties"])
+    @pytest.mark.parametrize("kind", ["relu", "max_pool", "avg_pool"])
+    def test_elementwise_and_pooling_bit_identical(self, kind, data, dtype):
+        shape = (3, 2, 6, 10)
+        if data == "ties":
+            x, g = _tie_heavy(shape, dtype, 0), _tie_heavy(shape, dtype, 1)
+        else:
+            rng = np.random.default_rng(2)
+            x, g = rng.standard_normal((2,) + shape).astype(dtype)
+        if kind == "relu":
+            layer, ref = L.ReLU(), ref_relu
+        else:
+            g = g[:, :, ::2, ::2].copy()
+            layer, ref = (L.MaxPool2(), ref_max_pool) if kind == "max_pool" \
+                else (L.AvgPool2(), ref_avg_pool)
+        y_ref, gx_ref = ref(x, g)
+        assert _same_bits(layer.forward(x, training=True), y_ref)
+        assert _same_bits(layer.backward(g), gx_ref)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_max_pool_all_equal_windows_route_to_first(self, dtype):
+        x = np.zeros((1, 2, 2, 4), dtype=dtype)
+        x[0, 0] = [[-0.0, 0.0, 1.5, 1.5], [0.0, -0.0, 1.5, 1.5]]
+        x[0, 1] = [[0.0, -0.0, -1.0, -1.0], [-0.0, -0.0, -1.0, -1.0]]
+        g = np.array([[[[-2.0, -0.0]], [[3.0, 4.0]]]], dtype=dtype)
+        pool = L.MaxPool2()
+        y_ref, gx_ref = ref_max_pool(x, g)
+        y = pool.forward(x, training=True)
+        assert _same_bits(y, y_ref)
+        assert np.signbit(y[0, 0, 0, 0]) and not np.signbit(y[0, 1, 0, 0])
+        gx = pool.backward(g)
+        assert _same_bits(gx, gx_ref)
+        assert np.count_nonzero(gx) == 3 and gx[0, 0, 0, 0] == -2.0
+        assert np.signbit(gx[0, 0, 0, 2]) and not np.signbit(gx[0, 0, 0, 3])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 7), (2, 5, 6, 6)])
+    def test_batchnorm_matches(self, shape, training, dtype):
+        rng = np.random.default_rng(3)
+        bn = L.BatchNorm2d(shape[1])
+        bn.init_params(rng, np.dtype(dtype))
+        bn.gamma[...] = rng.uniform(0.5, 2.0, shape[1])
+        bn.beta[...] = rng.standard_normal(shape[1])
+        bn.running_mean[...] = rng.standard_normal(shape[1])
+        bn.running_var[...] = rng.uniform(0.5, 2.0, shape[1])
+        x = (rng.standard_normal(shape) * 3.0 + 1.0).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        mean0, var0 = bn.running_mean.copy(), bn.running_var.copy()
+        y_ref, gx_ref, gg_ref, gb_ref, mean, var = ref_batchnorm(
+            x, g, bn.gamma, bn.beta, mean0, var0, training)
+        _close(bn.forward(x, training=training), y_ref, dtype)
+        _close(bn.backward(g), gx_ref, dtype)
+        _close(bn.grad_gamma, gg_ref, dtype)
+        _close(bn.grad_beta, gb_ref, dtype)
+        if training:
+            _close(bn.running_mean, (0.9 * mean0 + 0.1 * mean).astype(dtype), dtype)
+            _close(bn.running_var, (0.9 * var0 + 0.1 * var).astype(dtype), dtype)
+        else:
+            assert np.array_equal(bn.running_mean, mean0)
+            assert np.array_equal(bn.running_var, var0)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("kernel,stride,hw", [(3, 1, (7, 9)), (3, 2, (7, 9)),
+                                                  (5, 1, (6, 5)), (5, 2, (8, 11)),
+                                                  (1, 2, (5, 5))])
+    def test_conv_matches(self, kernel, stride, hw, training, dtype):
+        rng = np.random.default_rng(4)
+        conv = _init(L.Conv2d(kernel, 3, 4, stride=stride), seed=5, dtype=dtype)
+        x = rng.standard_normal((2, 3) + hw).astype(dtype)
+        y = conv.forward(x, training=training)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        y_ref, gx_ref, gw_ref, gb_ref = ref_conv(x, g, conv.weight, conv.bias, stride)
+        _close(y, y_ref, dtype)
+        _close(conv.backward(g), gx_ref, dtype)
+        _close(conv.grad_weight, gw_ref, dtype)
+        _close(conv.grad_bias, gb_ref, dtype)
+
+    def test_relu_propagates_nan(self):
+        # np.where used to map NaN to 0; np.maximum lets training see it
+        relu = L.ReLU()
+        y = relu.forward(np.array([[[[np.nan, -1.0, 2.0]]]]), training=True)
+        assert np.isnan(y[0, 0, 0, 0]) and y[0, 0, 0, 1] == 0.0
+        assert np.array_equal(relu.backward(np.ones_like(y)), [[[[0.0, 0.0, 1.0]]]])

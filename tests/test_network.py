@@ -188,7 +188,23 @@ class TestPredictEvaluate:
         all1 = Dataset(images, np.ones(10, dtype=np.int64))
         assert nw.evaluate(model, all0) == 0.0
         assert nw.evaluate(model, all1) == 1.0
-        assert np.array_equal(nw.predict(model, images), np.zeros(10))
+        assert np.array_equal(model.predict(images), np.zeros(10))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_images_rejected(self, bad):
+        model = _tiny_model()
+        images = np.zeros((4, 1, 8, 8))
+        images[2, 0, 3, 5] = bad
+        with pytest.raises(InvalidConfig):
+            nw.evaluate(model, Dataset(images, np.zeros(4, dtype=np.int64)))
+
+    def test_images_beyond_float32_range_rejected(self):
+        model = _tiny_model()
+        assert model.dtype == np.float32
+        images = np.zeros((2, 1, 8, 8))
+        images[0, 0, 0, 0] = 1e300  # finite in float64, inf at the model's precision
+        with pytest.raises(InvalidConfig):
+            nw.evaluate(model, Dataset(images, np.zeros(2, dtype=np.int64)))
 
     def test_argmax_tie_resolves_to_lowest_class(self):
         model = _tiny_model()

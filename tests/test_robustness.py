@@ -319,3 +319,14 @@ class TestErrorMatrixMeasurement:
         assert np.allclose(m.errors, 2.0 / 3.0)
         assert m.corruptions == NOISE_CORRUPTIONS
         assert m.model_id == "zero-model"[:12]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_images_rejected(self, bad):
+        from wavecnn.network import build_model, mini_config
+
+        ds = synthetic_classification(4, classes=2, image_hw=(8, 8), seed=5)
+        images = ds.images.copy()
+        images[1, 0, 2, 2] = bad
+        model = build_model(mini_config("max_pool", image_hw=(8, 8), classes=2))
+        with pytest.raises(InvalidConfig):
+            error_matrix(model, Dataset(images, ds.labels), seed=0)

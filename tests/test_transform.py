@@ -146,6 +146,19 @@ class TestDwt2d:
         rhs = 2.5 * blur(x) - 1.5 * blur(y)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    def test_mixed_precision_subbands_compute_in_double(self):
+        # a float32 ll must not round float64 detail bands down to float32
+        rng = np.random.default_rng(5)
+        ll = rng.standard_normal((4, 4)).astype(np.float32)
+        lh, hl, hh = rng.standard_normal((3, 4, 4))
+        mixed = idwt2d(Decomposition2D(ll, lh, hl, hh, (8, 8)), HAAR)
+        double = idwt2d(Decomposition2D(ll.astype(np.float64), lh, hl, hh, (8, 8)), HAAR)
+        assert mixed.dtype == np.float64
+        assert np.array_equal(mixed, double)
+        single = idwt2d(Decomposition2D(*(b.astype(np.float32) for b in (ll, lh, hl, hh)),
+                                        (8, 8)), HAAR)
+        assert single.dtype == np.float32
+
     def test_idwt2d_rejects_inconsistent_subbands(self):
         d = dwt2d(np.zeros((8, 8)), HAAR)
         bad = Decomposition2D(d.ll, d.lh, d.hl, np.zeros((3, 3)), (8, 8))
