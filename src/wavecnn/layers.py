@@ -223,14 +223,20 @@ class BatchNorm2d(Layer):
         return gx
 
 
-def _where0(mask, a):
-    """``np.where(mask, a, 0)`` bit for bit, as one AND of ``a``'s bit patterns
-    with all-ones or all-zero words (``np.where`` on a boolean mask is ~10x
-    slower).  Unlike ``a * mask`` it keeps ``+0.0`` where the mask is off."""
-    word = np.dtype(f"u{a.dtype.itemsize}")
-    bits = np.multiply(mask, word.type(np.iinfo(word).max))
-    bits &= a.view(word)
-    return bits.view(a.dtype)
+def _bits(a):
+    """``a`` viewed as unsigned words of its item size."""
+    return a.view(f"u{a.dtype.itemsize}")
+
+
+def _word_mask(mask, dtype):
+    """Boolean mask -> all-ones / all-zero words of ``dtype``'s item size.
+
+    ``_bits(g) & m`` is then ``np.where(mask, g, 0)`` bit for bit (+0.0 where
+    the mask is off, unlike ``g * mask``), and ``_bits(g) ^ (_bits(g) & m)``
+    is ``np.where(mask, 0, g)``; both run ~10x faster than ``np.where``.
+    """
+    word = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    return np.multiply(mask, word.type(np.iinfo(word).max))
 
 
 class ReLU(Layer):
@@ -242,7 +248,7 @@ class ReLU(Layer):
         return np.maximum(x, 0)
 
     def backward(self, grad):
-        return _where0(self._mask, grad)
+        return (_bits(grad) & _word_mask(self._mask, grad.dtype)).view(grad.dtype)
 
 
 def _check_even(x, who):
@@ -269,9 +275,9 @@ class MaxPool2(Layer):
         _check_even(x, "max pooling")
         a, b, c, d = _quarters(x)
         # a knockout in window order: a beats b and c beats d on ties, then
-        # the (a, b) winner beats the (c, d) winner.  np.maximum returns its
-        # second argument on ties, so the argument order also keeps the
-        # first winner's sign of zero.
+        # the (a, b) winner beats the (c, d) winner.  NumPy's maximum returns
+        # its second argument on ties, so this argument order also keeps the
+        # first winner's sign of zero (the bit-identity tests pin it).
         top = np.maximum(b, a)
         bottom = np.maximum(d, c)
         self._wins = (a >= b, c >= d, top >= bottom)
@@ -279,15 +285,15 @@ class MaxPool2(Layer):
         return np.maximum(bottom, top)
 
     def backward(self, grad):
-        a_wins, c_wins, top_wins = self._wins
-        top = _where0(top_wins, grad)
-        bottom = _where0(~top_wins, grad)
-        gx = np.empty(self._shape, dtype=grad.dtype)
-        ga, gb, gc, gd = _quarters(gx)
-        ga[...] = _where0(a_wins, top)
-        gb[...] = _where0(~a_wins, top)
-        gc[...] = _where0(c_wins, bottom)
-        gd[...] = _where0(~c_wins, bottom)
+        a_wins, c_wins, top_wins = (_word_mask(m, grad.dtype) for m in self._wins)
+        gx = np.empty_like(grad, shape=self._shape)  # in grad's memory order
+        ga, gb, gc, gd = _quarters(_bits(gx))
+        top = _bits(grad) & top_wins
+        bottom = _bits(grad) ^ top
+        np.bitwise_and(top, a_wins, out=ga)
+        np.bitwise_xor(top, ga, out=gb)
+        np.bitwise_and(bottom, c_wins, out=gc)
+        np.bitwise_xor(bottom, gc, out=gd)
         return gx
 
     def output_shape(self, in_shape):
@@ -314,13 +320,12 @@ class AvgPool2(Layer):
         return out
 
     def backward(self, grad):
-        n, c, h, w = self._shape
-        gx = np.empty((n, c, h // 2, 2, w // 2, 2), dtype=grad.dtype)
+        gx = np.empty_like(grad, shape=self._shape)  # in grad's memory order
         q = grad / 4.0
-        gx[:, :, :, 0, :, 0] = q
-        gx[:, :, :, 0, :, 1] = q
-        gx[:, :, :, 1] = gx[:, :, :, 0]  # copy the top row of each window down
-        return gx.reshape(n, c, h, w)
+        gx[:, :, 0::2, 0::2] = q
+        gx[:, :, 0::2, 1::2] = q
+        gx[:, :, 1::2] = gx[:, :, 0::2]  # copy the top row of each window down
+        return gx
 
     output_shape = MaxPool2.output_shape
 
