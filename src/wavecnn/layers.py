@@ -16,10 +16,11 @@ training loop at a time:
   ``Dense``: its input.
 
 No layer reads NaN specially.  ``ReLU`` returns ``max(x, 0)``, which passes
-NaN on (the earlier ``np.where(x > 0, x, 0)`` turned it into 0), so a NaN
-that enters training reaches the loss and ``train`` stops with
-``DivergedLoss``.  On finite input ``ReLU``, ``MaxPool2`` and ``AvgPool2``
-give the same bits as those earlier formulations, signs of zero included.
+NaN on instead of mapping it to 0, so a NaN that enters training reaches the
+loss and ``train`` stops with ``DivergedLoss``.  On finite input ``ReLU``,
+``MaxPool2`` and ``AvgPool2`` equal ``np.where(x > 0, x, 0)``, the first
+row-major argmax of each window and the window mean bit for bit, signs of
+zero included; the tests keep those formulations as references.
 
 Shape bookkeeping for model validation and multiply-add accounting lives in
 ``output_shape``/``madds``; spatial shapes are (C, H, W) tuples before

@@ -368,7 +368,7 @@ class TestMatchesReplacedFormulation:
         _close(conv.grad_bias, gb_ref, dtype)
 
     def test_relu_propagates_nan(self):
-        # np.where used to map NaN to 0; np.maximum lets training see it
+        # NaN must reach the loss, so that train stops with DivergedLoss
         relu = L.ReLU()
         y = relu.forward(np.array([[[[np.nan, -1.0, 2.0]]]]), training=True)
         assert np.isnan(y[0, 0, 0, 0]) and y[0, 0, 0, 1] == 0.0

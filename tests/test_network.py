@@ -198,6 +198,7 @@ class TestPredictEvaluate:
         with pytest.raises(InvalidConfig):
             nw.evaluate(model, Dataset(images, np.zeros(4, dtype=np.int64)))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     def test_images_beyond_float32_range_rejected(self):
         model = _tiny_model()
         assert model.dtype == np.float32
