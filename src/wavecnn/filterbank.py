@@ -36,9 +36,8 @@ class WaveletSpec:
 
     ``analysis_low``/``analysis_high`` decompose; ``synthesis_low``/
     ``synthesis_high`` reconstruct.  For orthogonal banks the two pairs are
-    identical.  ``support_offset`` is the index of the first nonzero
-    analysis_low coefficient (exact zeros at the ends are kept so indices
-    match the published tables).
+    identical.  Exact zeros at the ends of a filter are kept so indices
+    match the published tables.
     """
 
     name: str
@@ -47,7 +46,6 @@ class WaveletSpec:
     analysis_high: tuple
     synthesis_low: tuple
     synthesis_high: tuple
-    support_offset: int
     symmetric: bool
 
 
@@ -169,13 +167,6 @@ _COHEN = {
 }
 
 
-def _first_nonzero(coeffs) -> int:
-    for i, c in enumerate(coeffs):
-        if c != 0.0:
-            return i
-    return 0
-
-
 def _build_spec(name: str) -> WaveletSpec:
     if name in _DAUBECHIES:
         low = _DAUBECHIES[name]
@@ -187,7 +178,6 @@ def _build_spec(name: str) -> WaveletSpec:
             analysis_high=high,
             synthesis_low=low,
             synthesis_high=high,
-            support_offset=_first_nonzero(low),
             symmetric=(name == "haar"),
         )
     low, dual = _COHEN[name]
@@ -199,7 +189,6 @@ def _build_spec(name: str) -> WaveletSpec:
         analysis_high=high,
         synthesis_low=dual,
         synthesis_high=dual_high,
-        support_offset=_first_nonzero(low),
         symmetric=True,
     )
 

@@ -2,18 +2,27 @@
 
 Every layer implements ``forward(x, training)`` and ``backward(grad)`` where
 backward is the exact adjoint of the forward linearization; the gradient
-suite checks each one against central finite differences.  Layers cache what
-they need for backward on ``self``, so a layer instance is used by one
-training loop at a time:
+suite checks each one against central finite differences.  A training
+forward (``training=True``) keeps on ``self`` what backward needs, so a
+layer instance is used by one training loop at a time:
 
 - ``Conv2d``: the im2col matrix ``(C_in*k*k, N*Ho*Wo)`` and the input shape.
-- ``BatchNorm2d``: the normalized input ``xhat``, ``1/sqrt(var + eps)`` per
-  channel and the training flag.
+- ``BatchNorm2d``: the normalized input ``xhat`` and ``1/sqrt(var + eps)``
+  per channel.
 - ``ReLU``: the boolean mask ``x > 0``.
 - ``MaxPool2``: three boolean masks per output (a beats b, c beats d, the
   top pair beats the bottom pair of each 2x2 window) and the input shape.
 - ``AvgPool2``, ``PadToEven``, ``Flatten``, ``WaveletDown``: shapes only;
   ``Dense``: its input.
+
+An inference forward (``training=False``) computes its output and nothing
+else: it builds no mask, keeps no im2col matrix or ``xhat``, and clears the
+state of an earlier training forward, so an evaluated model holds no
+activations.  Its output keeps its bits: BatchNorm applies the running
+statistics with the same operations in the same order, and max pooling
+runs the same knockout.  A backward that follows an inference forward
+raises ``InvalidConfig``.  ``WaveletDown("ll")`` computes the ll band
+alone in both modes.
 
 No layer reads NaN specially.  ``ReLU`` returns ``max(x, 0)``, which passes
 NaN on instead of mapping it to 0, so a NaN that enters training reaches the
@@ -31,9 +40,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OddSpatial, ShapeMismatch
+from .errors import InvalidConfig, OddSpatial, ShapeMismatch
 from .filterbank import get_wavelet
-from .transform import dwt2d_batch, dwt2d_batch_vjp
+from .transform import dwt2d_batch, dwt2d_batch_ll, dwt2d_batch_vjp
 from . import complexity
 
 
@@ -64,6 +73,14 @@ class Layer:
 
     def madds(self, in_shape: tuple) -> int:
         return 0
+
+
+def _saved(state, who: str):
+    """The state a training forward kept for backward; raises if there is none."""
+    if state is None:
+        raise InvalidConfig(f"{who} backward needs a training forward first "
+                            "(an inference forward keeps no backward state)")
+    return state
 
 
 def _require_chw(in_shape, who: str) -> tuple:
@@ -121,19 +138,20 @@ class Conv2d(Layer):
         for ki in range(k):
             for kj in range(k):
                 cols[:, ki, kj] = xp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
-        self._cols = cols.reshape(self.c_in * k * k, n * ho * wo)
-        self._x_shape = x.shape
-        out = self.weight.reshape(self.c_out, -1) @ self._cols
+        cols = cols.reshape(self.c_in * k * k, n * ho * wo)
+        self._cols, self._x_shape = (cols, x.shape) if training else (None, None)
+        out = self.weight.reshape(self.c_out, -1) @ cols
         out += self.bias[:, None]
         return out.reshape(self.c_out, n, ho, wo).transpose(1, 0, 2, 3)
 
     def backward(self, grad):
+        cols = _saved(self._cols, "conv")
         n, _, h, w = self._x_shape
         k, s, p = self.kernel, self.stride, self.kernel // 2
         ho, wo = self._out_hw(h, w)
         g = grad.transpose(1, 0, 2, 3).reshape(self.c_out, n * ho * wo)
         self.grad_bias = g.sum(axis=1)
-        self.grad_weight = (self._cols @ g.T).T.reshape(self.weight.shape)
+        self.grad_weight = (cols @ g.T).T.reshape(self.weight.shape)
         gcols = (self.weight.reshape(self.c_out, -1).T @ g).reshape(
             self.c_in, k, k, n, ho, wo)
         gxp = np.zeros((self.c_in, n, h + 2 * p, w + 2 * p), dtype=grad.dtype)
@@ -190,31 +208,33 @@ class BatchNorm2d(Layer):
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeMismatch(
                 f"batchnorm expects NCHW with C={self.channels}, got {x.shape}")
-        if training:
-            mean = x.mean(axis=(0, 2, 3))
-            xhat = x - mean[:, None, None]
-            m = x.shape[0] * x.shape[2] * x.shape[3]
-            var = np.einsum("nchw,nchw->c", xhat, xhat) / m
-            mo = self.MOMENTUM
-            self.running_mean = ((1 - mo) * self.running_mean + mo * mean).astype(x.dtype)
-            self.running_var = ((1 - mo) * self.running_var + mo * var).astype(x.dtype)
-        else:
-            xhat = x - self.running_mean[:, None, None]
-            var = self.running_var
+        if not training:
+            # the training formula with the running statistics, in one buffer
+            self._cache = None
+            out = x - self.running_mean[:, None, None]
+            out *= (1.0 / np.sqrt(self.running_var + self.EPS))[:, None, None]
+            out *= self.gamma[:, None, None]
+            out += self.beta[:, None, None]
+            return out
+        mean = x.mean(axis=(0, 2, 3))
+        xhat = x - mean[:, None, None]
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        var = np.einsum("nchw,nchw->c", xhat, xhat) / m
+        mo = self.MOMENTUM
+        self.running_mean = ((1 - mo) * self.running_mean + mo * mean).astype(x.dtype)
+        self.running_var = ((1 - mo) * self.running_var + mo * var).astype(x.dtype)
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat *= inv_std[:, None, None]
-        self._cache = (xhat, inv_std, training)
+        self._cache = (xhat, inv_std)
         out = xhat * self.gamma[:, None, None]
         out += self.beta[:, None, None]
         return out
 
     def backward(self, grad):
-        xhat, inv_std, training = self._cache
+        xhat, inv_std = _saved(self._cache, "batchnorm")
         self.grad_gamma = np.einsum("nchw,nchw->c", grad, xhat)
         self.grad_beta = np.einsum("nchw->c", grad)
         scale = (self.gamma * inv_std)[:, None, None]
-        if not training:
-            return grad * scale
         m = grad.shape[0] * grad.shape[2] * grad.shape[3]
         # (grad - xhat * sum(grad * xhat) / m - sum(grad) / m) * gamma * inv_std
         gx = xhat * (-self.grad_gamma / m)[:, None, None]
@@ -245,11 +265,12 @@ class ReLU(Layer):
         self._mask = None
 
     def forward(self, x, training=False):
-        self._mask = x > 0
+        self._mask = x > 0 if training else None
         return np.maximum(x, 0)
 
     def backward(self, grad):
-        return (_bits(grad) & _word_mask(self._mask, grad.dtype)).view(grad.dtype)
+        mask = _saved(self._mask, "relu")
+        return (_bits(grad) & _word_mask(mask, grad.dtype)).view(grad.dtype)
 
 
 def _check_even(x, who):
@@ -281,12 +302,16 @@ class MaxPool2(Layer):
         # first winner's sign of zero (the bit-identity tests pin it).
         top = np.maximum(b, a)
         bottom = np.maximum(d, c)
+        if not training:
+            self._wins = self._shape = None
+            return np.maximum(bottom, top, out=top)
         self._wins = (a >= b, c >= d, top >= bottom)
         self._shape = x.shape
         return np.maximum(bottom, top)
 
     def backward(self, grad):
-        a_wins, c_wins, top_wins = (_word_mask(m, grad.dtype) for m in self._wins)
+        wins = _saved(self._wins, "max pooling")
+        a_wins, c_wins, top_wins = (_word_mask(m, grad.dtype) for m in wins)
         gx = np.empty_like(grad, shape=self._shape)  # in grad's memory order
         ga, gb, gc, gd = _quarters(_bits(gx))
         top = _bits(grad) & top_wins
@@ -312,7 +337,7 @@ class AvgPool2(Layer):
 
     def forward(self, x, training=False):
         _check_even(x, "average pooling")
-        self._shape = x.shape
+        self._shape = x.shape if training else None
         a, b, c, d = _quarters(x)
         out = a + b
         out += c
@@ -321,7 +346,8 @@ class AvgPool2(Layer):
         return out
 
     def backward(self, grad):
-        gx = np.empty_like(grad, shape=self._shape)  # in grad's memory order
+        shape = _saved(self._shape, "average pooling")
+        gx = np.empty_like(grad, shape=shape)  # in grad's memory order
         q = grad / 4.0
         gx[:, :, 0::2, 0::2] = q
         gx[:, :, 0::2, 1::2] = q
@@ -336,9 +362,10 @@ class WaveletDown(Layer):
 
     ``kind`` is one of ``"ll"``, ``"avg"``, ``"cat"``.  ``"cat"`` concatenates
     (ll, lh, hl, hh) along channels in that fixed order, quadrupling the
-    channel count; the other kinds preserve it.  The backward pass routes the
-    upstream gradient through the 2D analysis vjp (zero gradients for the
-    dropped subbands in ``"ll"`` mode).
+    channel count; the other kinds preserve it.  ``"ll"`` computes the ll
+    band alone.  The backward pass routes the upstream gradient through the
+    2D analysis vjp (zero gradients for the dropped subbands in ``"ll"``
+    mode).
     """
 
     def __init__(self, kind: str, wavelet: str):
@@ -351,24 +378,25 @@ class WaveletDown(Layer):
 
     def forward(self, x, training=False):
         _check_even(x, "wavelet downsample")
-        self._hw = (x.shape[2], x.shape[3])
-        ll, lh, hl, hh = dwt2d_batch(x, self.spec)
+        self._hw = (x.shape[2], x.shape[3]) if training else None
         if self.kind == "ll":
-            return ll
+            return dwt2d_batch_ll(x, self.spec)
+        ll, lh, hl, hh = dwt2d_batch(x, self.spec)
         if self.kind == "avg":
             return (ll + lh + hl + hh) / 4.0
         return np.concatenate([ll, lh, hl, hh], axis=1)
 
     def backward(self, grad):
+        hw = _saved(self._hw, "wavelet downsample")
         if self.kind == "ll":
             zero = np.zeros_like(grad)
-            return dwt2d_batch_vjp(grad, zero, zero, zero, self.spec, self._hw)
+            return dwt2d_batch_vjp(grad, zero, zero, zero, self.spec, hw)
         if self.kind == "avg":
             q = grad / 4.0
-            return dwt2d_batch_vjp(q, q, q, q, self.spec, self._hw)
+            return dwt2d_batch_vjp(q, q, q, q, self.spec, hw)
         c = grad.shape[1] // 4
         gll, glh, ghl, ghh = (grad[:, i * c:(i + 1) * c] for i in range(4))
-        return dwt2d_batch_vjp(gll, glh, ghl, ghh, self.spec, self._hw)
+        return dwt2d_batch_vjp(gll, glh, ghl, ghh, self.spec, hw)
 
     def output_shape(self, in_shape):
         c, h, w = _require_chw(in_shape, "wavelet downsample")
@@ -396,16 +424,13 @@ class PadToEven(Layer):
         if x.ndim != 4:
             raise ShapeMismatch(f"pad expects an NCHW tensor, got shape {x.shape}")
         h, w = x.shape[2], x.shape[3]
+        self._crop = (h, w) if training else None
         if h % 2 == 0 and w % 2 == 0:
-            self._crop = None
             return x
-        self._crop = (h, w)
         return np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)))
 
     def backward(self, grad):
-        if self._crop is None:
-            return grad
-        h, w = self._crop
+        h, w = _saved(self._crop, "pad")
         return grad[:, :, :h, :w]
 
     def output_shape(self, in_shape):
@@ -418,11 +443,11 @@ class Flatten(Layer):
         self._shape = None
 
     def forward(self, x, training=False):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        self._shape = x.shape if training else None
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))  # also for N = 0
 
     def backward(self, grad):
-        return grad.reshape(self._shape)
+        return grad.reshape(_saved(self._shape, "flatten"))
 
     def output_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
@@ -453,11 +478,11 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeMismatch(
                 f"dense expects (N,{self.n_in}) input, got shape {x.shape}")
-        self._x = x
+        self._x = x if training else None
         return x @ self.weight + self.bias
 
     def backward(self, grad):
-        self.grad_weight = self._x.T @ grad
+        self.grad_weight = _saved(self._x, "dense").T @ grad
         self.grad_bias = grad.sum(axis=0)
         return grad @ self.weight.T
 

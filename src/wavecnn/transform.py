@@ -373,6 +373,18 @@ def dwt2d_batch(x, spec: WaveletSpec):
     return _analysis2d(X, _bank(spec, X.dtype, synthesis=False))
 
 
+def dwt2d_batch_ll(x, spec: WaveletSpec) -> np.ndarray:
+    """The ``ll`` tensor of :func:`dwt2d_batch` alone, bit for bit.
+
+    The column pass runs on the low rows of the row pass alone, which halves
+    its cost, and no other subband is built.
+    """
+    X = _input(x, 4, "an NCHW tensor")
+    bank = _bank(spec, X.dtype, synthesis=False)
+    low_rows = _analyze(X, bank, -2)[..., 0, :]
+    return np.ascontiguousarray(_analyze(low_rows, bank, -1)[..., 0])
+
+
 def idwt2d_batch(ll, lh, hl, hh, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:
     """Reconstruct an NCHW tensor of spatial shape ``shape_hw`` from subbands."""
     bands, dt = _bands((ll, lh, hl, hh), shape_hw, 4, "subband")

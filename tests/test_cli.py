@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wavecnn.cli import main
-from wavecnn.datasets import save_dataset, synthetic_classification
+from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
+from wavecnn.network import build_model, mini_config, save_model
 from wavecnn.fileio import read_pgm, read_tensor, write_pgm, write_tensor
 
 
@@ -275,6 +276,21 @@ class TestRobustnessAndShift:
         name, value = out.strip().split(",")
         assert name == "shift_consistency"
         assert 0.0 <= float(value) <= 100.0
+
+
+class TestEmptyDataset:
+    @pytest.mark.parametrize("command", ["eval", "robustness", "shift"])
+    def test_empty_idx_pair_is_runtime_error(self, capsys, tmp_path, command):
+        imgs, labs = tmp_path / "e.images.idx", tmp_path / "e.labels.idx"
+        save_dataset(Dataset(np.zeros((0, 1, 28, 28)), np.zeros(0, dtype=np.int64)),
+                     imgs, labs)
+        model = tmp_path / "m.wcn"
+        save_model(build_model(mini_config("max_pool")), model)
+        code, out, err = run_cli(capsys, command, "--model", str(model),
+                                 "--images", str(imgs), "--labels", str(labs))
+        assert code == 2 and out == ""
+        assert f"wavecnn {command}: error: InvalidConfig:" in err
+        assert "at least one image" in err
 
 
 class TestFlops:

@@ -1,0 +1,161 @@
+"""Inference forwards: same bits as before, no backward state kept."""
+
+import copy
+
+import numpy as np
+import pytest
+
+from wavecnn import layers as L
+from wavecnn import network as nw
+from wavecnn.datasets import synthetic_classification
+from wavecnn.errors import InvalidConfig
+from wavecnn.filterbank import get_wavelet, wavelet_names
+from wavecnn.robustness import ShiftTrialConfig, error_matrix, shift_consistency
+from wavecnn.transform import dwt2d_batch, dwt2d_batch_ll
+
+DTYPES = [np.float32, np.float64]
+MODES = [("max_pool", ""), ("avg_pool", ""), ("strided_conv", ""),
+         ("dwt_ll", "haar"), ("dwt_avg", "db4"), ("dwt_cat", "ch3.3")]
+STATE = ("_cols", "_x_shape", "_cache", "_mask", "_wins", "_shape", "_hw",
+         "_crop", "_x")
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    word = f"u{a.dtype.itemsize}"
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(word), b.view(word))
+
+
+def _data(shape, dtype, kind, seed=0):
+    """Normal samples, or small integers with random signs of zero (ties, ±0)."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.standard_normal(shape).astype(dtype)
+    x = rng.integers(-2, 3, size=shape).astype(dtype)
+    zero = x == 0
+    x[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    return x
+
+
+def _layer(kind, dtype):
+    rng = np.random.default_rng(7)
+    layer = {
+        "conv": lambda: L.Conv2d(3, 3, 4),
+        "strided_conv": lambda: L.Conv2d(3, 3, 4, stride=2),
+        "batchnorm": lambda: L.BatchNorm2d(3),
+        "relu": L.ReLU,
+        "max_pool": L.MaxPool2,
+        "avg_pool": L.AvgPool2,
+        "dwt_avg": lambda: L.WaveletDown("avg", "db2"),
+        "dwt_cat": lambda: L.WaveletDown("cat", "ch2.2"),
+        "pad": L.PadToEven,
+        "flatten": L.Flatten,
+        "dense": lambda: L.Dense(3 * 6 * 10, 5),
+    }[kind]()
+    layer.init_params(rng, np.dtype(dtype))
+    if kind == "batchnorm":
+        layer.gamma[...] = rng.uniform(0.5, 2.0, 3)
+        layer.beta[...] = rng.standard_normal(3)
+        layer.running_mean[...] = rng.standard_normal(3)
+        layer.running_var[...] = rng.uniform(0.5, 2.0, 3)
+    return layer
+
+
+def ref_batchnorm_infer(bn, x):
+    """The inference formula that kept ``xhat``, step by step."""
+    xhat = x - bn.running_mean[:, None, None]
+    inv_std = 1.0 / np.sqrt(bn.running_var + bn.EPS)
+    xhat *= inv_std[:, None, None]
+    out = xhat * bn.gamma[:, None, None]
+    out += bn.beta[:, None, None]
+    return out
+
+
+LAYER_KINDS = ["conv", "strided_conv", "batchnorm", "relu", "max_pool", "avg_pool",
+               "dwt_avg", "dwt_cat", "pad", "flatten", "dense"]
+
+
+class TestInferenceForward:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("data", ["normal", "ties"])
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_bit_identical_to_stateful_forward(self, kind, data, dtype):
+        """Apart from BatchNorm, an inference forward used to run the training
+        forward's code; BatchNorm is checked against its old inference steps."""
+        x = _data((4, 3, 7, 9) if kind == "pad" else (4, 3, 6, 10), dtype, data)
+        if kind == "dense":
+            x = x.reshape(4, -1)
+        layer = _layer(kind, dtype)
+        if kind == "batchnorm":
+            ref = ref_batchnorm_infer(layer, x)
+        else:
+            ref = copy.deepcopy(layer).forward(x, training=True)
+        assert _same_bits(layer.forward(x, training=False), ref)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("wavelet", wavelet_names())
+    @pytest.mark.parametrize("hw", [(2, 2), (2, 12), (7, 9), (28, 28), (33, 70)])
+    def test_ll_only_matches_full_analysis(self, wavelet, hw, dtype):
+        """Odd maps go through PadToEven; 70 samples take the tiled path;
+        a height of 2 makes the row pass a one-row product."""
+        x = _data((2, 3) + hw, dtype, "normal", seed=hw[0])
+        pad, down = L.PadToEven(), L.WaveletDown("ll", wavelet)
+        even = pad.forward(x)
+        ref = dwt2d_batch(even, get_wavelet(wavelet))[0]
+        for training in (False, True):
+            assert _same_bits(down.forward(even, training=training), ref)
+        assert _same_bits(dwt2d_batch_ll(x, get_wavelet(wavelet)),
+                          dwt2d_batch(x, get_wavelet(wavelet))[0])
+
+
+class TestNoBackwardState:
+    @pytest.mark.parametrize("kind", LAYER_KINDS + ["dwt_ll"])
+    def test_backward_after_inference_raises(self, kind):
+        layer = L.WaveletDown("ll", "haar") if kind == "dwt_ll" else _layer(kind, np.float64)
+        x = _data((4, 3, 6, 10), np.float64, "normal")
+        if kind == "dense":
+            x = x.reshape(4, -1)
+        g = np.ones_like(layer.forward(x, training=True))
+        layer.backward(g)
+        layer.forward(x, training=False)  # clears the training state
+        with pytest.raises(InvalidConfig):
+            layer.backward(g)
+        assert all(getattr(layer, name, None) is None for name in STATE)
+
+    def test_model_backward_after_inference_raises(self):
+        model = nw.build_model(nw.mini_config("max_pool"), dtype=np.float64)
+        x = np.zeros((2, 1, 28, 28))
+        model.forward(x, training=True)
+        model.forward(x, training=False)
+        with pytest.raises(InvalidConfig):
+            model.backward(np.ones((2, 10)))
+
+    @pytest.mark.parametrize("mode,wavelet", MODES)
+    def test_evaluation_leaves_no_state(self, mode, wavelet):
+        ds = synthetic_classification(6, classes=10, seed=1)
+        model = nw.build_model(nw.mini_config(mode, wavelet))
+
+        def held():
+            return [(i, name) for i, layer in enumerate(model.layers)
+                    for name in STATE if getattr(layer, name, None) is not None]
+        for run in (lambda: nw.evaluate(model, ds),
+                    lambda: error_matrix(model, ds, kinds=("gaussian",)),
+                    lambda: shift_consistency(model, ds, ShiftTrialConfig(max_shift=2, pairs=1))):
+            model.forward(ds.images, training=True)
+            assert held()
+            run()
+            assert held() == []
+
+
+class TestPredictBlocks:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("mode,wavelet", MODES)
+    def test_default_block_matches_one_block(self, mode, wavelet, dtype):
+        ds = synthetic_classification(70, classes=10, seed=2)
+        model = nw.build_model(nw.mini_config(mode, wavelet, seed=3), dtype=dtype)
+        small = model.predict_logits(ds.images)
+        whole = model.predict_logits(ds.images, batch=256)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        assert small.shape == whole.shape == (70, 10) and small.dtype == whole.dtype
+        assert np.max(np.abs(small - whole)) <= tol * max(1.0, float(np.max(np.abs(whole))))
+        assert np.array_equal(small.argmax(axis=1), whole.argmax(axis=1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavecnn import layers as L
-from wavecnn.errors import OddSpatial, ShapeMismatch
+from wavecnn.errors import InvalidConfig, OddSpatial, ShapeMismatch
 
 
 def _init(layer, seed=0, dtype=np.float64):
@@ -340,15 +340,17 @@ class TestMatchesReplacedFormulation:
         y_ref, gx_ref, gg_ref, gb_ref, mean, var = ref_batchnorm(
             x, g, bn.gamma, bn.beta, mean0, var0, training)
         _close(bn.forward(x, training=training), y_ref, dtype)
+        if not training:
+            with pytest.raises(InvalidConfig):
+                bn.backward(g)
+            assert np.array_equal(bn.running_mean, mean0)
+            assert np.array_equal(bn.running_var, var0)
+            return
         _close(bn.backward(g), gx_ref, dtype)
         _close(bn.grad_gamma, gg_ref, dtype)
         _close(bn.grad_beta, gb_ref, dtype)
-        if training:
-            _close(bn.running_mean, (0.9 * mean0 + 0.1 * mean).astype(dtype), dtype)
-            _close(bn.running_var, (0.9 * var0 + 0.1 * var).astype(dtype), dtype)
-        else:
-            assert np.array_equal(bn.running_mean, mean0)
-            assert np.array_equal(bn.running_var, var0)
+        _close(bn.running_mean, (0.9 * mean0 + 0.1 * mean).astype(dtype), dtype)
+        _close(bn.running_var, (0.9 * var0 + 0.1 * var).astype(dtype), dtype)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("training", [True, False])
@@ -363,6 +365,10 @@ class TestMatchesReplacedFormulation:
         g = rng.standard_normal(y.shape).astype(dtype)
         y_ref, gx_ref, gw_ref, gb_ref = ref_conv(x, g, conv.weight, conv.bias, stride)
         _close(y, y_ref, dtype)
+        if not training:
+            with pytest.raises(InvalidConfig):
+                conv.backward(g)
+            return
         _close(conv.backward(g), gx_ref, dtype)
         _close(conv.grad_weight, gw_ref, dtype)
         _close(conv.grad_bias, gb_ref, dtype)

@@ -207,6 +207,20 @@ class TestPredictEvaluate:
         with pytest.raises(InvalidConfig):
             nw.evaluate(model, Dataset(images, np.zeros(2, dtype=np.int64)))
 
+    def test_empty_dataset(self):
+        model = _tiny_model()
+        images = np.zeros((0, 1, 8, 8))
+        logits = model.predict_logits(images)
+        assert logits.shape == (0, 2) and logits.dtype == model.dtype
+        assert model.predict(images).shape == (0,)
+        with pytest.raises(InvalidConfig):
+            nw.evaluate(model, Dataset(images, np.zeros(0, dtype=np.int64)))
+
+    @pytest.mark.parametrize("mode,wavelet", [("max_pool", ""), ("dwt_cat", "db2")])
+    def test_empty_batch_through_mini_model(self, mode, wavelet):
+        model = nw.build_model(nw.mini_config(mode, wavelet))
+        assert model.predict_logits(np.zeros((0, 1, 28, 28))).shape == (0, 10)
+
     def test_argmax_tie_resolves_to_lowest_class(self):
         model = _tiny_model()
         model.layers[1].weight[...] = 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wavecnn.datasets import Dataset, synthetic_classification
+from wavecnn.network import build_model, mini_config
 from wavecnn.errors import (BadSeverity, InvalidConfig, MissingCorruption,
                             ShapeMismatch, ShiftOutOfRange, ZeroReference)
 from wavecnn.robustness import (CATEGORY_MEMBERS, DEFAULT_SEVERITY,
@@ -286,6 +287,14 @@ class TestShift:
         a = shift_consistency(Hash(), ds, cfg)
         b = shift_consistency(Hash(), ds, cfg)
         assert a == b
+
+    def test_empty_dataset_rejected(self):
+        model = build_model(mini_config("max_pool"))
+        empty = Dataset(np.zeros((0, 1, 28, 28)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(InvalidConfig):
+            shift_consistency(model, empty, ShiftTrialConfig(max_shift=2, pairs=1))
+        with pytest.raises(InvalidConfig):
+            error_matrix(model, empty)
 
     def test_range_too_large_for_dataset(self):
         ds = synthetic_classification(4, classes=2, image_hw=(8, 8), seed=0)
