@@ -6,7 +6,12 @@ suite checks each one against central finite differences.  A training
 forward (``training=True``) keeps on ``self`` what backward needs, so a
 layer instance is used by one training loop at a time:
 
-- ``Conv2d``: the im2col matrix ``(C_in*k*k, N*Ho*Wo)`` and the input shape.
+- ``Conv2d``: the im2col matrix ``(C_in*k*k, Ho*Wo*N)`` and the input shape.
+  Its rows run over (input channel, kernel row, kernel column) and its
+  columns over (output row, output column, image): the batch is the fastest
+  axis, so each tap copies runs of ``Wo*N`` samples at stride 1 and of ``N``
+  at stride 2.  The output and the input gradient still leave the layer as
+  NCHW views of channel-major ``(C, N, H, W)`` buffers, one copy each.
 - ``BatchNorm2d``: the normalized input ``xhat`` and ``1/sqrt(var + eps)``
   per channel.
 - ``ReLU``: the boolean mask ``x > 0``.
@@ -42,7 +47,7 @@ import numpy as np
 
 from .errors import InvalidConfig, OddSpatial, ShapeMismatch
 from .filterbank import get_wavelet
-from .transform import dwt2d_batch, dwt2d_batch_ll, dwt2d_batch_vjp
+from .transform import dwt2d_batch, dwt2d_batch_ll, dwt2d_batch_ll_vjp, dwt2d_batch_vjp
 from . import complexity
 
 
@@ -67,6 +72,11 @@ class Layer:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _param_backward(self, grad: np.ndarray) -> None:
+        """Fill the parameter gradients from ``grad``; the input gradient may
+        go uncomputed.  For the first layer of a model."""
+        self.backward(grad)
 
     def output_shape(self, in_shape: tuple) -> tuple:
         return tuple(in_shape)
@@ -131,34 +141,45 @@ class Conv2d(Layer):
         n, _, h, w = x.shape
         k, s, p = self.kernel, self.stride, self.kernel // 2
         ho, wo = self._out_hw(h, w)
-        # pad straight into channel-major order, so every tap is one slice
-        xp = np.zeros((self.c_in, n, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
-        cols = np.empty((self.c_in, k, k, n, ho, wo), dtype=x.dtype)
+        # pad batch-last, so a stride-1 tap copies runs of wo*n samples
+        xp = np.zeros((self.c_in, h + 2 * p, w + 2 * p, n), dtype=x.dtype)
+        xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
+        cols = np.empty((self.c_in, k, k, ho, wo, n), dtype=x.dtype)
         for ki in range(k):
             for kj in range(k):
-                cols[:, ki, kj] = xp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
-        cols = cols.reshape(self.c_in * k * k, n * ho * wo)
+                cols[:, ki, kj] = xp[:, ki:ki + s * ho:s, kj:kj + s * wo:s]
+        cols = cols.reshape(self.c_in * k * k, ho * wo * n)
         self._cols, self._x_shape = (cols, x.shape) if training else (None, None)
         out = self.weight.reshape(self.c_out, -1) @ cols
-        out += self.bias[:, None]
-        return out.reshape(self.c_out, n, ho, wo).transpose(1, 0, 2, 3)
+        # one copy into channel-major (C_out, N, Ho, Wo), adding the bias on the way
+        y = np.empty((self.c_out, n, ho, wo), dtype=out.dtype)
+        np.add(out.reshape(self.c_out, ho, wo, n).transpose(0, 3, 1, 2),
+               self.bias[:, None, None, None], out=y)
+        return y.transpose(1, 0, 2, 3)
+
+    def _param_backward(self, grad):
+        """Fill ``grad_weight``/``grad_bias``; returns the batch-last gradient
+        ``(C_out, Ho*Wo*N)`` that the input gradient is built from."""
+        cols = _saved(self._cols, "conv")
+        g = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(self.c_out, -1)
+        self.grad_bias = g.sum(axis=1)
+        self.grad_weight = (cols @ g.T).T.reshape(self.weight.shape)
+        return g
 
     def backward(self, grad):
-        cols = _saved(self._cols, "conv")
+        g = self._param_backward(grad)
         n, _, h, w = self._x_shape
         k, s, p = self.kernel, self.stride, self.kernel // 2
         ho, wo = self._out_hw(h, w)
-        g = grad.transpose(1, 0, 2, 3).reshape(self.c_out, n * ho * wo)
-        self.grad_bias = g.sum(axis=1)
-        self.grad_weight = (cols @ g.T).T.reshape(self.weight.shape)
         gcols = (self.weight.reshape(self.c_out, -1).T @ g).reshape(
-            self.c_in, k, k, n, ho, wo)
-        gxp = np.zeros((self.c_in, n, h + 2 * p, w + 2 * p), dtype=grad.dtype)
+            self.c_in, k, k, ho, wo, n)
+        gxp = np.zeros((self.c_in, h + 2 * p, w + 2 * p, n), dtype=g.dtype)
         for ki in range(k):
             for kj in range(k):
-                gxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += gcols[:, ki, kj]
-        return gxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
+                gxp[:, ki:ki + s * ho:s, kj:kj + s * wo:s] += gcols[:, ki, kj]
+        # one copy back to channel-major (C_in, N, H, W)
+        gx = np.ascontiguousarray(gxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2))
+        return gx.transpose(1, 0, 2, 3)
 
     def output_shape(self, in_shape):
         c, h, w = _require_chw(in_shape, "conv")
@@ -363,9 +384,8 @@ class WaveletDown(Layer):
     ``kind`` is one of ``"ll"``, ``"avg"``, ``"cat"``.  ``"cat"`` concatenates
     (ll, lh, hl, hh) along channels in that fixed order, quadrupling the
     channel count; the other kinds preserve it.  ``"ll"`` computes the ll
-    band alone.  The backward pass routes the upstream gradient through the
-    2D analysis vjp (zero gradients for the dropped subbands in ``"ll"``
-    mode).
+    band alone, forward and backward (``L.T @ g @ L``).  The other kinds route
+    the upstream gradient through the 2D analysis vjp.
     """
 
     def __init__(self, kind: str, wavelet: str):
@@ -389,8 +409,7 @@ class WaveletDown(Layer):
     def backward(self, grad):
         hw = _saved(self._hw, "wavelet downsample")
         if self.kind == "ll":
-            zero = np.zeros_like(grad)
-            return dwt2d_batch_vjp(grad, zero, zero, zero, self.spec, hw)
+            return dwt2d_batch_ll_vjp(grad, self.spec, hw)
         if self.kind == "avg":
             q = grad / 4.0
             return dwt2d_batch_vjp(q, q, q, q, self.spec, hw)
@@ -427,7 +446,9 @@ class PadToEven(Layer):
         self._crop = (h, w) if training else None
         if h % 2 == 0 and w % 2 == 0:
             return x
-        return np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)))
+        out = np.zeros(x.shape[:2] + (h + h % 2, w + w % 2), dtype=x.dtype)
+        out[:, :, :h, :w] = x
+        return out
 
     def backward(self, grad):
         h, w = _saved(self._crop, "pad")

@@ -193,10 +193,16 @@ class Model:
             out = layer.forward(out, training)
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray) -> None:
+        """Fill every layer's parameter gradients from the loss gradient ``grad``.
+
+        The first layer's input gradient is not computed: training discards
+        it (``gradcheck`` runs its own layer loop to check it).
+        """
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        if self.layers:
+            self.layers[0]._param_backward(grad)
 
     def named_params(self):
         for i, layer in enumerate(self.layers):

@@ -224,6 +224,19 @@ def _synthesize(pairs: np.ndarray, bank: _Bank, axis: int, n: int) -> np.ndarray
     return _banded(bank.adj, c, axis, bank.adj.shape[1] - bank.adj.shape[0], n)
 
 
+def _synthesize_low(low: np.ndarray, bank: _Bank, axis: int, n: int) -> np.ndarray:
+    """``L.T @ low`` along ``axis``: :func:`_synthesize` with zero high coefficients."""
+    if n < 2:
+        raise TooShort(f"transform length must be >= 2, got {n}")
+    if n <= 2 * _TILE:
+        return _along(bank.fwd[:2 * low.shape[axis]:2, :n].T, low, axis)
+    # the tiled core reads interleaved pairs
+    ax = low.ndim + axis
+    pairs = np.zeros(low.shape[:ax + 1] + (2,) + low.shape[ax + 1:], low.dtype)
+    pairs[(Ellipsis, 0) + (slice(None),) * (-1 - axis)] = low
+    return _synthesize(pairs, bank, axis, n)
+
+
 # (row band, column band) of ll, lh, hl, hh
 _QUADRANTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -383,6 +396,21 @@ def dwt2d_batch_ll(x, spec: WaveletSpec) -> np.ndarray:
     bank = _bank(spec, X.dtype, synthesis=False)
     low_rows = _analyze(X, bank, -2)[..., 0, :]
     return np.ascontiguousarray(_analyze(low_rows, bank, -1)[..., 0])
+
+
+def dwt2d_batch_ll_vjp(gll, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:
+    """Backward of :func:`dwt2d_batch_ll`: ``L.T @ g_ll @ L`` per channel.
+
+    Equals ``dwt2d_batch_vjp(gll, 0, 0, 0, ...)`` up to rounding.  The pass
+    along the width runs on the ``H//2`` rows of ``gll`` alone, and a side of
+    at most ``2 * _TILE`` samples multiplies only the low rows of the
+    operator; a longer side feeds the tiled core a zero high band.
+    """
+    (g,), dt = _bands((gll,), shape_hw, 4, "gradient")
+    bank = _bank(spec, dt, synthesis=False)
+    m, n = shape_hw
+    rows = _synthesize_low(g, bank, -1, n)
+    return np.ascontiguousarray(_synthesize_low(rows, bank, -2, m))
 
 
 def idwt2d_batch(ll, lh, hl, hh, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:

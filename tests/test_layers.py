@@ -3,6 +3,8 @@ import pytest
 
 from wavecnn import layers as L
 from wavecnn.errors import InvalidConfig, OddSpatial, ShapeMismatch
+from wavecnn.filterbank import get_wavelet, wavelet_names
+from wavecnn.transform import dwt2d_batch_vjp
 
 
 def _init(layer, seed=0, dtype=np.float64):
@@ -161,6 +163,17 @@ class TestPadToEven:
         assert pad.output_shape((1, 4, 4)) == (1, 4, 4)
         assert pad.output_shape((1, 5, 5)) == (1, 6, 6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw", [(7, 8), (8, 7), (7, 9)])
+    def test_same_bytes_as_np_pad(self, hw, dtype):
+        x = _tie_heavy((2, 3) + hw, dtype, 6)
+        x[0, 0, 0, :2] = [np.nan, -np.inf]
+        ref = np.pad(x, ((0, 0), (0, 0), (0, hw[0] % 2), (0, hw[1] % 2)))
+        for inp in (x, _channel_major(x)):
+            y = L.PadToEven().forward(inp)
+            assert y.dtype == ref.dtype and y.shape == ref.shape
+            assert y.tobytes() == ref.tobytes()
+
 
 class TestLoss:
     def test_uniform_logits_give_log_k(self):
@@ -260,6 +273,21 @@ def ref_conv(x, g, weight, bias, stride):
     return np.moveaxis(out, 0, 1), gxp[:, :, p:p + h, p:p + w], gweight, gbias
 
 
+def _channel_major(a):
+    """``a`` as a view of a ``(C, N, H, W)`` buffer, the layout a conv returns."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+# (kernel, c_in, c_out, stride, hw): odd sizes and kernels, then every conv of
+# mini_config: the three stages, the dwt_cat stages 2 and 3 with fourfold
+# input channels, and the strided_conv down-samplers at 28, 14 and 8 px
+CONV_CASES = [(3, 3, 4, 1, (7, 9)), (3, 3, 4, 2, (7, 9)), (5, 3, 4, 1, (6, 5)),
+              (5, 3, 4, 2, (8, 11)), (1, 3, 4, 2, (5, 5)),
+              (3, 1, 16, 1, (28, 28)), (3, 16, 32, 1, (14, 14)), (3, 32, 64, 1, (7, 7)),
+              (3, 64, 32, 1, (14, 14)), (3, 128, 64, 1, (7, 7)),
+              (3, 16, 16, 2, (28, 28)), (3, 32, 32, 2, (14, 14)), (3, 64, 64, 2, (8, 8))]
+
+
 def _same_bits(a, b):
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     word = f"u{a.dtype.itemsize}"
@@ -354,14 +382,17 @@ class TestMatchesReplacedFormulation:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("kernel,stride,hw", [(3, 1, (7, 9)), (3, 2, (7, 9)),
-                                                  (5, 1, (6, 5)), (5, 2, (8, 11)),
-                                                  (1, 2, (5, 5))])
-    def test_conv_matches(self, kernel, stride, hw, training, dtype):
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    @pytest.mark.parametrize("kernel,c_in,c_out,stride,hw", CONV_CASES)
+    def test_conv_matches(self, kernel, c_in, c_out, stride, hw, batch, training, dtype):
         rng = np.random.default_rng(4)
-        conv = _init(L.Conv2d(kernel, 3, 4, stride=stride), seed=5, dtype=dtype)
-        x = rng.standard_normal((2, 3) + hw).astype(dtype)
-        y = conv.forward(x, training=training)
+        conv = _init(L.Conv2d(kernel, c_in, c_out, stride=stride), seed=5, dtype=dtype)
+        x = rng.standard_normal((batch, c_in) + hw).astype(dtype)
+        y = conv.forward(_channel_major(x), training=training)
+        # both input layouts give the same bits, and the output is a view of a
+        # channel-major (C_out, N, Ho, Wo) buffer, as before the batch-last im2col
+        assert _same_bits(conv.forward(x, training=training), y)
+        assert y.transpose(1, 0, 2, 3).flags.c_contiguous
         g = rng.standard_normal(y.shape).astype(dtype)
         y_ref, gx_ref, gw_ref, gb_ref = ref_conv(x, g, conv.weight, conv.bias, stride)
         _close(y, y_ref, dtype)
@@ -369,9 +400,32 @@ class TestMatchesReplacedFormulation:
             with pytest.raises(InvalidConfig):
                 conv.backward(g)
             return
-        _close(conv.backward(g), gx_ref, dtype)
-        _close(conv.grad_weight, gw_ref, dtype)
-        _close(conv.grad_bias, gb_ref, dtype)
+        gx = conv.backward(_channel_major(g))
+        gw, gb = conv.grad_weight, conv.grad_bias
+        _close(gx, gx_ref, dtype)
+        _close(gw, gw_ref, dtype)
+        _close(gb, gb_ref, dtype)
+        assert gx.transpose(1, 0, 2, 3).flags.c_contiguous
+        # an NCHW-contiguous gradient gives the same bits
+        assert _same_bits(conv.backward(g), gx)
+        assert _same_bits(conv.grad_weight, gw) and _same_bits(conv.grad_bias, gb)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("wavelet", wavelet_names())
+    def test_ll_backward_matches_full_vjp(self, wavelet, dtype):
+        """The replaced backward ran the full vjp with three zero bands.  Odd
+        maps go through PadToEven; sides over 32 px take the tiled path."""
+        spec = get_wavelet(wavelet)
+        rng = np.random.default_rng(8)
+        for hw in [(2, 3), (7, 9), (14, 14), (28, 27), (35, 34), (40, 65)]:
+            x = rng.standard_normal((3, 2) + hw).astype(dtype)
+            pad, down = L.PadToEven(), L.WaveletDown("ll", wavelet)
+            y = down.forward(pad.forward(_channel_major(x), training=True), training=True)
+            g = _channel_major(rng.standard_normal(y.shape).astype(dtype))
+            even = (hw[0] + hw[0] % 2, hw[1] + hw[1] % 2)
+            zero = np.zeros_like(g)
+            ref = dwt2d_batch_vjp(g, zero, zero, zero, spec, even)[:, :, :hw[0], :hw[1]]
+            _close(pad.backward(down.backward(g)), ref, dtype)
 
     def test_relu_propagates_nan(self):
         # NaN must reach the loss, so that train stops with DivergedLoss

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -258,6 +259,34 @@ class TestCheckpoint:
         back = nw.load_model(path)
         assert back.dtype == np.float64
         assert back.checksum() == model.checksum()
+
+
+class TestModelBackward:
+    @pytest.mark.parametrize("mode,wavelet", [("max_pool", ""), ("strided_conv", ""),
+                                              ("dwt_ll", "haar"), ("dwt_cat", "ch3.3")])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_skips_the_first_input_gradient_with_the_same_param_grads(
+            self, mode, wavelet, dtype):
+        model = nw.build_model(nw.mini_config(mode, wavelet), dtype=dtype)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((5, 1, 28, 28)).astype(dtype)
+        model.loss.forward(model.forward(x, training=True), rng.integers(0, 10, 5))
+        g = model.loss.backward()
+        full = copy.deepcopy(model)
+        grad = g
+        for layer in reversed(full.layers):
+            grad = layer.backward(grad)
+        assert grad.shape == x.shape
+
+        def input_gradient(grad):
+            raise AssertionError("the first layer's input gradient was computed")
+
+        model.layers[0].backward = input_gradient
+        assert model.backward(g) is None
+        for mine, theirs in zip(model.layers, full.layers):
+            for name, arr in mine.grads().items():
+                ref = theirs.grads()[name]
+                assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes()
 
 
 class TestGradcheck:
