@@ -26,15 +26,19 @@ state of an earlier training forward, so an evaluated model holds no
 activations.  Its output keeps its bits: BatchNorm applies the running
 statistics with the same operations in the same order, and max pooling
 runs the same knockout.  A backward that follows an inference forward
-raises ``InvalidConfig``.  ``WaveletDown("ll")`` computes the ll band
-alone in both modes.
+raises ``InvalidConfig``.
+
+``AvgPool2``, ``WaveletDown("ll")`` and ``WaveletDown("avg")`` share one
+forward and backward, a separable low-pass filter and stride-2 sampling per
+side (``_LowPassDown``); the window mean and the subband mean are matched to
+rounding, not bit for bit.
 
 No layer reads NaN specially.  ``ReLU`` returns ``max(x, 0)``, which passes
 NaN on instead of mapping it to 0, so a NaN that enters training reaches the
-loss and ``train`` stops with ``DivergedLoss``.  On finite input ``ReLU``,
-``MaxPool2`` and ``AvgPool2`` equal ``np.where(x > 0, x, 0)``, the first
-row-major argmax of each window and the window mean bit for bit, signs of
-zero included; the tests keep those formulations as references.
+loss and ``train`` stops with ``DivergedLoss``.  On finite input ``ReLU``
+and ``MaxPool2`` equal ``np.where(x > 0, x, 0)`` and the first row-major
+argmax of each window bit for bit, signs of zero included; the tests keep
+those formulations as references.
 
 Shape bookkeeping for model validation and multiply-add accounting lives in
 ``output_shape``/``madds``; spatial shapes are (C, H, W) tuples before
@@ -47,7 +51,7 @@ import numpy as np
 
 from .errors import InvalidConfig, OddSpatial, ShapeMismatch
 from .filterbank import get_wavelet
-from .transform import dwt2d_batch, dwt2d_batch_ll, dwt2d_batch_ll_vjp, dwt2d_batch_vjp
+from .transform import dwt2d_batch, dwt2d_batch_vjp, lowpass2d_batch, lowpass2d_batch_vjp
 from . import complexity
 
 
@@ -307,6 +311,13 @@ def _quarters(x):
             x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
 
 
+def _halved(in_shape, who: str) -> tuple:
+    c, h, w = _require_chw(in_shape, who)
+    if h % 2 or w % 2:
+        raise OddSpatial(f"{who} needs even spatial dims, got {(h, w)}")
+    return (c, h // 2, w // 2)
+
+
 class MaxPool2(Layer):
     """2x2 stride-2 max pooling; ties route to the first (row-major) argmax."""
 
@@ -344,49 +355,53 @@ class MaxPool2(Layer):
         return gx
 
     def output_shape(self, in_shape):
-        c, h, w = _require_chw(in_shape, "max pooling")
-        if h % 2 or w % 2:
-            raise OddSpatial(f"max pooling needs even spatial dims, got {(h, w)}")
-        return (c, h // 2, w // 2)
+        return _halved(in_shape, "max pooling")
 
 
-class AvgPool2(Layer):
-    """2x2 stride-2 average pooling."""
+class _LowPassDown(Layer):
+    """Down-sampling by one separable low-pass filter: ``F @ X @ F.T`` per
+    channel, with ``F`` the stride-2 operator of the 1-D filter ``taps``.
+    Backward is ``F.T @ G @ F``."""
 
-    def __init__(self):
-        self._shape = None
+    who = "low-pass downsample"
+
+    def __init__(self, taps):
+        self.taps = tuple(taps)
+        self._hw = None
 
     def forward(self, x, training=False):
-        _check_even(x, "average pooling")
-        self._shape = x.shape if training else None
-        a, b, c, d = _quarters(x)
-        out = a + b
-        out += c
-        out += d
-        out *= 0.25
-        return out
+        _check_even(x, self.who)
+        self._hw = x.shape[2:] if training else None
+        return lowpass2d_batch(x, self.taps)
 
     def backward(self, grad):
-        shape = _saved(self._shape, "average pooling")
-        gx = np.empty_like(grad, shape=shape)  # in grad's memory order
-        q = grad / 4.0
-        gx[:, :, 0::2, 0::2] = q
-        gx[:, :, 0::2, 1::2] = q
-        gx[:, :, 1::2] = gx[:, :, 0::2]  # copy the top row of each window down
-        return gx
+        return lowpass2d_batch_vjp(grad, self.taps, _saved(self._hw, self.who))
 
-    output_shape = MaxPool2.output_shape
+    def output_shape(self, in_shape):
+        return _halved(in_shape, self.who)
 
 
-class WaveletDown(Layer):
+class AvgPool2(_LowPassDown):
+    """2x2 stride-2 average pooling: the low-pass filter ``[1/2, 1/2]``."""
+
+    who = "average pooling"
+
+    def __init__(self):
+        super().__init__((0.5, 0.5))
+
+
+class WaveletDown(_LowPassDown):
     """Wavelet down-sampling: keep ll, average the subbands, or stack them.
 
-    ``kind`` is one of ``"ll"``, ``"avg"``, ``"cat"``.  ``"cat"`` concatenates
+    ``kind`` is one of ``"ll"``, ``"avg"``, ``"cat"``.  ``"ll"`` is the
+    low-pass down-sampler with the analysis low-pass ``L``, and ``"avg"``
+    the one with ``(L + H) / 2``, because ``ll + lh + hl + hh = (L+H) X
+    (L+H).T``; both preserve the channel count.  ``"cat"`` concatenates
     (ll, lh, hl, hh) along channels in that fixed order, quadrupling the
-    channel count; the other kinds preserve it.  ``"ll"`` computes the ll
-    band alone, forward and backward (``L.T @ g @ L``).  The other kinds route
-    the upstream gradient through the 2D analysis vjp.
+    channel count, and routes the gradient through the 2D analysis vjp.
     """
+
+    who = "wavelet downsample"
 
     def __init__(self, kind: str, wavelet: str):
         if kind not in ("ll", "avg", "cat"):
@@ -394,38 +409,30 @@ class WaveletDown(Layer):
         self.kind = kind
         self.wavelet = wavelet
         self.spec = get_wavelet(wavelet)
-        self._hw = None
+        low, high = self.spec.analysis_low, self.spec.analysis_high
+        # "cat" runs the four-band path and leaves the taps unused
+        super().__init__([(a + b) / 2 for a, b in zip(low, high)] if kind == "avg" else low)
 
     def forward(self, x, training=False):
-        _check_even(x, "wavelet downsample")
-        self._hw = (x.shape[2], x.shape[3]) if training else None
-        if self.kind == "ll":
-            return dwt2d_batch_ll(x, self.spec)
-        ll, lh, hl, hh = dwt2d_batch(x, self.spec)
-        if self.kind == "avg":
-            return (ll + lh + hl + hh) / 4.0
-        return np.concatenate([ll, lh, hl, hh], axis=1)
+        if self.kind != "cat":
+            return super().forward(x, training)
+        _check_even(x, self.who)
+        self._hw = x.shape[2:] if training else None
+        return np.concatenate(dwt2d_batch(x, self.spec), axis=1)
 
     def backward(self, grad):
-        hw = _saved(self._hw, "wavelet downsample")
-        if self.kind == "ll":
-            return dwt2d_batch_ll_vjp(grad, self.spec, hw)
-        if self.kind == "avg":
-            q = grad / 4.0
-            return dwt2d_batch_vjp(q, q, q, q, self.spec, hw)
+        if self.kind != "cat":
+            return super().backward(grad)
+        hw = _saved(self._hw, self.who)
         c = grad.shape[1] // 4
-        gll, glh, ghl, ghh = (grad[:, i * c:(i + 1) * c] for i in range(4))
-        return dwt2d_batch_vjp(gll, glh, ghl, ghh, self.spec, hw)
+        return dwt2d_batch_vjp(*(grad[:, i * c:(i + 1) * c] for i in range(4)), self.spec, hw)
 
     def output_shape(self, in_shape):
-        c, h, w = _require_chw(in_shape, "wavelet downsample")
-        if h % 2 or w % 2:
-            raise OddSpatial(f"wavelet downsample needs even spatial dims, got {(h, w)}")
-        cout = 4 * c if self.kind == "cat" else c
-        return (cout, h // 2, w // 2)
+        c, h, w = super().output_shape(in_shape)
+        return (4 * c if self.kind == "cat" else c, h, w)
 
     def madds(self, in_shape):
-        c, h, w = _require_chw(in_shape, "wavelet downsample")
+        c, h, w = _require_chw(in_shape, self.who)
         return complexity.dwt2d_madds(h, w, c)
 
 

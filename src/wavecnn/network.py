@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedLoss, InvalidConfig, ShapeMismatch
+from .errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismatch
 from .filterbank import get_wavelet
 from .layers import (AvgPool2, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2,
                      PadToEven, ReLU, SoftmaxCrossEntropy, WaveletDown)
@@ -95,28 +96,35 @@ _SPEC_FIELDS = {f.name for f in dataclasses.fields(LayerSpec)}
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Layer specs, init seed and wavelet rewrite; the loss is always
+    softmax cross-entropy."""
+
     layers: tuple
     seed: int = 0
-    loss: str = "softmax_ce"
     wavelet_rewrite: str = ""
 
     def to_dict(self) -> dict:
         return {
             "layers": [s.to_dict() for s in self.layers],
             "seed": self.seed,
-            "loss": self.loss,
             "wavelet_rewrite": self.wavelet_rewrite,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        """Inverse of :meth:`to_dict`.  A ``"loss"`` key, which older configs
+        and checkpoints carry, must name ``"softmax_ce"``."""
         unknown = set(d) - {"layers", "seed", "loss", "wavelet_rewrite"}
         if unknown:
             raise InvalidConfig(f"unknown model config keys: {sorted(unknown)}")
-        if "layers" not in d:
+        if d.get("loss", "softmax_ce") != "softmax_ce":
+            raise InvalidConfig(f"unsupported loss {d['loss']!r}")
+        if not isinstance(d.get("layers"), (list, tuple)):
             raise InvalidConfig("model config needs a 'layers' list")
         specs = []
         for i, entry in enumerate(d["layers"]):
+            if not isinstance(entry, dict):
+                raise InvalidConfig(f"layer {i}: expected an object, got {entry!r}")
             bad = set(entry) - _SPEC_FIELDS
             if bad:
                 raise InvalidConfig(f"layer {i}: unknown keys {sorted(bad)}")
@@ -126,7 +134,6 @@ class ModelConfig:
         return ModelConfig(
             layers=tuple(specs),
             seed=int(d.get("seed", 0)),
-            loss=str(d.get("loss", "softmax_ce")),
             wavelet_rewrite=str(d.get("wavelet_rewrite", "")),
         )
 
@@ -248,8 +255,6 @@ class Model:
 
 def build_model(cfg: ModelConfig, dtype=np.float32) -> Model:
     """Instantiate and deterministically initialize a model from its config."""
-    if cfg.loss != "softmax_ce":
-        raise InvalidConfig(f"unsupported loss {cfg.loss!r}")
     specs = tuple(cfg.layers)
     if cfg.wavelet_rewrite:
         get_wavelet(cfg.wavelet_rewrite)  # validate the name early
@@ -524,63 +529,89 @@ def gradcheck(target, x: np.ndarray, epsilon: float = 1e-6,
 
 # --- checkpoints ---
 
-_MAGIC = b"WCN1"
+_MAGIC = b"WCN2"
+_LEGACY_MAGIC = b"WCN1"  # the same layout without the trailing digest
+_DIGEST = 32  # sha256 over every byte before it
 _DTYPE_TAGS = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
 
 
 def save_model(model: Model, path) -> None:
-    """Write a versioned binary checkpoint (config plus all state arrays)."""
-    import json
-
+    """Write a versioned binary checkpoint (config plus all state arrays),
+    closed by a sha256 of everything before it."""
     tag = 0 if model.dtype == np.float32 else 1
     cfg_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
     entries = list(model.named_params()) + list(model.named_buffers())
+    parts = [_MAGIC, struct.pack("<BI", tag, len(cfg_blob)), cfg_blob,
+             struct.pack("<I", len(entries))]
+    for name, arr in entries:
+        blob = np.ascontiguousarray(arr).astype("<f4" if tag == 0 else "<f8").tobytes()
+        nb = name.encode()
+        parts += [struct.pack("<H", len(nb)), nb,
+                  struct.pack(f"<B{arr.ndim}QQ", arr.ndim, *arr.shape, len(blob)), blob]
+    body = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<B", tag))
-        fh.write(struct.pack("<I", len(cfg_blob)))
-        fh.write(cfg_blob)
-        fh.write(struct.pack("<I", len(entries)))
-        for name, arr in entries:
-            blob = np.ascontiguousarray(arr).astype("<f4" if tag == 0 else "<f8").tobytes()
-            nb = name.encode()
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
+        fh.write(body + hashlib.sha256(body).digest())
 
 
 def load_model(path) -> Model:
-    """Rebuild a model from a checkpoint written by :func:`save_model`."""
-    import json
+    """Rebuild a model from a checkpoint written by :func:`save_model`.
 
+    The digest is checked before anything is parsed.  A short file, a
+    digest mismatch, a config that is not JSON, or a state entry that is
+    missing, unknown, repeated or of the wrong size raises ``FormatError``;
+    a file that is not a checkpoint at all raises ``InvalidConfig``.
+    ``WCN1`` files, which carry no digest, go through the same parser.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise InvalidConfig(f"{path}: not a model checkpoint")
-        tag = struct.unpack("<B", fh.read(1))[0]
-        if tag not in _DTYPE_TAGS:
-            raise InvalidConfig(f"{path}: unknown element-type tag {tag}")
-        (cfg_len,) = struct.unpack("<I", fh.read(4))
-        cfg = ModelConfig.from_dict(json.loads(fh.read(cfg_len).decode()))
-        model = build_model(cfg, dtype=_DTYPE_TAGS[tag])
-        state = dict(model.named_params())
-        state.update(model.named_buffers())
-        (count,) = struct.unpack("<I", fh.read(4))
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
-            (nbytes,) = struct.unpack("<Q", fh.read(8))
-            data = np.frombuffer(fh.read(nbytes),
-                                 dtype="<f4" if tag == 0 else "<f8").reshape(shape)
-            if name not in state:
-                raise InvalidConfig(f"{path}: unexpected state entry {name!r}")
-            if state[name].shape != data.shape:
-                raise InvalidConfig(
-                    f"{path}: shape mismatch for {name}: "
-                    f"{state[name].shape} vs {data.shape}")
-            state[name][...] = data
+        data = fh.read()
+    if data[:4] == _MAGIC:
+        data, digest = data[:-_DIGEST], data[-_DIGEST:]
+        if hashlib.sha256(data).digest() != digest:
+            raise FormatError(f"{path}: checkpoint digest mismatch (truncated or corrupt)")
+    elif data[:4] != _LEGACY_MAGIC:
+        raise InvalidConfig(f"{path}: not a model checkpoint")
+    pos = 4
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise FormatError(f"{path}: truncated checkpoint")
+        pos += n
+        return data[pos - n:pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    tag, cfg_len = unpack("<BI")
+    if tag not in _DTYPE_TAGS:
+        raise FormatError(f"{path}: unknown element-type tag {tag}")
+    try:
+        cfg = json.loads(take(cfg_len).decode())
+    except ValueError as exc:  # also bad UTF-8
+        raise FormatError(f"{path}: model config is not JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise FormatError(f"{path}: model config is not a JSON object")
+    model = build_model(ModelConfig.from_dict(cfg), dtype=_DTYPE_TAGS[tag])
+    state = dict(model.named_params())
+    state.update(model.named_buffers())
+    item = "<f4" if tag == 0 else "<f8"
+    loaded = set()
+    (count,) = unpack("<I")
+    for _ in range(count):
+        (name_len,) = unpack("<H")
+        name = take(name_len).decode(errors="replace")
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}Q")
+        (nbytes,) = unpack("<Q")
+        if name not in state or name in loaded:
+            raise FormatError(f"{path}: unexpected or repeated state entry {name!r}")
+        if shape != state[name].shape or nbytes != state[name].size * np.dtype(item).itemsize:
+            raise FormatError(f"{path}: {name} holds shape {shape} in {nbytes} bytes, "
+                              f"expected {state[name].shape}")
+        state[name][...] = np.frombuffer(take(nbytes), dtype=item).reshape(shape)
+        loaded.add(name)
+    if loaded != set(state):
+        raise FormatError(f"{path}: missing state entries {sorted(set(state) - loaded)}")
+    if pos != len(data):
+        raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
     return model

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,20 +278,12 @@ def robustness_report(measured: ErrorMatrix,
 
 @dataclass(frozen=True)
 class ShiftTrialConfig:
-    """How translation pairs are sampled for consistency measurement.
-
-    ``fixed_pairs`` (a sequence of ((h0, w0), (h1, w1)) tuples) replaces
-    random sampling entirely; ``equal_shifts`` forces the second shift of
-    each sampled pair to equal the first.  Both exist to pin corner cases
-    under test.
-    """
+    """How translation pairs are sampled for consistency measurement."""
 
     max_shift: int = 8
     pairs: int = 64
     padding: str = "reflect"
     seed: int = 0
-    equal_shifts: bool = False
-    fixed_pairs: tuple = ()
 
     def __post_init__(self):
         if self.max_shift < 1:
@@ -336,22 +328,24 @@ def shift_consistency(model, dataset, cfg: ShiftTrialConfig = ShiftTrialConfig()
         raise ShiftOutOfRange(
             f"shift range {cfg.max_shift} too large for {h}x{w} images "
             f"under {cfg.padding} padding")
+    return _agreement(model, images, _draw_trials(cfg), cfg.padding)
 
-    if cfg.fixed_pairs:
-        trials = [((int(a), int(b)), (int(c), int(d)))
-                  for (a, b), (c, d) in cfg.fixed_pairs]
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        draws = rng.integers(-cfg.max_shift, cfg.max_shift + 1, size=(cfg.pairs, 4))
-        trials = [((int(r[0]), int(r[1])), (int(r[2]), int(r[3]))) for r in draws]
-    if cfg.equal_shifts:
-        trials = [(a, a) for a, _ in trials]
 
+def _draw_trials(cfg: ShiftTrialConfig) -> list:
+    """``cfg.pairs`` random ((h0, w0), (h1, w1)) shift pairs within ``cfg.max_shift``."""
+    rng = np.random.default_rng(cfg.seed)
+    draws = rng.integers(-cfg.max_shift, cfg.max_shift + 1, size=(cfg.pairs, 4))
+    return [((int(r[0]), int(r[1])), (int(r[2]), int(r[3]))) for r in draws]
+
+
+def _agreement(model, images: np.ndarray, trials, padding: str) -> float:
+    """Percentage of (image, trial) predictions that agree under the
+    trial's two shifts."""
     agree = 0
     total = 0
     for (h0, w0), (h1, w1) in trials:
-        p0 = model.predict(shift_image(images, h0, w0, cfg.padding))
-        p1 = model.predict(shift_image(images, h1, w1, cfg.padding))
+        p0 = model.predict(shift_image(images, h0, w0, padding))
+        p1 = model.predict(shift_image(images, h1, w1, padding))
         agree += int((p0 == p1).sum())
         total += len(p0)
     return 100.0 * agree / total

@@ -9,20 +9,24 @@ for Haar on even lengths where it is globally exact.
 
 2D transforms apply the 1D operators to rows and columns:
 ``ll = L @ X @ L.T`` and so on, channel by channel for batched tensors.
+:func:`lowpass2d_batch` applies one such operator, built from any 1-D
+filter, along both sides; the ll band, 2x2 average pooling and the mean of
+the four subbands are that product with three different filters.
 Every forward has a matching vector-Jacobian product built from the same
 matrices, so the layers in :mod:`wavecnn.layers` backpropagate exactly.
 
 Evaluation is tiled-banded.  An operator row holds only ``taps`` nonzeros, so
 the dense product of a 2D plane costs the cube of its side while the useful
 work grows with the square.  Every public function goes through one
-separable core that applies the stacked ``[L; H]`` (low and high rows
-interleaved), or its transpose, along one axis in tiles of ``_TILE``
-coefficient pairs.  Each tile multiplies one small cached block of that
-operator against a strided window view of the input.  The interior tiles of
-an axis run as one batched BLAS ``matmul`` on the input in place; the tiles
-at its two ends read a zero-padded copy of the few samples they need.  A
-side of at most ``2 * _TILE`` samples fits in one tile and takes the plain
-dense product with a slice of the same block, with no padding at all.
+separable core that applies a bank of one filter, or of two with their rows
+interleaved (the stacked ``[L; H]``), or its transpose, along one axis in
+tiles of ``_TILE`` coefficients per filter.  Each tile multiplies one small
+cached block of that operator against a strided window view of the input.
+The interior tiles of an axis run as one batched BLAS ``matmul`` on the
+input in place; the tiles at its two ends read a zero-padded copy of the
+few samples they need.  A side of at most ``2 * _TILE`` samples fits in
+one tile and takes the plain dense product with a slice of the same block,
+with no padding at all.
 :func:`build_operator` materializes the dense matrices; it is the reference
 definition the core is tested against.
 
@@ -42,10 +46,10 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ShapeMismatch, TooShort
 from .filterbank import WaveletSpec
 
-# Coefficient pairs per tile, chosen by measurement (see CHANGES.md).  Smaller
-# tiles multiply fewer zeros, larger ones give BLAS bigger blocks; 8 and 16
-# tie on 128-1024 px planes, and 16 keeps every feature map of the reference
-# network (28 px and below) on the dense one-tile path.
+# Coefficients per filter and tile, chosen by measurement (see CHANGES.md).
+# Smaller tiles multiply fewer zeros, larger ones give BLAS bigger blocks; 8
+# and 16 tie on 128-1024 px planes, and 16 keeps every feature map of the
+# reference network (28 px and below) on the dense one-tile path.
 _TILE = 16
 
 
@@ -95,46 +99,44 @@ def build_operator(spec: WaveletSpec, n: int) -> AnalysisOperator:
 
 
 class _Bank(NamedTuple):
-    """Tile blocks of one filter pair, low and high rows interleaved.
+    """Tile blocks of one filter, or of two with their rows interleaved.
 
-    ``fwd`` is ``(2*tile, 2*tile + taps - 2)``: rows 2k and 2k+1 hold the low
-    and high filters from column 2k.  Applied to a window of samples it gives
-    ``tile`` interleaved coefficient pairs, and its top-left
-    ``2*(n//2) x n`` corner is the whole stacked operator of a side
-    ``n <= 2*tile``.  ``adj`` is ``(2*tile, 2*(tile + q))`` with
-    ``q = (taps - 1) // 2``: one tile of the transposed operator, mapping the
-    ``tile + q`` interleaved pairs that start ``q`` pairs before the tile to
-    its ``2*tile`` samples.
+    With ``b`` filters of ``taps`` coefficients, ``fwd`` is ``(b*tile,
+    2*tile + taps - 2)``: row ``b*k + j`` holds filter j from column 2k.
+    Applied to a window of samples it gives ``tile`` coefficients of each
+    filter, interleaved, and its top-left ``b*(n//2) x n`` corner is the
+    whole operator of a side ``n <= 2*tile``.  ``adj`` is ``(2*tile,
+    b*(tile + q))`` with ``q = (taps - 1) // 2``: one tile of the transposed
+    operator, mapping the ``tile + q`` coefficients of each filter that start
+    ``q`` before the tile to its ``2*tile`` samples.
     """
 
     fwd: np.ndarray
     adj: np.ndarray
+    filters: int
 
 
 @lru_cache(maxsize=None)
-def _tiles(spec: WaveletSpec, tile: int, dtype_char: str):
-    """``(analysis, synthesis)`` banks of tile blocks, read-only."""
-    taps = len(spec.analysis_low)
+def _tiles(filters: tuple, dtype_char: str) -> _Bank:
+    """Read-only bank of ``_TILE`` blocks for a tuple of one or two filters."""
+    b, taps, tile = len(filters), len(filters[0]), _TILE
     q = (taps - 1) // 2
-
-    def bank(*pair):
-        fwd = np.empty((2 * tile, 2 * tile + taps - 2))
-        adj = np.empty((2 * tile, 2 * (tile + q)))
-        for b, f in enumerate(pair):
-            fwd[b::2] = _place(f, tile, 2 * tile + taps - 2)
-            # adj[r, 2c + b] = f[r + 2q - 2c]: pair c is (tile start - q + c)
-            adj[:, b::2] = _place(f, tile + q, 2 * (tile + q))[:, 2 * q:].T
-        mats = [m.astype(dtype_char) for m in (fwd, adj)]
-        for m in mats:
-            m.setflags(write=False)
-        return _Bank(*mats)
-
-    return (bank(spec.analysis_low, spec.analysis_high),
-            bank(spec.synthesis_low, spec.synthesis_high))
+    fwd = np.empty((b * tile, 2 * tile + taps - 2))
+    adj = np.empty((2 * tile, b * (tile + q)))
+    for j, f in enumerate(filters):
+        fwd[j::b] = _place(f, tile, 2 * tile + taps - 2)
+        # adj[r, b*c + j] = f[r + 2q - 2c]: coefficient c is (tile start - q + c)
+        adj[:, j::b] = _place(f, tile + q, 2 * (tile + q))[:, 2 * q:].T
+    mats = [m.astype(dtype_char) for m in (fwd, adj)]
+    for m in mats:
+        m.setflags(write=False)
+    return _Bank(*mats, b)
 
 
 def _bank(spec: WaveletSpec, dt: np.dtype, synthesis: bool) -> _Bank:
-    return _tiles(spec, _TILE, dt.char)[synthesis]
+    pair = ((spec.synthesis_low, spec.synthesis_high) if synthesis
+            else (spec.analysis_low, spec.analysis_high))
+    return _tiles(pair, dt.char)
 
 
 # --- the separable core: one axis (-1 or -2) at a time ---
@@ -163,33 +165,35 @@ def _windows(x: np.ndarray, axis: int, step: int, width: int, count: int):
                       st[:ax] + (step * st[ax], st[ax]) + st[ax + 1:], writeable=False)
 
 
-def _banded(mat: np.ndarray, x: np.ndarray, axis: int, front: int, length: int):
+def _banded(mat: np.ndarray, x: np.ndarray, axis: int, front: int, length: int,
+            advance: int):
     """Apply along ``axis`` the banded operator that ``mat`` tiles.
 
     With ``mat`` of shape ``(s, w)``, output ``i*s + r`` (for ``i*s + r <
-    length``) is ``sum_c mat[r, c] * x[i*s - front + c]``, reading ``x`` as
-    zero outside its bounds.  The tiles whose window lies inside ``x`` run as
-    one batched ``matmul`` on strided windows of ``x`` itself; the tiles at
-    either end read a zero-padded copy of just the samples they need.
+    length``) is ``sum_c mat[r, c] * x[i*advance - front + c]``, reading
+    ``x`` as zero outside its bounds.  The tiles whose window lies inside
+    ``x`` run as one batched ``matmul`` on strided windows of ``x`` itself;
+    the tiles at either end read a zero-padded copy of just the samples they
+    need.
     """
     step, width = mat.shape
     count = -(-length // step)
     n = x.shape[axis]
     ax = x.ndim + axis
     out = np.empty(x.shape[:ax] + (count * step,) + x.shape[ax + 1:], x.dtype)
-    first = -(-front // step)
-    stop = max(first, min(count, (n + front - width) // step + 1))
+    first = -(-front // advance)
+    stop = max(first, min(count, (n + front - width) // advance + 1))
     for begin, end in ((first, stop), (0, first), (stop, count)):
         if begin == end:
             continue
-        start, size = begin * step - front, (end - begin - 1) * step + width
+        start, size = begin * advance - front, (end - begin - 1) * advance + width
         if 0 <= start and start + size <= n:
             src = x[_span(axis, start, start + size)]
         else:
             src = np.zeros(x.shape[:ax] + (size,) + x.shape[ax + 1:], x.dtype)
             lo, hi = max(start, 0), min(start + size, n)
             src[_span(axis, lo - start, hi - start)] = x[_span(axis, lo, hi)]
-        win = _windows(src, axis, step, width, end - begin)
+        win = _windows(src, axis, advance, width, end - begin)
         dest = out[_span(axis, begin * step, end * step)]
         dest = dest.reshape(dest.shape[:ax] + (end - begin, step) + dest.shape[ax + 1:])
         if axis == -2:
@@ -200,41 +204,25 @@ def _banded(mat: np.ndarray, x: np.ndarray, axis: int, front: int, length: int):
 
 
 def _analyze(x: np.ndarray, bank: _Bank, axis: int) -> np.ndarray:
-    """``[L; H] @ x`` along ``axis``: n samples become ``(n//2, 2)`` pairs."""
+    """The bank's operator along ``axis``: n samples become ``n//2``
+    coefficients of each filter, interleaved."""
     n = x.shape[axis]
     if n < 2:
         raise TooShort(f"transform length must be >= 2, got shape {x.shape}")
-    h = n // 2
+    rows = bank.filters * (n // 2)
     if n <= 2 * _TILE:
-        y = _along(bank.fwd[:2 * h, :n], x, axis)
-    else:
-        y = _banded(bank.fwd, x, axis, 0, 2 * h)
-    ax = y.ndim + axis
-    return y.reshape(y.shape[:ax] + (h, 2) + y.shape[ax + 1:])
+        return _along(bank.fwd[:rows, :n], x, axis)
+    return _banded(bank.fwd, x, axis, 0, rows, 2 * _TILE)
 
 
-def _synthesize(pairs: np.ndarray, bank: _Bank, axis: int, n: int) -> np.ndarray:
-    """Transpose of :func:`_analyze`: ``(n//2, 2)`` pairs become n samples."""
-    if n < 2:
-        raise TooShort(f"transform length must be >= 2, got {n}")
-    ax = pairs.ndim - 1 + axis
-    c = pairs.reshape(pairs.shape[:ax] + (2 * pairs.shape[ax],) + pairs.shape[ax + 2:])
-    if n <= 2 * _TILE:
-        return _along(bank.fwd[:c.shape[axis], :n].T, c, axis)
-    return _banded(bank.adj, c, axis, bank.adj.shape[1] - bank.adj.shape[0], n)
-
-
-def _synthesize_low(low: np.ndarray, bank: _Bank, axis: int, n: int) -> np.ndarray:
-    """``L.T @ low`` along ``axis``: :func:`_synthesize` with zero high coefficients."""
+def _synthesize(coeffs: np.ndarray, bank: _Bank, axis: int, n: int) -> np.ndarray:
+    """Transpose of :func:`_analyze`: interleaved coefficients become n samples."""
     if n < 2:
         raise TooShort(f"transform length must be >= 2, got {n}")
     if n <= 2 * _TILE:
-        return _along(bank.fwd[:2 * low.shape[axis]:2, :n].T, low, axis)
-    # the tiled core reads interleaved pairs
-    ax = low.ndim + axis
-    pairs = np.zeros(low.shape[:ax + 1] + (2,) + low.shape[ax + 1:], low.dtype)
-    pairs[(Ellipsis, 0) + (slice(None),) * (-1 - axis)] = low
-    return _synthesize(pairs, bank, axis, n)
+        return _along(bank.fwd[:coeffs.shape[axis], :n].T, coeffs, axis)
+    advance = bank.filters * _TILE  # coefficients per tile
+    return _banded(bank.adj, coeffs, axis, bank.adj.shape[1] - advance, n, advance)
 
 
 # (row band, column band) of ll, lh, hl, hh
@@ -243,7 +231,8 @@ _QUADRANTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 def _analysis2d(x: np.ndarray, bank: _Bank):
     """``(ll, lh, hl, hh)`` over the last two axes, rows first."""
-    z = _analyze(_analyze(x, bank, -2), bank, -1)  # [..., h, 2, w, 2]
+    z = _analyze(_analyze(x, bank, -2), bank, -1)
+    z = z.reshape(z.shape[:-2] + (z.shape[-2] // 2, 2, z.shape[-1] // 2, 2))
     return tuple(np.ascontiguousarray(z[..., r, :, c]) for r, c in _QUADRANTS)
 
 
@@ -253,8 +242,8 @@ def _synthesis2d(ll, lh, hl, hh, bank: _Bank, shape_hw) -> np.ndarray:
     z = np.empty(ll.shape[:-2] + (m // 2, 2, n // 2, 2), ll.dtype)
     for (r, c), band in zip(_QUADRANTS, (ll, lh, hl, hh)):
         z[..., r, :, c] = band
-    y = _synthesize(z, bank, -1, n)  # [..., h, 2, n]
-    return np.ascontiguousarray(_synthesize(y, bank, -2, m))
+    z = z.reshape(z.shape[:-4] + (2 * (m // 2), 2 * (n // 2)))
+    return np.ascontiguousarray(_synthesize(_synthesize(z, bank, -1, n), bank, -2, m))
 
 
 def _work_dtype(x: np.ndarray) -> np.dtype:
@@ -291,8 +280,8 @@ def _bands(bands, shape, ndim: int, what: str):
 def dwt1d(signal, spec: WaveletSpec):
     """One analysis step: returns ``(L @ s, H @ s)``, each of length N//2."""
     s = _input(signal, 1, "a 1-D signal")
-    pairs = _analyze(s, _bank(spec, s.dtype, synthesis=False), -1)
-    return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
+    coeffs = _analyze(s, _bank(spec, s.dtype, synthesis=False), -1)
+    return np.ascontiguousarray(coeffs[0::2]), np.ascontiguousarray(coeffs[1::2])
 
 
 def idwt1d(low, high, spec: WaveletSpec, n: int) -> np.ndarray:
@@ -302,7 +291,8 @@ def idwt1d(low, high, spec: WaveletSpec, n: int) -> np.ndarray:
     whether the original length was even or odd.
     """
     bands, dt = _bands((low, high), (n,), 1, "subband")
-    return _synthesize(np.stack(bands, axis=-1), _bank(spec, dt, synthesis=True), -1, n)
+    coeffs = np.stack(bands, axis=-1).reshape(-1)
+    return _synthesize(coeffs, _bank(spec, dt, synthesis=True), -1, n)
 
 
 def dwt1d_vjp(upstream_low, upstream_high, spec: WaveletSpec, n: int) -> np.ndarray:
@@ -311,7 +301,8 @@ def dwt1d_vjp(upstream_low, upstream_high, spec: WaveletSpec, n: int) -> np.ndar
     Uses the analysis matrices (transposed), not the synthesis duals.
     """
     bands, dt = _bands((upstream_low, upstream_high), (n,), 1, "upstream")
-    return _synthesize(np.stack(bands, axis=-1), _bank(spec, dt, synthesis=False), -1, n)
+    coeffs = np.stack(bands, axis=-1).reshape(-1)
+    return _synthesize(coeffs, _bank(spec, dt, synthesis=False), -1, n)
 
 
 # --- 2D ---
@@ -386,33 +377,6 @@ def dwt2d_batch(x, spec: WaveletSpec):
     return _analysis2d(X, _bank(spec, X.dtype, synthesis=False))
 
 
-def dwt2d_batch_ll(x, spec: WaveletSpec) -> np.ndarray:
-    """The ``ll`` tensor of :func:`dwt2d_batch` alone, bit for bit.
-
-    The column pass runs on the low rows of the row pass alone, which halves
-    its cost, and no other subband is built.
-    """
-    X = _input(x, 4, "an NCHW tensor")
-    bank = _bank(spec, X.dtype, synthesis=False)
-    low_rows = _analyze(X, bank, -2)[..., 0, :]
-    return np.ascontiguousarray(_analyze(low_rows, bank, -1)[..., 0])
-
-
-def dwt2d_batch_ll_vjp(gll, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:
-    """Backward of :func:`dwt2d_batch_ll`: ``L.T @ g_ll @ L`` per channel.
-
-    Equals ``dwt2d_batch_vjp(gll, 0, 0, 0, ...)`` up to rounding.  The pass
-    along the width runs on the ``H//2`` rows of ``gll`` alone, and a side of
-    at most ``2 * _TILE`` samples multiplies only the low rows of the
-    operator; a longer side feeds the tiled core a zero high band.
-    """
-    (g,), dt = _bands((gll,), shape_hw, 4, "gradient")
-    bank = _bank(spec, dt, synthesis=False)
-    m, n = shape_hw
-    rows = _synthesize_low(g, bank, -1, n)
-    return np.ascontiguousarray(_synthesize_low(rows, bank, -2, m))
-
-
 def idwt2d_batch(ll, lh, hl, hh, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:
     """Reconstruct an NCHW tensor of spatial shape ``shape_hw`` from subbands."""
     bands, dt = _bands((ll, lh, hl, hh), shape_hw, 4, "subband")
@@ -423,3 +387,26 @@ def dwt2d_batch_vjp(gll, glh, ghl, ghh, spec: WaveletSpec, shape_hw: tuple) -> n
     """Backward of :func:`dwt2d_batch` for NCHW subband gradients."""
     bands, dt = _bands((gll, glh, ghl, ghh), shape_hw, 4, "gradient")
     return _synthesis2d(*bands, _bank(spec, dt, synthesis=False), shape_hw)
+
+
+def lowpass2d_batch(x, taps) -> np.ndarray:
+    """``F @ X @ F.T`` per channel of an NCHW tensor, height pass first.
+
+    ``F`` is the ``floor(n/2) x n`` operator of the 1-D filter ``taps``,
+    truncated like ``L``: row k holds the filter from column 2k.  With
+    ``spec.analysis_low`` this is the ll band of :func:`dwt2d_batch`; with
+    ``(1/2, 1/2)`` it is 2x2 average pooling, and with ``(L + H) / 2`` the
+    mean of the four subbands, since ``ll + lh + hl + hh = (L+H) X (L+H).T``.
+    """
+    X = _input(x, 4, "an NCHW tensor")
+    bank = _tiles((tuple(taps),), X.dtype.char)
+    return np.ascontiguousarray(_analyze(_analyze(X, bank, -2), bank, -1))
+
+
+def lowpass2d_batch_vjp(g, taps, shape_hw: tuple) -> np.ndarray:
+    """Backward of :func:`lowpass2d_batch`: ``F.T @ G @ F`` per channel,
+    width pass first, onto spatial shape ``shape_hw``."""
+    (G,), dt = _bands((g,), shape_hw, 4, "gradient")
+    bank = _tiles((tuple(taps),), dt.char)
+    m, n = shape_hw
+    return np.ascontiguousarray(_synthesize(_synthesize(G, bank, -1, n), bank, -2, m))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,7 +294,36 @@ class TestEmptyDataset:
         assert "at least one image" in err
 
 
+def test_eval_on_a_corrupt_checkpoint_exits_2(capsys, tmp_path, idx_pair):
+    model = tmp_path / "m.wcn"
+    save_model(build_model(mini_config("max_pool")), model)
+    data = bytearray(model.read_bytes())
+    data[len(data) // 2] ^= 0x40
+    model.write_bytes(data)
+    code, out, err = run_cli(capsys, "eval", "--model", str(model),
+                             "--images", idx_pair[0], "--labels", idx_pair[1])
+    assert code == 2 and out == ""
+    assert "wavecnn eval: error: FormatError:" in err
+
+
+GOLDEN = Path(__file__).parent / "golden" / "flops"
+FLOPS_MODES = [("max_pool", ""), ("avg_pool", ""), ("strided_conv", ""),
+               ("dwt_ll", "haar"), ("dwt_avg", "db4"), ("dwt_cat", "ch3.3")]
+
+
 class TestFlops:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("mode,wavelet", FLOPS_MODES)
+    def test_report_bytes_are_pinned(self, capsys, tmp_path, mode, wavelet, fmt):
+        """Golden reports of ``flops --input 1x1x28x28`` for each mode."""
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"mode": mode, "wavelet": wavelet} if wavelet
+                                  else {"mode": mode}))
+        code, out, _ = run_cli(capsys, "flops", "--config", str(cfg),
+                               "--input", "1x1x28x28", "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"{mode}.{fmt}").read_text()
+
     def test_json_report_has_ratio(self, capsys, tmp_path):
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps({"mode": "dwt_ll", "wavelet": "haar"}))

@@ -122,6 +122,13 @@ class TestLayerGradients:
     def test_wavelet_down(self, kind, wavelet):
         assert _checked(L.WaveletDown(kind, wavelet), (2, 2, 24, 24)) < TOL
 
+    @pytest.mark.parametrize("layer", [L.AvgPool2(), L.WaveletDown("ll", "db3"),
+                                       L.WaveletDown("avg", "ch3.3")],
+                             ids=["avg_pool", "ll", "avg"])
+    def test_low_pass_down_on_tiled_sides(self, layer):
+        """Sides over 32 px run the tiled one-filter core."""
+        assert _checked(layer, (1, 2, 34, 40)) < TOL
+
     def test_loss_gradient(self):
         rng = np.random.default_rng(9)
         logits = rng.standard_normal((5, 4))

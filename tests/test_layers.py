@@ -4,7 +4,7 @@ import pytest
 from wavecnn import layers as L
 from wavecnn.errors import InvalidConfig, OddSpatial, ShapeMismatch
 from wavecnn.filterbank import get_wavelet, wavelet_names
-from wavecnn.transform import dwt2d_batch_vjp
+from wavecnn.transform import dwt2d_batch, dwt2d_batch_vjp
 
 
 def _init(layer, seed=0, dtype=np.float64):
@@ -230,6 +230,13 @@ def ref_avg_pool(x, g):
     return _ref_window4(x).mean(axis=-1), _ref_unwindow4(gwin)
 
 
+def ref_subband_mean(x, g, spec):
+    """``WaveletDown("avg")`` as the mean of the four subbands, and its vjp."""
+    q = g / 4.0
+    return (sum(dwt2d_batch(x, spec)) / 4.0,
+            dwt2d_batch_vjp(q, q, q, q, spec, x.shape[2:]))
+
+
 def ref_batchnorm(x, g, gamma, beta, mean, var, training, eps=1e-5):
     """Returns (y, grad_x, grad_gamma, grad_beta, batch_mean, batch_var)."""
     if training:
@@ -332,8 +339,14 @@ class TestMatchesReplacedFormulation:
             layer, ref = (L.MaxPool2(), ref_max_pool) if kind == "max_pool" \
                 else (L.AvgPool2(), ref_avg_pool)
         y_ref, gx_ref = ref(x, g)
-        assert _same_bits(layer.forward(x, training=True), y_ref)
-        assert _same_bits(layer.backward(g), gx_ref)
+        y, gx = layer.forward(x, training=True), layer.backward(g)
+        if kind == "avg_pool":
+            # a matrix product: it rounds in another order and keeps no sign of zero
+            _close(y, y_ref, dtype)
+            _close(gx, gx_ref, dtype)
+        else:
+            assert _same_bits(y, y_ref)
+            assert _same_bits(gx, gx_ref)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_max_pool_all_equal_windows_route_to_first(self, dtype):
@@ -426,6 +439,31 @@ class TestMatchesReplacedFormulation:
             zero = np.zeros_like(g)
             ref = dwt2d_batch_vjp(g, zero, zero, zero, spec, even)[:, :, :hw[0], :hw[1]]
             _close(pad.backward(down.backward(g)), ref, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("wavelet", wavelet_names())
+    def test_avg_matches_subband_mean(self, wavelet, dtype):
+        """Sides over 32 px take the tiled path."""
+        spec = get_wavelet(wavelet)
+        rng = np.random.default_rng(9)
+        for hw in [(2, 2), (6, 10), (28, 28), (14, 14), (8, 8), (34, 70)]:
+            x = rng.standard_normal((3, 2) + hw).astype(dtype)
+            g = rng.standard_normal((3, 2, hw[0] // 2, hw[1] // 2)).astype(dtype)
+            down = L.WaveletDown("avg", wavelet)
+            y_ref, gx_ref = ref_subband_mean(x, g, spec)
+            _close(down.forward(x, training=True), y_ref, dtype)
+            _close(down.backward(g), gx_ref, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_avg_pool_matches_window_mean_on_tiled_sides(self, dtype):
+        rng = np.random.default_rng(10)
+        for hw in [(34, 8), (8, 70), (66, 34)]:
+            x, g = rng.standard_normal((2, 2, 2) + hw).astype(dtype)
+            g = g[:, :, ::2, ::2].copy()
+            pool = L.AvgPool2()
+            y_ref, gx_ref = ref_avg_pool(x, g)
+            _close(pool.forward(x, training=True), y_ref, dtype)
+            _close(pool.backward(g), gx_ref, dtype)
 
     def test_relu_propagates_nan(self):
         # NaN must reach the loss, so that train stops with DivergedLoss

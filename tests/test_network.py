@@ -1,13 +1,18 @@
 import copy
 import dataclasses
+import hashlib
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavecnn import network as nw
 from wavecnn.datasets import Dataset, synthetic_classification
-from wavecnn.errors import DivergedLoss, InvalidConfig
+from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig
 from wavecnn.layers import Conv2d, Dense, Flatten, WaveletDown
 
 
@@ -24,6 +29,14 @@ class TestModelConfig:
         with pytest.raises(InvalidConfig):
             nw.ModelConfig.from_dict(
                 {"layers": [{"kind": "relu", "slope": 0.1}]})
+
+    def test_loss_key_of_older_configs(self):
+        d = nw.mini_config("dwt_ll", "haar", seed=2).to_dict()
+        assert "loss" not in d
+        assert nw.ModelConfig.from_dict(dict(d, loss="softmax_ce")) == \
+            nw.ModelConfig.from_dict(d)
+        with pytest.raises(InvalidConfig):
+            nw.ModelConfig.from_dict(dict(d, loss="mse"))
 
     def test_missing_layers_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -259,6 +272,135 @@ class TestCheckpoint:
         back = nw.load_model(path)
         assert back.dtype == np.float64
         assert back.checksum() == model.checksum()
+
+
+def _small_checkpoint(path):
+    """A conv-BN-ReLU-pool-dense model with non-trivial BatchNorm buffers,
+    saved to ``path``; returns its arrays by name."""
+    cfg = nw.ModelConfig(layers=(nw.conv(3, 1, 2), nw.batchnorm(2), nw.relu(),
+                                 nw.downsample("avg_pool"), nw.flatten(), nw.dense(8, 3)),
+                         seed=4)
+    model = nw.build_model(cfg)
+    bn = model.layers[1]
+    bn.running_mean[...] = [0.25, -0.5]
+    bn.running_var[...] = [1.5, 0.75]
+    nw.save_model(model, path)
+    return _state(model)
+
+
+def _state(model):
+    return {name: arr.copy() for name, arr in
+            list(model.named_params()) + list(model.named_buffers())}
+
+
+def _legacy(data):
+    """The same checkpoint in the WCN1 layout: no trailing digest."""
+    return b"WCN1" + data[4:-32]
+
+
+def _loads_same_or_fails_loudly(path, want):
+    try:
+        got = _state(nw.load_model(path))
+    except (FormatError, InvalidConfig):
+        return
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+class TestCorruptCheckpoint:
+    def test_written_as_wcn2_with_a_digest(self, tmp_path):
+        path = tmp_path / "m.wcn"
+        _small_checkpoint(path)
+        data = path.read_bytes()
+        assert data[:4] == b"WCN2"
+        assert hashlib.sha256(data[:-32]).digest() == data[-32:]
+
+    def test_wcn1_still_loads(self, tmp_path):
+        path = tmp_path / "m.wcn"
+        want = _small_checkpoint(path)
+        path.write_bytes(_legacy(path.read_bytes()))
+        got = _state(nw.load_model(path))
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_entry_count_patched_to_zero(self, tmp_path, legacy):
+        path = tmp_path / "m.wcn"
+        _small_checkpoint(path)
+        data = bytearray(path.read_bytes())
+        (cfg_len,) = struct.unpack_from("<I", data, 5)
+        struct.pack_into("<I", data, 9 + cfg_len, 0)
+        path.write_bytes(_legacy(data) if legacy else data)
+        with pytest.raises(FormatError):
+            nw.load_model(path)
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_last_100_bytes_cut(self, tmp_path, legacy):
+        path = tmp_path / "m.wcn"
+        _small_checkpoint(path)
+        data = path.read_bytes()
+        path.write_bytes((_legacy(data) if legacy else data)[:-100])
+        with pytest.raises(FormatError):
+            nw.load_model(path)
+
+    def test_flipped_byte_in_last_batchnorm_buffer(self, tmp_path):
+        path = tmp_path / "m.wcn"
+        _small_checkpoint(path)
+        data = bytearray(path.read_bytes())
+        # running_var is the last entry; its last payload byte sits before the digest
+        data[-33] ^= 0x01
+        path.write_bytes(data)
+        with pytest.raises(FormatError):
+            nw.load_model(path)
+
+    @pytest.mark.parametrize("change", ["duplicate", "extra"])
+    def test_entry_set_must_match_exactly(self, tmp_path, change):
+        """In the WCN1 layout, which has no digest to catch it first."""
+        path = tmp_path / "m.wcn"
+        _small_checkpoint(path)
+        body = bytearray(_legacy(path.read_bytes()))
+        (cfg_len,) = struct.unpack_from("<I", body, 5)
+        at = 9 + cfg_len
+        (count,) = struct.unpack_from("<I", body, at)
+        (name_len,) = struct.unpack_from("<H", body, at + 4)
+        ndim = body[at + 6 + name_len]
+        end = at + 6 + name_len + 1 + 8 * ndim
+        (nbytes,) = struct.unpack_from("<Q", body, end)
+        first = bytes(body[at + 4:end + 8 + nbytes])
+        if change == "extra":
+            first = first.replace(b"0.weight", b"9.weight")
+        struct.pack_into("<I", body, at, count + 1)
+        path.write_bytes(bytes(body) + first)
+        with pytest.raises(FormatError):
+            nw.load_model(path)
+
+    def test_bad_json_config(self, tmp_path):
+        path = tmp_path / "m.wcn"
+        _small_checkpoint(path)
+        body = bytearray(_legacy(path.read_bytes()))
+        body[9] = ord("[")
+        path.write_bytes(body)
+        with pytest.raises(FormatError):
+            nw.load_model(path)
+
+    def test_every_truncation_fails_loudly(self, tmp_path):
+        path = tmp_path / "m.wcn"
+        _small_checkpoint(path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises((FormatError, InvalidConfig)):
+                nw.load_model(path)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(where=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
+    def test_any_single_byte_flip_loads_same_or_fails(self, where, mask):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.wcn"
+            want = _small_checkpoint(path)
+            data = bytearray(path.read_bytes())
+            data[int(where * len(data))] ^= mask
+            path.write_bytes(data)
+            _loads_same_or_fails_loudly(path, want)
 
 
 class TestModelBackward:

@@ -11,6 +11,7 @@ from wavecnn.robustness import (CATEGORY_MEMBERS, DEFAULT_SEVERITY,
                                 corruption_error, error_matrix, mean_ce,
                                 robustness_report, shift_consistency,
                                 shift_image)
+from wavecnn.robustness import _agreement, _draw_trials
 
 
 class TestCorrupt:
@@ -262,8 +263,9 @@ class TestShift:
             def predict(self, images):
                 return np.argmax(images.reshape(len(images), -1), axis=1) % 7
 
-        cfg = ShiftTrialConfig(max_shift=3, pairs=6, seed=4, equal_shifts=True)
-        assert shift_consistency(Odd(), ds, cfg) == 100.0
+        drawn = _draw_trials(ShiftTrialConfig(max_shift=3, pairs=6, seed=4))
+        trials = [(a, a) for a, _ in drawn]
+        assert _agreement(Odd(), ds.images, trials, "reflect") == 100.0
 
     def test_adversarial_parity_pairs_give_zero(self):
         h = w = 9
@@ -271,10 +273,9 @@ class TestShift:
         images[:, 0, h // 2, w // 2] = 1.0  # lit probe at the center
         ds = Dataset(images, np.zeros(4, dtype=np.int64))
         # shift pairs chosen so exactly one side moves the probe away
-        cfg = ShiftTrialConfig(fixed_pairs=(((0, 0), (1, 0)),
-                                            ((0, 1), (0, 0))))
+        trials = [((0, 0), (1, 0)), ((0, 1), (0, 0))]
         model = _ProbeParityModel(h, w)
-        assert shift_consistency(model, ds, cfg) == 0.0
+        assert _agreement(model, ds.images, trials, "reflect") == 0.0
 
     def test_deterministic_per_seed(self):
         ds = synthetic_classification(8, classes=2, image_hw=(14, 14), seed=3)

@@ -9,9 +9,9 @@ from wavecnn import transform
 from wavecnn.errors import ShapeMismatch, TooShort
 from wavecnn.filterbank import get_wavelet, wavelet_names
 from wavecnn.transform import (Decomposition2D, build_operator, dwt1d,
-                               dwt1d_vjp, dwt2d, dwt2d_batch, dwt2d_batch_ll,
-                               dwt2d_batch_ll_vjp, dwt2d_batch_vjp, dwt2d_vjp,
-                               idwt1d, idwt2d, idwt2d_batch, idwt2d_vjp)
+                               dwt1d_vjp, dwt2d, dwt2d_batch, dwt2d_batch_vjp,
+                               dwt2d_vjp, idwt1d, idwt2d, idwt2d_batch, idwt2d_vjp,
+                               lowpass2d_batch, lowpass2d_batch_vjp)
 
 ALL = wavelet_names()
 HAAR = get_wavelet("haar")
@@ -371,34 +371,47 @@ class TestTiledAdjoints:
         assert _rel(lhs, float((x * dwt2d_batch_vjp(*ys, spec, (h, w))).sum())) < 1e-12
 
 
-class TestLowOnlyVjp:
+def _low_pass_cases(spec):
+    """(taps, dense-operator builder) of the ll and subband-mean filters."""
+    mean = tuple((a + b) / 2 for a, b in zip(spec.analysis_low, spec.analysis_high))
+
+    def subband_mean(n):
+        op = _dense(spec, n)
+        return (op.L + op.H) / 2
+    return [(spec.analysis_low, lambda n: _dense(spec, n).L), (mean, subband_mean)]
+
+
+class TestLowPassPair:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("name", ALL)
-    def test_matches_full_vjp_with_zero_bands(self, name, dtype):
+    def test_matches_dense_operator(self, name, dtype):
         """Heights 2-39 against widths on both sides of the one-tile limit
         (33 and 70 samples take the tiled path, as do heights from 33)."""
         spec = get_wavelet(name)
         rng = np.random.default_rng(18)
-        for h in range(2, 40):
-            for w in (2, 9, 28, 2 * TILE + 1, 70):
-                g = rng.standard_normal((2, 3, h // 2, w // 2)).astype(dtype)
-                zero = np.zeros_like(g)
-                _close(dwt2d_batch_ll_vjp(g, spec, (h, w)),
-                       dwt2d_batch_vjp(g, zero, zero, zero, spec, (h, w)), dtype)
+        for taps, dense in _low_pass_cases(spec):
+            for h in range(2, 40):
+                for w in (2, 9, 28, 2 * TILE + 1, 70):
+                    x = rng.standard_normal((2, 3, h, w)).astype(dtype)
+                    g = rng.standard_normal((2, 3, h // 2, w // 2)).astype(dtype)
+                    fh, fw = dense(h), dense(w)
+                    _close(lowpass2d_batch(x, taps), fh @ x.astype(np.float64) @ fw.T, dtype)
+                    _close(lowpass2d_batch_vjp(g, taps, (h, w)),
+                           fh.T @ g.astype(np.float64) @ fw, dtype)
 
     @pytest.mark.parametrize("shape", [(8, 12)] + MULTI_TILE)
     @pytest.mark.parametrize("name", ["haar", "db4", "ch3.3"])
-    def test_is_the_adjoint_of_ll_analysis(self, name, shape):
-        spec = get_wavelet(name)
+    def test_is_an_adjoint_pair(self, name, shape):
         rng = np.random.default_rng(19)
-        x = rng.standard_normal((2, 2) + shape)
-        g = rng.standard_normal((2, 2, shape[0] // 2, shape[1] // 2))
-        lhs = float((dwt2d_batch_ll(x, spec) * g).sum())
-        assert _rel(lhs, float((x * dwt2d_batch_ll_vjp(g, spec, shape)).sum())) < 1e-12
+        for taps, _ in _low_pass_cases(get_wavelet(name)):
+            x = rng.standard_normal((2, 2) + shape)
+            g = rng.standard_normal((2, 2, shape[0] // 2, shape[1] // 2))
+            lhs = float((lowpass2d_batch(x, taps) * g).sum())
+            assert _rel(lhs, float((x * lowpass2d_batch_vjp(g, taps, shape)).sum())) < 1e-12
 
     def test_rejects_a_gradient_of_the_wrong_shape(self):
         with pytest.raises(ShapeMismatch):
-            dwt2d_batch_ll_vjp(np.zeros((2, 3, 4, 4)), HAAR, (8, 10))
+            lowpass2d_batch_vjp(np.zeros((2, 3, 4, 4)), HAAR.analysis_low, (8, 10))
 
 
 class TestResultLayout:
@@ -420,7 +433,8 @@ class TestResultLayout:
         bands = dwt2d_batch(nchw, spec)
         results += [*bands, idwt2d_batch(*bands, spec, shape),
                     dwt2d_batch_vjp(*bands, spec, shape),
-                    dwt2d_batch_ll_vjp(bands[0][:, :, ::-1], spec, shape)]
+                    lowpass2d_batch(nchw, spec.analysis_low),
+                    lowpass2d_batch_vjp(bands[0][:, :, ::-1], spec.analysis_low, shape)]
         for r in results:
             assert r.flags.c_contiguous
             assert not np.shares_memory(r, x) and not np.shares_memory(r, nchw)
