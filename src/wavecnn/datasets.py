@@ -16,10 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvalidConfig, ShapeMismatch
-from .fileio import read_pgm
-
-_IDX_IMAGES = 0x00000803
-_IDX_LABELS = 0x00000801
+from .fileio import Reader, read_pgm
 
 
 @dataclass(frozen=True)
@@ -43,25 +40,21 @@ class Dataset:
 
 def read_idx(path) -> np.ndarray:
     """Read a u8 IDX file (big-endian header) into an array of its stored rank."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if len(head) != 4 or head[0] or head[1]:
-            raise FormatError(f"{path}: not an IDX file")
-        code, rank = head[2], head[3]
-        if code != 0x08:
-            raise FormatError(f"{path}: unsupported IDX element code 0x{code:02x}")
-        dims = struct.unpack(f">{rank}I", fh.read(4 * rank))
-        count = int(np.prod(dims, dtype=np.int64))
-        payload = fh.read(count)
-        if len(payload) != count:
-            raise FormatError(f"{path}: truncated IDX payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims).copy()
+    r = Reader.from_file(path)
+    magic, rank = r.unpack(">3sB")
+    if magic != b"\x00\x00\x08":
+        raise FormatError(f"{path}: not a u8 IDX file (magic {magic.hex()})")
+    return r.array(np.uint8, r.unpack(f">{rank}I")).copy()
 
 
 def write_idx(path, array: np.ndarray) -> None:
-    arr = np.ascontiguousarray(array, dtype=np.uint8)
+    """Rank 1 or 3 array of values in 0..255 -> u8 IDX file."""
+    arr = np.asarray(array)
     if arr.ndim not in (1, 3):
         raise FormatError(f"IDX writer handles rank 1 or 3, got {arr.ndim}")
+    if not np.all((arr >= 0) & (arr <= 255)):
+        raise FormatError("IDX files hold u8 values; got values outside 0..255")
+    arr = np.ascontiguousarray(arr, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(struct.pack(">I", 0x800 | arr.ndim))
         fh.write(struct.pack(f">{arr.ndim}I", *arr.shape))
@@ -89,7 +82,7 @@ def save_dataset(dataset: Dataset, images_path, labels_path) -> None:
         raise ShapeMismatch("IDX export handles single-channel images only")
     pixels = np.clip(np.rint(dataset.images[:, 0] * 255.0), 0, 255).astype(np.uint8)
     write_idx(images_path, pixels)
-    write_idx(labels_path, dataset.labels.astype(np.uint8))
+    write_idx(labels_path, dataset.labels)
 
 
 def load_pgm_dir(directory, labels_csv) -> Dataset:

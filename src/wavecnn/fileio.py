@@ -1,4 +1,6 @@
-"""Dependency-free binary I/O: binary PGM images and a raw tensor format.
+"""Dependency-free binary I/O: :class:`Reader`, the one bounds-checked reader
+behind every binary format (IDX, PGM, WTN, WCN), binary PGM images and a raw
+tensor format.
 
 The tensor container ("WTN1") is four magic bytes, a u8 element-type tag
 (0 = float32, 1 = float64), a u8 rank, little-endian u64 dims, then the
@@ -8,11 +10,49 @@ other bit-exactly.
 
 from __future__ import annotations
 
+import math
+import re
 import struct
 
 import numpy as np
 
 from .errors import FormatError
+
+
+class Reader:
+    """Cursor over a file's bytes that checks every declared size against the
+    bytes left before allocating.  Slices are zero-copy ``memoryview``s."""
+
+    def __init__(self, data, name) -> None:
+        self.buf = memoryview(data)
+        self.pos = 0
+        self.name = name
+
+    @classmethod
+    def from_file(cls, path) -> "Reader":
+        with open(path, "rb") as fh:
+            return cls(fh.read(), path)
+
+    def take(self, n: int) -> memoryview:
+        """The next ``n`` bytes; ``FormatError`` if fewer remain."""
+        if self.pos + n > len(self.buf):
+            raise FormatError(f"{self.name}: truncated: {n} bytes declared at offset "
+                              f"{self.pos} of {len(self.buf)}")
+        self.pos += n
+        return self.buf[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype, shape) -> np.ndarray:
+        """Read-only view of the next array; its size is a Python int, so it
+        cannot wrap."""
+        data = self.take(math.prod(shape) * np.dtype(dtype).itemsize)
+        try:
+            return np.frombuffer(data, dtype=dtype).reshape(shape)
+        except ValueError as exc:  # a rank or a zero-size shape NumPy cannot hold
+            raise FormatError(f"{self.name}: unsupported array shape: {exc}") from exc
+
 
 TENSOR_MAGIC = b"WTN1"
 _TAG_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -32,67 +72,36 @@ def write_tensor(path, array: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if fh.read(4) != TENSOR_MAGIC:
-            raise FormatError(f"{path}: not a raw tensor file")
-        head = fh.read(2)
-        if len(head) != 2:
-            raise FormatError(f"{path}: truncated header")
-        tag, rank = struct.unpack("<BB", head)
-        if tag not in _TAG_TO_DTYPE:
-            raise FormatError(f"{path}: unknown element-type tag {tag}")
-        dims_blob = fh.read(8 * rank)
-        if len(dims_blob) != 8 * rank:
-            raise FormatError(f"{path}: truncated dims")
-        shape = struct.unpack(f"<{rank}Q", dims_blob) if rank else ()
-        dtype = _TAG_TO_DTYPE[tag]
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        payload = fh.read(count * dtype.itemsize)
-        if len(payload) != count * dtype.itemsize:
-            raise FormatError(f"{path}: truncated payload")
-        base = np.dtype(np.float32) if tag == 0 else np.dtype(np.float64)
-        return np.frombuffer(payload, dtype=dtype).reshape(shape).astype(base)
+    r = Reader.from_file(path)
+    magic, tag, rank = r.unpack("<4sBB")
+    if magic != TENSOR_MAGIC or tag not in _TAG_TO_DTYPE:
+        raise FormatError(f"{path}: not a raw tensor file (magic {magic!r}, type tag {tag})")
+    dtype = _TAG_TO_DTYPE[tag]
+    return r.array(dtype, r.unpack(f"<{rank}Q")).astype(dtype.newbyteorder("="))
 
 
-def _next_token(fh) -> bytes:
-    """One whitespace-delimited header token; '#' comments run to end of line."""
-    tok = b""
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            if tok:
-                return tok
-            raise FormatError("unexpected end of PGM header")
-        if ch == b"#":
-            while ch and ch != b"\n":
-                ch = fh.read(1)
-            continue
-        if ch.isspace():
-            if tok:
-                return tok
-            continue
-        tok += ch
+# A field is a token ended by one whitespace byte or the end of the file; a
+# '#' comment runs through its line end, even inside a token (netpbm allows
+# it).  No shorter token can end at whitespace, so the parse is unique.
+_PGM_COMMENT = rb"#[^\n]*\n"
+_PGM_FIELD = rb"(?:\s|%b)*([^\s#]+(?:%b[^\s#]*)*)(?:\s|\Z)" % (_PGM_COMMENT, _PGM_COMMENT)
+_PGM_HEADER = re.compile(rb"P5" + _PGM_FIELD * 3)
 
 
 def read_pgm(path) -> np.ndarray:
     """Binary PGM (P5, maxval <= 255) -> uint8 array of shape (rows, cols)."""
-    with open(path, "rb") as fh:
-        if fh.read(2) != b"P5":
-            raise FormatError(f"{path}: not a binary PGM (P5) file")
-        try:
-            width = int(_next_token(fh))
-            height = int(_next_token(fh))
-            maxval = int(_next_token(fh))
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed PGM header") from exc
-        if width < 1 or height < 1:
-            raise FormatError(f"{path}: bad PGM dimensions {width}x{height}")
-        if not 0 < maxval <= 255:
-            raise FormatError(f"{path}: unsupported PGM maxval {maxval}")
-        payload = fh.read(width * height)
-        if len(payload) != width * height:
-            raise FormatError(f"{path}: truncated PGM payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    r = Reader.from_file(path)
+    head = _PGM_HEADER.match(r.buf)
+    if head is None:
+        raise FormatError(f"{path}: not a binary PGM (P5) file, or its header is cut short")
+    try:
+        width, height, maxval = (int(re.sub(_PGM_COMMENT, b"", tok)) for tok in head.groups())
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed PGM header") from exc
+    if width < 1 or height < 1 or not 0 < maxval <= 255:
+        raise FormatError(f"{path}: unsupported PGM size {width}x{height} or maxval {maxval}")
+    r.pos = head.end()
+    return r.array(np.uint8, (height, width)).copy()
 
 
 def write_pgm(path, image: np.ndarray) -> None:

@@ -19,11 +19,13 @@ import hashlib
 import json
 import struct
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismatch
+from .fileio import Reader
 from .filterbank import get_wavelet
 from .layers import (AvgPool2, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2,
                      PadToEven, ReLU, SoftmaxCrossEntropy, WaveletDown)
@@ -91,7 +93,7 @@ def dense(n_in: int, n_out: int) -> LayerSpec:
     return LayerSpec(kind="dense", n_in=n_in, n_out=n_out)
 
 
-_SPEC_FIELDS = {f.name for f in dataclasses.fields(LayerSpec)}
+_SPEC_TYPES = typing.get_type_hints(LayerSpec)  # field name -> int, str or bool
 
 
 @dataclass(frozen=True)
@@ -125,17 +127,21 @@ class ModelConfig:
         for i, entry in enumerate(d["layers"]):
             if not isinstance(entry, dict):
                 raise InvalidConfig(f"layer {i}: expected an object, got {entry!r}")
-            bad = set(entry) - _SPEC_FIELDS
+            bad = set(entry) - set(_SPEC_TYPES)
             if bad:
                 raise InvalidConfig(f"layer {i}: unknown keys {sorted(bad)}")
             if "kind" not in entry:
                 raise InvalidConfig(f"layer {i}: missing 'kind'")
+            for name, value in entry.items():
+                if type(value) is not _SPEC_TYPES[name]:  # exact: True is no int
+                    raise InvalidConfig(f"layer {i}: {name} must be "
+                                        f"{_SPEC_TYPES[name].__name__}, got {value!r}")
             specs.append(LayerSpec(**entry))
-        return ModelConfig(
-            layers=tuple(specs),
-            seed=int(d.get("seed", 0)),
-            wavelet_rewrite=str(d.get("wavelet_rewrite", "")),
-        )
+        seed, rewrite = d.get("seed", 0), d.get("wavelet_rewrite", "")
+        if type(seed) is not int or type(rewrite) is not str:
+            raise InvalidConfig(f"seed must be an int and wavelet_rewrite a str, "
+                                f"got {seed!r} and {rewrite!r}")
+        return ModelConfig(layers=tuple(specs), seed=seed, wavelet_rewrite=rewrite)
 
 
 def _materialize(spec: LayerSpec):
@@ -570,23 +576,12 @@ def load_model(path) -> Model:
             raise FormatError(f"{path}: checkpoint digest mismatch (truncated or corrupt)")
     elif data[:4] != _LEGACY_MAGIC:
         raise InvalidConfig(f"{path}: not a model checkpoint")
-    pos = 4
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise FormatError(f"{path}: truncated checkpoint")
-        pos += n
-        return data[pos - n:pos]
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    tag, cfg_len = unpack("<BI")
+    r = Reader(data, path)
+    _, tag, cfg_len = r.unpack("<4sBI")
     if tag not in _DTYPE_TAGS:
         raise FormatError(f"{path}: unknown element-type tag {tag}")
     try:
-        cfg = json.loads(take(cfg_len).decode())
+        cfg = json.loads(str(r.take(cfg_len), "utf-8"))
     except ValueError as exc:  # also bad UTF-8
         raise FormatError(f"{path}: model config is not JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -596,22 +591,22 @@ def load_model(path) -> Model:
     state.update(model.named_buffers())
     item = "<f4" if tag == 0 else "<f8"
     loaded = set()
-    (count,) = unpack("<I")
+    (count,) = r.unpack("<I")
     for _ in range(count):
-        (name_len,) = unpack("<H")
-        name = take(name_len).decode(errors="replace")
-        (ndim,) = unpack("<B")
-        shape = unpack(f"<{ndim}Q")
-        (nbytes,) = unpack("<Q")
+        (name_len,) = r.unpack("<H")
+        name = str(r.take(name_len), "utf-8", "replace")
+        (ndim,) = r.unpack("<B")
+        shape = r.unpack(f"<{ndim}Q")
+        (nbytes,) = r.unpack("<Q")
         if name not in state or name in loaded:
             raise FormatError(f"{path}: unexpected or repeated state entry {name!r}")
         if shape != state[name].shape or nbytes != state[name].size * np.dtype(item).itemsize:
             raise FormatError(f"{path}: {name} holds shape {shape} in {nbytes} bytes, "
                               f"expected {state[name].shape}")
-        state[name][...] = np.frombuffer(take(nbytes), dtype=item).reshape(shape)
+        state[name][...] = r.array(item, shape)
         loaded.add(name)
     if loaded != set(state):
         raise FormatError(f"{path}: missing state entries {sorted(set(state) - loaded)}")
-    if pos != len(data):
-        raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
+    if r.pos != len(data):
+        raise FormatError(f"{path}: {len(data) - r.pos} trailing bytes")
     return model

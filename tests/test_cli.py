@@ -294,6 +294,34 @@ class TestEmptyDataset:
         assert "at least one image" in err
 
 
+class TestOversizedHeaders:
+    """A size declared in a header beyond the file's end is a FormatError (exit 2)."""
+
+    def _fails(self, capsys, command, *argv):
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 2 and out == ""
+        assert f"wavecnn {command}: error: FormatError:" in err
+
+    def test_train_images_idx(self, capsys, tmp_path, idx_pair):
+        imgs = tmp_path / "big.idx"
+        imgs.write_bytes(b"\x00\x00\x08\x03" + bytes.fromhex("ff000002 00000003 00000004")
+                         + bytes(24))
+        self._fails(capsys, "train", "--images", str(imgs), "--labels", idx_pair[1],
+                    "--out", str(tmp_path / "m.wcn"))
+
+    def test_transform_in_wtn(self, capsys, tmp_path):
+        src = tmp_path / "big.wtn"
+        src.write_bytes(b"WTN1\x01\x02" + (1 << 40).to_bytes(8, "little")
+                        + (1 << 20).to_bytes(8, "little") + bytes(64))
+        self._fails(capsys, "transform", "--wavelet", "haar", "--in", str(src),
+                    "--out-prefix", str(tmp_path / "b"))
+
+    def test_denoise_in_pgm(self, capsys, tmp_path):
+        src = tmp_path / "big.pgm"
+        src.write_bytes(b"P5\n99999999 99999999\n255\n" + bytes(64))
+        self._fails(capsys, "denoise", "--in", str(src), "--out", str(tmp_path / "o.pgm"))
+
+
 def test_eval_on_a_corrupt_checkpoint_exits_2(capsys, tmp_path, idx_pair):
     model = tmp_path / "m.wcn"
     save_model(build_model(mini_config("max_pool")), model)
@@ -352,6 +380,15 @@ class TestFlops:
                                "--input", "1x1x8x8")
         assert code == 0
         assert json.loads(out)["wavelet_subtotal"] > 0
+
+    def test_mistyped_layer_field_is_runtime_error(self, capsys, tmp_path):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"layers": [
+            {"kind": "conv", "kernel": "3", "c_in": 1, "c_out": 2}]}))
+        code, out, err = run_cli(capsys, "flops", "--config", str(cfg),
+                                 "--input", "1x1x8x8")
+        assert code == 2 and out == ""
+        assert "InvalidConfig" in err and "kernel" in err
 
 
 def test_console_script_is_installed():

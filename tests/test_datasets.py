@@ -45,6 +45,20 @@ class TestIdx:
             read_idx(path)
 
 
+class TestIdxValueRange:
+    def test_u8_bounds_round_trip(self, tmp_path):
+        write_idx(tmp_path / "l.idx", np.array([0, 255], dtype=np.int64))
+        assert list(read_idx(tmp_path / "l.idx")) == [0, 255]
+
+    @pytest.mark.parametrize("bad", [256, -1])
+    def test_out_of_range_values_rejected(self, tmp_path, bad):
+        with pytest.raises(FormatError):
+            write_idx(tmp_path / "l.idx", np.array([1, bad, 2]))
+        ds = Dataset(np.zeros((3, 1, 2, 2)), np.array([1, bad, 2]))
+        with pytest.raises(FormatError):
+            save_dataset(ds, tmp_path / "i.idx", tmp_path / "l.idx")
+
+
 class TestLoadDataset:
     def test_scales_to_unit_and_adds_channel(self, tmp_path):
         imgs = np.full((3, 4, 4), 255, dtype=np.uint8)

@@ -30,6 +30,26 @@ class TestModelConfig:
             nw.ModelConfig.from_dict(
                 {"layers": [{"kind": "relu", "slope": 0.1}]})
 
+    @pytest.mark.parametrize("mode,wavelet", [("max_pool", ""), ("avg_pool", ""),
+                                              ("strided_conv", ""), ("dwt_ll", "haar"),
+                                              ("dwt_avg", "db4"), ("dwt_cat", "ch3.3")])
+    def test_every_mini_config_round_trips(self, mode, wavelet):
+        cfg = dataclasses.replace(nw.mini_config(mode, wavelet, image_hw=(27, 27), seed=3),
+                                  wavelet_rewrite="db2")
+        assert nw.ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize("layer,top", [
+        ({"kernel": "3"}, {}), ({"kernel": True}, {}), ({"kernel": 3.0}, {}),
+        ({"c_out": None}, {}), ({"kind": 1}, {}),
+        ({"kind": "down", "mode": "dwt_ll", "wavelet": "haar", "pad_odd": 1}, {}),
+        ({"kind": "down", "mode": 5}, {}),
+        ({}, {"seed": [1]}), ({}, {"seed": True}), ({}, {"seed": "1"}),
+        ({}, {"wavelet_rewrite": 1})])
+    def test_field_types_are_checked(self, layer, top):
+        entry = dict({"kind": "conv", "kernel": 3, "c_in": 1, "c_out": 2}, **layer)
+        with pytest.raises(InvalidConfig):
+            nw.ModelConfig.from_dict(dict({"layers": [entry]}, **top))
+
     def test_loss_key_of_older_configs(self):
         d = nw.mini_config("dwt_ll", "haar", seed=2).to_dict()
         assert "loss" not in d
