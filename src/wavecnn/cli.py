@@ -13,7 +13,6 @@ f32.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import struct
 import sys
@@ -166,20 +165,14 @@ def _cmd_denoise(args) -> int:
     return 0
 
 
-_RUN_KEYS = {"arch", "mode", "wavelet", "wavelet_rewrite", "seed", "layers", "train"}
+_RUN_KEYS = {**network._MODEL_KEYS, "arch": str, "mode": str, "wavelet": str, "train": dict}
 
 
 def _load_run_config(path) -> dict:
     if not path:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise InvalidConfig(f"{path}: run config must be a JSON object")
-    unknown = set(cfg) - _RUN_KEYS
-    if unknown:
-        raise InvalidConfig(f"{path}: unknown run config keys: {sorted(unknown)}")
-    return cfg
+        return network._check_fields(json.load(fh), _RUN_KEYS, f"{path}: run config")
 
 
 def _pick(flag_value, cfg: dict, key: str, default):
@@ -189,22 +182,23 @@ def _pick(flag_value, cfg: dict, key: str, default):
 
 
 def _model_config_from(cfg: dict, args, dataset=None) -> network.ModelConfig:
-    seed = _pick(args.seed, cfg, "seed", 0)
-    rewrite = _pick(getattr(args, "rewrite", None), cfg, "wavelet_rewrite", "")
-    if "layers" in cfg:
-        return network.ModelConfig.from_dict({
-            "layers": cfg["layers"], "seed": seed, "wavelet_rewrite": rewrite})
-    arch = cfg.get("arch", "mini")
-    if arch != "mini":
-        raise InvalidConfig(f"unknown architecture {arch!r}")
-    mode = _pick(getattr(args, "mode", None), cfg, "mode", "max_pool")
-    wavelet = _pick(getattr(args, "wavelet", None), cfg, "wavelet", "")
-    kwargs = {}
-    if dataset is not None:
-        kwargs["image_hw"] = dataset.images.shape[-2:]
-        kwargs["classes"] = max(int(dataset.labels.max()) + 1, 2)
-    mc = network.mini_config(mode=mode, wavelet=wavelet, seed=seed, **kwargs)
-    return dataclasses.replace(mc, wavelet_rewrite=rewrite)
+    """The model a run config describes; flags win over the file."""
+    model = {key: cfg[key] for key in ("layers", "loss") if key in cfg}
+    model["seed"] = _pick(args.seed, cfg, "seed", 0)
+    model["wavelet_rewrite"] = _pick(getattr(args, "rewrite", None), cfg, "wavelet_rewrite", "")
+    if "layers" not in cfg:
+        arch = cfg.get("arch", "mini")
+        if arch != "mini":
+            raise InvalidConfig(f"unknown architecture {arch!r}")
+        mode = _pick(getattr(args, "mode", None), cfg, "mode", "max_pool")
+        wavelet = _pick(getattr(args, "wavelet", None), cfg, "wavelet", "")
+        kwargs = {}
+        if dataset is not None:
+            kwargs["image_hw"] = dataset.images.shape[-2:]
+            kwargs["classes"] = max(int(dataset.labels.max(initial=0)) + 1, 2)
+        mini = network.mini_config(mode=mode, wavelet=wavelet, **kwargs)
+        model["layers"] = [spec.to_dict() for spec in mini.layers]
+    return network.ModelConfig.from_dict(model)
 
 
 def _train_config_from(cfg: dict, args) -> network.TrainConfig:
@@ -245,17 +239,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
+    ref = None
+    if args.reference:  # read first, so a malformed file fails before the long measurement
+        with open(args.reference) as fh:
+            if str(args.reference).lower().endswith(".json"):
+                ref = robustness.ErrorMatrix.from_json_dict(json.load(fh))
+            else:
+                ref = robustness.ErrorMatrix.from_csv(fh.read())
     model = network.load_model(args.model)
     ds = datasets.load_dataset(args.images, args.labels)
     matrix = robustness.error_matrix(
         model, ds, seed=args.seed or 0, workers=args.threads)
-    if args.reference:
-        if str(args.reference).lower().endswith(".json"):
-            with open(args.reference) as fh:
-                ref = robustness.ErrorMatrix.from_json_dict(json.load(fh))
-        else:
-            with open(args.reference) as fh:
-                ref = robustness.ErrorMatrix.from_csv(fh.read())
+    if ref is not None:
         report = robustness.robustness_report(matrix, ref)
         csv_text, json_text = report.to_csv(), report.to_json()
     else:
@@ -283,18 +278,7 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise InvalidConfig(f"{args.config}: model config must be a JSON object")
-    if "layers" in cfg and "arch" not in cfg:
-        model_cfg = network.ModelConfig.from_dict(cfg)
-    else:
-        unknown = set(cfg) - _RUN_KEYS
-        if unknown:
-            raise InvalidConfig(f"{args.config}: unknown keys: {sorted(unknown)}")
-        model_cfg = _model_config_from(cfg, args)
-    model = network.build_model(model_cfg)
+    model = network.build_model(_model_config_from(_load_run_config(args.config), args))
     report = complexity.model_madds(model, args.input)
     if args.format == "csv":
         _emit(report.to_csv(), args.out)

@@ -53,18 +53,7 @@ class LayerSpec:
     n_out: int = 0
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        keep = {
-            "conv": ("kernel", "c_in", "c_out", "stride"),
-            "batchnorm": ("channels",),
-            "relu": (),
-            "down": ("mode", "wavelet", "pad_odd", "c_in", "c_out"),
-            "flatten": (),
-            "dense": ("n_in", "n_out"),
-        }.get(self.kind, ())
-        for name in keep:
-            d[name] = getattr(self, name)
-        return d
+        return {name: getattr(self, name) for name in _LAYER_KEYS.get(self.kind, ("kind",))}
 
 
 def conv(kernel: int, c_in: int, c_out: int, stride: int = 1) -> LayerSpec:
@@ -93,7 +82,46 @@ def dense(n_in: int, n_out: int) -> LayerSpec:
     return LayerSpec(kind="dense", n_in=n_in, n_out=n_out)
 
 
-_SPEC_TYPES = typing.get_type_hints(LayerSpec)  # field name -> int, str or bool
+def _check_fields(d, table: dict, label: str) -> dict:
+    """Return ``d`` if it is a dict whose every key is in ``table`` and holds
+    a value of the listed type; raise InvalidConfig otherwise.
+
+    ``int``, ``bool`` and ``str`` match exactly, so ``True`` is no int; a
+    ``float`` also takes an int, but not a bool.
+    """
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"{label}: expected a JSON object, got {d!r}")
+    for key, value in d.items():
+        if key not in table:
+            raise InvalidConfig(f"{label}: unknown key {key!r}, expected one of {list(table)}")
+        want = table[key]
+        if type(value) is not want and not (want is float and type(value) is int):
+            raise InvalidConfig(f"{label}: {key} must be {want.__name__}, got {value!r}")
+    return d
+
+
+# The fields a config entry of each layer kind holds; the others keep their defaults.
+_LAYER_KEYS = {
+    "conv": ("kind", "kernel", "c_in", "c_out", "stride"),
+    "batchnorm": ("kind", "channels"),
+    "relu": ("kind",),
+    "down": ("kind", "mode", "wavelet", "pad_odd", "c_in", "c_out"),
+    "flatten": ("kind",),
+    "dense": ("kind", "n_in", "n_out"),
+}
+
+# ``loss`` is only in older configs and checkpoints, and must name softmax_ce.
+_MODEL_KEYS = {"layers": list, "seed": int, "wavelet_rewrite": str, "loss": str}
+
+
+def _layer_spec(i: int, entry) -> LayerSpec:
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    if type(kind) is not str or kind not in _LAYER_KEYS:
+        raise InvalidConfig(f"layer {i}: expected an object whose 'kind' is one of "
+                            f"{list(_LAYER_KEYS)}, got {entry!r}")
+    types = typing.get_type_hints(LayerSpec)
+    table = {name: types[name] for name in _LAYER_KEYS[kind]}
+    return LayerSpec(**_check_fields(entry, table, f"layer {i} ({kind})"))
 
 
 @dataclass(frozen=True)
@@ -114,34 +142,15 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        """Inverse of :meth:`to_dict`.  A ``"loss"`` key, which older configs
-        and checkpoints carry, must name ``"softmax_ce"``."""
-        unknown = set(d) - {"layers", "seed", "loss", "wavelet_rewrite"}
-        if unknown:
-            raise InvalidConfig(f"unknown model config keys: {sorted(unknown)}")
+        """Inverse of :meth:`to_dict`; also takes the ``"loss"`` key of
+        older configs and checkpoints."""
+        _check_fields(d, _MODEL_KEYS, "model config")
         if d.get("loss", "softmax_ce") != "softmax_ce":
             raise InvalidConfig(f"unsupported loss {d['loss']!r}")
-        if not isinstance(d.get("layers"), (list, tuple)):
+        if "layers" not in d:
             raise InvalidConfig("model config needs a 'layers' list")
-        specs = []
-        for i, entry in enumerate(d["layers"]):
-            if not isinstance(entry, dict):
-                raise InvalidConfig(f"layer {i}: expected an object, got {entry!r}")
-            bad = set(entry) - set(_SPEC_TYPES)
-            if bad:
-                raise InvalidConfig(f"layer {i}: unknown keys {sorted(bad)}")
-            if "kind" not in entry:
-                raise InvalidConfig(f"layer {i}: missing 'kind'")
-            for name, value in entry.items():
-                if type(value) is not _SPEC_TYPES[name]:  # exact: True is no int
-                    raise InvalidConfig(f"layer {i}: {name} must be "
-                                        f"{_SPEC_TYPES[name].__name__}, got {value!r}")
-            specs.append(LayerSpec(**entry))
-        seed, rewrite = d.get("seed", 0), d.get("wavelet_rewrite", "")
-        if type(seed) is not int or type(rewrite) is not str:
-            raise InvalidConfig(f"seed must be an int and wavelet_rewrite a str, "
-                                f"got {seed!r} and {rewrite!r}")
-        return ModelConfig(layers=tuple(specs), seed=seed, wavelet_rewrite=rewrite)
+        return ModelConfig(layers=tuple(_layer_spec(i, e) for i, e in enumerate(d["layers"])),
+                           seed=d.get("seed", 0), wavelet_rewrite=d.get("wavelet_rewrite", ""))
 
 
 def _materialize(spec: LayerSpec):
@@ -337,13 +346,16 @@ class TrainConfig:
     batch: int = 64
     epochs: int = 10
 
+    def __post_init__(self):
+        if self.batch < 1:
+            raise InvalidConfig(f"training batch must be >= 1, got {self.batch}")
+
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(TrainConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidConfig(f"unknown training config keys: {sorted(unknown)}")
-        return TrainConfig(**d)
+        return TrainConfig(**_check_fields(d, _TRAIN_KEYS, "training config"))
+
+
+_TRAIN_KEYS = typing.get_type_hints(TrainConfig)
 
 
 @dataclass(frozen=True)

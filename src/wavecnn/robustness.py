@@ -1,7 +1,7 @@
 """Noise corruptions and robustness metrics for classifiers.
 
 Three pixel-noise corruptions (gaussian, shot, impulse) are generated here at
-five severities; the severity parameter tables are explicit configuration.
+five severities, whose parameters are fixed in ``DEFAULT_SEVERITY``.
 Corruption Error normalizes a model's error rates by a reference model's, and
 category means aggregate CEs (blur/weather/digital categories accept
 externally computed CE rows, since only noise generators live in-package).
@@ -26,7 +26,7 @@ SHOT = "shot"
 IMPULSE = "impulse"
 NOISE_CORRUPTIONS = (GAUSSIAN, SHOT, IMPULSE)
 
-# severity index 1..5 -> parameter; override by passing a table of this shape
+# severity index 1..5 -> parameter
 DEFAULT_SEVERITY = {
     GAUSSIAN: (0.08, 0.12, 0.18, 0.26, 0.38),  # additive sigma
     SHOT: (60.0, 25.0, 12.0, 5.0, 3.0),        # photon count scale
@@ -41,26 +41,21 @@ CATEGORY_MEMBERS = {
 }
 
 
-def _severity_param(kind: str, severity: int, table) -> float:
-    table = DEFAULT_SEVERITY if table is None else table
-    if kind not in table:
+def _severity_param(kind: str, severity: int) -> float:
+    if kind not in DEFAULT_SEVERITY:
         raise InvalidConfig(f"unknown corruption kind {kind!r}")
-    levels = table[kind]
-    if len(levels) != 5:
-        raise InvalidConfig(f"severity table for {kind!r} must have 5 entries")
     if not isinstance(severity, (int, np.integer)) or not 1 <= severity <= 5:
         raise BadSeverity(f"severity must be an integer in 1..5, got {severity!r}")
-    return float(levels[severity - 1])
+    return float(DEFAULT_SEVERITY[kind][severity - 1])
 
 
-def corrupt(image: np.ndarray, kind: str, severity: int, rng_seed=0,
-            table=None) -> np.ndarray:
+def corrupt(image: np.ndarray, kind: str, severity: int, rng_seed=0) -> np.ndarray:
     """Apply one noise corruption to a unit-scale image; output stays in [0,1].
 
     ``rng_seed`` is any ``np.random.default_rng`` seed, so callers can derive
     independent per-image streams.
     """
-    param = _severity_param(kind, severity, table)
+    param = _severity_param(kind, severity)
     x = np.asarray(image, dtype=np.float64)
     # written so that NaN, which fails every comparison, fails the check too
     if x.size and not (x.min() >= -1e-9 and x.max() <= 1 + 1e-9):
@@ -69,8 +64,6 @@ def corrupt(image: np.ndarray, kind: str, severity: int, rng_seed=0,
     if kind == GAUSSIAN:
         out = x + rng.normal(0.0, param, size=x.shape)
     elif kind == SHOT:
-        if param <= 0:
-            raise InvalidConfig("shot-noise count scale must be positive")
         out = rng.poisson(x * param).astype(np.float64) / param
     else:  # impulse
         replaced = rng.random(x.shape) < param
@@ -79,8 +72,7 @@ def corrupt(image: np.ndarray, kind: str, severity: int, rng_seed=0,
     return np.clip(out, 0.0, 1.0)
 
 
-def corrupt_dataset(dataset, kind: str, severity: int, seed: int = 0,
-                    table=None, workers: int = 1):
+def corrupt_dataset(dataset, kind: str, severity: int, seed: int = 0, workers: int = 1):
     """Corrupt every image with an independent (seed, index) stream.
 
     Worker count only affects wall-clock time; per-image streams make the
@@ -88,12 +80,11 @@ def corrupt_dataset(dataset, kind: str, severity: int, seed: int = 0,
     """
     from .datasets import Dataset
 
-    _severity_param(kind, severity, table)  # validate before any work
+    _severity_param(kind, severity)  # validate before any work
     n = len(dataset)
 
     def one(i):
-        return corrupt(dataset.images[i], kind, severity,
-                       rng_seed=[seed, i], table=table)
+        return corrupt(dataset.images[i], kind, severity, rng_seed=[seed, i])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -120,7 +111,8 @@ class ErrorMatrix:
         if e.shape != (len(self.corruptions), 5):
             raise ShapeMismatch(
                 f"need a {len(self.corruptions)}x5 grid, got shape {e.shape}")
-        if e.size and (e.min() < 0 or e.max() > 1):
+        # written so that NaN, which fails every comparison, fails the check too
+        if e.size and not (e.min() >= 0 and e.max() <= 1):
             raise InvalidConfig("error rates must lie in [0, 1]")
         object.__setattr__(self, "errors", e)
 
@@ -156,7 +148,7 @@ class ErrorMatrix:
             if len(cells) != 6:
                 raise InvalidConfig(f"bad error-matrix row: {line!r}")
             names.append(cells[0])
-            rows.append([float(v) for v in cells[1:]])
+            rows.append(_rates(cells[0], cells[1:]))
         return ErrorMatrix(model_id, tuple(names), np.asarray(rows).reshape(-1, 5))
 
     def to_json_dict(self) -> dict:
@@ -168,13 +160,25 @@ class ErrorMatrix:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ErrorMatrix":
+        if not isinstance(d, dict) or not isinstance(d.get("errors"), dict):
+            raise InvalidConfig("error-matrix JSON needs an 'errors' object")
         names = tuple(d["errors"])
-        grid = np.asarray([d["errors"][k] for k in names], dtype=np.float64)
+        grid = np.asarray([_rates(k, d["errors"][k]) for k in names], dtype=np.float64)
         return ErrorMatrix(str(d.get("model", "")), names, grid.reshape(-1, 5))
 
 
+def _rates(name: str, values) -> list:
+    """The five error rates of one matrix row as floats, else InvalidConfig."""
+    try:
+        if len(values) == 5 and not any(type(v) is bool for v in values):
+            return [float(v) for v in values]
+    except (TypeError, ValueError):
+        pass
+    raise InvalidConfig(f"error-matrix row {name!r} needs five numbers, got {values!r}")
+
+
 def error_matrix(model, dataset, kinds=NOISE_CORRUPTIONS, seed: int = 0,
-                 table=None, workers: int = 1, model_id: str = "") -> ErrorMatrix:
+                 workers: int = 1, model_id: str = "") -> ErrorMatrix:
     """Measure a model's corrupted top-1 error over all kinds and severities.
 
     Raises InvalidConfig (from ``evaluate``) on a dataset without images.
@@ -184,8 +188,7 @@ def error_matrix(model, dataset, kinds=NOISE_CORRUPTIONS, seed: int = 0,
     grid = np.empty((len(kinds), 5))
     for i, kind in enumerate(kinds):
         for severity in range(1, 6):
-            corrupted = corrupt_dataset(dataset, kind, severity, seed=seed,
-                                        table=table, workers=workers)
+            corrupted = corrupt_dataset(dataset, kind, severity, seed=seed, workers=workers)
             grid[i, severity - 1] = evaluate(model, corrupted)
     ident = model_id or getattr(model, "checksum", lambda: "model")()[:12]
     return ErrorMatrix(ident, tuple(kinds), grid)

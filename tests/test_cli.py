@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavecnn.cli import main
+from wavecnn.cli import _RUN_KEYS, main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
-from wavecnn.network import build_model, mini_config, save_model
+from wavecnn.network import _TRAIN_KEYS, build_model, mini_config, save_model
 from wavecnn.fileio import read_pgm, read_tensor, write_pgm, write_tensor
 
 
@@ -389,6 +390,128 @@ class TestFlops:
                                  "--input", "1x1x8x8")
         assert code == 2 and out == ""
         assert "InvalidConfig" in err and "kernel" in err
+
+    @pytest.mark.parametrize("loss", [None, "softmax_ce"])
+    @pytest.mark.parametrize("mode,wavelet", FLOPS_MODES)
+    def test_saved_model_config_is_a_run_config(self, capsys, tmp_path, mode, wavelet, loss):
+        saved = mini_config(mode, wavelet).to_dict()
+        if loss:
+            saved["loss"] = loss
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(saved))
+        code, out, _ = run_cli(capsys, "flops", "--config", str(cfg),
+                               "--input", "1x1x28x28", "--format", "csv")
+        assert code == 0
+        assert out == (GOLDEN / f"{mode}.csv").read_text()
+
+    def test_rewrite_flag_wins_over_a_saved_model_config(self, capsys, tmp_path):
+        saved, named = tmp_path / "saved.json", tmp_path / "named.json"
+        saved.write_text(json.dumps(mini_config("strided_conv").to_dict()))
+        named.write_text(json.dumps({"mode": "strided_conv"}))
+        outs = []
+        for cfg in (saved, named):
+            code, out, _ = run_cli(capsys, "flops", "--config", str(cfg), "--rewrite", "haar",
+                                   "--input", "1x1x28x28", "--format", "csv")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0] != (GOLDEN / "strided_conv.csv").read_text()
+
+
+# Malformed run configs.  Fields inside "train" are read by ``train`` alone:
+# ``flops`` checks no more of that section than that it is an object.
+BOTH, TRAIN_ONLY = ("train", "flops"), ("train",)
+BAD_RUN_CONFIGS = [
+    ({"mode": "max_pool", "seed": "3"}, BOTH),
+    ({"mode": "max_pool", "train": 3}, BOTH),
+    ({"mode": "max_pool", "train": "ab"}, BOTH),
+    ({"mode": "max_pool", "train": {"epochs": "1"}}, TRAIN_ONLY),
+    ({"mode": "max_pool", "train": {"lr": "0.1"}}, TRAIN_ONLY),
+    ({"mode": "max_pool", "train": {"batch": True}}, TRAIN_ONLY),
+    ({"layers": [{"kind": "relu", "kernel": 5}]}, BOTH),
+    ({"layers": [{"kind": "down", "mode": "max_pool", "stride": 2}]}, BOTH),
+    ({"mode": "max_pool", "train": {"batch": 0}}, TRAIN_ONLY),
+    ({"mode": "max_pool", "train": {"optimiser": "sgd"}}, TRAIN_ONLY),
+    ([{"mode": "max_pool"}], BOTH),
+    ({"mode": 3}, BOTH),
+    ({"mode": "max_pool", "wavelet_rewrite": None}, BOTH),
+    ({"mode": "max_pool", "loss": "mse"}, BOTH),
+    ({"arch": "resnet"}, BOTH),
+    ({"layers": {"kind": "relu"}}, BOTH),
+    ({"layers": [{"kind": "pool"}]}, BOTH),
+    ({"layers": [{"kind": "conv", "kernel": 3, "c_in": 1, "c_out": 2}], "seed": 1.5}, BOTH),
+]
+
+
+@pytest.mark.parametrize("cfg,command", [(cfg, command) for cfg, commands in BAD_RUN_CONFIGS
+                                         for command in commands])
+def test_malformed_run_config_exits_2(capsys, tmp_path, idx_pair, cfg, command):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    data = (["--images", idx_pair[0], "--labels", idx_pair[1]] if command == "train"
+            else ["--input", "1x1x28x28"])
+    code, out, err = run_cli(capsys, command, "--config", str(path), *data)
+    assert code == 2 and out == ""
+    assert f"wavecnn {command}: error: InvalidConfig:" in err
+
+
+def test_batch_flag_below_one_exits_2(capsys, idx_pair):
+    code, out, err = run_cli(capsys, "train", "--images", idx_pair[0],
+                             "--labels", idx_pair[1], "--batch", "0")
+    assert code == 2 and out == ""
+    assert "InvalidConfig" in err and "batch" in err
+
+
+@pytest.mark.parametrize("name,text", [
+    ("ref.json", "[]"), ("ref.json", '{"model": "x"}'),
+    ("ref.json", '{"errors": {"gaussian": 3}}'),
+    ("ref.json", '{"errors": {"gaussian": [0.1, 0.2, "x", 0.3, 0.4]}}'),
+    ("ref.csv", "gaussian,0.1,0.2,x,0.3,0.4\n")])
+def test_malformed_reference_matrix_exits_2(capsys, tmp_path, idx_pair, name, text):
+    model, ref = tmp_path / "m.wcn", tmp_path / name
+    save_model(build_model(mini_config("max_pool")), model)
+    ref.write_text(text)
+    code, out, err = run_cli(capsys, "robustness", "--model", str(model),
+                             "--images", idx_pair[0], "--labels", idx_pair[1],
+                             "--reference", str(ref))
+    assert code == 2 and out == ""
+    assert "wavecnn robustness: error: InvalidConfig:" in err
+
+
+def test_train_on_an_empty_idx_pair_exits_2(capsys, tmp_path):
+    imgs, labs = tmp_path / "e.images.idx", tmp_path / "e.labels.idx"
+    save_dataset(Dataset(np.zeros((0, 1, 28, 28)), np.zeros(0, dtype=np.int64)), imgs, labs)
+    code, out, err = run_cli(capsys, "train", "--images", str(imgs), "--labels", str(labs))
+    assert code == 2 and out == ""
+    assert "wavecnn train: error: InvalidConfig: empty training dataset" in err
+
+
+def test_train_accepts_a_saved_model_config(capsys, tmp_path, idx_pair):
+    """``train --config`` on a saved model config, with and without the
+    legacy loss key, trains the model that ``--mode`` names."""
+    imgs, labs = idx_pair
+    reports = []
+    for i, extra in enumerate(({}, {"loss": "softmax_ce"}, None)):
+        argv = ["--mode", "avg_pool", "--seed", "4"]
+        if extra is not None:
+            cfg = tmp_path / f"model{i}.json"
+            cfg.write_text(json.dumps(dict(mini_config("avg_pool", seed=4).to_dict(), **extra)))
+            argv = ["--config", str(cfg)]
+        report = tmp_path / f"r{i}.csv"
+        code, _, _ = run_cli(capsys, "train", *argv, "--images", imgs, "--labels", labs,
+                             "--epochs", "1", "--batch", "50", "--report", str(report))
+        assert code == 0
+        reports.append(report.read_text())
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_readme_run_config_table_matches_the_loader():
+    """The README's table of run-config keys and types is the loader's."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w.]+)` \| (\w+) \|", readme, flags=re.MULTILINE)
+    want = {key: t.__name__ for key, t in _RUN_KEYS.items()}
+    want.update((f"train.{key}", t.__name__) for key, t in _TRAIN_KEYS.items())
+    assert dict(rows) == want
 
 
 def test_console_script_is_installed():

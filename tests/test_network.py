@@ -62,6 +62,54 @@ class TestModelConfig:
         with pytest.raises(InvalidConfig):
             nw.ModelConfig.from_dict({"seed": 1})
 
+    def test_every_layer_kind_round_trips(self):
+        specs = (nw.conv(5, 2, 3, stride=2), nw.batchnorm(3), nw.relu(),
+                 nw.downsample("dwt_cat", "db2", pad_odd=True, c_in=3, c_out=4),
+                 nw.flatten(), nw.dense(7, 2))
+        assert [s.kind for s in specs] == list(nw._LAYER_KEYS)
+        cfg = nw.ModelConfig(layers=specs, seed=9, wavelet_rewrite="haar")
+        assert nw.ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize("entry", [
+        {"kind": "relu", "kernel": 5}, {"kind": "down", "mode": "max_pool", "stride": 2},
+        {"kind": "flatten", "n_out": 3}, {"kind": "batchnorm", "channels": 2, "c_in": 2},
+        {"kind": "pool"}, {"kernel": 3}, {"kind": ["relu"]}, "relu", None])
+    def test_fields_outside_the_kind_are_rejected(self, entry):
+        with pytest.raises(InvalidConfig, match="layer 0"):
+            nw.ModelConfig.from_dict({"layers": [entry]})
+
+    @pytest.mark.parametrize("d", [[], "layers", None, {"layers": "conv"},
+                                   {"layers": [], "loss": 1}])
+    def test_top_level_must_be_a_typed_object(self, d):
+        with pytest.raises(InvalidConfig):
+            nw.ModelConfig.from_dict(d)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("fields", [
+        {"epochs": "1"}, {"epochs": 1.0}, {"epochs": True}, {"batch": True},
+        {"batch": None}, {"batch": "8"}, {"lr": "0.1"}, {"lr": True}, {"lr": None},
+        {"momentum": [0.9]}, {"weight_decay": False}, {"optimizer": "adam"}])
+    def test_field_types_are_checked(self, fields):
+        with pytest.raises(InvalidConfig):
+            nw.TrainConfig.from_dict(fields)
+
+    @pytest.mark.parametrize("d", [[], "lr", 3, None])
+    def test_must_be_an_object(self, d):
+        with pytest.raises(InvalidConfig):
+            nw.TrainConfig.from_dict(d)
+
+    def test_an_int_is_a_float(self):
+        assert nw.TrainConfig.from_dict({"lr": 1, "momentum": 0}) == \
+            nw.TrainConfig(lr=1.0, momentum=0.0)
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_batch_below_one_rejected(self, batch):
+        with pytest.raises(InvalidConfig, match="batch"):
+            nw.TrainConfig(batch=batch)
+        with pytest.raises(InvalidConfig, match="batch"):
+            nw.TrainConfig.from_dict({"batch": batch})
+
 
 class TestBuildModel:
     def test_same_seed_same_params(self):

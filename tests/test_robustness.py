@@ -15,16 +15,16 @@ from wavecnn.robustness import _agreement, _draw_trials
 
 
 class TestCorrupt:
-    def test_zero_sigma_is_identity(self):
-        table = {"gaussian": (0.0,) * 5}
+    def test_zero_sigma_is_identity(self, monkeypatch):
+        monkeypatch.setitem(DEFAULT_SEVERITY, "gaussian", (0.0,) * 5)
         img = np.random.default_rng(0).random((16, 16))
-        out = corrupt(img, "gaussian", 3, rng_seed=1, table=table)
+        out = corrupt(img, "gaussian", 3, rng_seed=1)
         assert np.array_equal(out, img)
 
-    def test_full_impulse_is_salt_and_pepper_everywhere(self):
-        table = {"impulse": (1.0,) * 5}
+    def test_full_impulse_is_salt_and_pepper_everywhere(self, monkeypatch):
+        monkeypatch.setitem(DEFAULT_SEVERITY, "impulse", (1.0,) * 5)
         img = np.full((32, 32), 0.5)
-        out = corrupt(img, "impulse", 1, rng_seed=2, table=table)
+        out = corrupt(img, "impulse", 1, rng_seed=2)
         assert np.all((out == 0.0) | (out == 1.0))
         assert 0.2 < out.mean() < 0.8  # both salt and pepper appear
 
@@ -185,6 +185,23 @@ class TestErrorMatrix:
         assert np.array_equal(m.row("shot"), m.errors[1])
         with pytest.raises(MissingCorruption):
             m.row("fog")
+
+    @pytest.mark.parametrize("doc", [
+        [], "errors", None, {"model": "x"}, {"errors": [0.1] * 5},
+        {"errors": {"gaussian": 3}}, {"errors": {"gaussian": [0.1] * 4}},
+        {"errors": {"gaussian": [0.1] * 6}}, {"errors": {"gaussian": ["a"] * 5}},
+        {"errors": {"gaussian": "0.1,0.2"}}, {"errors": {"gaussian": [0.1, None, 0.1, 0.1, 0.1]}},
+        {"errors": {"gaussian": [True] * 5}}, {"errors": {"gaussian": [[0.1]] * 5}},
+        {"errors": {"gaussian": [0.1, float("nan"), 0.1, 0.1, 0.1]}}])
+    def test_malformed_json_rejected(self, doc):
+        with pytest.raises(InvalidConfig):
+            ErrorMatrix.from_json_dict(doc)
+
+    @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf", "-0.1", "0x1"])
+    def test_malformed_csv_cell_rejected(self, cell):
+        text = f"corruption,s1,s2,s3,s4,s5\ngaussian,0.1,0.2,{cell},0.3,0.4\n"
+        with pytest.raises(InvalidConfig):
+            ErrorMatrix.from_csv(text)
 
 
 class TestRobustnessReport:
