@@ -47,15 +47,15 @@ def _shape2(text: str):
         raise argparse.ArgumentTypeError(f"expected HxW with positive ints, got {text!r}")
 
 
-def _shape_n(text: str):
+def _shape_nchw(text: str):
     try:
         dims = tuple(int(p) for p in text.lower().split("x"))
-        if not dims or any(d < 1 for d in dims):
+        if len(dims) not in (3, 4) or any(d < 1 for d in dims):
             raise ValueError
         return dims
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected dims like 1x1x28x28, got {text!r}")
+            f"expected CxHxW or NxCxHxW with positive ints, got {text!r}")
 
 
 def _sniff(path) -> str:
@@ -181,8 +181,9 @@ def _pick(flag_value, cfg: dict, key: str, default):
     return cfg.get(key, default)
 
 
-def _model_config_from(cfg: dict, args, dataset=None) -> network.ModelConfig:
-    """The model a run config describes; flags win over the file."""
+def _model_config_from(cfg: dict, args, in_shape, classes: int = 10) -> network.ModelConfig:
+    """The model a run config describes for (C, H, W) inputs; flags win over
+    the file.  An explicit ``"layers"`` list is taken as it is."""
     model = {key: cfg[key] for key in ("layers", "loss") if key in cfg}
     model["seed"] = _pick(args.seed, cfg, "seed", 0)
     model["wavelet_rewrite"] = _pick(getattr(args, "rewrite", None), cfg, "wavelet_rewrite", "")
@@ -192,11 +193,9 @@ def _model_config_from(cfg: dict, args, dataset=None) -> network.ModelConfig:
             raise InvalidConfig(f"unknown architecture {arch!r}")
         mode = _pick(getattr(args, "mode", None), cfg, "mode", "max_pool")
         wavelet = _pick(getattr(args, "wavelet", None), cfg, "wavelet", "")
-        kwargs = {}
-        if dataset is not None:
-            kwargs["image_hw"] = dataset.images.shape[-2:]
-            kwargs["classes"] = max(int(dataset.labels.max(initial=0)) + 1, 2)
-        mini = network.mini_config(mode=mode, wavelet=wavelet, **kwargs)
+        c, h, w = in_shape
+        mini = network.mini_config(mode=mode, wavelet=wavelet, in_channels=c,
+                                   image_hw=(h, w), classes=classes)
         model["layers"] = [spec.to_dict() for spec in mini.layers]
     return network.ModelConfig.from_dict(model)
 
@@ -219,7 +218,8 @@ def _cmd_train(args) -> int:
         if not (args.val_images and args.val_labels):
             args.parser.error("--val-images and --val-labels go together")
         val = datasets.load_dataset(args.val_images, args.val_labels)
-    model_cfg = _model_config_from(cfg, args, dataset=ds)
+    model_cfg = _model_config_from(cfg, args, ds.images.shape[1:],
+                                   classes=max(int(ds.labels.max(initial=0)) + 1, 2))
     hyper = _train_config_from(cfg, args)
     model = network.build_model(model_cfg, dtype=_np_precision(args.precision or "f32"))
     report = network.train(model, ds, hyper, val=val)
@@ -278,7 +278,8 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    model = network.build_model(_model_config_from(_load_run_config(args.config), args))
+    model = network.build_model(
+        _model_config_from(_load_run_config(args.config), args, args.input[-3:]))
     report = complexity.model_madds(model, args.input)
     if args.format == "csv":
         _emit(report.to_csv(), args.out)
@@ -394,7 +395,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("flops", parents=[common],
                        help="multiply-add report for a model config")
     p.add_argument("--config", required=True, help="model or run config JSON")
-    p.add_argument("--input", type=_shape_n, required=True, metavar="NxCxHxW")
+    p.add_argument("--input", type=_shape_nchw, required=True, metavar="NxCxHxW",
+                   help="input shape; a mini-arch run config is built for it")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--mode", choices=network.DOWNSAMPLE_MODES)
     p.add_argument("--wavelet", choices=names)

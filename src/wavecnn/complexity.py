@@ -1,12 +1,15 @@
-"""Multiply-add accounting for the 2D transforms and whole models.
+"""Multiply-add accounting for the 2D transforms, each layer and whole models.
 
-The transform counts follow the dense truncated-matrix reading: each subband
-is a chained product of a ``m/2 x m`` operator, the image, and a ``n x n/2``
-transposed operator, evaluated left to right, counting every scalar multiply
-and add.  Conv and dense layers use the usual fused kernel-size times
-output-size convention.  Reports also expose two alternative readings of the
-wavelet cost (ll-subband-only quarter count, and a banded count of the filter
-taps alone) so the headline convention is auditable.
+Every count lives here; the layers only state their shapes
+(``Layer.output_shape``).  The transform counts follow the dense
+truncated-matrix reading: each subband is a chained product of a ``m/2 x m``
+operator, the image, and a ``n x n/2`` transposed operator, evaluated left to
+right, counting every scalar multiply and add.  :func:`layer_madds` counts a
+wavelet down-sampler at that full 2D-analysis cost, conv and dense layers by
+the usual fused kernel-size times output-size convention, and every other
+layer at 0.  Reports also expose two alternative readings of the wavelet cost
+(ll-subband-only quarter count, and a banded count of the filter taps alone)
+so the headline convention is auditable.
 
 These are counting conventions, not a trace of the executed arithmetic.
 :mod:`wavecnn.transform` evaluates a side of at most 32 samples (one tile;
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, NonPositive, ShapeMismatch, OddSpatial
+from .layers import Conv2d, Dense, WaveletDown
 
 
 def _check_dims(m: int, n: int, c: int):
@@ -55,6 +59,21 @@ def dwt2d_banded_madds(m: int, n: int, c: int, taps: int) -> int:
     return c * (row + col)
 
 
+def layer_madds(layer, in_shape) -> int:
+    """Multiply-adds of ``layer`` on one input of ``in_shape``, a shape its
+    ``output_shape`` accepts (which raises on any other)."""
+    out_shape = layer.output_shape(in_shape)
+    if isinstance(layer, Conv2d):
+        _, ho, wo = out_shape
+        return layer.kernel * layer.kernel * layer.c_in * layer.c_out * ho * wo
+    if isinstance(layer, Dense):
+        return layer.n_in * layer.n_out
+    if isinstance(layer, WaveletDown):
+        c, h, w = in_shape
+        return dwt2d_madds(h, w, c)
+    return 0
+
+
 @dataclass(frozen=True)
 class LayerMadds:
     index: int
@@ -77,10 +96,22 @@ class MaddsReport:
     """
 
     rows: tuple
-    wavelet_subtotal: int
-    other_subtotal: int
-    wavelet_ll_only_subtotal: int
-    wavelet_banded_subtotal: int
+
+    @property
+    def wavelet_subtotal(self) -> int:
+        return sum(r.madds for r in self.rows if r.wavelet)
+
+    @property
+    def other_subtotal(self) -> int:
+        return sum(r.madds for r in self.rows if not r.wavelet)
+
+    @property
+    def wavelet_ll_only_subtotal(self) -> int:
+        return sum(r.ll_only for r in self.rows)
+
+    @property
+    def wavelet_banded_subtotal(self) -> int:
+        return sum(r.banded for r in self.rows)
 
     @property
     def total(self) -> int:
@@ -128,11 +159,8 @@ class MaddsReport:
 
 
 def model_madds(model, input_shape) -> MaddsReport:
-    """Trace a built model at ``input_shape`` ((C,H,W) or (N,C,H,W)) and count.
-
-    Wavelet down-sampling layers are counted at the full dense 2D-analysis
-    cost; conv/dense at fused kernel-times-output cost; everything else at 0.
-    """
+    """Trace a built model at ``input_shape`` ((C,H,W) or (N,C,H,W)) and
+    count each layer with :func:`layer_madds`."""
     shape = tuple(int(d) for d in input_shape)
     if len(shape) == 4:
         shape = shape[1:]
@@ -140,34 +168,20 @@ def model_madds(model, input_shape) -> MaddsReport:
         raise InvalidConfig(f"input shape must be (C,H,W) or (N,C,H,W), got {input_shape}")
 
     rows = []
-    w_total = other_total = ll_total = banded_total = 0
     for i, layer in enumerate(model.layers):
         try:
-            count = layer.madds(shape)
-            out_shape = layer.output_shape(shape)
+            count = layer_madds(layer, shape)
         except (ShapeMismatch, OddSpatial) as exc:
             raise InvalidConfig(f"layer {i} does not fit input {shape}: {exc}") from exc
-        is_wavelet = type(layer).__name__ == "WaveletDown"
+        out_shape = layer.output_shape(shape)
+        is_wavelet = isinstance(layer, WaveletDown)
         ll_only = banded = 0
         if is_wavelet:
             c, h, w = shape
-            h, w = h + h % 2, w + w % 2
             ll_only = round(count / 4)
             banded = dwt2d_banded_madds(h, w, c, len(layer.spec.analysis_low))
-            w_total += count
-            ll_total += ll_only
-            banded_total += banded
-        else:
-            other_total += count
         rows.append(LayerMadds(
             index=i, kind=type(layer).__name__, in_shape=shape, out_shape=out_shape,
             madds=count, wavelet=is_wavelet, ll_only=ll_only, banded=banded))
         shape = out_shape
-
-    return MaddsReport(
-        rows=tuple(rows),
-        wavelet_subtotal=w_total,
-        other_subtotal=other_total,
-        wavelet_ll_only_subtotal=ll_total,
-        wavelet_banded_subtotal=banded_total,
-    )
+    return MaddsReport(tuple(rows))

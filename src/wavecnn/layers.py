@@ -40,9 +40,11 @@ and ``MaxPool2`` equal ``np.where(x > 0, x, 0)`` and the first row-major
 argmax of each window bit for bit, signs of zero included; the tests keep
 those formulations as references.
 
-Shape bookkeeping for model validation and multiply-add accounting lives in
-``output_shape``/``madds``; spatial shapes are (C, H, W) tuples before
-flatten and (F,) after.
+Each layer states what it accepts once, in ``output_shape``: shapes are
+per-image, (C, H, W) tuples before flatten and (F,) after.  ``forward``
+checks its input by calling it on ``x.shape[1:]``, and
+:mod:`wavecnn.complexity`, which holds every multiply-add count, traces a
+model through it.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ import numpy as np
 from .errors import InvalidConfig, OddSpatial, ShapeMismatch
 from .filterbank import get_wavelet
 from .transform import dwt2d_batch, dwt2d_batch_vjp, lowpass2d_batch, lowpass2d_batch_vjp
-from . import complexity
 
 
 class Layer:
@@ -83,10 +84,9 @@ class Layer:
         self.backward(grad)
 
     def output_shape(self, in_shape: tuple) -> tuple:
+        """The per-image output shape for ``in_shape``; raises
+        ``ShapeMismatch``/``OddSpatial`` on an input the layer rejects."""
         return tuple(in_shape)
-
-    def madds(self, in_shape: tuple) -> int:
-        return 0
 
 
 def _saved(state, who: str):
@@ -97,9 +97,12 @@ def _saved(state, who: str):
     return state
 
 
-def _require_chw(in_shape, who: str) -> tuple:
+def _require_chw(in_shape, who: str, channels: int | None = None) -> tuple:
     if len(in_shape) != 3:
         raise ShapeMismatch(f"{who} expects a (C,H,W) input shape, got {in_shape}")
+    if channels is not None and in_shape[0] != channels:
+        raise ShapeMismatch(f"{who} declared {channels} input channels "
+                            f"but input shape is {in_shape}")
     return tuple(in_shape)
 
 
@@ -134,17 +137,10 @@ class Conv2d(Layer):
     def grads(self):
         return {"weight": self.grad_weight, "bias": self.grad_bias}
 
-    def _out_hw(self, h, w):
-        k, s, p = self.kernel, self.stride, self.kernel // 2
-        return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-
     def forward(self, x, training=False):
-        if x.ndim != 4 or x.shape[1] != self.c_in:
-            raise ShapeMismatch(
-                f"conv expects NCHW with C={self.c_in}, got shape {x.shape}")
+        _, ho, wo = self.output_shape(x.shape[1:])
         n, _, h, w = x.shape
         k, s, p = self.kernel, self.stride, self.kernel // 2
-        ho, wo = self._out_hw(h, w)
         # pad batch-last, so a stride-1 tap copies runs of wo*n samples
         xp = np.zeros((self.c_in, h + 2 * p, w + 2 * p, n), dtype=x.dtype)
         xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
@@ -173,8 +169,8 @@ class Conv2d(Layer):
     def backward(self, grad):
         g = self._param_backward(grad)
         n, _, h, w = self._x_shape
+        ho, wo = grad.shape[2:]
         k, s, p = self.kernel, self.stride, self.kernel // 2
-        ho, wo = self._out_hw(h, w)
         gcols = (self.weight.reshape(self.c_out, -1).T @ g).reshape(
             self.c_in, k, k, ho, wo, n)
         gxp = np.zeros((self.c_in, h + 2 * p, w + 2 * p, n), dtype=g.dtype)
@@ -186,15 +182,9 @@ class Conv2d(Layer):
         return gx.transpose(1, 0, 2, 3)
 
     def output_shape(self, in_shape):
-        c, h, w = _require_chw(in_shape, "conv")
-        if c != self.c_in:
-            raise ShapeMismatch(f"conv declared c_in={self.c_in} but input has {c}")
-        ho, wo = self._out_hw(h, w)
-        return (self.c_out, ho, wo)
-
-    def madds(self, in_shape):
-        _, ho, wo = self.output_shape(in_shape)
-        return self.kernel * self.kernel * self.c_in * self.c_out * ho * wo
+        _, h, w = _require_chw(in_shape, "conv", self.c_in)
+        k, s, p = self.kernel, self.stride, self.kernel // 2
+        return (self.c_out, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
 
 
 class BatchNorm2d(Layer):
@@ -230,9 +220,7 @@ class BatchNorm2d(Layer):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x, training=False):
-        if x.ndim != 4 or x.shape[1] != self.channels:
-            raise ShapeMismatch(
-                f"batchnorm expects NCHW with C={self.channels}, got {x.shape}")
+        self.output_shape(x.shape[1:])
         if not training:
             # the training formula with the running statistics, in one buffer
             self._cache = None
@@ -268,6 +256,9 @@ class BatchNorm2d(Layer):
         gx *= scale
         return gx
 
+    def output_shape(self, in_shape):
+        return _require_chw(in_shape, "batchnorm", self.channels)
+
 
 def _bits(a):
     """``a`` viewed as unsigned words of its item size."""
@@ -298,13 +289,6 @@ class ReLU(Layer):
         return (_bits(grad) & _word_mask(mask, grad.dtype)).view(grad.dtype)
 
 
-def _check_even(x, who):
-    if x.ndim != 4:
-        raise ShapeMismatch(f"{who} expects an NCHW tensor, got shape {x.shape}")
-    if x.shape[2] % 2 or x.shape[3] % 2:
-        raise OddSpatial(f"{who} needs even spatial dims, got {x.shape[2:]}")
-
-
 def _quarters(x):
     """The four strided views of each 2x2 window, in row-major window order."""
     return (x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2],
@@ -326,7 +310,7 @@ class MaxPool2(Layer):
         self._shape = None
 
     def forward(self, x, training=False):
-        _check_even(x, "max pooling")
+        self.output_shape(x.shape[1:])
         a, b, c, d = _quarters(x)
         # a knockout in window order: a beats b and c beats d on ties, then
         # the (a, b) winner beats the (c, d) winner.  NumPy's maximum returns
@@ -370,7 +354,7 @@ class _LowPassDown(Layer):
         self._hw = None
 
     def forward(self, x, training=False):
-        _check_even(x, self.who)
+        self.output_shape(x.shape[1:])
         self._hw = x.shape[2:] if training else None
         return lowpass2d_batch(x, self.taps)
 
@@ -416,7 +400,7 @@ class WaveletDown(_LowPassDown):
     def forward(self, x, training=False):
         if self.kind != "cat":
             return super().forward(x, training)
-        _check_even(x, self.who)
+        self.output_shape(x.shape[1:])
         self._hw = x.shape[2:] if training else None
         return np.concatenate(dwt2d_batch(x, self.spec), axis=1)
 
@@ -431,10 +415,6 @@ class WaveletDown(_LowPassDown):
         c, h, w = super().output_shape(in_shape)
         return (4 * c if self.kind == "cat" else c, h, w)
 
-    def madds(self, in_shape):
-        c, h, w = _require_chw(in_shape, self.who)
-        return complexity.dwt2d_madds(h, w, c)
-
 
 class PadToEven(Layer):
     """Zero-pad the bottom/right edge so spatial dims become even.
@@ -447,13 +427,12 @@ class PadToEven(Layer):
         self._crop = None
 
     def forward(self, x, training=False):
-        if x.ndim != 4:
-            raise ShapeMismatch(f"pad expects an NCHW tensor, got shape {x.shape}")
-        h, w = x.shape[2], x.shape[3]
+        _, hp, wp = self.output_shape(x.shape[1:])
+        h, w = x.shape[2:]
         self._crop = (h, w) if training else None
-        if h % 2 == 0 and w % 2 == 0:
+        if (hp, wp) == (h, w):
             return x
-        out = np.zeros(x.shape[:2] + (h + h % 2, w + w % 2), dtype=x.dtype)
+        out = np.zeros(x.shape[:2] + (hp, wp), dtype=x.dtype)
         out[:, :, :h, :w] = x
         return out
 
@@ -503,9 +482,7 @@ class Dense(Layer):
         return {"weight": self.grad_weight, "bias": self.grad_bias}
 
     def forward(self, x, training=False):
-        if x.ndim != 2 or x.shape[1] != self.n_in:
-            raise ShapeMismatch(
-                f"dense expects (N,{self.n_in}) input, got shape {x.shape}")
+        self.output_shape(x.shape[1:])
         self._x = x if training else None
         return x @ self.weight + self.bias
 
@@ -519,9 +496,6 @@ class Dense(Layer):
             raise ShapeMismatch(
                 f"dense declared n_in={self.n_in} but input shape is {in_shape}")
         return (self.n_out,)
-
-    def madds(self, in_shape):
-        return self.n_in * self.n_out
 
 
 class SoftmaxCrossEntropy:

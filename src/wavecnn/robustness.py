@@ -107,12 +107,16 @@ class ErrorMatrix:
     errors: np.ndarray  # shape (len(corruptions), 5), entries in [0, 1]
 
     def __post_init__(self):
+        if not self.corruptions:
+            raise InvalidConfig("an error matrix needs at least one corruption")
+        if len(set(self.corruptions)) != len(self.corruptions):
+            raise InvalidConfig(f"repeated corruption names in {self.corruptions}")
         e = np.asarray(self.errors, dtype=np.float64)
         if e.shape != (len(self.corruptions), 5):
             raise ShapeMismatch(
                 f"need a {len(self.corruptions)}x5 grid, got shape {e.shape}")
         # written so that NaN, which fails every comparison, fails the check too
-        if e.size and not (e.min() >= 0 and e.max() <= 1):
+        if not (e.min() >= 0 and e.max() <= 1):
             raise InvalidConfig("error rates must lie in [0, 1]")
         object.__setattr__(self, "errors", e)
 

@@ -9,6 +9,7 @@ import pytest
 
 from wavecnn.cli import _RUN_KEYS, main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
+from wavecnn.denoise import DenoiseConfig, denoise_image
 from wavecnn.network import _TRAIN_KEYS, build_model, mini_config, save_model
 from wavecnn.fileio import read_pgm, read_tensor, write_pgm, write_tensor
 
@@ -189,6 +190,24 @@ class TestDenoiseCommand:
         assert code == 0
         assert read_pgm(out).shape == read_pgm(pgm).shape
 
+    def test_pgm_to_tensor_is_on_the_unit_scale(self, capsys, tmp_path, pgm):
+        out = tmp_path / "den.wtn"
+        code, _, _ = run_cli(capsys, "denoise", "--in", str(pgm), "--out", str(out),
+                             "--lambda", "0.05")
+        assert code == 0
+        cfg = DenoiseConfig(wavelet="haar", threshold=0.05)
+        assert np.array_equal(read_tensor(out), denoise_image(read_pgm(pgm), cfg) / 255.0)
+
+    def test_tensor_to_pgm_is_on_the_pixel_scale(self, capsys, tmp_path, pgm):
+        src, out = tmp_path / "img.wtn", tmp_path / "den.pgm"
+        plane = read_pgm(pgm) / 255.0
+        write_tensor(src, plane)
+        code, _, _ = run_cli(capsys, "denoise", "--in", str(src), "--out", str(out),
+                             "--lambda", "0.05")
+        assert code == 0
+        den = denoise_image(plane, DenoiseConfig(wavelet="haar", threshold=0.05))
+        assert np.array_equal(read_pgm(out), np.clip(np.rint(den * 255.0), 0, 255))
+
     def test_negative_lambda_is_runtime_error(self, capsys, tmp_path, pgm):
         code, _, err = run_cli(capsys, "denoise", "--in", str(pgm),
                                "--out", str(tmp_path / "o.pgm"),
@@ -231,6 +250,24 @@ class TestTrainEval:
                        "--report", str(r2))[0] == 0
         assert r1.read_text() == r2.read_text()
 
+    def test_validation_files_go_together(self, capsys, tmp_path, idx_pair):
+        imgs, labs = idx_pair
+        val = synthetic_classification(40, classes=10, seed=12, noise=0.1, amplitude=0.3)
+        val_imgs, val_labs = str(tmp_path / "va.images.idx"), str(tmp_path / "va.labels.idx")
+        save_dataset(val, val_imgs, val_labs)
+        argv = ["train", "--images", imgs, "--labels", labs, "--epochs", "1", "--batch", "50"]
+        code, own, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, held_out, _ = run_cli(capsys, *argv, "--val-images", val_imgs,
+                                    "--val-labels", val_labs)
+        assert code == 0
+        own, held_out = own.splitlines()[1].split(","), held_out.splitlines()[1].split(",")
+        assert own[1] == held_out[1] and own[2] != held_out[2]
+        for flag, path in (("--val-images", val_imgs), ("--val-labels", val_labs)):
+            code, out, err = run_cli(capsys, *argv, flag, path)
+            assert code == 1 and out == ""
+            assert "--val-images and --val-labels go together" in err
+
     def test_unknown_config_key_is_runtime_error(self, capsys, tmp_path, idx_pair):
         imgs, labs = idx_pair
         cfg_path = tmp_path / "run.json"
@@ -260,6 +297,9 @@ class TestRobustnessAndShift:
         assert code == 0
         matrix_csv = (tmp_path / "base.csv").read_text()
         assert matrix_csv.splitlines()[1].startswith("corruption,severity_1")
+        code, out, _ = run_cli(capsys, "robustness", "--model", model,
+                               "--images", imgs, "--labels", labs)
+        assert code == 0 and out == matrix_csv
         rep = str(tmp_path / "rep")
         code, _, _ = run_cli(capsys, "robustness", "--model", model,
                              "--images", imgs, "--labels", labs,
@@ -352,6 +392,37 @@ class TestFlops:
                                "--input", "1x1x28x28", "--format", fmt)
         assert code == 0
         assert out == (GOLDEN / f"{mode}.{fmt}").read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name,cfg,argv", [
+        ("strided_conv_rewrite_haar", {"mode": "strided_conv"},
+         ["--rewrite", "haar", "--input", "1x1x28x28"]),
+        ("dwt_cat_1x3x32x32", {"mode": "dwt_cat", "wavelet": "ch3.3"}, ["--input", "1x3x32x32"]),
+        ("dwt_cat_1x1x27x27", {"mode": "dwt_cat", "wavelet": "ch3.3"}, ["--input", "1x1x27x27"])])
+    def test_rewrite_and_input_shape_bytes_are_pinned(self, capsys, tmp_path, name, cfg, argv,
+                                                      fmt):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(capsys, "flops", "--config", str(path), *argv, "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.{fmt}").read_text()
+
+    @pytest.mark.parametrize("shape", ["1x3x28x28", "1x1x64x64", "1x1x27x27", "2x20x22"])
+    def test_mini_arch_is_built_for_the_input(self, capsys, tmp_path, shape):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"mode": "dwt_ll", "wavelet": "haar"}))
+        code, out, _ = run_cli(capsys, "flops", "--config", str(cfg), "--input", shape,
+                               "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[2] == "x".join(shape.split("x")[-3:])
+
+    @pytest.mark.parametrize("shape", ["28x28", "1x1x1x28x28", "1x0x28x28"])
+    def test_malformed_input_is_usage_error(self, capsys, tmp_path, shape):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"mode": "max_pool"}))
+        code, out, err = run_cli(capsys, "flops", "--config", str(cfg), "--input", shape)
+        assert code == 1 and out == ""
+        assert "argument --input" in err
 
     def test_json_report_has_ratio(self, capsys, tmp_path):
         cfg = tmp_path / "model.json"
@@ -466,7 +537,9 @@ def test_batch_flag_below_one_exits_2(capsys, idx_pair):
     ("ref.json", "[]"), ("ref.json", '{"model": "x"}'),
     ("ref.json", '{"errors": {"gaussian": 3}}'),
     ("ref.json", '{"errors": {"gaussian": [0.1, 0.2, "x", 0.3, 0.4]}}'),
-    ("ref.csv", "gaussian,0.1,0.2,x,0.3,0.4\n")])
+    ("ref.csv", "gaussian,0.1,0.2,x,0.3,0.4\n"), ("ref.csv", ""),
+    ("ref.json", '{"errors": {}}'),
+    ("ref.csv", "gaussian,0.1,0.2,0.3,0.4,0.5\ngaussian,0.1,0.2,0.3,0.4,0.5\n")])
 def test_malformed_reference_matrix_exits_2(capsys, tmp_path, idx_pair, name, text):
     model, ref = tmp_path / "m.wcn", tmp_path / name
     save_model(build_model(mini_config("max_pool")), model)

@@ -103,6 +103,15 @@ class TestModelReport:
         with pytest.raises(InvalidConfig):
             model_madds(model, (28, 28))
 
+    @pytest.mark.parametrize("layers,shape", [
+        ((nw.batchnorm(3), nw.relu()), (2, 8, 8)),
+        ((nw.conv(3, 1, 2), nw.downsample("dwt_ll", "haar")), (1, 7, 8))])
+    def test_every_layer_checks_its_input(self, layers, shape):
+        """A batchnorm over the wrong channel count, an odd map into a wavelet layer."""
+        model = nw.build_model(nw.ModelConfig(layers=layers))
+        with pytest.raises(InvalidConfig, match="layer "):
+            model_madds(model, shape)
+
     def test_csv_and_json_agree(self):
         model = nw.build_model(nw.mini_config("dwt_cat", "haar"))
         report = model_madds(model, (1, 28, 28))

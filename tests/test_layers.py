@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wavecnn import layers as L
+from wavecnn.complexity import dwt2d_madds, layer_madds
 from wavecnn.errors import InvalidConfig, OddSpatial, ShapeMismatch
 from wavecnn.filterbank import get_wavelet, wavelet_names
 from wavecnn.transform import dwt2d_batch, dwt2d_batch_vjp
@@ -46,9 +47,9 @@ class TestConv2d:
 
     def test_madds_formula(self):
         conv = L.Conv2d(3, 2, 5, stride=1)
-        assert conv.madds((2, 8, 8)) == 9 * 2 * 5 * 8 * 8
+        assert layer_madds(conv, (2, 8, 8)) == 9 * 2 * 5 * 8 * 8
         conv2 = L.Conv2d(3, 2, 5, stride=2)
-        assert conv2.madds((2, 8, 8)) == 9 * 2 * 5 * 4 * 4
+        assert layer_madds(conv2, (2, 8, 8)) == 9 * 2 * 5 * 4 * 4
 
 
 class TestBatchNorm:
@@ -141,8 +142,7 @@ class TestWaveletDown:
     def test_output_shape_and_madds_delegation(self):
         down = L.WaveletDown("cat", "db2")
         assert down.output_shape((3, 8, 10)) == (12, 4, 5)
-        from wavecnn.complexity import dwt2d_madds
-        assert down.madds((3, 8, 10)) == dwt2d_madds(8, 10, 3)
+        assert layer_madds(down, (3, 8, 10)) == dwt2d_madds(8, 10, 3)
 
 
 class TestPadToEven:
@@ -194,6 +194,47 @@ class TestLoss:
         logits = np.array([[1e4, -1e4], [-1e4, 1e4]])
         value = loss.forward(logits, np.array([0, 1]))
         assert np.isfinite(value) and value < 1e-6
+
+
+_SHAPE_CASES = {  # a layer, an NCHW (or NF) input it accepts, inputs it rejects
+    "conv": (lambda: L.Conv2d(3, 2, 4, stride=2), (2, 2, 7, 6),
+             [(2, 3, 7, 6), (2, 2, 7), (2, 2, 1, 7, 6)]),
+    "batchnorm": (lambda: L.BatchNorm2d(3), (2, 3, 5, 4), [(2, 4, 5, 4), (2, 3, 20)]),
+    "relu": (L.ReLU, (2, 3, 5, 4), []),
+    "max_pool": (L.MaxPool2, (2, 3, 6, 4), [(2, 3, 5, 4), (2, 3, 6, 5), (2, 12)]),
+    "avg_pool": (L.AvgPool2, (2, 3, 6, 4), [(2, 3, 5, 4), (2, 24)]),
+    "dwt_ll": (lambda: L.WaveletDown("ll", "db2"), (2, 3, 6, 4), [(2, 3, 7, 4), (2, 3, 6)]),
+    "dwt_avg": (lambda: L.WaveletDown("avg", "db2"), (2, 3, 6, 4), [(2, 3, 6, 3)]),
+    "dwt_cat": (lambda: L.WaveletDown("cat", "haar"), (2, 3, 6, 4),
+                [(2, 3, 6, 3), (2, 3, 6)]),
+    "pad": (L.PadToEven, (2, 3, 5, 4), [(2, 3, 5), (2, 3, 5, 4, 1)]),
+    "flatten": (L.Flatten, (2, 3, 5, 4), []),
+    "dense": (lambda: L.Dense(6, 3), (2, 6), [(2, 5), (2, 2, 3)]),
+}
+
+
+class TestOutputShapeIsTheContract:
+    """``output_shape`` is the one statement of what a layer accepts."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("kind", _SHAPE_CASES)
+    def test_forward_gives_the_output_shape(self, kind, training):
+        make, good, _ = _SHAPE_CASES[kind]
+        layer = _init(make())
+        out = layer.forward(np.ones(good), training)
+        assert out.shape == (good[0],) + layer.output_shape(good[1:])
+
+    @pytest.mark.parametrize("kind,bad", [(kind, bad) for kind, (_, _, rejects)
+                                          in _SHAPE_CASES.items() for bad in rejects])
+    def test_forward_raises_the_output_shape_error(self, kind, bad):
+        layer = _init(_SHAPE_CASES[kind][0]())
+        with pytest.raises((ShapeMismatch, OddSpatial)) as want:
+            layer.output_shape(bad[1:])
+        with pytest.raises(want.type) as got:
+            layer.forward(np.ones(bad))
+        assert str(got.value) == str(want.value)
+        with pytest.raises(want.type):
+            layer_madds(layer, bad[1:])
 
 
 # --- the formulations the layers replaced, kept as references ---

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavecnn import network as nw
-from wavecnn.datasets import Dataset, synthetic_classification
+from wavecnn.cli import main
+from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
 from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig
 from wavecnn.layers import Conv2d, Dense, Flatten, WaveletDown
 
@@ -245,6 +246,24 @@ class TestTraining:
         assert err.value.report is not None
         assert isinstance(err.value.report.train_loss, tuple)
 
+    def test_one_step_with_weight_decay_matches_the_hand_update(self):
+        ds = _separable_2class(16)
+        hyper = nw.TrainConfig(lr=0.3, momentum=0.9, weight_decay=0.05, batch=16, epochs=1)
+        model, ref = _tiny_model(seed=5), _tiny_model(seed=5)
+        # the one batch of the epoch, in the order train draws it
+        order = np.random.default_rng([ref.config.seed, 0x5eed]).permutation(16)
+        images = np.asarray(ds.images, dtype=ref.dtype)[order]
+        ref.loss.forward(ref.forward(images, training=True), ds.labels[order])
+        ref.backward(ref.loss.backward())
+        dense = ref.layers[1]
+        nw.train(model, ds, hyper)
+        for name, p in dense.params().items():
+            g = dense.grads()[name]
+            got = model.layers[1].params()[name]
+            np.testing.assert_allclose(got, p - hyper.lr * (g + hyper.weight_decay * p),
+                                       rtol=1e-6, atol=1e-7)
+            assert not np.allclose(got, p - hyper.lr * g, rtol=1e-6, atol=1e-7)
+
     def test_empty_dataset_rejected(self):
         empty = Dataset(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=np.int64))
         with pytest.raises(InvalidConfig):
@@ -366,6 +385,27 @@ def _legacy(data):
     return b"WCN1" + data[4:-32]
 
 
+def _legacy_with(data, defect):
+    """The WCN1 form of checkpoint ``data`` with one ``defect`` that only the
+    parser can catch, since that layout carries no digest."""
+    body = bytearray(_legacy(data))
+    (cfg_len,) = struct.unpack_from("<I", body, 5)
+    first = 9 + cfg_len + 4  # the first state entry, after the entry count
+    (name_len,) = struct.unpack_from("<H", body, first)
+    ndim = body[first + 2 + name_len]
+    dims = first + 3 + name_len
+    if defect == "dtype tag":
+        body[4] = 7
+    elif defect == "config not an object":
+        body[5:9 + cfg_len] = struct.pack("<I", 3) + b"[1]"
+    elif defect in ("entry shape", "entry size"):
+        at = dims if defect == "entry shape" else dims + 8 * ndim
+        struct.pack_into("<Q", body, at, struct.unpack_from("<Q", body, at)[0] + 1)
+    else:
+        body += b"\0"
+    return bytes(body)
+
+
 def _loads_same_or_fails_loudly(path, want):
     try:
         got = _state(nw.load_model(path))
@@ -449,6 +489,20 @@ class TestCorruptCheckpoint:
         path.write_bytes(body)
         with pytest.raises(FormatError):
             nw.load_model(path)
+
+    @pytest.mark.parametrize("defect", ["dtype tag", "config not an object", "entry shape",
+                                        "entry size", "trailing bytes"])
+    def test_parser_rejects_in_the_digestless_layout(self, tmp_path, capsys, defect):
+        path = tmp_path / "m.wcn"
+        _small_checkpoint(path)
+        path.write_bytes(_legacy_with(path.read_bytes(), defect))
+        with pytest.raises(FormatError):
+            nw.load_model(path)
+        imgs, labs = tmp_path / "i.idx", tmp_path / "l.idx"
+        save_dataset(Dataset(np.zeros((2, 1, 4, 4)), np.zeros(2, dtype=np.int64)), imgs, labs)
+        assert main(["eval", "--model", str(path), "--images", str(imgs),
+                     "--labels", str(labs)]) == 2
+        assert "wavecnn eval: error: FormatError:" in capsys.readouterr().err
 
     def test_every_truncation_fails_loudly(self, tmp_path):
         path = tmp_path / "m.wcn"

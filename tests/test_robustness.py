@@ -179,6 +179,10 @@ class TestErrorMatrix:
             ErrorMatrix("m", ("gaussian",), np.zeros((1, 4)))
         with pytest.raises(InvalidConfig):
             ErrorMatrix("m", ("gaussian",), np.full((1, 5), 1.5))
+        with pytest.raises(InvalidConfig):
+            ErrorMatrix("m", (), np.zeros((0, 5)))
+        with pytest.raises(InvalidConfig):
+            ErrorMatrix("m", ("gaussian", "gaussian"), np.zeros((2, 5)))
 
     def test_row_lookup(self):
         m = self._matrix()
@@ -192,7 +196,7 @@ class TestErrorMatrix:
         {"errors": {"gaussian": [0.1] * 6}}, {"errors": {"gaussian": ["a"] * 5}},
         {"errors": {"gaussian": "0.1,0.2"}}, {"errors": {"gaussian": [0.1, None, 0.1, 0.1, 0.1]}},
         {"errors": {"gaussian": [True] * 5}}, {"errors": {"gaussian": [[0.1]] * 5}},
-        {"errors": {"gaussian": [0.1, float("nan"), 0.1, 0.1, 0.1]}}])
+        {"errors": {"gaussian": [0.1, float("nan"), 0.1, 0.1, 0.1]}}, {"errors": {}}])
     def test_malformed_json_rejected(self, doc):
         with pytest.raises(InvalidConfig):
             ErrorMatrix.from_json_dict(doc)
@@ -200,6 +204,13 @@ class TestErrorMatrix:
     @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf", "-0.1", "0x1"])
     def test_malformed_csv_cell_rejected(self, cell):
         text = f"corruption,s1,s2,s3,s4,s5\ngaussian,0.1,0.2,{cell},0.3,0.4\n"
+        with pytest.raises(InvalidConfig):
+            ErrorMatrix.from_csv(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "# model: m\ncorruption,s1,s2,s3,s4,s5\n",
+        "gaussian,0.1,0.2,0.3,0.4,0.5\ngaussian,0.1,0.2,0.3,0.4,0.5\n"])
+    def test_empty_or_repeated_csv_rejected(self, text):
         with pytest.raises(InvalidConfig):
             ErrorMatrix.from_csv(text)
 
