@@ -168,11 +168,24 @@ def _cmd_denoise(args) -> int:
 _RUN_KEYS = {**network._MODEL_KEYS, "arch": str, "mode": str, "wavelet": str, "train": dict}
 
 
+def _load_json(path):
+    """The JSON document in ``path``; a key repeated within one object raises
+    InvalidConfig, where ``json.load`` would keep the last value silently."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InvalidConfig(f"{path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=unique)
+
+
 def _load_run_config(path) -> dict:
     if not path:
         return {}
-    with open(path) as fh:
-        return network._check_fields(json.load(fh), _RUN_KEYS, f"{path}: run config")
+    return network._check_fields(_load_json(path), _RUN_KEYS, f"{path}: run config")
 
 
 def _pick(flag_value, cfg: dict, key: str, default):
@@ -241,10 +254,10 @@ def _cmd_eval(args) -> int:
 def _cmd_robustness(args) -> int:
     ref = None
     if args.reference:  # read first, so a malformed file fails before the long measurement
-        with open(args.reference) as fh:
-            if str(args.reference).lower().endswith(".json"):
-                ref = robustness.ErrorMatrix.from_json_dict(json.load(fh))
-            else:
+        if str(args.reference).lower().endswith(".json"):
+            ref = robustness.ErrorMatrix.from_json_dict(_load_json(args.reference))
+        else:
+            with open(args.reference) as fh:
                 ref = robustness.ErrorMatrix.from_csv(fh.read())
     model = network.load_model(args.model)
     ds = datasets.load_dataset(args.images, args.labels)

@@ -5,6 +5,12 @@ toward zero by a fixed threshold while the low-frequency subband passes
 through untouched, then the image is reconstructed.  Thresholds are meant for
 unit-scale images: integer inputs are divided by 255 on entry and restored on
 exit.
+
+The bands are never split out: each channel's coefficients stay in the one
+interleaved array of :func:`~wavecnn.transform.dwt2d_interleaved`, the
+detail positions are shrunk in place, and the array goes straight back to
+synthesis.  The result is bit for bit ``idwt2d`` of the ``dwt2d`` bands with
+:func:`soft_shrink` applied to lh, hl and hh.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidConfig, NegativeLambda, ShapeMismatch
 from .filterbank import get_wavelet
-from .transform import Decomposition2D, dwt2d, idwt2d
+from .transform import detail_views, dwt2d_interleaved, idwt2d_interleaved
 
 
 @dataclass(frozen=True)
@@ -52,15 +58,11 @@ def soft_shrink(x, threshold):
 
 def _denoise_plane(plane: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     spec = get_wavelet(cfg.wavelet)
-    d = dwt2d(plane, spec)
-    shrunk = Decomposition2D(
-        ll=d.ll,
-        lh=soft_shrink(d.lh, cfg.threshold),
-        hl=soft_shrink(d.hl, cfg.threshold),
-        hh=soft_shrink(d.hh, cfg.threshold),
-        original_shape=d.original_shape,
-    )
-    return idwt2d(shrunk, spec)
+    z = dwt2d_interleaved(plane, spec)
+    t = float(cfg.threshold)  # a NumPy scalar would set the dtype of the clip
+    for detail in detail_views(z):
+        np.subtract(detail, np.clip(detail, -t, t), out=detail)  # soft_shrink, in place
+    return idwt2d_interleaved(z, spec, plane.shape)
 
 
 def denoise_image(img, cfg: DenoiseConfig = DenoiseConfig()):

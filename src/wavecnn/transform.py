@@ -21,12 +21,26 @@ work grows with the square.  Every public function goes through one
 separable core that applies a bank of one filter, or of two with their rows
 interleaved (the stacked ``[L; H]``), or its transpose, along one axis in
 tiles of ``_TILE`` coefficients per filter.  Each tile multiplies one small
-cached block of that operator against a strided window view of the input.
-The interior tiles of an axis run as one batched BLAS ``matmul`` on the
-input in place; the tiles at its two ends read a zero-padded copy of the
-few samples they need.  A side of at most ``2 * _TILE`` samples fits in
-one tile and takes the plain dense product with a slice of the same block,
-with no padding at all.
+cached block of that operator against a window view of the input, built
+straight on the input's buffer.  The interior tiles of an axis run as one
+batched ``matmul`` on the input in place (on a C-contiguous copy of a
+strided input); the tiles at its two ends read a zero-padded copy of the
+few samples they need.  Along the columns (axis -2) every tile is a BLAS
+GEMM.  Along the rows (axis -1) the windows of adjacent tiles overlap once
+the filter has more than two taps (db4, ch3.3), and NumPy multiplies such
+views in its own loop rather than in BLAS; a run of one tile there is a
+single 2-D GEMM.  A side of at most ``2 * _TILE`` samples fits in one tile
+and takes the plain dense product with a slice of the same block, with no
+padding at all.
+
+A 2D analysis leaves each plane's four subbands interleaved in one array:
+coefficient ``(i, j)`` of ll, lh, hl and hh sits at ``(2i, 2j)``,
+``(2i+1, 2j)``, ``(2i, 2j+1)`` and ``(2i+1, 2j+1)``.  :func:`dwt2d` splits
+that array into bands and :func:`idwt2d` merges bands back into one before
+synthesis; :func:`dwt2d_interleaved` and :func:`idwt2d_interleaved` hand
+the array itself over, which is how :mod:`wavecnn.denoise` shrinks the
+detail coefficients in place.
+
 :func:`build_operator` materializes the dense matrices; it is the reference
 definition the core is tested against.
 
@@ -41,7 +55,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeMismatch, TooShort
 from .filterbank import WaveletSpec
@@ -156,13 +169,16 @@ def _along(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return y.reshape(x.shape[:-1] + (mat.shape[0],))
 
 
-def _windows(x: np.ndarray, axis: int, step: int, width: int, count: int):
-    """Read-only view of ``count`` windows of ``width`` samples, ``step`` apart,
-    from the start of ``x`` along ``axis``; the window axis goes just before it."""
+def _windows(x: np.ndarray, axis: int, start: int, step: int, width: int, count: int):
+    """View of ``count`` windows of ``width`` samples, ``step`` apart, from
+    sample ``start`` of the C-contiguous ``x`` along ``axis``; the window axis
+    goes just before it.  The windows may overlap, so the view is only ever
+    read.  It is built straight on ``x``'s buffer, a few times cheaper than
+    ``as_strided``."""
     ax = x.ndim + axis
     st = x.strides
-    return as_strided(x, x.shape[:ax] + (count, width) + x.shape[ax + 1:],
-                      st[:ax] + (step * st[ax], st[ax]) + st[ax + 1:], writeable=False)
+    return np.ndarray(x.shape[:ax] + (count, width) + x.shape[ax + 1:], x.dtype, x,
+                      start * st[ax], st[:ax] + (step * st[ax], st[ax]) + st[ax + 1:])
 
 
 def _banded(mat: np.ndarray, x: np.ndarray, axis: int, front: int, length: int,
@@ -172,35 +188,49 @@ def _banded(mat: np.ndarray, x: np.ndarray, axis: int, front: int, length: int,
     With ``mat`` of shape ``(s, w)``, output ``i*s + r`` (for ``i*s + r <
     length``) is ``sum_c mat[r, c] * x[i*advance - front + c]``, reading
     ``x`` as zero outside its bounds.  The tiles whose window lies inside
-    ``x`` run as one batched ``matmul`` on strided windows of ``x`` itself;
+    ``x`` run as one batched ``matmul`` on windows of a C-contiguous ``x``;
     the tiles at either end read a zero-padded copy of just the samples they
-    need.
+    need, and the last one writes through a scratch tile if it runs past
+    ``length``.  Along the last axis the leading axes fold into rows, so a
+    segment of one tile is a single 2-D GEMM.  The result is C-contiguous.
     """
     step, width = mat.shape
     count = -(-length // step)
     n = x.shape[axis]
+    result = np.empty(x.shape[:x.ndim + axis] + (length,) + x.shape[x.ndim + axis + 1:],
+                      x.dtype)
+    if not result.size:  # no buffer to build windows on
+        return result
+    x, out = np.ascontiguousarray(x), result  # the windows address x's buffer
+    if axis == -1:  # the leading axes fold into rows
+        x, out = x.reshape(-1, n), out.reshape(-1, length)
     ax = x.ndim + axis
-    out = np.empty(x.shape[:ax] + (count * step,) + x.shape[ax + 1:], x.dtype)
     first = -(-front // advance)
     stop = max(first, min(count, (n + front - width) // advance + 1))
     for begin, end in ((first, stop), (0, first), (stop, count)):
         if begin == end:
             continue
         start, size = begin * advance - front, (end - begin - 1) * advance + width
-        if 0 <= start and start + size <= n:
-            src = x[_span(axis, start, start + size)]
-        else:
-            src = np.zeros(x.shape[:ax] + (size,) + x.shape[ax + 1:], x.dtype)
+        src, offset = x, start
+        if start < 0 or start + size > n:
+            src, offset = np.zeros(x.shape[:ax] + (size,) + x.shape[ax + 1:], x.dtype), 0
             lo, hi = max(start, 0), min(start + size, n)
             src[_span(axis, lo - start, hi - start)] = x[_span(axis, lo, hi)]
-        win = _windows(src, axis, advance, width, end - begin)
-        dest = out[_span(axis, begin * step, end * step)]
-        dest = dest.reshape(dest.shape[:ax] + (end - begin, step) + dest.shape[ax + 1:])
+        win = _windows(src, axis, offset, advance, width, end - begin)
+        out_lo, out_hi = begin * step, min(end * step, length)
+        dest = out[_span(axis, out_lo, out_hi)]
+        if out_hi - out_lo < (end - begin) * step:  # the last tile runs past ``length``
+            dest = np.empty(x.shape[:ax] + ((end - begin) * step,) + x.shape[ax + 1:], x.dtype)
         if axis == -2:
-            np.matmul(mat, win, out=dest)
+            np.matmul(mat, win, out=dest.reshape(dest.shape[:ax] + (end - begin, step)
+                                                 + dest.shape[ax + 1:]))
+        elif end - begin == 1:  # one GEMM, not a matrix-vector product per row
+            np.matmul(win[:, 0], mat.T, out=dest)
         else:
-            np.matmul(win, mat.T, out=dest)
-    return out[_span(axis, 0, length)]
+            np.matmul(win, mat.T, out=dest.reshape(-1, end - begin, step))
+        if dest.shape[axis] > out_hi - out_lo:
+            out[_span(axis, out_lo, out_hi)] = dest[_span(axis, 0, out_hi - out_lo)]
+    return result
 
 
 def _analyze(x: np.ndarray, bank: _Bank, axis: int) -> np.ndarray:
@@ -225,25 +255,35 @@ def _synthesize(coeffs: np.ndarray, bank: _Bank, axis: int, n: int) -> np.ndarra
     return _banded(bank.adj, coeffs, axis, bank.adj.shape[1] - advance, n, advance)
 
 
-# (row band, column band) of ll, lh, hl, hh
+# (row band, column band) of ll, lh, hl, hh: band (r, c) sits at rows r::2
+# and columns c::2 of the interleaved coefficients
 _QUADRANTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def _analysis2d(x: np.ndarray, bank: _Bank):
-    """``(ll, lh, hl, hh)`` over the last two axes, rows first."""
-    z = _analyze(_analyze(x, bank, -2), bank, -1)
-    z = z.reshape(z.shape[:-2] + (z.shape[-2] // 2, 2, z.shape[-1] // 2, 2))
-    return tuple(np.ascontiguousarray(z[..., r, :, c]) for r, c in _QUADRANTS)
+def _analysis2d(x: np.ndarray, bank: _Bank) -> np.ndarray:
+    """The bank's operator over the last two axes, rows first: each plane
+    becomes one array of interleaved coefficients."""
+    return _analyze(_analyze(x, bank, -2), bank, -1)
 
 
-def _synthesis2d(ll, lh, hl, hh, bank: _Bank, shape_hw) -> np.ndarray:
+def _synthesis2d(z: np.ndarray, bank: _Bank, shape_hw) -> np.ndarray:
     """Transpose of :func:`_analysis2d`, onto spatial shape ``shape_hw``."""
     m, n = shape_hw
-    z = np.empty(ll.shape[:-2] + (m // 2, 2, n // 2, 2), ll.dtype)
-    for (r, c), band in zip(_QUADRANTS, (ll, lh, hl, hh)):
-        z[..., r, :, c] = band
-    z = z.reshape(z.shape[:-4] + (2 * (m // 2), 2 * (n // 2)))
-    return np.ascontiguousarray(_synthesize(_synthesize(z, bank, -1, n), bank, -2, m))
+    return _synthesize(_synthesize(z, bank, -1, n), bank, -2, m)
+
+
+def _split(z: np.ndarray):
+    """``(ll, lh, hl, hh)`` of interleaved coefficients, each C-contiguous."""
+    return tuple(np.ascontiguousarray(z[..., r::2, c::2]) for r, c in _QUADRANTS)
+
+
+def _merge(bands) -> np.ndarray:
+    """The interleaved coefficients of four equal subbands."""
+    ll = bands[0]
+    z = np.empty(ll.shape[:-2] + (2 * ll.shape[-2], 2 * ll.shape[-1]), ll.dtype)
+    for (r, c), band in zip(_QUADRANTS, bands):
+        z[..., r::2, c::2] = band
+    return z
 
 
 def _work_dtype(x: np.ndarray) -> np.dtype:
@@ -330,14 +370,45 @@ def dwt2d(x, spec: WaveletSpec) -> Decomposition2D:
     ``hh = H @ X @ H.T`` (lh carries the row high-pass).
     """
     X = _input(x, 2, "a matrix")
-    return Decomposition2D(*_analysis2d(X, _bank(spec, X.dtype, synthesis=False)),
+    return Decomposition2D(*_split(_analysis2d(X, _bank(spec, X.dtype, synthesis=False))),
                            original_shape=X.shape)
 
 
 def idwt2d(d: Decomposition2D, spec: WaveletSpec) -> np.ndarray:
     """Reconstruct a matrix of ``d.original_shape`` from its four subbands."""
-    bands, dt = _bands(d.subbands(), d.original_shape, 2, "subband")
-    return _synthesis2d(*bands, _bank(spec, dt, synthesis=True), d.original_shape)
+    bands, _ = _bands(d.subbands(), d.original_shape, 2, "subband")
+    return idwt2d_interleaved(_merge(bands), spec, d.original_shape)
+
+
+def dwt2d_interleaved(x, spec: WaveletSpec) -> np.ndarray:
+    """:func:`dwt2d` with its subbands left interleaved in one array.
+
+    For an ``m x n`` matrix the result is ``2*(m//2) x 2*(n//2)``, with ll
+    at ``[0::2, 0::2]``, lh at ``[1::2, 0::2]``, hl at ``[0::2, 1::2]`` and
+    hh at ``[1::2, 1::2]``.  It is the array :func:`dwt2d` splits, so a
+    caller can change the coefficients in place and hand the array to
+    :func:`idwt2d_interleaved` without splitting and merging the bands.
+    """
+    X = _input(x, 2, "a matrix")
+    return _analysis2d(X, _bank(spec, X.dtype, synthesis=False))
+
+
+def idwt2d_interleaved(z, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:
+    """Reconstruct a ``shape_hw`` matrix from the interleaved subbands of
+    :func:`dwt2d_interleaved`; :func:`idwt2d` merges its bands into this."""
+    Z = _input(z, 2, "a matrix")
+    m, n = shape_hw
+    if Z.shape != (m - m % 2, n - n % 2):
+        raise ShapeMismatch(f"interleaved subbands of shape {Z.shape} do not match "
+                            f"original shape {tuple(shape_hw)}")
+    return _synthesis2d(Z, _bank(spec, Z.dtype, synthesis=True), shape_hw)
+
+
+def detail_views(z: np.ndarray):
+    """Writable views of every lh, hl and hh coefficient of the interleaved
+    array ``z`` and of no ll one: its odd rows (lh and hh) and the odd
+    columns of its even rows (hl)."""
+    return z[..., 1::2, :], z[..., ::2, 1::2]
 
 
 def dwt2d_vjp(grads: Decomposition2D, spec: WaveletSpec) -> np.ndarray:
@@ -349,7 +420,7 @@ def dwt2d_vjp(grads: Decomposition2D, spec: WaveletSpec) -> np.ndarray:
     built from the analysis matrices.
     """
     bands, dt = _bands(grads.subbands(), grads.original_shape, 2, "gradient")
-    return _synthesis2d(*bands, _bank(spec, dt, synthesis=False), grads.original_shape)
+    return _synthesis2d(_merge(bands), _bank(spec, dt, synthesis=False), grads.original_shape)
 
 
 def idwt2d_vjp(upstream, spec: WaveletSpec) -> Decomposition2D:
@@ -360,7 +431,7 @@ def idwt2d_vjp(upstream, spec: WaveletSpec) -> Decomposition2D:
     ``(Ls @ G @ Ls.T, Hs @ G @ Ls.T, Ls @ G @ Hs.T, Hs @ G @ Hs.T)``.
     """
     G = _input(upstream, 2, "a matrix")
-    return Decomposition2D(*_analysis2d(G, _bank(spec, G.dtype, synthesis=True)),
+    return Decomposition2D(*_split(_analysis2d(G, _bank(spec, G.dtype, synthesis=True))),
                            original_shape=G.shape)
 
 
@@ -374,19 +445,19 @@ def dwt2d_batch(x, spec: WaveletSpec):
     ``[N, C, H//2, W//2]``.
     """
     X = _input(x, 4, "an NCHW tensor")
-    return _analysis2d(X, _bank(spec, X.dtype, synthesis=False))
+    return _split(_analysis2d(X, _bank(spec, X.dtype, synthesis=False)))
 
 
 def idwt2d_batch(ll, lh, hl, hh, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:
     """Reconstruct an NCHW tensor of spatial shape ``shape_hw`` from subbands."""
     bands, dt = _bands((ll, lh, hl, hh), shape_hw, 4, "subband")
-    return _synthesis2d(*bands, _bank(spec, dt, synthesis=True), shape_hw)
+    return _synthesis2d(_merge(bands), _bank(spec, dt, synthesis=True), shape_hw)
 
 
 def dwt2d_batch_vjp(gll, glh, ghl, ghh, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:
     """Backward of :func:`dwt2d_batch` for NCHW subband gradients."""
     bands, dt = _bands((gll, glh, ghl, ghh), shape_hw, 4, "gradient")
-    return _synthesis2d(*bands, _bank(spec, dt, synthesis=False), shape_hw)
+    return _synthesis2d(_merge(bands), _bank(spec, dt, synthesis=False), shape_hw)
 
 
 def lowpass2d_batch(x, taps) -> np.ndarray:
@@ -399,14 +470,11 @@ def lowpass2d_batch(x, taps) -> np.ndarray:
     mean of the four subbands, since ``ll + lh + hl + hh = (L+H) X (L+H).T``.
     """
     X = _input(x, 4, "an NCHW tensor")
-    bank = _tiles((tuple(taps),), X.dtype.char)
-    return np.ascontiguousarray(_analyze(_analyze(X, bank, -2), bank, -1))
+    return _analysis2d(X, _tiles((tuple(taps),), X.dtype.char))
 
 
 def lowpass2d_batch_vjp(g, taps, shape_hw: tuple) -> np.ndarray:
     """Backward of :func:`lowpass2d_batch`: ``F.T @ G @ F`` per channel,
     width pass first, onto spatial shape ``shape_hw``."""
     (G,), dt = _bands((g,), shape_hw, 4, "gradient")
-    bank = _tiles((tuple(taps),), dt.char)
-    m, n = shape_hw
-    return np.ascontiguousarray(_synthesize(_synthesize(G, bank, -1, n), bank, -2, m))
+    return _synthesis2d(G, _tiles((tuple(taps),), dt.char), shape_hw)

@@ -526,6 +526,35 @@ def test_malformed_run_config_exits_2(capsys, tmp_path, idx_pair, cfg, command):
     assert f"wavecnn {command}: error: InvalidConfig:" in err
 
 
+@pytest.mark.parametrize("command", ["train", "flops"])
+@pytest.mark.parametrize("text", [
+    '{"mode": "max_pool", "mode": "avg_pool"}',
+    '{"mode": "max_pool", "train": {"epochs": 1, "epochs": 2}}'])
+def test_repeated_key_in_run_config_exits_2(capsys, tmp_path, idx_pair, text, command):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    data = (["--images", idx_pair[0], "--labels", idx_pair[1]] if command == "train"
+            else ["--input", "1x1x28x28"])
+    code, out, err = run_cli(capsys, command, "--config", str(path), *data)
+    assert code == 2 and out == ""
+    assert f"wavecnn {command}: error: InvalidConfig: {path}: repeated key" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"errors": {"gaussian": [0.1, 0.1, 0.1, 0.1, 0.1],'
+    ' "gaussian": [0.9, 0.9, 0.9, 0.9, 0.9]}}',
+    '{"model": "a", "model": "b", "errors": {"gaussian": [0.1, 0.1, 0.1, 0.1, 0.1]}}'])
+def test_repeated_key_in_reference_matrix_exits_2(capsys, tmp_path, idx_pair, text):
+    model, ref = tmp_path / "m.wcn", tmp_path / "ref.json"
+    save_model(build_model(mini_config("max_pool")), model)
+    ref.write_text(text)
+    code, out, err = run_cli(capsys, "robustness", "--model", str(model),
+                             "--images", idx_pair[0], "--labels", idx_pair[1],
+                             "--reference", str(ref))
+    assert code == 2 and out == ""
+    assert "wavecnn robustness: error: InvalidConfig:" in err and "repeated key" in err
+
+
 def test_batch_flag_below_one_exits_2(capsys, idx_pair):
     code, out, err = run_cli(capsys, "train", "--images", idx_pair[0],
                              "--labels", idx_pair[1], "--batch", "0")

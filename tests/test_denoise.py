@@ -3,6 +3,9 @@ import pytest
 
 from wavecnn.denoise import DenoiseConfig, denoise_image, soft_shrink
 from wavecnn.errors import InvalidConfig, NegativeLambda, ShapeMismatch
+from wavecnn.filterbank import get_wavelet, wavelet_names
+from wavecnn.transform import _TILE as TILE
+from wavecnn.transform import Decomposition2D, dwt2d, idwt2d
 
 
 class TestSoftShrink:
@@ -83,6 +86,13 @@ class TestDenoiseImage:
         assert out.dtype == np.uint8
         assert out.shape == img.shape
 
+    def test_threshold_type_does_not_change_the_result(self):
+        img = np.random.default_rng(3).random((40, 36)).astype(np.float32)
+        want = denoise_image(img, DenoiseConfig("db2", 0.1))
+        for t in (np.float64(0.1), np.float32(0.1)):
+            got = denoise_image(img, DenoiseConfig("db2", t))
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
     def test_channels_processed_independently(self):
         rng = np.random.default_rng(2)
         chw = rng.random((3, 16, 16))
@@ -103,3 +113,47 @@ class TestDenoiseImage:
     def test_rejects_bad_rank(self):
         with pytest.raises(ShapeMismatch):
             denoise_image(np.zeros(16))
+
+
+def _band_composition(img, cfg):
+    """``idwt2d`` of the ``dwt2d`` bands with lh, hl and hh soft-shrunk, per
+    channel: the definition the split-free denoise must match bit for bit."""
+    spec, t = get_wavelet(cfg.wavelet), cfg.threshold
+
+    def plane(p):
+        d = dwt2d(p, spec)
+        shrunk = Decomposition2D(d.ll, soft_shrink(d.lh, t), soft_shrink(d.hl, t),
+                                 soft_shrink(d.hh, t), d.original_shape)
+        return idwt2d(shrunk, spec)
+    return plane(img) if img.ndim == 2 else np.stack([plane(c) for c in img])
+
+
+# even and odd sides below, across and well past the dense/tiled boundary
+BIT_SHAPES = [(16, 20), (33, 45), (128, 131), (2 * TILE + 1, 2 * TILE)]
+
+
+@pytest.mark.parametrize("name", wavelet_names())
+class TestBitsMatchTheBandComposition:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float_planes_and_channels(self, name, dtype):
+        rng = np.random.default_rng(21)
+        for t in (0.1, 0.35):
+            cfg = DenoiseConfig(name, t)
+            for shape in BIT_SHAPES:
+                for img in (rng.random(shape), rng.random((3,) + shape)):
+                    img = img.astype(dtype)
+                    got, ref = denoise_image(img, cfg), _band_composition(img, cfg)
+                    assert got.dtype == ref.dtype == dtype
+                    assert got.shape == ref.shape
+                    assert got.tobytes() == ref.tobytes()
+
+    def test_uint8_is_the_composition_on_the_unit_scale(self, name):
+        rng = np.random.default_rng(22)
+        cfg = DenoiseConfig(name, 0.1)
+        for shape in BIT_SHAPES:
+            for img in (rng.integers(0, 256, shape), rng.integers(0, 256, (2,) + shape)):
+                img = img.astype(np.uint8)
+                ref = np.clip(np.rint(_band_composition(img / 255, cfg) * 255.0), 0, 255)
+                got = denoise_image(img, cfg)
+                assert got.dtype == np.uint8
+                assert got.tobytes() == ref.astype(np.uint8).tobytes()

@@ -8,10 +8,11 @@ import pytest
 from wavecnn import transform
 from wavecnn.errors import ShapeMismatch, TooShort
 from wavecnn.filterbank import get_wavelet, wavelet_names
-from wavecnn.transform import (Decomposition2D, build_operator, dwt1d,
+from wavecnn.transform import (Decomposition2D, build_operator, detail_views, dwt1d,
                                dwt1d_vjp, dwt2d, dwt2d_batch, dwt2d_batch_vjp,
-                               dwt2d_vjp, idwt1d, idwt2d, idwt2d_batch, idwt2d_vjp,
-                               lowpass2d_batch, lowpass2d_batch_vjp)
+                               dwt2d_interleaved, dwt2d_vjp, idwt1d, idwt2d, idwt2d_batch,
+                               idwt2d_interleaved, idwt2d_vjp, lowpass2d_batch,
+                               lowpass2d_batch_vjp)
 
 ALL = wavelet_names()
 HAAR = get_wavelet("haar")
@@ -245,6 +246,17 @@ class TestBatch:
         grad = dwt2d_batch_vjp(*ws, HAAR, (8, 8))
         assert _rel(lhs, float((grad * x).sum())) < 1e-12
 
+    @pytest.mark.parametrize("hw", [(8, 12), (40, 70)])
+    def test_empty_batch_gives_empty_results(self, hw):
+        spec, (h, w) = get_wavelet("db4"), hw
+        # empty slices keep their parents' strides
+        x, g = np.zeros((1, 2, h, w))[:0], np.zeros((1, 2, h // 2, w // 2))[:0]
+        assert [b.shape for b in dwt2d_batch(x, spec)] == [g.shape] * 4
+        assert lowpass2d_batch(x, spec.analysis_low).shape == g.shape
+        for out in (idwt2d_batch(g, g, g, g, spec, hw), dwt2d_batch_vjp(g, g, g, g, spec, hw),
+                    lowpass2d_batch_vjp(g, spec.analysis_low, hw)):
+            assert out.shape == x.shape
+
     def test_batch_rejects_non_nchw(self):
         with pytest.raises(ShapeMismatch):
             dwt2d_batch(np.zeros((4, 4)), HAAR)
@@ -431,6 +443,8 @@ class TestResultLayout:
                    *idwt2d_vjp(x, spec).subbands(),
                    idwt2d(Decomposition2D(g, g, g, g, shape), spec)]
         bands = dwt2d_batch(nchw, spec)
+        z = dwt2d_interleaved(x, spec)
+        results += [z, idwt2d_interleaved(z[::-1], spec, shape)]
         results += [*bands, idwt2d_batch(*bands, spec, shape),
                     dwt2d_batch_vjp(*bands, spec, shape),
                     lowpass2d_batch(nchw, spec.analysis_low),
@@ -438,6 +452,84 @@ class TestResultLayout:
         for r in results:
             assert r.flags.c_contiguous
             assert not np.shares_memory(r, x) and not np.shares_memory(r, nchw)
+
+
+def _sliced(a):
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), a.dtype)
+    wide[..., ::2] = a
+    return wide[..., ::2]
+
+
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+# the values of ``a`` in other memory layouts
+LAYOUTS = {"sliced": _sliced,
+           "reversed": lambda a: a[..., ::-1, ::-1].copy()[..., ::-1, ::-1],
+           "transposed": lambda a: a.T.copy().T,
+           "read_only": _read_only}
+
+
+@pytest.mark.parametrize("shape", MULTI_TILE)
+@pytest.mark.parametrize("name", ["haar", "db4", "ch3.3"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_multi_tile_values_do_not_depend_on_the_input_layout(layout, name, shape):
+    """Every 2D transform gives the same bits on strided, reversed,
+    transposed and read-only inputs as on a contiguous copy."""
+    spec, taps = get_wavelet(name), get_wavelet(name).analysis_low
+    rng = np.random.default_rng(20)
+    m, n = shape
+    plane = rng.standard_normal(shape)
+    z = rng.standard_normal((m - m % 2, n - n % 2))
+    bands = rng.standard_normal((4, m // 2, n // 2))
+    nchw = rng.standard_normal((2, 3) + shape)
+    nbands = rng.standard_normal((4, 2, 3, m // 2, n // 2))
+
+    def run(lay):
+        d = Decomposition2D(*map(lay, bands), shape)
+        nb = list(map(lay, nbands))
+        return [*dwt2d(lay(plane), spec).subbands(), idwt2d(d, spec), dwt2d_vjp(d, spec),
+                *idwt2d_vjp(lay(plane), spec).subbands(),
+                dwt2d_interleaved(lay(plane), spec), idwt2d_interleaved(lay(z), spec, shape),
+                *dwt2d_batch(lay(nchw), spec), idwt2d_batch(*nb, spec, shape),
+                dwt2d_batch_vjp(*nb, spec, shape), lowpass2d_batch(lay(nchw), taps),
+                lowpass2d_batch_vjp(nb[0], taps, shape)]
+    for got, want in zip(run(LAYOUTS[layout]), run(np.ascontiguousarray), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestInterleaved:
+    """The one coefficient array that dwt2d splits and denoising edits."""
+
+    @pytest.mark.parametrize("shape", [(6, 9), (33, 45), (128, 131)])
+    @pytest.mark.parametrize("name", ALL)
+    def test_quarters_are_the_subbands_bit_for_bit(self, name, shape):
+        spec = get_wavelet(name)
+        x = np.random.default_rng(23).standard_normal(shape)
+        z, d = dwt2d_interleaved(x, spec), dwt2d(x, spec)
+        assert z.shape == (shape[0] - shape[0] % 2, shape[1] - shape[1] % 2)
+        for (r, c), band in zip(((0, 0), (1, 0), (0, 1), (1, 1)), d.subbands()):
+            assert z[r::2, c::2].tobytes() == band.tobytes()
+        assert idwt2d_interleaved(z, spec, shape).tobytes() == idwt2d(d, spec).tobytes()
+
+    def test_detail_views_hold_each_non_ll_position_once(self):
+        z = np.zeros((2, 6, 10))
+        for view in detail_views(z):
+            view += 1
+        assert np.all(z[..., ::2, ::2] == 0)
+        z[..., ::2, ::2] = 1
+        assert np.all(z == 1)
+
+    def test_rejects_coefficients_of_another_shape(self):
+        z = np.zeros((8, 10))
+        for shape in ((8, 12), (10, 10), (9, 13)):
+            with pytest.raises(ShapeMismatch):
+                idwt2d_interleaved(z, HAAR, shape)
+        assert idwt2d_interleaved(z, HAAR, (9, 11)).shape == (9, 11)
 
 
 def _arrays_reachable_from_caches():
