@@ -169,8 +169,9 @@ _RUN_KEYS = {**network._MODEL_KEYS, "arch": str, "mode": str, "wavelet": str, "t
 
 
 def _load_json(path):
-    """The JSON document in ``path``; a key repeated within one object raises
-    InvalidConfig, where ``json.load`` would keep the last value silently."""
+    """The JSON document in ``path``; a key repeated within one object, bytes
+    that are not UTF-8 and malformed JSON raise InvalidConfig, where
+    ``json.load`` would keep the last value of a repeated key silently."""
     def unique(pairs):
         obj = {}
         for key, value in pairs:
@@ -178,8 +179,11 @@ def _load_json(path):
                 raise InvalidConfig(f"{path}: repeated key {key!r}")
             obj[key] = value
         return obj
-    with open(path) as fh:
-        return json.load(fh, object_pairs_hook=unique)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=unique)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"{path}: not a UTF-8 JSON document: {exc}") from exc
 
 
 def _load_run_config(path) -> dict:
@@ -291,8 +295,9 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    model = network.build_model(
-        _model_config_from(_load_run_config(args.config), args, args.input[-3:]))
+    # counted from the layers' shapes: no weights are allocated
+    model = network.Model(_model_config_from(_load_run_config(args.config), args,
+                                             args.input[-3:]))
     report = complexity.model_madds(model, args.input)
     if args.format == "csv":
         _emit(report.to_csv(), args.out)

@@ -44,10 +44,27 @@ Each layer states what it accepts once, in ``output_shape``: shapes are
 per-image, (C, H, W) tuples before flatten and (F,) after.  ``forward``
 checks its input by calling it on ``x.shape[1:]``, and
 :mod:`wavecnn.complexity`, which holds every multiply-add count, traces a
-model through it.
+model through it.  A dim may be ``None``, unknown: checks run only on known
+dims and an output dim that depends on an unknown one is unknown.  So
+``Conv2d`` and ``BatchNorm2d`` pin the channel count, ``WaveletDown("cat")``
+gives ``4*C`` or ``None``, ``Flatten`` gives ``(None,)`` unless every dim is
+known, and ``Dense`` takes ``(None,)``.  :mod:`wavecnn.network` checks that a
+config's layers chain by tracing ``(None, None, None)`` through them, since
+images of any size may come in.
+
+Each layer with state declares it once, as names and shapes:
+``param_shapes`` for the learnable arrays (the gradient of ``weight`` is
+``grad_weight``) and ``buffer_shapes`` for what else a checkpoint keeps
+(BatchNorm's running statistics).  ``params``, ``grads``, ``buffers`` and
+``init_params`` read the declaration, and so do the model's parameter count
+and the checkpoint loader, which therefore need no allocated arrays.  A
+layer holds its arrays as attributes of those names once ``init_params`` or
+the loader has set them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -59,18 +76,33 @@ from .transform import dwt2d_batch, dwt2d_batch_vjp, lowpass2d_batch, lowpass2d_
 class Layer:
     """Base layer: stateless by default, no parameters."""
 
+    def param_shapes(self) -> dict:
+        """Name -> shape of each learnable array; the gradient of ``name``
+        is kept as ``grad_<name>``."""
+        return {}
+
+    def buffer_shapes(self) -> dict:
+        """Name -> shape of each non-learnable array a checkpoint keeps."""
+        return {}
+
+    def _initial(self, name: str, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+        """The initial value of state array ``name``."""
+        raise NotImplementedError
+
     def init_params(self, rng: np.random.Generator, dtype) -> None:
-        pass
+        """Set every declared array to its initial value, drawing from ``rng``
+        in declaration order."""
+        for name, shape in {**self.param_shapes(), **self.buffer_shapes()}.items():
+            setattr(self, name, self._initial(name, shape, rng).astype(dtype))
 
     def params(self) -> dict:
-        return {}
+        return {name: getattr(self, name) for name in self.param_shapes()}
 
     def grads(self) -> dict:
-        return {}
+        return {name: getattr(self, "grad_" + name, None) for name in self.param_shapes()}
 
     def buffers(self) -> dict:
-        """Non-learnable state that must survive checkpointing."""
-        return {}
+        return {name: getattr(self, name) for name in self.buffer_shapes()}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -100,10 +132,20 @@ def _saved(state, who: str):
 def _require_chw(in_shape, who: str, channels: int | None = None) -> tuple:
     if len(in_shape) != 3:
         raise ShapeMismatch(f"{who} expects a (C,H,W) input shape, got {in_shape}")
-    if channels is not None and in_shape[0] != channels:
+    if None not in (channels, in_shape[0]) and in_shape[0] != channels:
         raise ShapeMismatch(f"{who} declared {channels} input channels "
                             f"but input shape is {in_shape}")
     return tuple(in_shape)
+
+
+def _known(fn, dims) -> tuple:
+    """``fn`` of each dim, keeping unknown (``None``) dims unknown."""
+    return tuple(None if d is None else fn(d) for d in dims)
+
+
+def _uniform(fan_in: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Conv2d(Layer):
@@ -114,28 +156,21 @@ class Conv2d(Layer):
             raise ShapeMismatch(f"kernel size must be odd and positive, got {kernel}")
         if stride not in (1, 2):
             raise ShapeMismatch(f"stride must be 1 or 2, got {stride}")
+        if min(c_in, c_out) < 1:
+            raise ShapeMismatch(f"conv channels must be >= 1, got {c_in} -> {c_out}")
         self.kernel = kernel
         self.c_in = c_in
         self.c_out = c_out
         self.stride = stride
-        self.weight = None
-        self.bias = None
-        self.grad_weight = None
-        self.grad_bias = None
         self._cols = None
         self._x_shape = None
 
-    def init_params(self, rng, dtype):
-        k, ci, co = self.kernel, self.c_in, self.c_out
-        bound = 1.0 / np.sqrt(ci * k * k)
-        self.weight = rng.uniform(-bound, bound, size=(co, ci, k, k)).astype(dtype)
-        self.bias = rng.uniform(-bound, bound, size=(co,)).astype(dtype)
+    def param_shapes(self):
+        k = self.kernel
+        return {"weight": (self.c_out, self.c_in, k, k), "bias": (self.c_out,)}
 
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
+    def _initial(self, name, shape, rng):
+        return _uniform(self.c_in * self.kernel * self.kernel, shape, rng)
 
     def forward(self, x, training=False):
         _, ho, wo = self.output_shape(x.shape[1:])
@@ -184,7 +219,7 @@ class Conv2d(Layer):
     def output_shape(self, in_shape):
         _, h, w = _require_chw(in_shape, "conv", self.c_in)
         k, s, p = self.kernel, self.stride, self.kernel // 2
-        return (self.c_out, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
+        return (self.c_out, *_known(lambda d: (d + 2 * p - k) // s + 1, (h, w)))
 
 
 class BatchNorm2d(Layer):
@@ -194,30 +229,19 @@ class BatchNorm2d(Layer):
     MOMENTUM = 0.1
 
     def __init__(self, channels: int):
+        if channels < 1:
+            raise ShapeMismatch(f"batchnorm channels must be >= 1, got {channels}")
         self.channels = channels
-        self.gamma = None
-        self.beta = None
-        self.grad_gamma = None
-        self.grad_beta = None
-        self.running_mean = None
-        self.running_var = None
         self._cache = None
 
-    def init_params(self, rng, dtype):
-        c = self.channels
-        self.gamma = np.ones(c, dtype=dtype)
-        self.beta = np.zeros(c, dtype=dtype)
-        self.running_mean = np.zeros(c, dtype=dtype)
-        self.running_var = np.ones(c, dtype=dtype)
+    def param_shapes(self):
+        return {"gamma": (self.channels,), "beta": (self.channels,)}
 
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
+    def buffer_shapes(self):
+        return {"running_mean": (self.channels,), "running_var": (self.channels,)}
 
-    def grads(self):
-        return {"gamma": self.grad_gamma, "beta": self.grad_beta}
-
-    def buffers(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
+    def _initial(self, name, shape, rng):
+        return np.ones(shape) if name in ("gamma", "running_var") else np.zeros(shape)
 
     def forward(self, x, training=False):
         self.output_shape(x.shape[1:])
@@ -257,7 +281,7 @@ class BatchNorm2d(Layer):
         return gx
 
     def output_shape(self, in_shape):
-        return _require_chw(in_shape, "batchnorm", self.channels)
+        return (self.channels, *_require_chw(in_shape, "batchnorm", self.channels)[1:])
 
 
 def _bits(a):
@@ -297,9 +321,9 @@ def _quarters(x):
 
 def _halved(in_shape, who: str) -> tuple:
     c, h, w = _require_chw(in_shape, who)
-    if h % 2 or w % 2:
+    if any(_known(lambda d: d % 2, (h, w))):
         raise OddSpatial(f"{who} needs even spatial dims, got {(h, w)}")
-    return (c, h // 2, w // 2)
+    return (c, *_known(lambda d: d // 2, (h, w)))
 
 
 class MaxPool2(Layer):
@@ -413,7 +437,7 @@ class WaveletDown(_LowPassDown):
 
     def output_shape(self, in_shape):
         c, h, w = super().output_shape(in_shape)
-        return (4 * c if self.kind == "cat" else c, h, w)
+        return (4 * c if self.kind == "cat" and c is not None else c, h, w)
 
 
 class PadToEven(Layer):
@@ -442,7 +466,7 @@ class PadToEven(Layer):
 
     def output_shape(self, in_shape):
         c, h, w = _require_chw(in_shape, "pad")
-        return (c, h + h % 2, w + w % 2)
+        return (c, *_known(lambda d: d + d % 2, (h, w)))
 
 
 class Flatten(Layer):
@@ -457,29 +481,22 @@ class Flatten(Layer):
         return grad.reshape(_saved(self._shape, "flatten"))
 
     def output_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
+        return (None,) if None in in_shape else (math.prod(in_shape),)
 
 
 class Dense(Layer):
     def __init__(self, n_in: int, n_out: int):
+        if min(n_in, n_out) < 1:
+            raise ShapeMismatch(f"dense sizes must be >= 1, got {n_in} -> {n_out}")
         self.n_in = n_in
         self.n_out = n_out
-        self.weight = None
-        self.bias = None
-        self.grad_weight = None
-        self.grad_bias = None
         self._x = None
 
-    def init_params(self, rng, dtype):
-        bound = 1.0 / np.sqrt(self.n_in)
-        self.weight = rng.uniform(-bound, bound, size=(self.n_in, self.n_out)).astype(dtype)
-        self.bias = rng.uniform(-bound, bound, size=(self.n_out,)).astype(dtype)
+    def param_shapes(self):
+        return {"weight": (self.n_in, self.n_out), "bias": (self.n_out,)}
 
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
+    def _initial(self, name, shape, rng):
+        return _uniform(self.n_in, shape, rng)
 
     def forward(self, x, training=False):
         self.output_shape(x.shape[1:])
@@ -492,7 +509,7 @@ class Dense(Layer):
         return grad @ self.weight.T
 
     def output_shape(self, in_shape):
-        if len(in_shape) != 1 or in_shape[0] != self.n_in:
+        if len(in_shape) != 1 or in_shape[0] not in (None, self.n_in):
             raise ShapeMismatch(
                 f"dense declared n_in={self.n_in} but input shape is {in_shape}")
         return (self.n_out,)

@@ -14,9 +14,9 @@ leaving the parameter count untouched.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
+import math
 import struct
 import time
 import typing
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismatch
+from .errors import DivergedLoss, FormatError, InvalidConfig, OddSpatial, ShapeMismatch
 from .fileio import Reader
 from .filterbank import get_wavelet
 from .layers import (AvgPool2, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2,
@@ -153,9 +153,14 @@ class ModelConfig:
                            seed=d.get("seed", 0), wavelet_rewrite=d.get("wavelet_rewrite", ""))
 
 
-def _materialize(spec: LayerSpec):
-    """LayerSpec -> list of runtime layers (pad glue may expand one entry)."""
+def _materialize(spec: LayerSpec, rewrite: str = ""):
+    """LayerSpec -> list of runtime layers (pad glue may expand one entry).
+
+    With a ``rewrite`` wavelet, a stride-2 conv becomes the same-shaped
+    stride-1 conv followed by an ll-only wavelet downsample."""
     if spec.kind == "conv":
+        if rewrite and spec.stride == 2:
+            return [Conv2d(spec.kernel, spec.c_in, spec.c_out), WaveletDown("ll", rewrite)]
         return [Conv2d(spec.kernel, spec.c_in, spec.c_out, spec.stride)]
     if spec.kind == "batchnorm":
         return [BatchNorm2d(spec.channels)]
@@ -175,6 +180,8 @@ def _materialize(spec: LayerSpec):
             if spec.c_in < 1:
                 raise InvalidConfig("strided_conv downsample needs c_in")
             c_out = spec.c_out or spec.c_in
+            if rewrite:
+                return [Conv2d(3, spec.c_in, c_out)] + head + [WaveletDown("ll", rewrite)]
             return head + [Conv2d(3, spec.c_in, c_out, stride=2)]
         if spec.mode in _WAVELET_KINDS:
             if not spec.wavelet:
@@ -184,27 +191,37 @@ def _materialize(spec: LayerSpec):
     raise InvalidConfig(f"unknown layer kind {spec.kind!r}")
 
 
-def _rewrite_strided(specs, wavelet: str):
-    """Replace stride-2 convs by stride-1 conv + ll downsample, same weights shape."""
-    out = []
-    for s in specs:
-        if s.kind == "conv" and s.stride == 2:
-            out.append(dataclasses.replace(s, stride=1))
-            out.append(downsample("dwt_ll", wavelet=wavelet))
-        elif s.kind == "down" and s.mode == "strided_conv":
-            c_out = s.c_out or s.c_in
-            out.append(conv(3, s.c_in, c_out, stride=1))
-            out.append(downsample("dwt_ll", wavelet=wavelet, pad_odd=s.pad_odd))
-        else:
-            out.append(s)
-    return tuple(out)
+def _chain(specs, shape: tuple, rewrite: str = "") -> tuple:
+    """Materialize ``specs`` and trace the per-image ``shape`` through each
+    layer's ``output_shape``; returns the layers and the output shape.  A
+    spec that does not fit raises InvalidConfig naming its index."""
+    layers = []
+    for i, spec in enumerate(specs):
+        try:
+            produced = _materialize(spec, rewrite)
+            for layer in produced:
+                shape = layer.output_shape(shape)
+        except (InvalidConfig, ShapeMismatch, OddSpatial) as exc:
+            raise InvalidConfig(f"layer {i}: {exc}") from exc
+        layers.extend(produced)
+    return layers, shape
 
 
 class Model:
-    """A built network: runtime layers plus the config that produced them."""
+    """A network built from its config.
 
-    def __init__(self, layers, config: ModelConfig, dtype):
-        self.layers = layers
+    The constructor checks that the config's layers chain and builds them
+    with their state declared but not allocated: :func:`build_model` draws
+    the initial values and :func:`load_model` reads them from a file.  An
+    unfilled model can still be counted (``parameter_count``,
+    :func:`wavecnn.complexity.model_madds`).
+    """
+
+    def __init__(self, config: ModelConfig, dtype=np.float32):
+        if config.wavelet_rewrite:
+            get_wavelet(config.wavelet_rewrite)  # validate the name early
+        # inputs are images of any size and channel count
+        self.layers, _ = _chain(config.layers, (None, None, None), config.wavelet_rewrite)
         self.config = config
         self.dtype = np.dtype(dtype)
         self.loss = SoftmaxCrossEntropy()
@@ -237,7 +254,9 @@ class Model:
                 yield f"{i}.{name}", arr
 
     def parameter_count(self) -> int:
-        return sum(arr.size for _, arr in self.named_params())
+        """Counted from the declared shapes, so it allocates nothing."""
+        return sum(math.prod(shape) for layer in self.layers
+                   for shape in layer.param_shapes().values())
 
     def checksum(self) -> str:
         digest = hashlib.sha256()
@@ -270,40 +289,11 @@ class Model:
 
 def build_model(cfg: ModelConfig, dtype=np.float32) -> Model:
     """Instantiate and deterministically initialize a model from its config."""
-    specs = tuple(cfg.layers)
-    if cfg.wavelet_rewrite:
-        get_wavelet(cfg.wavelet_rewrite)  # validate the name early
-        specs = _rewrite_strided(specs, cfg.wavelet_rewrite)
-
-    layers = []
-    channels = None  # unknown until a channel-pinning layer appears
-    for i, spec in enumerate(specs):
-        try:
-            produced = _materialize(spec)
-        except InvalidConfig as exc:
-            raise InvalidConfig(f"layer {i}: {exc}") from exc
-        for layer in produced:
-            if isinstance(layer, Conv2d):
-                if channels is not None and channels != layer.c_in:
-                    raise InvalidConfig(
-                        f"layer {i}: conv expects {layer.c_in} channels but gets {channels}")
-                channels = layer.c_out
-            elif isinstance(layer, BatchNorm2d):
-                if channels is not None and channels != layer.channels:
-                    raise InvalidConfig(
-                        f"layer {i}: batchnorm over {layer.channels} channels but gets {channels}")
-                channels = layer.channels
-            elif isinstance(layer, WaveletDown) and layer.kind == "cat":
-                if channels is not None:
-                    channels *= 4
-            elif isinstance(layer, (Flatten, Dense)):
-                channels = None
-        layers.extend(produced)
-
+    model = Model(cfg, dtype)
     rng = np.random.default_rng(cfg.seed)
-    for layer in layers:
-        layer.init_params(rng, np.dtype(dtype))
-    return Model(layers, cfg, dtype)
+    for layer in model.layers:
+        layer.init_params(rng, model.dtype)
+    return model
 
 
 def mini_config(mode: str = "max_pool", wavelet: str = "", in_channels: int = 1,
@@ -318,20 +308,16 @@ def mini_config(mode: str = "max_pool", wavelet: str = "", in_channels: int = 1,
         raise InvalidConfig(f"unknown downsample mode {mode!r}")
     if mode in _WAVELET_KINDS and not wavelet:
         raise InvalidConfig(f"mode {mode!r} needs a wavelet name")
-    plan = (16, 32, 64)
-    h, w = image_hw
     specs = []
-    c_prev = in_channels
-    for c in plan:
-        specs += [conv(3, c_prev, c), batchnorm(c), relu()]
-        pad = bool(h % 2 or w % 2)
-        if mode == "strided_conv":
-            specs.append(downsample(mode, pad_odd=pad, c_in=c, c_out=c))
-        else:
-            specs.append(downsample(mode, wavelet=wavelet, pad_odd=pad))
-        h, w = (h + h % 2) // 2, (w + w % 2) // 2
-        c_prev = 4 * c if mode == "dwt_cat" else c
-    specs += [flatten(), dense(c_prev * h * w, classes)]
+    shape = (in_channels, *image_hw)
+    for c in (16, 32, 64):
+        pad = any(d % 2 for d in shape[1:])  # the conv keeps the spatial size
+        stage = [conv(3, shape[0], c), batchnorm(c), relu(),
+                 downsample(mode, pad_odd=pad, c_in=c, c_out=c) if mode == "strided_conv"
+                 else downsample(mode, wavelet=wavelet, pad_odd=pad)]
+        specs += stage
+        _, shape = _chain(stage, shape)
+    specs += [flatten(), dense(math.prod(shape), classes)]
     return ModelConfig(layers=tuple(specs), seed=seed)
 
 
@@ -349,6 +335,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch < 1:
             raise InvalidConfig(f"training batch must be >= 1, got {self.batch}")
+        if self.epochs < 1:
+            raise InvalidConfig(f"training epochs must be >= 1, got {self.epochs}")
+        for name in ("lr", "momentum", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"training {name} must be finite, "
+                                    f"got {getattr(self, name)}")
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
@@ -574,11 +566,16 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     """Rebuild a model from a checkpoint written by :func:`save_model`.
 
-    The digest is checked before anything is parsed.  A short file, a
-    digest mismatch, a config that is not JSON, or a state entry that is
-    missing, unknown, repeated or of the wrong size raises ``FormatError``;
-    a file that is not a checkpoint at all raises ``InvalidConfig``.
-    ``WCN1`` files, which carry no digest, go through the same parser.
+    The digest is checked before anything is parsed.  The model is built
+    from the file's config with no random initialization: each state array
+    is read straight from the file, after its declared size has been checked
+    against the bytes left, so a config that declares huge layers costs
+    nothing before the file is found short.  A short file, a digest
+    mismatch, a config that is not JSON, a state entry that is missing,
+    unknown, repeated or of the wrong size, or one that holds NaN or an
+    infinity raises ``FormatError``; a file that is not a checkpoint at all
+    raises ``InvalidConfig``.  ``WCN1`` files, which carry no digest, go
+    through the same parser.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -598,10 +595,10 @@ def load_model(path) -> Model:
         raise FormatError(f"{path}: model config is not JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise FormatError(f"{path}: model config is not a JSON object")
-    model = build_model(ModelConfig.from_dict(cfg), dtype=_DTYPE_TAGS[tag])
-    state = dict(model.named_params())
-    state.update(model.named_buffers())
-    item = "<f4" if tag == 0 else "<f8"
+    model = Model(ModelConfig.from_dict(cfg), dtype=_DTYPE_TAGS[tag])
+    state = {f"{i}.{name}": (layer, name, shape) for i, layer in enumerate(model.layers)
+             for name, shape in {**layer.param_shapes(), **layer.buffer_shapes()}.items()}
+    item = np.dtype("<f4" if tag == 0 else "<f8")
     loaded = set()
     (count,) = r.unpack("<I")
     for _ in range(count):
@@ -612,10 +609,14 @@ def load_model(path) -> Model:
         (nbytes,) = r.unpack("<Q")
         if name not in state or name in loaded:
             raise FormatError(f"{path}: unexpected or repeated state entry {name!r}")
-        if shape != state[name].shape or nbytes != state[name].size * np.dtype(item).itemsize:
+        layer, attr, want = state[name]
+        if shape != want or nbytes != math.prod(want) * item.itemsize:
             raise FormatError(f"{path}: {name} holds shape {shape} in {nbytes} bytes, "
-                              f"expected {state[name].shape}")
-        state[name][...] = r.array(item, shape)
+                              f"expected {want}")
+        arr = r.array(item, shape).astype(model.dtype)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: {name} holds NaN or infinite values")
+        setattr(layer, attr, arr)
         loaded.add(name)
     if loaded != set(state):
         raise FormatError(f"{path}: missing state entries {sorted(set(state) - loaded)}")

@@ -622,3 +622,45 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.count("\n") == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "robustness", "shift"])
+def test_non_finite_checkpoint_exits_2(capsys, tmp_path, idx_pair, command):
+    model = build_model(mini_config("max_pool"))
+    model.layers[0].weight[0, 0, 0, 0] = np.nan
+    path = tmp_path / "m.wcn"
+    save_model(model, path)
+    code, out, err = run_cli(capsys, command, "--model", str(path),
+                             "--images", idx_pair[0], "--labels", idx_pair[1])
+    assert code == 2 and out == ""
+    assert f"wavecnn {command}: error: FormatError:" in err and "0.weight" in err
+
+
+@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--epochs", "-2"], ["--lr", "nan"],
+                                   ["--momentum", "inf"], ["--weight-decay", "nan"]])
+def test_untrainable_hyperparameters_exit_2(capsys, tmp_path, idx_pair, flags):
+    out_path = tmp_path / "m.wcn"
+    code, out, err = run_cli(capsys, "train", "--images", idx_pair[0], "--labels", idx_pair[1],
+                             "--out", str(out_path), *flags)
+    assert code == 2 and out == ""
+    assert "wavecnn train: error: InvalidConfig: training" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("data", [b'{"mode": "max_pool"', b'{"mode": "max_\xffpool"}', b""])
+@pytest.mark.parametrize("command", ["train", "flops", "robustness"])
+def test_undecodable_json_exits_2(capsys, tmp_path, idx_pair, data, command):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    data_flags = ["--images", idx_pair[0], "--labels", idx_pair[1]]
+    if command == "flops":
+        argv = ["--config", str(path), "--input", "1x1x28x28"]
+    elif command == "train":
+        argv = ["--config", str(path), *data_flags]
+    else:
+        model = tmp_path / "m.wcn"
+        save_model(build_model(mini_config("max_pool")), model)
+        argv = ["--model", str(model), "--reference", str(path), *data_flags]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2 and out == ""
+    assert f"wavecnn {command}: error: InvalidConfig: {path}: not a UTF-8 JSON document" in err

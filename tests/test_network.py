@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,12 +106,30 @@ class TestTrainConfig:
         assert nw.TrainConfig.from_dict({"lr": 1, "momentum": 0}) == \
             nw.TrainConfig(lr=1.0, momentum=0.0)
 
+    @pytest.mark.parametrize("fields", [
+        {"epochs": 0}, {"epochs": -2}, {"lr": float("nan")}, {"lr": float("inf")},
+        {"momentum": float("inf")}, {"weight_decay": float("nan")},
+        {"momentum": float("-inf")}])
+    def test_no_epochs_or_non_finite_hyperparameters_rejected(self, fields):
+        with pytest.raises(InvalidConfig, match=next(iter(fields))):
+            nw.TrainConfig(**fields)
+        with pytest.raises(InvalidConfig, match=next(iter(fields))):
+            nw.TrainConfig.from_dict(fields)
+
     @pytest.mark.parametrize("batch", [0, -3])
     def test_batch_below_one_rejected(self, batch):
         with pytest.raises(InvalidConfig, match="batch"):
             nw.TrainConfig(batch=batch)
         with pytest.raises(InvalidConfig, match="batch"):
             nw.TrainConfig.from_dict({"batch": batch})
+
+
+_MINI_CASES = (("max_pool", ""), ("avg_pool", ""), ("strided_conv", ""),
+               ("dwt_ll", "haar"), ("dwt_avg", "db2"), ("dwt_cat", "ch3.3"))
+
+# tracemalloc peak allowed where a config declares a 10 -> 6,000,000 dense
+# layer (240 MB of float32 weights) that nothing may allocate
+_BOUND = 16 * 2**20
 
 
 class TestBuildModel:
@@ -158,6 +178,87 @@ class TestBuildModel:
             nw.mini_config("dwt_ll")
         with pytest.raises(InvalidConfig):
             nw.build_model(nw.ModelConfig(layers=(nw.downsample("dwt_ll"),)))
+
+    @pytest.mark.parametrize("cfg", [
+        *(nw.mini_config(mode, wavelet) for mode, wavelet in _MINI_CASES),
+        *(nw.mini_config(mode, wavelet, image_hw=(27, 27)) for mode, wavelet in _MINI_CASES),
+        nw.ModelConfig(layers=(nw.flatten(), nw.dense(64, 2))),
+        nw.ModelConfig(layers=(nw.batchnorm(3), nw.relu(), nw.conv(3, 3, 2))),
+        nw.ModelConfig(layers=(nw.conv(3, 1, 2), nw.downsample("max_pool", pad_odd=True),
+                               nw.downsample("dwt_cat", "haar", pad_odd=True),
+                               nw.conv(1, 8, 2))),
+        dataclasses.replace(nw.mini_config("strided_conv"), wavelet_rewrite="haar")],
+        ids=lambda cfg: "-".join(s.mode or s.kind for s in cfg.layers[:4]))
+    def test_accepts_every_chaining_config(self, cfg):
+        assert nw.build_model(cfg).layers
+
+    @pytest.mark.parametrize("layers,at", [
+        ((nw.conv(3, 1, 4), nw.downsample("dwt_cat", "haar"), nw.conv(3, 4, 8)), 2),
+        ((nw.conv(3, 1, 4), nw.dense(16, 2)), 1),
+        ((nw.dense(4, 2),), 0),
+        ((nw.flatten(), nw.conv(3, 1, 4)), 1),
+        ((nw.flatten(), nw.dense(4, 3), nw.dense(5, 2)), 2)])
+    def test_rejects_layers_that_do_not_chain(self, layers, at):
+        """Inputs are always NCHW images, so a dense layer must follow a flatten."""
+        with pytest.raises(InvalidConfig, match=f"^layer {at}: "):
+            nw.build_model(nw.ModelConfig(layers=layers))
+
+    @pytest.mark.parametrize("layers,at", [
+        ((nw.conv(3, 0, 4),), 0), ((nw.conv(3, 1, 0),), 0), ((nw.batchnorm(-2),), 0),
+        ((nw.flatten(), nw.dense(10, -3)), 1), ((nw.flatten(), nw.dense(0, 3)), 1)])
+    def test_rejects_sizes_below_one(self, layers, at):
+        with pytest.raises(InvalidConfig, match=f"^layer {at}: .* must be >= 1"):
+            nw.Model(nw.ModelConfig(layers=layers))
+
+    def test_parameter_count_allocates_nothing(self):
+        cfg = nw.ModelConfig(layers=(nw.flatten(), nw.dense(10, 6_000_000)))
+        tracemalloc.start()
+        try:
+            assert nw.Model(cfg).parameter_count() == 66_000_000
+            assert tracemalloc.get_traced_memory()[1] < _BOUND
+        finally:
+            tracemalloc.stop()
+        small = nw.mini_config("dwt_cat", "haar")
+        assert nw.Model(small).parameter_count() == \
+            sum(arr.size for _, arr in nw.build_model(small).named_params())
+
+
+# Model.checksum() of build_model(mini_config(mode, wavelet)) as recorded before
+# the layers declared their state shapes; the draw order and the entry order
+# are pinned by these.  The four modes without conv down-sampling share weights.
+_SAME_WEIGHTS = {"float32": "465cb4f4aeca4b788af6e0092203f75aaf68dd1d2fd417ef6e04db56c398c4a1",
+                 "float64": "c229ebb58af931570bc0cb27cba449f7ea392be189162bd550cbaf6ef6dd1675"}
+_GOLDEN_CHECKSUMS = {
+    **{(mode, dt): digest for mode in ("max_pool", "avg_pool", "dwt_ll", "dwt_avg")
+       for dt, digest in _SAME_WEIGHTS.items()},
+    ("strided_conv", "float32"): "d22c94cd7611bdd4822c8376e549eb004a291d528f884e058d9e73f1cebcbc84",
+    ("strided_conv", "float64"): "7d887e1ebd5edd5d5315d88dc45452d45abf9ec3625f84f1820532d9a09c868b",
+    ("dwt_cat", "float32"): "e87efb754be9907c81706e786276f122a2d80b9f37fcdbe018b852dee28ed9b3",
+    ("dwt_cat", "float64"): "9022f05dd58b084ce975b09b566f9d5e3f0c170048a510490e45ec872e8a57ca",
+    ("rewrite", "float32"): "3c70357787a5377f20d93d8fa156c1f7a268f2684e017d4422e2143c90a86d18",
+}
+
+
+def _golden_config(mode):
+    if mode == "rewrite":
+        return dataclasses.replace(nw.mini_config("strided_conv"), wavelet_rewrite="haar")
+    return nw.mini_config(mode, dict(_MINI_CASES)[mode])
+
+
+class TestGoldenState:
+    @pytest.mark.parametrize("mode,dtype", list(_GOLDEN_CHECKSUMS))
+    def test_initial_weights_are_pinned(self, mode, dtype):
+        model = nw.build_model(_golden_config(mode), dtype=np.dtype(dtype))
+        assert model.checksum() == _GOLDEN_CHECKSUMS[mode, dtype]
+
+    @pytest.mark.parametrize("mode,dtype", list(_GOLDEN_CHECKSUMS))
+    def test_save_load_save_is_byte_identical(self, tmp_path, mode, dtype):
+        first, second = tmp_path / "a.wcn", tmp_path / "b.wcn"
+        nw.save_model(nw.build_model(_golden_config(mode), dtype=np.dtype(dtype)), first)
+        back = nw.load_model(first)
+        assert back.checksum() == _GOLDEN_CHECKSUMS[mode, dtype]
+        nw.save_model(back, second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestWaveletRewrite:
@@ -523,6 +624,67 @@ class TestCorruptCheckpoint:
             data[int(where * len(data))] ^= mask
             path.write_bytes(data)
             _loads_same_or_fails_loudly(path, want)
+
+
+def _huge_dense_checkpoint(path, headers: bool):
+    """A WCN2 file with a valid digest whose config declares a 10 -> 6,000,000
+    dense layer; it holds no state entries, or full-size entry headers whose
+    payload is cut short."""
+    cfg = nw.ModelConfig(layers=(nw.flatten(), nw.dense(10, 6_000_000)))
+    blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+    body = b"WCN2" + struct.pack("<BI", 0, len(blob)) + blob
+    if headers:
+        body += struct.pack("<I", 2)
+        for name, shape in (("1.weight", (10, 6_000_000)), ("1.bias", (6_000_000,))):
+            body += struct.pack("<H", len(name)) + name.encode()
+            body += struct.pack(f"<B{len(shape)}QQ", len(shape), *shape, 4 * math.prod(shape))
+        body += bytes(64)
+    else:
+        body += struct.pack("<I", 0)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+class TestLoadAllocatesNothingUnchecked:
+    @pytest.mark.parametrize("headers", [False, True])
+    def test_huge_declared_layer_fails_small(self, tmp_path, headers):
+        path = tmp_path / "huge.wcn"
+        _huge_dense_checkpoint(path, headers)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                nw.load_model(path)
+            assert tracemalloc.get_traced_memory()[1] < _BOUND
+        finally:
+            tracemalloc.stop()
+
+    def test_flops_on_the_huge_layer_list_allocates_no_weights(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(
+            nw.ModelConfig(layers=(nw.flatten(), nw.dense(10, 6_000_000))).to_dict()))
+        tracemalloc.start()
+        try:
+            assert main(["flops", "--config", str(cfg), "--input", "1x1x10x1"]) == 0
+            assert tracemalloc.get_traced_memory()[1] < _BOUND
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["total"] == 60_000_000
+
+
+class TestNonFiniteState:
+    @pytest.mark.parametrize("legacy", [False, True])
+    @pytest.mark.parametrize("layer,name,bad", [
+        (0, "weight", np.nan), (0, "bias", -np.inf), (1, "gamma", np.inf),
+        (1, "running_var", np.inf), (1, "running_mean", np.nan), (5, "weight", np.nan)])
+    def test_rejected_in_both_layouts(self, tmp_path, legacy, layer, name, bad):
+        path = tmp_path / "m.wcn"
+        _small_checkpoint(path)
+        model = nw.load_model(path)
+        getattr(model.layers[layer], name).reshape(-1)[-1] = bad
+        nw.save_model(model, path)
+        if legacy:
+            path.write_bytes(_legacy(path.read_bytes()))
+        with pytest.raises(FormatError, match=f"{layer}.{name} holds NaN or infinite"):
+            nw.load_model(path)
 
 
 class TestModelBackward:
