@@ -47,6 +47,16 @@ def _shape2(text: str):
         raise argparse.ArgumentTypeError(f"expected HxW with positive ints, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value < 1:
+            raise ValueError
+        return value
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive int, got {text!r}")
+
+
 def _shape_nchw(text: str):
     try:
         dims = tuple(int(p) for p in text.lower().split("x"))
@@ -261,8 +271,12 @@ def _cmd_robustness(args) -> int:
         if str(args.reference).lower().endswith(".json"):
             ref = robustness.ErrorMatrix.from_json_dict(_load_json(args.reference))
         else:
-            with open(args.reference) as fh:
-                ref = robustness.ErrorMatrix.from_csv(fh.read())
+            try:
+                with open(args.reference, encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise InvalidConfig(f"{args.reference}: not a UTF-8 CSV file: {exc}") from exc
+            ref = robustness.ErrorMatrix.from_csv(text)
     model = network.load_model(args.model)
     ds = datasets.load_dataset(args.images, args.labels)
     matrix = robustness.error_matrix(
@@ -316,9 +330,10 @@ def _build_parser() -> _Parser:
                         help="base RNG seed (default 0)")
     common.add_argument("--precision", choices=("f32", "f64"), default=None,
                         help="float width; transforms/denoise default f64, training f32")
-    common.add_argument("--threads", type=int, default=1,
-                        help="corruption workers, 'robustness' only; on 2 vCPUs, 2 are "
-                             "2-3x slower than 1 at 28 px, 1.2-1.8x faster from 128 px")
+    common.add_argument("--threads", type=_positive_int, default=1,
+                        help="corruption workers, 'robustness' only (at least 1); on 2 "
+                             "vCPUs, 2 are 2-3x slower than 1 at 28 px, 1.2-1.8x faster "
+                             "from 128 px. Inference uses every usable CPU by itself")
 
     top = _Parser(prog="wavecnn",
                   description="Wavelet transforms, wavelet-downsampled CNNs, "

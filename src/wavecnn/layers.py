@@ -26,7 +26,11 @@ state of an earlier training forward, so an evaluated model holds no
 activations.  Its output keeps its bits: BatchNorm applies the running
 statistics with the same operations in the same order, and max pooling
 runs the same knockout.  A backward that follows an inference forward
-raises ``InvalidConfig``.
+raises ``InvalidConfig``.  ``Conv2d`` also frees its scratch early in
+inference: the padded input once the im2col matrix is built, and that
+matrix once the GEMM has read it, before the output copy is allocated.
+This keeps an inference forward's peak near one block's activations, which
+matters because ``Model.predict_logits`` runs one block per usable CPU.
 
 ``AvgPool2``, ``WaveletDown("ll")`` and ``WaveletDown("avg")`` share one
 forward and backward, a separable low-pass filter and stride-2 sampling per
@@ -184,8 +188,10 @@ class Conv2d(Layer):
             for kj in range(k):
                 cols[:, ki, kj] = xp[:, ki:ki + s * ho:s, kj:kj + s * wo:s]
         cols = cols.reshape(self.c_in * k * k, ho * wo * n)
+        del xp
         self._cols, self._x_shape = (cols, x.shape) if training else (None, None)
         out = self.weight.reshape(self.c_out, -1) @ cols
+        del cols  # an inference forward frees it here; training keeps self._cols
         # one copy into channel-major (C_out, N, Ho, Wo), adding the bias on the way
         y = np.empty((self.c_out, n, ho, wo), dtype=out.dtype)
         np.add(out.reshape(self.c_out, ho, wo, n).transpose(0, 3, 1, 2),

@@ -17,9 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import time
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +209,33 @@ def _chain(specs, shape: tuple, rewrite: str = "") -> tuple:
     return layers, shape
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# (pid, pool): the helper threads of predict_logits, one pool per process
+_pool = None
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The process's helper pool, built on first use and again in a forked
+    child, whose copy of the pool has no threads.  Its threads start as
+    work arrives, so there are never more than the helpers one call asks
+    for (fewer than the CPU count) per concurrent caller.  Helpers never
+    submit work, so they cannot deadlock on the pool; two threads that
+    build a pool at once leave a spare one, which the garbage collector
+    takes with its threads."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = (os.getpid(), ThreadPoolExecutor(os.cpu_count() or 1,
+                                                 thread_name_prefix="wavecnn-predict"))
+    return _pool[1]
+
+
 class Model:
     """A network built from its config.
 
@@ -275,11 +304,48 @@ class Model:
         float32, ms per image for max_pool / dwt_ll): 0.161 / 0.180 at 16,
         0.155 / 0.172 at 32, 0.159 / 0.181 at 64 and 0.174 / 0.217 at 256.
         Zero images give a ``(0, classes)`` array.
+
+        The blocks run on every usable CPU: with ``k`` the smaller of the
+        usable CPU count (read on each call) and the block count, the caller
+        forwards blocks 0, k, 2k, ... and helper thread ``j`` of a
+        process-wide pool forwards blocks j, j + k, ...; the logits are
+        joined in block order.  Each block is forwarded exactly as it would
+        be alone, so the bits do not depend on the CPU count, and on one CPU
+        or one block no thread is started.  This is safe because an
+        inference forward writes no layer state but ``None`` and NumPy and
+        BLAS release the GIL.  Each extra CPU holds about one more block's
+        activations.  A forward that raises in any block raises the error
+        of the first failing block, after every helper has finished.
+        ``train`` keeps its per-epoch validation serial: a helper thread
+        allocates from its own malloc arena, which cannot reuse what the
+        training step freed, and the train peak RSS grew 16 % for a 2 %
+        speed-up when it went through here.
         """
         if len(images) == 0:
             return self.forward(images, training=False)
-        chunks = [self.forward(images[i:i + batch], training=False)
-                  for i in range(0, len(images), batch)]
+        starts = range(0, len(images), batch)
+        k = min(_usable_cpus(), len(starts))
+
+        def strand(j):
+            """Forward blocks j, j + k, ...; stop at the first error and
+            return the logits so far and that error (or None)."""
+            done = []
+            try:
+                for i in starts[j::k]:
+                    done.append(self.forward(images[i:i + batch], training=False))
+            except Exception as exc:  # re-raised below, in block order
+                return done, exc
+            return done, None
+
+        # on one CPU or one block this loop is empty and no pool is built
+        helpers = [_helper_pool().submit(strand, j) for j in range(1, k)]
+        strands = [strand(0)] + [f.result() for f in helpers]
+        chunks = []
+        for b in range(len(starts)):
+            done, exc = strands[b % k]
+            if b // k == len(done):
+                raise exc
+            chunks.append(done[b // k])
         return np.concatenate(chunks, axis=0)
 
     def predict(self, images: np.ndarray) -> np.ndarray:

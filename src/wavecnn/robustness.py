@@ -76,11 +76,14 @@ def corrupt_dataset(dataset, kind: str, severity: int, seed: int = 0, workers: i
     """Corrupt every image with an independent (seed, index) stream.
 
     Worker count only affects wall-clock time; per-image streams make the
-    output identical regardless of scheduling.
+    output identical regardless of scheduling.  ``workers`` below 1 raises
+    InvalidConfig.
     """
     from .datasets import Dataset
 
     _severity_param(kind, severity)  # validate before any work
+    if workers < 1:
+        raise InvalidConfig(f"corruption workers must be >= 1, got {workers}")
     n = len(dataset)
 
     def one(i):
@@ -185,7 +188,11 @@ def error_matrix(model, dataset, kinds=NOISE_CORRUPTIONS, seed: int = 0,
                  workers: int = 1, model_id: str = "") -> ErrorMatrix:
     """Measure a model's corrupted top-1 error over all kinds and severities.
 
-    Raises InvalidConfig (from ``evaluate``) on a dataset without images.
+    ``workers`` threads corrupt the images (see :func:`corrupt_dataset`);
+    the forwards use every usable CPU whatever it is
+    (``Model.predict_logits``).  Raises InvalidConfig on ``workers`` below 1
+    (from ``corrupt_dataset``, before any forward) and (from ``evaluate``)
+    on a dataset without images.
     """
     from .network import evaluate
 

@@ -580,6 +580,26 @@ def test_malformed_reference_matrix_exits_2(capsys, tmp_path, idx_pair, name, te
     assert "wavecnn robustness: error: InvalidConfig:" in err
 
 
+def test_undecodable_csv_reference_exits_2(capsys, tmp_path, idx_pair):
+    model, ref = tmp_path / "m.wcn", tmp_path / "ref.csv"
+    save_model(build_model(mini_config("max_pool")), model)
+    ref.write_bytes(b"gaussian,0.1,0.2,0.3,0.4,0.5\n\xff\n")
+    code, out, err = run_cli(capsys, "robustness", "--model", str(model),
+                             "--images", idx_pair[0], "--labels", idx_pair[1],
+                             "--reference", str(ref))
+    assert code == 2 and out == ""
+    assert f"wavecnn robustness: error: InvalidConfig: {ref}: not a UTF-8 CSV file" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-4", "two"])
+def test_threads_below_one_is_a_usage_error(capsys, idx_pair, value):
+    code, out, err = run_cli(capsys, "robustness", "--model", "m.wcn",
+                             "--images", idx_pair[0], "--labels", idx_pair[1],
+                             "--threads", value)
+    assert code == 1 and out == ""
+    assert "--threads" in err and "expected a positive int" in err
+
+
 def test_train_on_an_empty_idx_pair_exits_2(capsys, tmp_path):
     imgs, labs = tmp_path / "e.images.idx", tmp_path / "e.labels.idx"
     save_dataset(Dataset(np.zeros((0, 1, 28, 28)), np.zeros(0, dtype=np.int64)), imgs, labs)

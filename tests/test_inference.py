@@ -1,6 +1,7 @@
 """Inference forwards: same bits as before, no backward state kept."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,33 @@ class TestNoBackwardState:
             assert held()
             run()
             assert held() == []
+
+
+class TestConvBuffers:
+    """An inference conv frees its padded input and its im2col matrix as
+    soon as it has read them; a training conv keeps the matrix for backward."""
+
+    def test_inference_forward_peak(self):
+        model = nw.build_model(nw.mini_config("max_pool"))
+        x = _data((32, 1, 28, 28), np.float32, "normal")
+        model.forward(x, training=False)  # warm the transform caches
+        tracemalloc.start()
+        try:
+            model.forward(x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.0 * 2**20  # 5.89 MiB while both buffers lived to the end
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_training_forward_keeps_im2col_and_backward_matches(self, stride):
+        conv = L.Conv2d(3, 3, 4, stride=stride)
+        conv.init_params(np.random.default_rng(1), np.dtype(np.float64))
+        x = _data((2, 3, 6, 10), np.float64, "normal")
+        out = conv.forward(x, training=True)
+        ho, wo = out.shape[2:]
+        assert conv._cols.shape == (3 * 3 * 3, ho * wo * 2)
+        assert nw.gradcheck(conv, x, rng=np.random.default_rng(2)) < 1e-6
 
 
 class TestPredictBlocks:

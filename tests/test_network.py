@@ -2,9 +2,16 @@ import copy
 import dataclasses
 import hashlib
 import json
+import functools
 import math
+import os
+import select
+import signal
 import struct
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from wavecnn import network as nw
 from wavecnn.cli import main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
-from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig
+from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismatch
 from wavecnn.layers import Conv2d, Dense, Flatten, WaveletDown
 
 
@@ -746,3 +753,150 @@ def test_synthetic_dataset_trains_above_chance_quickly():
     model = nw.build_model(nw.mini_config("avg_pool", classes=4, seed=0))
     report = nw.train(model, ds, nw.TrainConfig(epochs=3, batch=32))
     assert report.val_accuracy[-1] > 0.5
+
+
+# --- inference blocks on every usable CPU ---
+
+MODES = [("max_pool", ""), ("avg_pool", ""), ("strided_conv", ""),
+         ("dwt_ll", "haar"), ("dwt_avg", "db4"), ("dwt_cat", "ch3.3")]
+_IMAGES = synthetic_classification(23, classes=10, seed=4).images
+
+
+def _use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}cpu")
+def usable_cpus(request, monkeypatch):
+    _use_cpus(monkeypatch, request.param)
+    return request.param
+
+
+@functools.lru_cache(maxsize=None)
+def _parallel_model(mode, wavelet, dtype):
+    return nw.build_model(nw.mini_config(mode, wavelet, seed=5), dtype=dtype)
+
+
+@functools.lru_cache(maxsize=None)
+def _serial_logits(mode, wavelet, dtype, batch):
+    """The plain loop: one inference forward per block, in order."""
+    model = _parallel_model(mode, wavelet, dtype)
+    images = _IMAGES.astype(dtype)
+    return np.concatenate([model.forward(images[i:i + batch], training=False)
+                           for i in range(0, len(images), batch)])
+
+
+class TestParallelPredict:
+    @pytest.mark.parametrize("batch", [1, 7, 32, len(_IMAGES)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("mode,wavelet", MODES)
+    def test_bytes_match_the_serial_block_loop(self, usable_cpus, mode, wavelet, dtype, batch):
+        model = _parallel_model(mode, wavelet, dtype)
+        got = model.predict_logits(_IMAGES.astype(dtype), batch=batch)
+        want = _serial_logits(mode, wavelet, dtype, batch)
+        assert got.dtype == want.dtype and got.shape == want.shape == (len(_IMAGES), 10)
+        assert got.tobytes() == want.tobytes()
+
+    def test_wrong_channel_count_raises_the_serial_error(self, usable_cpus):
+        model = _parallel_model("max_pool", "", np.float32)
+        images = np.zeros((100, 3, 28, 28), dtype=np.float32)
+        model.predict_logits(_IMAGES)  # the helper pool exists from here on
+        threads = set(threading.enumerate())
+        with pytest.raises(ShapeMismatch) as serial:
+            model.forward(images[:32], training=False)
+        with pytest.raises(ShapeMismatch) as parallel:
+            model.predict_logits(images)
+        assert str(parallel.value) == str(serial.value)
+        assert set(threading.enumerate()) <= threads
+
+    def test_first_failing_block_raises_after_every_helper_is_done(self, usable_cpus):
+        """Blocks 2 and later fail: the strands of 2 or 3 CPUs fail at blocks
+        2 and 3, or 2, 3 and 4, and the serial loop fails at block 2."""
+        model = _tiny_model()
+        images = np.zeros((10, 1, 8, 8))
+        images[:, 0, 0, 0] = np.arange(10) // 2  # the block index, at batch 2
+        running = []
+        forward = model.forward
+
+        def failing(x, training=False):
+            running.append(None)
+            try:
+                time.sleep(0.02)
+                if x[0, 0, 0, 0] >= 2:
+                    raise ValueError(f"block {int(x[0, 0, 0, 0])}")
+                return forward(x, training)
+            finally:
+                running.pop()
+        model.forward = failing
+        with pytest.raises(ValueError, match="^block 2$"):
+            model.predict_logits(images, batch=2)
+        assert running == []
+
+    def test_concurrent_callers_under_fast_thread_switching(self, monkeypatch):
+        """Four callers share one model and the pool, on more threads than cores."""
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(nw, "_pool", None)  # the callers race to build it
+        model = _parallel_model("dwt_avg", "db4", np.float32)
+        want = _serial_logits("dwt_avg", "db4", np.float32, 1).tobytes()
+        results = []
+
+        def call():
+            for _ in range(3):
+                results.append(model.predict_logits(_IMAGES.astype(np.float32), batch=1)
+                               .tobytes() == want)
+        callers = [threading.Thread(target=call) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [True] * 12
+
+    @pytest.mark.parametrize("cpus,count", [(1, 100), (3, 32), (3, 0)])
+    def test_one_cpu_or_one_block_starts_no_thread(self, monkeypatch, cpus, count):
+        """Zero images also start none, and give a ``(0, classes)`` array."""
+        _use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(nw, "_pool", None)
+        threads = set(threading.enumerate())  # spare pools of earlier tests may still exit
+        model = _parallel_model("max_pool", "", np.float32)
+        logits = model.predict_logits(np.zeros((count, 1, 28, 28), dtype=np.float32))
+        assert logits.shape == (count, 10) and logits.dtype == np.float32
+        assert nw._pool is None and set(threading.enumerate()) <= threads
+
+    def test_forked_child_gets_the_same_logits(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        model = _parallel_model("dwt_ll", "haar", np.float32)
+        want = model.predict_logits(_IMAGES, batch=7)  # the parent's pool is live
+        assert nw._pool[0] == os.getpid()
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: answer with a pool flag and the logits
+            try:
+                os.close(read)
+                logits = model.predict_logits(_IMAGES, batch=7)
+                own_pool = nw._pool[0] == os.getpid()
+                os.write(write, bytes([own_pool]) + logits.tobytes())
+            finally:
+                os._exit(0)
+        os.close(write)
+        got, deadline = b"", time.monotonic() + 60
+        try:
+            while True:
+                ready, _, _ = select.select([read], [], [], max(0.0, deadline - time.monotonic()))
+                assert ready, "the forked child did not answer within 60 s"
+                part = os.read(read, 1 << 16)
+                if not part:
+                    break
+                got += part
+        finally:
+            os.close(read)
+            if time.monotonic() >= deadline:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert got[:1] == b"\x01"
+        assert got[1:] == want.tobytes()

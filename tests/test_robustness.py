@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from wavecnn.datasets import Dataset, synthetic_classification
-from wavecnn.network import build_model, mini_config
+from wavecnn.network import build_model, evaluate, mini_config
 from wavecnn.errors import (BadSeverity, InvalidConfig, MissingCorruption,
                             ShapeMismatch, ShiftOutOfRange, ZeroReference)
 from wavecnn.robustness import (CATEGORY_MEMBERS, DEFAULT_SEVERITY,
@@ -95,6 +97,14 @@ class TestCorruptDataset:
         serial = corrupt_dataset(ds, "shot", 3, seed=1, workers=1)
         threaded = corrupt_dataset(ds, "shot", 3, seed=1, workers=4)
         assert np.array_equal(serial.images, threaded.images)
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(InvalidConfig, match="workers"):
+            corrupt_dataset(self._ds(), "gaussian", 1, workers=workers)
+        model = build_model(mini_config("max_pool", image_hw=(8, 8), classes=3))
+        with pytest.raises(InvalidConfig, match="workers"):
+            error_matrix(model, self._ds(), workers=workers)
 
     def test_labels_pass_through(self):
         ds = self._ds()
@@ -368,3 +378,21 @@ class TestErrorMatrixMeasurement:
         model = build_model(mini_config("max_pool", image_hw=(8, 8), classes=2))
         with pytest.raises(InvalidConfig):
             error_matrix(model, Dataset(images, ds.labels), seed=0)
+
+
+class TestParallelInference:
+    """The metrics forward their blocks on every usable CPU; the values do
+    not depend on how many there are."""
+
+    @pytest.mark.parametrize("mode,wavelet", [("max_pool", ""), ("dwt_cat", "ch3.3")])
+    def test_metrics_match_one_cpu(self, monkeypatch, mode, wavelet):
+        ds = synthetic_classification(70, classes=10, seed=6)
+        model = build_model(mini_config(mode, wavelet, seed=2))
+        cfg = ShiftTrialConfig(max_shift=3, pairs=2, seed=1)
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            results.append((evaluate(model, ds),
+                            error_matrix(model, ds, kinds=("gaussian", "impulse")).errors.tobytes(),
+                            shift_consistency(model, ds, cfg)))
+        assert results[1] == results[0] and results[2] == results[0]
