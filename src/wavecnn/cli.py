@@ -47,14 +47,17 @@ def _shape2(text: str):
         raise argparse.ArgumentTypeError(f"expected HxW with positive ints, got {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value < 1:
-            raise ValueError
-        return value
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive int, got {text!r}")
+def _int_at_least(minimum: int, what: str):
+    """An argparse type: an int of at least ``minimum``, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value < minimum:
+                raise ValueError
+            return value
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a {what} int, got {text!r}")
+    return parse
 
 
 def _shape_nchw(text: str):
@@ -326,11 +329,12 @@ def _cmd_flops(args) -> int:
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="base RNG seed (default 0)")
+    # np.random.default_rng refuses a negative seed
+    common.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=None,
+                        help="base RNG seed, at least 0 (default 0)")
     common.add_argument("--precision", choices=("f32", "f64"), default=None,
                         help="float width; transforms/denoise default f64, training f32")
-    common.add_argument("--threads", type=_positive_int, default=1,
+    common.add_argument("--threads", type=_int_at_least(1, "positive"), default=1,
                         help="corruption workers, 'robustness' only (at least 1); on 2 "
                              "vCPUs, 2 are 2-3x slower than 1 at 28 px, 1.2-1.8x faster "
                              "from 128 px. Inference uses every usable CPU by itself")

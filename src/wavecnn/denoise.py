@@ -32,7 +32,7 @@ class DenoiseConfig:
     threshold: float = 0.1
 
     def __post_init__(self):
-        if self.threshold < 0:
+        if not self.threshold >= 0:  # NaN fails this test too
             raise NegativeLambda(f"threshold must be >= 0, got {self.threshold}")
 
 
@@ -44,7 +44,7 @@ def soft_shrink(x, threshold):
     for bit on finite input and propagates NaN.  Accepts scalars or arrays;
     never increases magnitude and is odd in ``x``.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails this test too
         raise NegativeLambda(f"threshold must be >= 0, got {threshold}")
     arr = np.asarray(x)
     if arr.dtype.kind in "biu":  # as before: integer input shrinks in double

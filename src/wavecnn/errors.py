@@ -30,7 +30,7 @@ class ShapeMismatch(WaveError, ValueError):
 
 
 class NegativeLambda(WaveError, ValueError):
-    """Soft-shrinkage threshold must be non-negative."""
+    """Soft-shrinkage threshold must be non-negative (and not NaN)."""
 
 
 class OddSpatial(WaveError, ValueError):

@@ -70,19 +70,6 @@ def derive_highpass(low, n_odd: int) -> tuple:
     return tuple(out)
 
 
-def derive_biorthogonal_highpass(low, dual_low, n_odd: int) -> tuple:
-    """Both high-pass filters of a biorthogonal bank.
-
-    The analysis high-pass comes from the *dual* low-pass and the synthesis
-    high-pass from the *primary* low-pass, each via the same alternating-sign
-    reflection used by :func:`derive_highpass`.
-
-    Returns:
-        ``(analysis_high, synthesis_high)``.
-    """
-    return derive_highpass(dual_low, n_odd), derive_highpass(low, n_odd)
-
-
 # --- Daubechies low-pass filters (ascending index). haar and db2 are closed
 # forms; db3..db6 are the standard published 12-decimal values. ---
 
@@ -181,14 +168,13 @@ def _build_spec(name: str) -> WaveletSpec:
             symmetric=(name == "haar"),
         )
     low, dual = _COHEN[name]
-    high, dual_high = derive_biorthogonal_highpass(low, dual, len(low) - 1)
     return WaveletSpec(
         name=name,
         family=Family.BIORTHOGONAL,
         analysis_low=low,
-        analysis_high=high,
+        analysis_high=derive_highpass(dual, len(low) - 1),
         synthesis_low=dual,
-        synthesis_high=dual_high,
+        synthesis_high=derive_highpass(low, len(low) - 1),
         symmetric=True,
     )
 

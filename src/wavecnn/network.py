@@ -217,23 +217,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# (pid, pool): the helper threads of predict_logits, one pool per process
-_pool = None
-
-
-def _helper_pool() -> ThreadPoolExecutor:
-    """The process's helper pool, built on first use and again in a forked
-    child, whose copy of the pool has no threads.  Its threads start as
-    work arrives, so there are never more than the helpers one call asks
-    for (fewer than the CPU count) per concurrent caller.  Helpers never
-    submit work, so they cannot deadlock on the pool; two threads that
-    build a pool at once leave a spare one, which the garbage collector
-    takes with its threads."""
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        _pool = (os.getpid(), ThreadPoolExecutor(os.cpu_count() or 1,
-                                                 thread_name_prefix="wavecnn-predict"))
-    return _pool[1]
+def _thread_map(fn, items, threads: int) -> list:
+    """``[fn(i) for i in items]``, on ``threads`` threads when there are two
+    or more.  Results come in item order, and the first failing item's error
+    is raised once every thread has stopped: the pool lives only for this
+    call, and leaving it cancels the items not yet started."""
+    if threads <= 1:
+        return [fn(i) for i in items]
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, items))
 
 
 class Model:
@@ -305,18 +297,19 @@ class Model:
         0.155 / 0.172 at 32, 0.159 / 0.181 at 64 and 0.174 / 0.217 at 256.
         Zero images give a ``(0, classes)`` array.
 
-        The blocks run on every usable CPU: with ``k`` the smaller of the
-        usable CPU count (read on each call) and the block count, the caller
-        forwards blocks 0, k, 2k, ... and helper thread ``j`` of a
-        process-wide pool forwards blocks j, j + k, ...; the logits are
-        joined in block order.  Each block is forwarded exactly as it would
-        be alone, so the bits do not depend on the CPU count, and on one CPU
-        or one block no thread is started.  This is safe because an
-        inference forward writes no layer state but ``None`` and NumPy and
-        BLAS release the GIL.  Each extra CPU holds about one more block's
-        activations.  A forward that raises in any block raises the error
-        of the first failing block, after every helper has finished.
-        ``train`` keeps its per-epoch validation serial: a helper thread
+        The blocks run on every usable CPU: a pool of ``k`` threads, ``k``
+        the smaller of the usable CPU count (read on each call) and the
+        block count, lives for this call and forwards one block per task;
+        the logits are joined in block order.  Each block is forwarded
+        exactly as it would be alone, so the bits do not depend on the CPU
+        count, and on one CPU, one block or zero images no thread is
+        started.  This is safe because an inference forward writes no layer
+        state but ``None`` and NumPy and BLAS release the GIL.  Each extra
+        CPU holds about one more block's activations.  A forward that raises
+        in any block raises the error of the first failing block, after
+        every thread of the call has finished; no thread outlives the call,
+        so a forked child needs nothing special.
+        ``train`` keeps its per-epoch validation serial: a pool thread
         allocates from its own malloc arena, which cannot reuse what the
         training step freed, and the train peak RSS grew 16 % for a 2 %
         speed-up when it went through here.
@@ -324,28 +317,8 @@ class Model:
         if len(images) == 0:
             return self.forward(images, training=False)
         starts = range(0, len(images), batch)
-        k = min(_usable_cpus(), len(starts))
-
-        def strand(j):
-            """Forward blocks j, j + k, ...; stop at the first error and
-            return the logits so far and that error (or None)."""
-            done = []
-            try:
-                for i in starts[j::k]:
-                    done.append(self.forward(images[i:i + batch], training=False))
-            except Exception as exc:  # re-raised below, in block order
-                return done, exc
-            return done, None
-
-        # on one CPU or one block this loop is empty and no pool is built
-        helpers = [_helper_pool().submit(strand, j) for j in range(1, k)]
-        strands = [strand(0)] + [f.result() for f in helpers]
-        chunks = []
-        for b in range(len(starts)):
-            done, exc = strands[b % k]
-            if b // k == len(done):
-                raise exc
-            chunks.append(done[b // k])
+        chunks = _thread_map(lambda i: self.forward(images[i:i + batch], training=False),
+                             starts, min(_usable_cpus(), len(starts)))
         return np.concatenate(chunks, axis=0)
 
     def predict(self, images: np.ndarray) -> np.ndarray:
@@ -467,8 +440,8 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
 
     ``dataset``/``val`` carry ``images`` (NCHW float) and ``labels`` (int
     vector); when ``val`` is omitted the training split doubles as the
-    validation split.  A non-finite loss aborts with DivergedLoss carrying
-    the partial report.
+    validation split.  A non-finite step or validation loss aborts with
+    DivergedLoss carrying the partial report.
     """
     t0 = time.perf_counter()
     if len(dataset.images) == 0:
@@ -517,6 +490,9 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
         vl, va = _eval_loss_acc(model, val_images, val_labels, hyper.batch)
         val_losses.append(vl)
         val_accs.append(va)
+        if not np.isfinite(vl):
+            raise DivergedLoss(
+                f"validation loss became non-finite in epoch {epoch + 1}", partial_report())
     return partial_report()
 
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BadSeverity, InvalidConfig, MissingCorruption,
                      ShapeMismatch, ShiftOutOfRange, ZeroReference)
+from .network import _thread_map, evaluate
 
 GAUSSIAN = "gaussian"
 SHOT = "shot"
@@ -89,11 +89,7 @@ def corrupt_dataset(dataset, kind: str, severity: int, seed: int = 0, workers: i
     def one(i):
         return corrupt(dataset.images[i], kind, severity, rng_seed=[seed, i])
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            planes = list(pool.map(one, range(n)))
-    else:
-        planes = [one(i) for i in range(n)]
+    planes = _thread_map(one, range(n), workers)
     images = np.stack(planes) if n else dataset.images.astype(np.float64)
     return Dataset(images, dataset.labels)
 
@@ -194,8 +190,6 @@ def error_matrix(model, dataset, kinds=NOISE_CORRUPTIONS, seed: int = 0,
     (from ``corrupt_dataset``, before any forward) and (from ``evaluate``)
     on a dataset without images.
     """
-    from .network import evaluate
-
     grid = np.empty((len(kinds), 5))
     for i, kind in enumerate(kinds):
         for severity in range(1, 6):

@@ -215,6 +215,13 @@ class TestDenoiseCommand:
         assert code == 2
         assert "NegativeLambda" in err
 
+    def test_nan_lambda_is_runtime_error(self, capsys, tmp_path, pgm):
+        out = tmp_path / "o.pgm"
+        code, stdout, err = run_cli(capsys, "denoise", "--in", str(pgm),
+                                    "--out", str(out), "--lambda", "nan")
+        assert code == 2 and stdout == "" and not out.exists()
+        assert "wavecnn denoise: error: NegativeLambda:" in err
+
 
 class TestTrainEval:
     def test_train_writes_report_and_checkpoint(self, capsys, tmp_path, idx_pair):
@@ -598,6 +605,17 @@ def test_threads_below_one_is_a_usage_error(capsys, idx_pair, value):
                              "--threads", value)
     assert code == 1 and out == ""
     assert "--threads" in err and "expected a positive int" in err
+
+
+@pytest.mark.parametrize("sub,argv", [
+    ("train", ["--images", "i.idx", "--labels", "l.idx"]),
+    ("shift", ["--model", "m.wcn", "--images", "i.idx", "--labels", "l.idx"]),
+    ("robustness", ["--model", "m.wcn", "--images", "i.idx", "--labels", "l.idx"]),
+    ("flops", ["--config", "c.json", "--input", "1x28x28"])])
+def test_negative_seed_is_a_usage_error(capsys, sub, argv):
+    code, out, err = run_cli(capsys, sub, *argv, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert "--seed" in err and "expected a non-negative int, got '-1'" in err
 
 
 def test_train_on_an_empty_idx_pair_exits_2(capsys, tmp_path):

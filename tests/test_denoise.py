@@ -50,6 +50,14 @@ class TestSoftShrink:
         with pytest.raises(NegativeLambda):
             DenoiseConfig(threshold=-1e-9)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(NegativeLambda, match="nan"):
+            soft_shrink(np.zeros(3), float("nan"))
+        with pytest.raises(NegativeLambda, match="nan"):
+            soft_shrink(0.5, np.float32("nan"))
+        with pytest.raises(NegativeLambda, match="nan"):
+            DenoiseConfig(threshold=float("nan"))
+
 
 def _smooth_image(h=64, w=64):
     ii, jj = np.mgrid[0:h, 0:w] / max(h, w)
