@@ -4,7 +4,8 @@ Subpackages by theme:
 
 - :mod:`wavecnn.filterbank` — wavelet coefficient registry and validation
 - :mod:`wavecnn.transform` — 1D/2D DWT/IDWT as truncated matrices, evaluated
-  tile by tile along their bands, with exact vector-Jacobian products
+  tile by tile along their bands, with exact vector-Jacobian products; every
+  transform takes a single signal or plane or a stack of them (NCHW)
 - :mod:`wavecnn.denoise` — soft-shrinkage wavelet denoising
 - :mod:`wavecnn.layers` / :mod:`wavecnn.network` — a small NumPy neural
   network with wavelet down-sampling layers, training, and checkpoints
@@ -34,9 +35,8 @@ from .robustness import (DEFAULT_SEVERITY, NOISE_CORRUPTIONS, ErrorMatrix,
                          corrupt_dataset, corruption_error, error_matrix,
                          mean_ce, robustness_report, shift_consistency,
                          shift_image)
-from .transform import (Decomposition2D, dwt1d, dwt1d_vjp, dwt2d, dwt2d_batch,
-                        dwt2d_batch_vjp, dwt2d_vjp, idwt1d, idwt2d,
-                        idwt2d_batch, idwt2d_vjp)
+from .transform import (Decomposition2D, dwt1d, dwt1d_vjp, dwt2d, dwt2d_vjp,
+                        idwt1d, idwt2d, idwt2d_vjp)
 
 __version__ = "0.1.0"
 
@@ -47,10 +47,9 @@ __all__ = [
     "ShiftTrialConfig", "TrainConfig", "TrainReport", "ValidationReport",
     "WaveError", "WaveletSpec", "build_model", "corrupt", "corrupt_dataset",
     "corruption_error", "denoise_image", "derive_highpass", "dwt1d",
-    "dwt1d_vjp", "dwt2d", "dwt2d_banded_madds", "dwt2d_batch",
-    "dwt2d_batch_vjp", "dwt2d_madds", "dwt2d_vjp", "error_matrix", "errors",
-    "evaluate", "get_wavelet", "gradcheck", "idwt1d", "idwt2d",
-    "idwt2d_batch", "idwt2d_madds", "idwt2d_vjp", "load_dataset",
+    "dwt1d_vjp", "dwt2d", "dwt2d_banded_madds", "dwt2d_madds", "dwt2d_vjp",
+    "error_matrix", "errors", "evaluate", "get_wavelet", "gradcheck", "idwt1d",
+    "idwt2d", "idwt2d_madds", "idwt2d_vjp", "load_dataset",
     "load_model", "load_pgm_dir", "mean_ce", "mini_config", "model_madds",
     "read_idx", "read_pgm", "read_tensor", "robustness_report",
     "save_dataset", "save_model", "shift_consistency", "shift_image",

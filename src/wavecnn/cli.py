@@ -156,6 +156,8 @@ def _cmd_idwt(args) -> int:
     dt = _np_precision(args.precision or "f64")
     bands = [_read_finite_tensor(f"{args.in_prefix}_{name}.wtn", dt)
              for name in SUBBANDS]
+    if any(b.ndim != 2 for b in bands):  # idwt2d would take a stack of planes
+        raise FormatError(f"{args.in_prefix}: expected 2-D bands, got {[b.shape for b in bands]}")
     d = Decomposition2D(*bands, original_shape=args.shape)
     _write_plane(args.out, idwt2d(d, spec))
     print(args.out)
@@ -248,8 +250,8 @@ def _cmd_train(args) -> int:
         if not (args.val_images and args.val_labels):
             args.parser.error("--val-images and --val-labels go together")
         val = datasets.load_dataset(args.val_images, args.val_labels)
-    model_cfg = _model_config_from(cfg, args, ds.images.shape[1:],
-                                   classes=max(int(ds.labels.max(initial=0)) + 1, 2))
+    top = max(int(d.labels.max(initial=0)) for d in (ds, val) if d is not None)
+    model_cfg = _model_config_from(cfg, args, ds.images.shape[1:], classes=max(top + 1, 2))
     hyper = _train_config_from(cfg, args)
     model = network.build_model(model_cfg, dtype=_np_precision(args.precision or "f32"))
     report = network.train(model, ds, hyper, val=val)

@@ -87,6 +87,8 @@ def denoise_image(img, cfg: DenoiseConfig = DenoiseConfig()):
     if work.ndim == 2:
         out = _denoise_plane(work, cfg)
     else:
+        # one channel at a time: the transforms take a CHW stack too, but a
+        # stack runs other BLAS kernels and can differ in the last bit
         out = np.stack([_denoise_plane(ch, cfg) for ch in work])
 
     if integer_input:

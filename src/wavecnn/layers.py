@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import InvalidConfig, OddSpatial, ShapeMismatch
 from .filterbank import get_wavelet
-from .transform import dwt2d_batch, dwt2d_batch_vjp, lowpass2d_batch, lowpass2d_batch_vjp
+from .transform import Decomposition2D, dwt2d, dwt2d_vjp, lowpass2d, lowpass2d_vjp
 
 
 class Layer:
@@ -386,10 +386,10 @@ class _LowPassDown(Layer):
     def forward(self, x, training=False):
         self.output_shape(x.shape[1:])
         self._hw = x.shape[2:] if training else None
-        return lowpass2d_batch(x, self.taps)
+        return lowpass2d(x, self.taps)
 
     def backward(self, grad):
-        return lowpass2d_batch_vjp(grad, self.taps, _saved(self._hw, self.who))
+        return lowpass2d_vjp(grad, self.taps, _saved(self._hw, self.who))
 
     def output_shape(self, in_shape):
         return _halved(in_shape, self.who)
@@ -432,14 +432,13 @@ class WaveletDown(_LowPassDown):
             return super().forward(x, training)
         self.output_shape(x.shape[1:])
         self._hw = x.shape[2:] if training else None
-        return np.concatenate(dwt2d_batch(x, self.spec), axis=1)
+        return np.concatenate(dwt2d(x, self.spec).subbands(), axis=1)
 
     def backward(self, grad):
         if self.kind != "cat":
             return super().backward(grad)
-        hw = _saved(self._hw, self.who)
-        c = grad.shape[1] // 4
-        return dwt2d_batch_vjp(*(grad[:, i * c:(i + 1) * c] for i in range(4)), self.spec, hw)
+        bands = np.split(grad, 4, axis=1)  # views of ll, lh, hl, hh
+        return dwt2d_vjp(Decomposition2D(*bands, _saved(self._hw, self.who)), self.spec)
 
     def output_shape(self, in_shape):
         c, h, w = super().output_shape(in_shape)
@@ -532,6 +531,9 @@ class SoftmaxCrossEntropy:
         if logits.ndim != 2 or labels.shape != (logits.shape[0],):
             raise ShapeMismatch(
                 f"loss expects (N,K) logits and (N,) labels, got {logits.shape} / {labels.shape}")
+        if labels.size and not 0 <= labels.min() <= labels.max() < logits.shape[1]:
+            raise InvalidConfig(f"labels must lie in 0..{logits.shape[1] - 1} for "
+                                f"{logits.shape[1]} classes, got {labels.min()}..{labels.max()}")
         z = logits - logits.max(axis=1, keepdims=True)
         logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
         logp = z - logsumexp

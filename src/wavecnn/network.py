@@ -135,6 +135,10 @@ class ModelConfig:
     seed: int = 0
     wavelet_rewrite: str = ""
 
+    def __post_init__(self):
+        if self.seed < 0:  # np.random.default_rng refuses it
+            raise InvalidConfig(f"model seed must be >= 0, got {self.seed}")
+
     def to_dict(self) -> dict:
         return {
             "layers": [s.to_dict() for s in self.layers],

@@ -8,9 +8,11 @@ With truncation the round trip is exact only away from the boundaries, except
 for Haar on even lengths where it is globally exact.
 
 2D transforms apply the 1D operators to rows and columns:
-``ll = L @ X @ L.T`` and so on, channel by channel for batched tensors.
-:func:`lowpass2d_batch` applies one such operator, built from any 1-D
-filter, along both sides; the ll band, 2x2 average pooling and the mean of
+``ll = L @ X @ L.T`` and so on.  Every transform works on the last axis (1D)
+or the last two (2D) and treats any leading axes as a stack: a signal or a
+stack of signals, a matrix or an NCHW tensor, plane by plane.
+:func:`lowpass2d` applies one such operator, built from any 1-D filter,
+along both sides; the ll band, 2x2 average pooling and the mean of
 the four subbands are that product with three different filters.
 Every forward has a matching vector-Jacobian product built from the same
 matrices, so the layers in :mod:`wavecnn.layers` backpropagate exactly.
@@ -146,12 +148,6 @@ def _tiles(filters: tuple, dtype_char: str) -> _Bank:
     return _Bank(*mats, b)
 
 
-def _bank(spec: WaveletSpec, dt: np.dtype, synthesis: bool) -> _Bank:
-    pair = ((spec.synthesis_low, spec.synthesis_high) if synthesis
-            else (spec.analysis_low, spec.analysis_high))
-    return _tiles(pair, dt.char)
-
-
 # --- the separable core: one axis (-1 or -2) at a time ---
 
 
@@ -235,7 +231,9 @@ def _banded(mat: np.ndarray, x: np.ndarray, axis: int, front: int, length: int,
 
 def _analyze(x: np.ndarray, bank: _Bank, axis: int) -> np.ndarray:
     """The bank's operator along ``axis``: n samples become ``n//2``
-    coefficients of each filter, interleaved."""
+    coefficients of each filter, interleaved.  Any leading axes are a stack."""
+    if x.ndim < -axis:
+        raise ShapeMismatch(f"expected at least {-axis} axes, got shape {x.shape}")
     n = x.shape[axis]
     if n < 2:
         raise TooShort(f"transform length must be >= 2, got shape {x.shape}")
@@ -260,15 +258,18 @@ def _synthesize(coeffs: np.ndarray, bank: _Bank, axis: int, n: int) -> np.ndarra
 _QUADRANTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def _analysis2d(x: np.ndarray, bank: _Bank) -> np.ndarray:
-    """The bank's operator over the last two axes, rows first: each plane
-    becomes one array of interleaved coefficients."""
-    return _analyze(_analyze(x, bank, -2), bank, -1)
+def _analysis2d(x, filters: tuple) -> np.ndarray:
+    """The operator of the bank ``filters`` over the last two axes, rows
+    first: each plane becomes one array of interleaved coefficients."""
+    X = _input(x)
+    bank = _tiles(filters, X.dtype.char)
+    return _analyze(_analyze(X, bank, -2), bank, -1)
 
 
-def _synthesis2d(z: np.ndarray, bank: _Bank, shape_hw) -> np.ndarray:
+def _synthesis2d(z: np.ndarray, filters: tuple, shape_hw) -> np.ndarray:
     """Transpose of :func:`_analysis2d`, onto spatial shape ``shape_hw``."""
     m, n = shape_hw
+    bank = _tiles(filters, z.dtype.char)
     return _synthesize(_synthesize(z, bank, -1, n), bank, -2, m)
 
 
@@ -292,36 +293,45 @@ def _work_dtype(x: np.ndarray) -> np.dtype:
     return np.dtype(np.float32) if x.dtype == np.float32 else np.dtype(np.float64)
 
 
-def _input(x, ndim: int, what: str) -> np.ndarray:
-    """``x`` as an array of rank ``ndim``, in its work dtype."""
+def _input(x) -> np.ndarray:
+    """``x`` as an array in its work dtype; :func:`_analyze` checks that it
+    has the axes it transforms."""
     X = np.asarray(x)
-    if X.ndim != ndim:
-        raise ShapeMismatch(f"expected {what}, got shape {X.shape}")
     return X.astype(_work_dtype(X), copy=False)
 
 
-def _bands(bands, shape, ndim: int, what: str):
-    """Subbands of rank ``ndim`` checked against the ``shape`` they came from,
-    in one work dtype: float32 only if every band is float32, else float64
-    (so no band is rounded to a coarser type); returns ``(bands, dtype)``."""
+def _bands(bands, shape) -> list:
+    """Equal subbands whose last ``len(shape)`` axes are half of ``shape``,
+    the spatial shape they came from, in one work dtype: float32 only if
+    every band is float32, else float64 (so no band is rounded to a coarser
+    type)."""
     want = tuple(d // 2 for d in shape)
     bands = [np.asarray(b) for b in bands]
     for b in bands:
-        if b.ndim != ndim or b.shape[ndim - len(want):] != want or b.shape != bands[0].shape:
-            raise ShapeMismatch(f"{what} shapes {[b.shape for b in bands]} do not match "
+        if b.shape[-len(want):] != want or b.shape != bands[0].shape:
+            raise ShapeMismatch(f"subband shapes {[b.shape for b in bands]} do not match "
                                 f"original shape {tuple(shape)} (need equal, ending {want})")
     dt = np.result_type(*(_work_dtype(b) for b in bands))
-    return [b.astype(dt, copy=False) for b in bands], dt
+    return [b.astype(dt, copy=False) for b in bands]
 
 
 # --- 1D ---
 
 
 def dwt1d(signal, spec: WaveletSpec):
-    """One analysis step: returns ``(L @ s, H @ s)``, each of length N//2."""
-    s = _input(signal, 1, "a 1-D signal")
-    coeffs = _analyze(s, _bank(spec, s.dtype, synthesis=False), -1)
-    return np.ascontiguousarray(coeffs[0::2]), np.ascontiguousarray(coeffs[1::2])
+    """One analysis step along the last axis: returns ``(L @ s, H @ s)``, each
+    of length N//2, for a signal or a stack of them."""
+    s = _input(signal)
+    coeffs = _analyze(s, _tiles((spec.analysis_low, spec.analysis_high), s.dtype.char), -1)
+    return np.ascontiguousarray(coeffs[..., 0::2]), np.ascontiguousarray(coeffs[..., 1::2])
+
+
+def _synthesis1d(low, high, filters: tuple, n: int) -> np.ndarray:
+    """Interleave two coefficient bands, then apply the transpose of the
+    bank ``filters``: the body of :func:`idwt1d` and :func:`dwt1d_vjp`."""
+    bands = _bands((low, high), (n,))
+    coeffs = np.stack(bands, axis=-1).reshape(bands[0].shape[:-1] + (2 * (n // 2),))
+    return _synthesize(coeffs, _tiles(filters, coeffs.dtype.char), -1, n)
 
 
 def idwt1d(low, high, spec: WaveletSpec, n: int) -> np.ndarray:
@@ -330,9 +340,7 @@ def idwt1d(low, high, spec: WaveletSpec, n: int) -> np.ndarray:
     ``n`` must be passed explicitly because ``N//2`` does not determine
     whether the original length was even or odd.
     """
-    bands, dt = _bands((low, high), (n,), 1, "subband")
-    coeffs = np.stack(bands, axis=-1).reshape(-1)
-    return _synthesize(coeffs, _bank(spec, dt, synthesis=True), -1, n)
+    return _synthesis1d(low, high, (spec.synthesis_low, spec.synthesis_high), n)
 
 
 def dwt1d_vjp(upstream_low, upstream_high, spec: WaveletSpec, n: int) -> np.ndarray:
@@ -340,9 +348,7 @@ def dwt1d_vjp(upstream_low, upstream_high, spec: WaveletSpec, n: int) -> np.ndar
 
     Uses the analysis matrices (transposed), not the synthesis duals.
     """
-    bands, dt = _bands((upstream_low, upstream_high), (n,), 1, "upstream")
-    coeffs = np.stack(bands, axis=-1).reshape(-1)
-    return _synthesize(coeffs, _bank(spec, dt, synthesis=False), -1, n)
+    return _synthesis1d(upstream_low, upstream_high, (spec.analysis_low, spec.analysis_high), n)
 
 
 # --- 2D ---
@@ -350,7 +356,8 @@ def dwt1d_vjp(upstream_low, upstream_high, spec: WaveletSpec, n: int) -> np.ndar
 
 @dataclass(frozen=True)
 class Decomposition2D:
-    """The four subbands of one 2D analysis step plus the original shape."""
+    """The four subbands of one 2D analysis step plus the spatial ``(H, W)``
+    they came from; the bands of a stack share its leading axes."""
 
     ll: np.ndarray
     lh: np.ndarray
@@ -358,26 +365,39 @@ class Decomposition2D:
     hh: np.ndarray
     original_shape: tuple
 
+    def __post_init__(self):
+        if len(self.original_shape) != 2:
+            raise ShapeMismatch(f"original_shape must be (H, W), got {self.original_shape}")
+
     def subbands(self):
         return self.ll, self.lh, self.hl, self.hh
 
 
+def _decompose(x, filters: tuple) -> Decomposition2D:
+    """Analyse, then split: the body of :func:`dwt2d` and :func:`idwt2d_vjp`."""
+    X = _input(x)
+    return Decomposition2D(*_split(_analysis2d(X, filters)), original_shape=X.shape[-2:])
+
+
+def _compose(d: Decomposition2D, filters: tuple) -> np.ndarray:
+    """Merge, then synthesise: the body of :func:`idwt2d` and :func:`dwt2d_vjp`."""
+    return _synthesis2d(_merge(_bands(d.subbands(), d.original_shape)), filters,
+                        d.original_shape)
+
+
 def dwt2d(x, spec: WaveletSpec) -> Decomposition2D:
-    """Single-level 2D analysis of a matrix.
+    """Single-level 2D analysis of a matrix or of a stack of them (NCHW).
 
     Row operators act from the left, column operators from the right:
     ``ll = L @ X @ L.T``, ``lh = H @ X @ L.T``, ``hl = L @ X @ H.T``,
     ``hh = H @ X @ H.T`` (lh carries the row high-pass).
     """
-    X = _input(x, 2, "a matrix")
-    return Decomposition2D(*_split(_analysis2d(X, _bank(spec, X.dtype, synthesis=False))),
-                           original_shape=X.shape)
+    return _decompose(x, (spec.analysis_low, spec.analysis_high))
 
 
 def idwt2d(d: Decomposition2D, spec: WaveletSpec) -> np.ndarray:
-    """Reconstruct a matrix of ``d.original_shape`` from its four subbands."""
-    bands, _ = _bands(d.subbands(), d.original_shape, 2, "subband")
-    return idwt2d_interleaved(_merge(bands), spec, d.original_shape)
+    """Reconstruct planes of ``d.original_shape`` from their four subbands."""
+    return _compose(d, (spec.synthesis_low, spec.synthesis_high))
 
 
 def dwt2d_interleaved(x, spec: WaveletSpec) -> np.ndarray:
@@ -389,19 +409,17 @@ def dwt2d_interleaved(x, spec: WaveletSpec) -> np.ndarray:
     caller can change the coefficients in place and hand the array to
     :func:`idwt2d_interleaved` without splitting and merging the bands.
     """
-    X = _input(x, 2, "a matrix")
-    return _analysis2d(X, _bank(spec, X.dtype, synthesis=False))
+    return _analysis2d(x, (spec.analysis_low, spec.analysis_high))
 
 
 def idwt2d_interleaved(z, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:
-    """Reconstruct a ``shape_hw`` matrix from the interleaved subbands of
-    :func:`dwt2d_interleaved`; :func:`idwt2d` merges its bands into this."""
-    Z = _input(z, 2, "a matrix")
-    m, n = shape_hw
-    if Z.shape != (m - m % 2, n - n % 2):
+    """Reconstruct ``shape_hw`` planes from the interleaved subbands of
+    :func:`dwt2d_interleaved`."""
+    Z = _input(z)
+    if Z.shape[-2:] != tuple(d - d % 2 for d in shape_hw):
         raise ShapeMismatch(f"interleaved subbands of shape {Z.shape} do not match "
                             f"original shape {tuple(shape_hw)}")
-    return _synthesis2d(Z, _bank(spec, Z.dtype, synthesis=True), shape_hw)
+    return _synthesis2d(Z, (spec.synthesis_low, spec.synthesis_high), shape_hw)
 
 
 def detail_views(z: np.ndarray):
@@ -415,66 +433,37 @@ def dwt2d_vjp(grads: Decomposition2D, spec: WaveletSpec) -> np.ndarray:
     """Backward of :func:`dwt2d`: routes subband gradients to the input.
 
     ``grads`` holds the upstream gradients of the four subbands together with
-    the input shape; the result is
+    the input's spatial shape; the result is
     ``L.T @ g_ll @ L + H.T @ g_lh @ L + L.T @ g_hl @ H + H.T @ g_hh @ H``
     built from the analysis matrices.
     """
-    bands, dt = _bands(grads.subbands(), grads.original_shape, 2, "gradient")
-    return _synthesis2d(_merge(bands), _bank(spec, dt, synthesis=False), grads.original_shape)
+    return _compose(grads, (spec.analysis_low, spec.analysis_high))
 
 
 def idwt2d_vjp(upstream, spec: WaveletSpec) -> Decomposition2D:
     """Backward of :func:`idwt2d`: the exact transpose of the synthesis map.
 
-    ``upstream`` is the gradient at the reconstructed matrix; the returned
+    ``upstream`` is the gradient at the reconstructed planes; the returned
     decomposition holds the gradients of the four subbands,
     ``(Ls @ G @ Ls.T, Hs @ G @ Ls.T, Ls @ G @ Hs.T, Hs @ G @ Hs.T)``.
     """
-    G = _input(upstream, 2, "a matrix")
-    return Decomposition2D(*_split(_analysis2d(G, _bank(spec, G.dtype, synthesis=True))),
-                           original_shape=G.shape)
+    return _decompose(upstream, (spec.synthesis_low, spec.synthesis_high))
 
 
-# --- batched NCHW ---
-
-
-def dwt2d_batch(x, spec: WaveletSpec):
-    """Channel-by-channel 2D analysis of an NCHW tensor.
-
-    Returns the four subband tensors ``(ll, lh, hl, hh)``, each of shape
-    ``[N, C, H//2, W//2]``.
-    """
-    X = _input(x, 4, "an NCHW tensor")
-    return _split(_analysis2d(X, _bank(spec, X.dtype, synthesis=False)))
-
-
-def idwt2d_batch(ll, lh, hl, hh, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:
-    """Reconstruct an NCHW tensor of spatial shape ``shape_hw`` from subbands."""
-    bands, dt = _bands((ll, lh, hl, hh), shape_hw, 4, "subband")
-    return _synthesis2d(_merge(bands), _bank(spec, dt, synthesis=True), shape_hw)
-
-
-def dwt2d_batch_vjp(gll, glh, ghl, ghh, spec: WaveletSpec, shape_hw: tuple) -> np.ndarray:
-    """Backward of :func:`dwt2d_batch` for NCHW subband gradients."""
-    bands, dt = _bands((gll, glh, ghl, ghh), shape_hw, 4, "gradient")
-    return _synthesis2d(_merge(bands), _bank(spec, dt, synthesis=False), shape_hw)
-
-
-def lowpass2d_batch(x, taps) -> np.ndarray:
-    """``F @ X @ F.T`` per channel of an NCHW tensor, height pass first.
+def lowpass2d(x, taps) -> np.ndarray:
+    """``F @ X @ F.T`` per plane, height pass first.
 
     ``F`` is the ``floor(n/2) x n`` operator of the 1-D filter ``taps``,
     truncated like ``L``: row k holds the filter from column 2k.  With
-    ``spec.analysis_low`` this is the ll band of :func:`dwt2d_batch`; with
+    ``spec.analysis_low`` this is the ll band of :func:`dwt2d`; with
     ``(1/2, 1/2)`` it is 2x2 average pooling, and with ``(L + H) / 2`` the
     mean of the four subbands, since ``ll + lh + hl + hh = (L+H) X (L+H).T``.
     """
-    X = _input(x, 4, "an NCHW tensor")
-    return _analysis2d(X, _tiles((tuple(taps),), X.dtype.char))
+    return _analysis2d(x, (tuple(taps),))
 
 
-def lowpass2d_batch_vjp(g, taps, shape_hw: tuple) -> np.ndarray:
-    """Backward of :func:`lowpass2d_batch`: ``F.T @ G @ F`` per channel,
-    width pass first, onto spatial shape ``shape_hw``."""
-    (G,), dt = _bands((g,), shape_hw, 4, "gradient")
-    return _synthesis2d(G, _tiles((tuple(taps),), dt.char), shape_hw)
+def lowpass2d_vjp(g, taps, shape_hw: tuple) -> np.ndarray:
+    """Backward of :func:`lowpass2d`: ``F.T @ G @ F`` per plane, width pass
+    first, onto spatial shape ``shape_hw``."""
+    (G,) = _bands((g,), shape_hw)
+    return _synthesis2d(G, (tuple(taps),), shape_hw)

@@ -10,7 +10,7 @@ import pytest
 from wavecnn.cli import _RUN_KEYS, main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
 from wavecnn.denoise import DenoiseConfig, denoise_image
-from wavecnn.network import _TRAIN_KEYS, build_model, mini_config, save_model
+from wavecnn.network import _TRAIN_KEYS, build_model, load_model, mini_config, save_model
 from wavecnn.fileio import read_pgm, read_tensor, write_pgm, write_tensor
 
 
@@ -142,6 +142,15 @@ class TestTransformRoundTrip:
         run_cli(capsys, "idwt", "--wavelet", "haar", "--in-prefix", prefix,
                 "--shape", "16x16", "--out", str(out))
         assert np.max(np.abs(read_tensor(out) - x)) < 1e-12
+
+    def test_idwt_rejects_bands_that_are_not_2d(self, capsys, tmp_path):
+        prefix, out = tmp_path / "s", tmp_path / "o.wtn"
+        for name in ("ll", "lh", "hl", "hh"):
+            write_tensor(f"{prefix}_{name}.wtn", np.zeros((2, 4, 4)))
+        code, _, err = run_cli(capsys, "idwt", "--wavelet", "haar", "--in-prefix", str(prefix),
+                               "--shape", "8x8", "--out", str(out))
+        assert code == 2 and "FormatError" in err
+        assert not out.exists()
 
 
 class TestNonFinitePixels:
@@ -518,6 +527,7 @@ BAD_RUN_CONFIGS = [
     ({"layers": {"kind": "relu"}}, BOTH),
     ({"layers": [{"kind": "pool"}]}, BOTH),
     ({"layers": [{"kind": "conv", "kernel": 3, "c_in": 1, "c_out": 2}], "seed": 1.5}, BOTH),
+    ({"mode": "max_pool", "seed": -1}, BOTH),
 ]
 
 
@@ -624,6 +634,32 @@ def test_train_on_an_empty_idx_pair_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "train", "--images", str(imgs), "--labels", str(labs))
     assert code == 2 and out == ""
     assert "wavecnn train: error: InvalidConfig: empty training dataset" in err
+
+
+def _labelled_pair(tmp_path, name, classes):
+    imgs, labs = tmp_path / f"{name}.images.idx", tmp_path / f"{name}.labels.idx"
+    save_dataset(synthetic_classification(20, classes=classes, seed=3), imgs, labs)
+    return ["--images", str(imgs), "--labels", str(labs)]
+
+
+def test_train_sizes_the_classes_from_train_and_val_labels(capsys, tmp_path):
+    model = tmp_path / "m.wcn"
+    val = _labelled_pair(tmp_path, "va", 5)[1::2]
+    code, _, err = run_cli(capsys, "train", *_labelled_pair(tmp_path, "tr", 3),
+                           "--val-images", val[0], "--val-labels", val[1],
+                           "--epochs", "1", "--out", str(model))
+    assert code == 0, err
+    assert load_model(model).config.layers[-1].n_out == 5
+
+
+def test_train_on_labels_beyond_the_model_classes_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"layers": [{"kind": "flatten"},
+                                          {"kind": "dense", "n_in": 784, "n_out": 2}]}))
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg),
+                             *_labelled_pair(tmp_path, "tr", 3), "--epochs", "1")
+    assert code == 2 and out == ""
+    assert "InvalidConfig: labels must lie in 0..1" in err
 
 
 def test_train_accepts_a_saved_model_config(capsys, tmp_path, idx_pair):

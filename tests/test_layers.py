@@ -5,7 +5,7 @@ from wavecnn import layers as L
 from wavecnn.complexity import dwt2d_madds, layer_madds
 from wavecnn.errors import InvalidConfig, OddSpatial, ShapeMismatch
 from wavecnn.filterbank import get_wavelet, wavelet_names
-from wavecnn.transform import dwt2d_batch, dwt2d_batch_vjp
+from wavecnn.transform import Decomposition2D, dwt2d, dwt2d_vjp
 
 
 def _init(layer, seed=0, dtype=np.float64):
@@ -195,6 +195,12 @@ class TestLoss:
         value = loss.forward(logits, np.array([0, 1]))
         assert np.isfinite(value) and value < 1e-6
 
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_labels_outside_the_classes_rejected(self, bad):
+        # -1 would read the last class, 5 would index past the logits
+        with pytest.raises(InvalidConfig, match="labels must lie in 0..4"):
+            L.SoftmaxCrossEntropy().forward(np.zeros((3, 5)), np.array([0, bad, 4]))
+
 
 _SHAPE_CASES = {  # a layer, an NCHW (or NF) input it accepts, inputs it rejects
     "conv": (lambda: L.Conv2d(3, 2, 4, stride=2), (2, 2, 7, 6),
@@ -274,8 +280,8 @@ def ref_avg_pool(x, g):
 def ref_subband_mean(x, g, spec):
     """``WaveletDown("avg")`` as the mean of the four subbands, and its vjp."""
     q = g / 4.0
-    return (sum(dwt2d_batch(x, spec)) / 4.0,
-            dwt2d_batch_vjp(q, q, q, q, spec, x.shape[2:]))
+    return (sum(dwt2d(x, spec).subbands()) / 4.0,
+            dwt2d_vjp(Decomposition2D(q, q, q, q, x.shape[2:]), spec))
 
 
 def ref_batchnorm(x, g, gamma, beta, mean, var, training, eps=1e-5):
@@ -478,7 +484,7 @@ class TestMatchesReplacedFormulation:
             g = _channel_major(rng.standard_normal(y.shape).astype(dtype))
             even = (hw[0] + hw[0] % 2, hw[1] + hw[1] % 2)
             zero = np.zeros_like(g)
-            ref = dwt2d_batch_vjp(g, zero, zero, zero, spec, even)[:, :, :hw[0], :hw[1]]
+            ref = dwt2d_vjp(Decomposition2D(g, zero, zero, zero, even), spec)[:, :, :hw[0], :hw[1]]
             _close(pad.backward(down.backward(g)), ref, dtype)
 
     @pytest.mark.parametrize("dtype", DTYPES)

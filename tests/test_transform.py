@@ -9,10 +9,8 @@ from wavecnn import transform
 from wavecnn.errors import ShapeMismatch, TooShort
 from wavecnn.filterbank import get_wavelet, wavelet_names
 from wavecnn.transform import (Decomposition2D, build_operator, detail_views, dwt1d,
-                               dwt1d_vjp, dwt2d, dwt2d_batch, dwt2d_batch_vjp,
-                               dwt2d_interleaved, dwt2d_vjp, idwt1d, idwt2d, idwt2d_batch,
-                               idwt2d_interleaved, idwt2d_vjp, lowpass2d_batch,
-                               lowpass2d_batch_vjp)
+                               dwt1d_vjp, dwt2d, dwt2d_interleaved, dwt2d_vjp, idwt1d, idwt2d,
+                               idwt2d_interleaved, idwt2d_vjp, lowpass2d, lowpass2d_vjp)
 
 ALL = wavelet_names()
 HAAR = get_wavelet("haar")
@@ -84,11 +82,30 @@ class TestDwt1d:
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeMismatch):
-            dwt1d(np.zeros((2, 2)), HAAR)
+            dwt1d(np.zeros(()), HAAR)
         with pytest.raises(TooShort):
             dwt1d(np.zeros(1), HAAR)
         with pytest.raises(ShapeMismatch):
             idwt1d(np.zeros(3), np.zeros(2), HAAR, 6)
+
+    @pytest.mark.parametrize("n", [9, 2 * transform._TILE + 7])
+    def test_stack_matches_per_signal(self, n):
+        """To rounding: a stack is one GEMM where one signal is a matrix-vector
+        product, which BLAS may round differently."""
+        spec = get_wavelet("db3")
+        rng = np.random.default_rng(24)
+        x, gl, gh = rng.standard_normal((2, 3, n)), *rng.standard_normal((2, 2, 3, n // 2))
+        low, high = dwt1d(x, spec)
+        back, adj = idwt1d(gl, gh, spec, n), dwt1d_vjp(gl, gh, spec, n)
+        assert low.shape == high.shape == (2, 3, n // 2) and back.shape == adj.shape == x.shape
+        for i in range(2):
+            for j in range(3):
+                pairs = [(low[i, j], dwt1d(x[i, j], spec)[0]),
+                         (high[i, j], dwt1d(x[i, j], spec)[1]),
+                         (back[i, j], idwt1d(gl[i, j], gh[i, j], spec, n)),
+                         (adj[i, j], dwt1d_vjp(gl[i, j], gh[i, j], spec, n))]
+                for got, want in pairs:
+                    assert np.max(np.abs(got - want)) < 1e-12
 
     def test_float32_stays_float32(self):
         low, high = dwt1d(np.zeros(8, dtype=np.float32), HAAR)
@@ -165,6 +182,9 @@ class TestDwt2d:
         bad = Decomposition2D(d.ll, d.lh, d.hl, np.zeros((3, 3)), (8, 8))
         with pytest.raises(ShapeMismatch):
             idwt2d(bad, HAAR)
+        for shape in ((4,), (2, 8, 8)):  # not a spatial (H, W)
+            with pytest.raises(ShapeMismatch):
+                Decomposition2D(*d.subbands(), shape)
 
 
 def _rel(a, b):
@@ -222,8 +242,9 @@ class TestBatch:
     def test_batch_matches_per_plane(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 3, 12, 16))
-        ll, lh, hl, hh = dwt2d_batch(x, HAAR)
-        assert ll.shape == (2, 3, 6, 8)
+        d = dwt2d(x, HAAR)
+        ll, lh, hl, hh = d.subbands()
+        assert ll.shape == (2, 3, 6, 8) and d.original_shape == (12, 16)
         for i in range(2):
             for c in range(3):
                 d = dwt2d(x[i, c], HAAR)
@@ -233,17 +254,17 @@ class TestBatch:
     def test_batch_round_trip(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 2, 16, 16))
-        bands = dwt2d_batch(x, HAAR)
-        back = idwt2d_batch(*bands, HAAR, (16, 16))
+        bands = dwt2d(x, HAAR).subbands()
+        back = idwt2d(Decomposition2D(*bands, (16, 16)), HAAR)
         assert np.max(np.abs(back - x)) < 1e-12
 
     def test_batch_vjp_is_the_adjoint(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 2, 8, 8))
-        bands = dwt2d_batch(x, HAAR)
+        bands = dwt2d(x, HAAR).subbands()
         ws = [rng.standard_normal(b.shape) for b in bands]
         lhs = sum(float((w * b).sum()) for w, b in zip(ws, bands))
-        grad = dwt2d_batch_vjp(*ws, HAAR, (8, 8))
+        grad = dwt2d_vjp(Decomposition2D(*ws, (8, 8)), HAAR)
         assert _rel(lhs, float((grad * x).sum())) < 1e-12
 
     @pytest.mark.parametrize("hw", [(8, 12), (40, 70)])
@@ -251,20 +272,24 @@ class TestBatch:
         spec, (h, w) = get_wavelet("db4"), hw
         # empty slices keep their parents' strides
         x, g = np.zeros((1, 2, h, w))[:0], np.zeros((1, 2, h // 2, w // 2))[:0]
-        assert [b.shape for b in dwt2d_batch(x, spec)] == [g.shape] * 4
-        assert lowpass2d_batch(x, spec.analysis_low).shape == g.shape
-        for out in (idwt2d_batch(g, g, g, g, spec, hw), dwt2d_batch_vjp(g, g, g, g, spec, hw),
-                    lowpass2d_batch_vjp(g, spec.analysis_low, hw)):
+        d = Decomposition2D(g, g, g, g, hw)
+        assert [b.shape for b in dwt2d(x, spec).subbands()] == [g.shape] * 4
+        assert lowpass2d(x, spec.analysis_low).shape == g.shape
+        for out in (idwt2d(d, spec), dwt2d_vjp(d, spec),
+                    lowpass2d_vjp(g, spec.analysis_low, hw)):
             assert out.shape == x.shape
 
-    def test_batch_rejects_non_nchw(self):
+    def test_2d_transforms_reject_a_1d_array(self):
+        for transform2d in (dwt2d, idwt2d_vjp, dwt2d_interleaved):
+            with pytest.raises(ShapeMismatch):
+                transform2d(np.zeros(4), HAAR)
         with pytest.raises(ShapeMismatch):
-            dwt2d_batch(np.zeros((4, 4)), HAAR)
+            lowpass2d(np.zeros(4), HAAR.analysis_low)
 
     def test_batch_synthesis_rejects_mismatched_batches(self):
         ll = np.zeros((2, 3, 4, 4))
         with pytest.raises(ShapeMismatch):
-            idwt2d_batch(ll, ll, ll, ll[:1], HAAR, (8, 8))
+            idwt2d(Decomposition2D(ll, ll, ll, ll[:1], (8, 8)), HAAR)
 
 
 TILE = transform._TILE
@@ -340,10 +365,10 @@ class TestTiledCoreMatchesDense:
         t = len(spec.analysis_low)
         for h, w in ((2 * TILE + t - 1, 2 * TILE + 3), (7, 2 * TILE)):
             x = rng.standard_normal((2, 3, h, w)).astype(dtype)
-            bands = dwt2d_batch(x, spec)
+            bands = dwt2d(x, spec).subbands()
             grads = rng.standard_normal((4, 2, 3, h // 2, w // 2)).astype(dtype)
-            back = idwt2d_batch(*grads, spec, (h, w))
-            vjp = dwt2d_batch_vjp(*grads, spec, (h, w))
+            back = idwt2d(Decomposition2D(*grads, (h, w)), spec)
+            vjp = dwt2d_vjp(Decomposition2D(*grads, (h, w)), spec)
             for i in range(2):
                 for c in range(3):
                     plane = dwt2d(x[i, c].astype(np.float64), spec)
@@ -379,8 +404,9 @@ class TestTiledAdjoints:
         h, w = MULTI_TILE[0]
         x = rng.standard_normal((2, 2, h, w))
         ys = rng.standard_normal((4, 2, 2, h // 2, w // 2))
-        lhs = sum(float((b * y).sum()) for b, y in zip(dwt2d_batch(x, spec), ys))
-        assert _rel(lhs, float((x * dwt2d_batch_vjp(*ys, spec, (h, w))).sum())) < 1e-12
+        lhs = sum(float((b * y).sum()) for b, y in zip(dwt2d(x, spec).subbands(), ys))
+        grad = dwt2d_vjp(Decomposition2D(*ys, (h, w)), spec)
+        assert _rel(lhs, float((x * grad).sum())) < 1e-12
 
 
 def _low_pass_cases(spec):
@@ -407,8 +433,8 @@ class TestLowPassPair:
                     x = rng.standard_normal((2, 3, h, w)).astype(dtype)
                     g = rng.standard_normal((2, 3, h // 2, w // 2)).astype(dtype)
                     fh, fw = dense(h), dense(w)
-                    _close(lowpass2d_batch(x, taps), fh @ x.astype(np.float64) @ fw.T, dtype)
-                    _close(lowpass2d_batch_vjp(g, taps, (h, w)),
+                    _close(lowpass2d(x, taps), fh @ x.astype(np.float64) @ fw.T, dtype)
+                    _close(lowpass2d_vjp(g, taps, (h, w)),
                            fh.T @ g.astype(np.float64) @ fw, dtype)
 
     @pytest.mark.parametrize("shape", [(8, 12)] + MULTI_TILE)
@@ -418,12 +444,12 @@ class TestLowPassPair:
         for taps, _ in _low_pass_cases(get_wavelet(name)):
             x = rng.standard_normal((2, 2) + shape)
             g = rng.standard_normal((2, 2, shape[0] // 2, shape[1] // 2))
-            lhs = float((lowpass2d_batch(x, taps) * g).sum())
-            assert _rel(lhs, float((x * lowpass2d_batch_vjp(g, taps, shape)).sum())) < 1e-12
+            lhs = float((lowpass2d(x, taps) * g).sum())
+            assert _rel(lhs, float((x * lowpass2d_vjp(g, taps, shape)).sum())) < 1e-12
 
     def test_rejects_a_gradient_of_the_wrong_shape(self):
         with pytest.raises(ShapeMismatch):
-            lowpass2d_batch_vjp(np.zeros((2, 3, 4, 4)), HAAR.analysis_low, (8, 10))
+            lowpass2d_vjp(np.zeros((2, 3, 4, 4)), HAAR.analysis_low, (8, 10))
 
 
 class TestResultLayout:
@@ -442,13 +468,12 @@ class TestResultLayout:
                    idwt2d(d, spec), dwt2d_vjp(d, spec),
                    *idwt2d_vjp(x, spec).subbands(),
                    idwt2d(Decomposition2D(g, g, g, g, shape), spec)]
-        bands = dwt2d_batch(nchw, spec)
+        nd = dwt2d(nchw, spec)
         z = dwt2d_interleaved(x, spec)
         results += [z, idwt2d_interleaved(z[::-1], spec, shape)]
-        results += [*bands, idwt2d_batch(*bands, spec, shape),
-                    dwt2d_batch_vjp(*bands, spec, shape),
-                    lowpass2d_batch(nchw, spec.analysis_low),
-                    lowpass2d_batch_vjp(bands[0][:, :, ::-1], spec.analysis_low, shape)]
+        results += [*nd.subbands(), idwt2d(nd, spec), dwt2d_vjp(nd, spec),
+                    lowpass2d(nchw, spec.analysis_low),
+                    lowpass2d_vjp(nd.ll[:, :, ::-1], spec.analysis_low, shape)]
         for r in results:
             assert r.flags.c_contiguous
             assert not np.shares_memory(r, x) and not np.shares_memory(r, nchw)
@@ -490,13 +515,13 @@ def test_multi_tile_values_do_not_depend_on_the_input_layout(layout, name, shape
 
     def run(lay):
         d = Decomposition2D(*map(lay, bands), shape)
-        nb = list(map(lay, nbands))
+        nd = Decomposition2D(*map(lay, nbands), shape)
         return [*dwt2d(lay(plane), spec).subbands(), idwt2d(d, spec), dwt2d_vjp(d, spec),
                 *idwt2d_vjp(lay(plane), spec).subbands(),
                 dwt2d_interleaved(lay(plane), spec), idwt2d_interleaved(lay(z), spec, shape),
-                *dwt2d_batch(lay(nchw), spec), idwt2d_batch(*nb, spec, shape),
-                dwt2d_batch_vjp(*nb, spec, shape), lowpass2d_batch(lay(nchw), taps),
-                lowpass2d_batch_vjp(nb[0], taps, shape)]
+                *dwt2d(lay(nchw), spec).subbands(), idwt2d(nd, spec),
+                dwt2d_vjp(nd, spec), lowpass2d(lay(nchw), taps),
+                lowpass2d_vjp(nd.ll, taps, shape)]
     for got, want in zip(run(LAYOUTS[layout]), run(np.ascontiguousarray), strict=True):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
