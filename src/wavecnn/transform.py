@@ -375,8 +375,7 @@ class Decomposition2D:
 
 def _decompose(x, filters: tuple) -> Decomposition2D:
     """Analyse, then split: the body of :func:`dwt2d` and :func:`idwt2d_vjp`."""
-    X = _input(x)
-    return Decomposition2D(*_split(_analysis2d(X, filters)), original_shape=X.shape[-2:])
+    return Decomposition2D(*_split(_analysis2d(x, filters)), original_shape=np.shape(x)[-2:])
 
 
 def _compose(d: Decomposition2D, filters: tuple) -> np.ndarray:
