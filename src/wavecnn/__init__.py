@@ -9,7 +9,7 @@ Subpackages by theme:
 - :mod:`wavecnn.denoise` — soft-shrinkage wavelet denoising
 - :mod:`wavecnn.layers` / :mod:`wavecnn.network` — a small NumPy neural
   network with wavelet down-sampling layers, training, and checkpoints
-- :mod:`wavecnn.datasets` — IDX/PGM ingestion and a synthetic task
+- :mod:`wavecnn.datasets` — IDX ingestion and a synthetic task
 - :mod:`wavecnn.robustness` — noise corruptions, corruption-error metrics,
   shift consistency
 - :mod:`wavecnn.complexity` — multiply-add accounting
@@ -19,8 +19,8 @@ Subpackages by theme:
 from . import errors
 from .complexity import (MaddsReport, dwt2d_banded_madds, dwt2d_madds,
                          idwt2d_madds, model_madds)
-from .datasets import (Dataset, load_dataset, load_pgm_dir, read_idx,
-                       save_dataset, synthetic_classification, write_idx)
+from .datasets import (Dataset, load_dataset, read_idx, save_dataset,
+                       synthetic_classification, write_idx)
 from .denoise import DenoiseConfig, denoise_image, soft_shrink
 from .errors import WaveError
 from .fileio import read_pgm, read_tensor, write_pgm, write_tensor
@@ -50,7 +50,7 @@ __all__ = [
     "dwt1d_vjp", "dwt2d", "dwt2d_banded_madds", "dwt2d_madds", "dwt2d_vjp",
     "error_matrix", "errors", "evaluate", "get_wavelet", "gradcheck", "idwt1d",
     "idwt2d", "idwt2d_madds", "idwt2d_vjp", "load_dataset",
-    "load_model", "load_pgm_dir", "mean_ce", "mini_config", "model_madds",
+    "load_model", "mean_ce", "mini_config", "model_madds",
     "read_idx", "read_pgm", "read_tensor", "robustness_report",
     "save_dataset", "save_model", "shift_consistency", "shift_image",
     "soft_shrink", "synthetic_classification", "train", "validate_filterbank",

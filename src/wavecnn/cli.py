@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import struct
 import sys
 
 import numpy as np
@@ -455,8 +454,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (WaveError, OSError, ValueError, KeyError,
-            struct.error, json.JSONDecodeError) as exc:
+    except (WaveError, OSError) as exc:
         print(f"wavecnn {args.command}: error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Dataset containers, IDX ingestion, PGM directories, and a synthetic task.
+"""Dataset containers, IDX ingestion, and a synthetic task.
 
 Images travel through the toolkit as float NCHW arrays on the unit scale
 [0, 1]; labels are an integer vector.  The synthetic generator draws each
@@ -8,15 +8,13 @@ order-independent.
 
 from __future__ import annotations
 
-import csv
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, InvalidConfig, ShapeMismatch
-from .fileio import Reader, read_pgm
+from .fileio import Reader
 
 
 @dataclass(frozen=True)
@@ -83,29 +81,6 @@ def save_dataset(dataset: Dataset, images_path, labels_path) -> None:
     pixels = np.clip(np.rint(dataset.images[:, 0] * 255.0), 0, 255).astype(np.uint8)
     write_idx(images_path, pixels)
     write_idx(labels_path, dataset.labels)
-
-
-def load_pgm_dir(directory, labels_csv) -> Dataset:
-    """Directory of PGM files plus a two-column (filename, label) CSV."""
-    rows = []
-    with open(labels_csv, newline="") as fh:
-        for line in csv.reader(fh):
-            if not line or line[0].lstrip().startswith("#"):
-                continue
-            if len(line) < 2:
-                raise FormatError(f"{labels_csv}: need 'filename,label' rows")
-            rows.append((line[0].strip(), int(line[1])))
-    if not rows:
-        raise InvalidConfig(f"{labels_csv}: no labelled images listed")
-    planes, labels = [], []
-    for name, label in rows:
-        planes.append(read_pgm(os.path.join(directory, name)))
-        labels.append(label)
-    shapes = {p.shape for p in planes}
-    if len(shapes) != 1:
-        raise ShapeMismatch(f"PGM images disagree on size: {sorted(shapes)}")
-    x = np.stack(planes).astype(np.float64)[:, None, :, :] / 255.0
-    return Dataset(x, np.asarray(labels, dtype=np.int64))
 
 
 # Each class is a low-frequency plane wave; the pair (fy, fx) is cycles per

@@ -26,16 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedLoss, FormatError, InvalidConfig, OddSpatial, ShapeMismatch
+from .errors import (DivergedLoss, FormatError, InvalidConfig, OddSpatial, ShapeMismatch,
+                     UnknownWavelet)
 from .fileio import Reader
 from .filterbank import get_wavelet
 from .layers import (AvgPool2, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2,
                      PadToEven, ReLU, SoftmaxCrossEntropy, WaveletDown)
 
-DOWNSAMPLE_MODES = ("max_pool", "avg_pool", "strided_conv",
-                    "dwt_ll", "dwt_avg", "dwt_cat")
-
 _WAVELET_KINDS = {"dwt_ll": "ll", "dwt_avg": "avg", "dwt_cat": "cat"}
+
+DOWNSAMPLE_MODES = ("max_pool", "avg_pool", "strided_conv", *_WAVELET_KINDS)
+
+# No config may declare more state values (parameters plus buffers) than this:
+# 2**28 is 1 GiB of float32, before training adds gradients and momentum.
+MAX_STATE_VALUES = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,8 @@ class LayerSpec:
     n_out: int = 0
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _LAYER_KEYS.get(self.kind, ("kind",))}
+        keys = _KINDS[self.kind][0] if self.kind in _KINDS else ()
+        return {"kind": self.kind, **{name: getattr(self, name) for name in keys}}
 
 
 def conv(kernel: int, c_in: int, c_out: int, stride: int = 1) -> LayerSpec:
@@ -102,27 +107,17 @@ def _check_fields(d, table: dict, label: str) -> dict:
     return d
 
 
-# The fields a config entry of each layer kind holds; the others keep their defaults.
-_LAYER_KEYS = {
-    "conv": ("kind", "kernel", "c_in", "c_out", "stride"),
-    "batchnorm": ("kind", "channels"),
-    "relu": ("kind",),
-    "down": ("kind", "mode", "wavelet", "pad_odd", "c_in", "c_out"),
-    "flatten": ("kind",),
-    "dense": ("kind", "n_in", "n_out"),
-}
-
 # ``loss`` is only in older configs and checkpoints, and must name softmax_ce.
 _MODEL_KEYS = {"layers": list, "seed": int, "wavelet_rewrite": str, "loss": str}
 
 
 def _layer_spec(i: int, entry) -> LayerSpec:
     kind = entry.get("kind") if isinstance(entry, dict) else None
-    if type(kind) is not str or kind not in _LAYER_KEYS:
+    if type(kind) is not str or kind not in _KINDS:
         raise InvalidConfig(f"layer {i}: expected an object whose 'kind' is one of "
-                            f"{list(_LAYER_KEYS)}, got {entry!r}")
+                            f"{list(_KINDS)}, got {entry!r}")
     types = typing.get_type_hints(LayerSpec)
-    table = {name: types[name] for name in _LAYER_KEYS[kind]}
+    table = {name: types[name] for name in ("kind", *_KINDS[kind][0])}
     return LayerSpec(**_check_fields(entry, table, f"layer {i} ({kind})"))
 
 
@@ -159,55 +154,64 @@ class ModelConfig:
                            seed=d.get("seed", 0), wavelet_rewrite=d.get("wavelet_rewrite", ""))
 
 
-def _materialize(spec: LayerSpec, rewrite: str = ""):
-    """LayerSpec -> list of runtime layers (pad glue may expand one entry).
-
-    With a ``rewrite`` wavelet, a stride-2 conv becomes the same-shaped
+def _conv_layers(spec: LayerSpec, rewrite: str) -> list:
+    """With a ``rewrite`` wavelet, a stride-2 conv becomes the same-shaped
     stride-1 conv followed by an ll-only wavelet downsample."""
-    if spec.kind == "conv":
-        if rewrite and spec.stride == 2:
-            return [Conv2d(spec.kernel, spec.c_in, spec.c_out), WaveletDown("ll", rewrite)]
-        return [Conv2d(spec.kernel, spec.c_in, spec.c_out, spec.stride)]
-    if spec.kind == "batchnorm":
-        return [BatchNorm2d(spec.channels)]
-    if spec.kind == "relu":
-        return [ReLU()]
-    if spec.kind == "flatten":
-        return [Flatten()]
-    if spec.kind == "dense":
-        return [Dense(spec.n_in, spec.n_out)]
-    if spec.kind == "down":
-        head = [PadToEven()] if spec.pad_odd else []
-        if spec.mode == "max_pool":
-            return head + [MaxPool2()]
-        if spec.mode == "avg_pool":
-            return head + [AvgPool2()]
-        if spec.mode == "strided_conv":
-            if spec.c_in < 1:
-                raise InvalidConfig("strided_conv downsample needs c_in")
-            c_out = spec.c_out or spec.c_in
-            if rewrite:
-                return [Conv2d(3, spec.c_in, c_out)] + head + [WaveletDown("ll", rewrite)]
-            return head + [Conv2d(3, spec.c_in, c_out, stride=2)]
-        if spec.mode in _WAVELET_KINDS:
-            if not spec.wavelet:
-                raise InvalidConfig(f"downsample mode {spec.mode!r} needs a wavelet")
-            return head + [WaveletDown(_WAVELET_KINDS[spec.mode], spec.wavelet)]
+    if rewrite and spec.stride == 2:
+        return [Conv2d(spec.kernel, spec.c_in, spec.c_out), WaveletDown("ll", rewrite)]
+    return [Conv2d(spec.kernel, spec.c_in, spec.c_out, spec.stride)]
+
+
+def _down_layers(spec: LayerSpec, rewrite: str) -> list:
+    """The mode's down-sampler, with the pad glue right before its stride-2 step."""
+    head = [PadToEven()] if spec.pad_odd else []
+    if spec.mode == "strided_conv":
+        if spec.c_in < 1:
+            raise InvalidConfig("strided_conv downsample needs c_in")
+        *body, last = _conv_layers(conv(3, spec.c_in, spec.c_out or spec.c_in, stride=2), rewrite)
+        return body + head + [last]
+    if spec.mode in ("max_pool", "avg_pool"):
+        return head + [MaxPool2() if spec.mode == "max_pool" else AvgPool2()]
+    if spec.mode not in _WAVELET_KINDS:
         raise InvalidConfig(f"unknown downsample mode {spec.mode!r}")
-    raise InvalidConfig(f"unknown layer kind {spec.kind!r}")
+    if not spec.wavelet:
+        raise InvalidConfig(f"downsample mode {spec.mode!r} needs a wavelet")
+    return head + [WaveletDown(_WAVELET_KINDS[spec.mode], spec.wavelet)]
+
+
+# Each config kind: the keys its entry holds besides "kind" (the other
+# LayerSpec fields keep their defaults), and its builder (spec, rewrite) ->
+# runtime layers.
+_KINDS = {
+    "conv": (("kernel", "c_in", "c_out", "stride"), _conv_layers),
+    "batchnorm": (("channels",), lambda spec, rewrite: [BatchNorm2d(spec.channels)]),
+    "relu": ((), lambda spec, rewrite: [ReLU()]),
+    "down": (("mode", "wavelet", "pad_odd", "c_in", "c_out"), _down_layers),
+    "flatten": ((), lambda spec, rewrite: [Flatten()]),
+    "dense": (("n_in", "n_out"), lambda spec, rewrite: [Dense(spec.n_in, spec.n_out)]),
+}
 
 
 def _chain(specs, shape: tuple, rewrite: str = "") -> tuple:
-    """Materialize ``specs`` and trace the per-image ``shape`` through each
-    layer's ``output_shape``; returns the layers and the output shape.  A
-    spec that does not fit raises InvalidConfig naming its index."""
+    """Build the runtime layers of ``specs`` and trace the per-image
+    ``shape`` through each layer's ``output_shape``; returns the layers and
+    the output shape.  A spec that does not fit, or that takes the declared
+    state past ``MAX_STATE_VALUES``, raises InvalidConfig naming its index."""
     layers = []
+    values = 0
     for i, spec in enumerate(specs):
         try:
-            produced = _materialize(spec, rewrite)
+            if spec.kind not in _KINDS:
+                raise InvalidConfig(f"unknown layer kind {spec.kind!r}")
+            produced = _KINDS[spec.kind][1](spec, rewrite)
             for layer in produced:
                 shape = layer.output_shape(shape)
-        except (InvalidConfig, ShapeMismatch, OddSpatial) as exc:
+                values += sum(math.prod(s) for s in
+                              {**layer.param_shapes(), **layer.buffer_shapes()}.values())
+            if values > MAX_STATE_VALUES:
+                raise InvalidConfig(f"the layers up to here declare {values} state values, "
+                                    f"more than the {MAX_STATE_VALUES} a model may hold")
+        except (InvalidConfig, ShapeMismatch, OddSpatial, UnknownWavelet) as exc:
             raise InvalidConfig(f"layer {i}: {exc}") from exc
         layers.extend(produced)
     return layers, shape
@@ -235,9 +239,10 @@ def _thread_map(fn, items, threads: int) -> list:
 class Model:
     """A network built from its config.
 
-    The constructor checks that the config's layers chain and builds them
-    with their state declared but not allocated: :func:`build_model` draws
-    the initial values and :func:`load_model` reads them from a file.  An
+    The constructor checks that the config's layers chain and declare at
+    most ``MAX_STATE_VALUES`` state values, and builds them with their state
+    declared but not allocated: :func:`build_model` draws the initial
+    values and :func:`load_model` reads them from a file.  An
     unfilled model can still be counted (``parameter_count``,
     :func:`wavecnn.complexity.model_madds`).
     """
@@ -347,10 +352,6 @@ def mini_config(mode: str = "max_pool", wavelet: str = "", in_channels: int = 1,
     even-padded before their downsample (28x28 input traces 28 -> 14 -> 8 -> 4).
     The channel-concatenation mode widens each following conv's input fourfold.
     """
-    if mode not in DOWNSAMPLE_MODES:
-        raise InvalidConfig(f"unknown downsample mode {mode!r}")
-    if mode in _WAVELET_KINDS and not wavelet:
-        raise InvalidConfig(f"mode {mode!r} needs a wavelet name")
     specs = []
     shape = (in_channels, *image_hw)
     for c in (16, 32, 64):

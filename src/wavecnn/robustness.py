@@ -307,16 +307,18 @@ def shift_image(images: np.ndarray, dy: int, dx: int,
     """Translate content of NCHW (or CHW/HW) images by whole pixels.
 
     Positive shifts move content down/right; vacated pixels follow the
-    padding rule.
+    padding rule.  A shift past ``min(h, w) - 1`` raises ShiftOutOfRange
+    under every rule: reflect padding reaches no further, and under edge or
+    constant padding it would leave no pixel of the image.
     """
     x = np.asarray(images)
     h, w = x.shape[-2], x.shape[-1]
     p = max(abs(dy), abs(dx))
     if p == 0:
         return x.copy()
-    if padding == "reflect" and p > min(h, w) - 1:
-        raise ShiftOutOfRange(
-            f"shift {p} exceeds reflect-padding limit {min(h, w) - 1}")
+    if p > min(h, w) - 1:
+        raise ShiftOutOfRange(f"shift {p} exceeds the limit {min(h, w) - 1} "
+                              f"for {h}x{w} images")
     pad = [(0, 0)] * (x.ndim - 2) + [(p, p), (p, p)]
     padded = np.pad(x, pad, mode=padding)
     return padded[..., p - dy:p - dy + h, p - dx:p - dx + w]
@@ -325,17 +327,16 @@ def shift_image(images: np.ndarray, dy: int, dx: int,
 def shift_consistency(model, dataset, cfg: ShiftTrialConfig = ShiftTrialConfig()) -> float:
     """Percentage of (image, shift-pair) trials with matching predictions.
 
-    Raises InvalidConfig on a dataset without images.
+    Raises InvalidConfig on a dataset without images, and ShiftOutOfRange
+    on a ``cfg.max_shift`` that :func:`shift_image` would refuse.
     """
     images = np.asarray(dataset.images)
     if len(images) == 0:
         raise InvalidConfig("shift consistency needs at least one image")
     h, w = images.shape[-2], images.shape[-1]
-    limit = min(h, w) - 1 if cfg.padding == "reflect" else cfg.max_shift
-    if cfg.max_shift > limit:
-        raise ShiftOutOfRange(
-            f"shift range {cfg.max_shift} too large for {h}x{w} images "
-            f"under {cfg.padding} padding")
+    if cfg.max_shift > min(h, w) - 1:
+        raise ShiftOutOfRange(f"shift range {cfg.max_shift} exceeds the limit "
+                              f"{min(h, w) - 1} for {h}x{w} images")
     return _agreement(model, images, _draw_trials(cfg), cfg.padding)
 
 

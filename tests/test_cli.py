@@ -10,7 +10,7 @@ import pytest
 from wavecnn.cli import _RUN_KEYS, main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
 from wavecnn.denoise import DenoiseConfig, denoise_image
-from wavecnn.network import _TRAIN_KEYS, build_model, load_model, mini_config, save_model
+from wavecnn.network import _KINDS, _TRAIN_KEYS, build_model, load_model, mini_config, save_model
 from wavecnn.fileio import read_pgm, read_tensor, write_pgm, write_tensor
 
 
@@ -336,6 +336,16 @@ class TestRobustnessAndShift:
         assert 0.0 <= float(value) <= 100.0
 
 
+@pytest.mark.parametrize("padding", ["edge", "constant"])
+def test_shift_wider_than_the_images_exits_2(capsys, tmp_path, idx_pair, padding):
+    model = tmp_path / "m.wcn"
+    save_model(build_model(mini_config("max_pool")), model)
+    code, out, err = run_cli(capsys, "shift", "--model", str(model), "--images", idx_pair[0],
+                             "--labels", idx_pair[1], "--range", "100", "--padding", padding)
+    assert code == 2 and out == ""
+    assert "wavecnn shift: error: ShiftOutOfRange: shift range 100 exceeds the limit 27" in err
+
+
 class TestEmptyDataset:
     @pytest.mark.parametrize("command", ["eval", "robustness", "shift"])
     def test_empty_idx_pair_is_runtime_error(self, capsys, tmp_path, command):
@@ -543,6 +553,31 @@ def test_malformed_run_config_exits_2(capsys, tmp_path, idx_pair, cfg, command):
     assert f"wavecnn {command}: error: InvalidConfig:" in err
 
 
+# Layer lists whose declared state passes network.MAX_STATE_VALUES, and the
+# index of the layer that takes it there.
+OVERSIZED_LAYERS = [
+    ([{"kind": "conv", "kernel": 3, "c_in": 1, "c_out": 10 ** 18}], 0),
+    ([{"kind": "batchnorm", "channels": 10 ** 9}], 0),
+    ([{"kind": "conv", "kernel": 3, "c_in": 1, "c_out": 4}, {"kind": "flatten"},
+      {"kind": "dense", "n_in": 3136, "n_out": 10 ** 6}], 2),
+    ([{"kind": "down", "mode": "strided_conv", "c_in": 1, "c_out": 2 ** 28}], 0),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "flops"])
+@pytest.mark.parametrize("layers,at", OVERSIZED_LAYERS)
+def test_oversized_layers_exit_2_before_allocating(capsys, tmp_path, idx_pair, layers, at,
+                                                   command):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"layers": layers}))
+    data = (["--images", idx_pair[0], "--labels", idx_pair[1]] if command == "train"
+            else ["--input", "1x1x28x28"])
+    code, out, err = run_cli(capsys, command, "--config", str(path), *data)
+    assert code == 2 and out == ""
+    assert f"wavecnn {command}: error: InvalidConfig: layer {at}: " in err
+    assert "state values" in err
+
+
 @pytest.mark.parametrize("command", ["train", "flops"])
 @pytest.mark.parametrize("text", [
     '{"mode": "max_pool", "mode": "avg_pool"}',
@@ -688,6 +723,14 @@ def test_readme_run_config_table_matches_the_loader():
     want = {key: t.__name__ for key, t in _RUN_KEYS.items()}
     want.update((f"train.{key}", t.__name__) for key, t in _TRAIN_KEYS.items())
     assert dict(rows) == want
+
+
+def test_readme_layer_table_matches_the_kinds():
+    """The README's table of layer kinds and their fields is the loader's."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| ((?:`\w+`(?:, )?)+|—) \|", readme, flags=re.MULTILINE)
+    assert {kind: tuple(re.findall(r"`(\w+)`", fields)) for kind, fields in rows} == \
+        {kind: keys for kind, (keys, _) in _KINDS.items()}
 
 
 def test_console_script_is_installed():

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from wavecnn.datasets import (Dataset, load_dataset, load_pgm_dir, read_idx,
-                              save_dataset, synthetic_classification,
-                              write_idx)
+from wavecnn.datasets import (Dataset, load_dataset, read_idx, save_dataset,
+                              synthetic_classification, write_idx)
 from wavecnn.errors import FormatError, InvalidConfig, ShapeMismatch
-from wavecnn.fileio import write_pgm
 
 
 class TestIdx:
@@ -87,32 +85,6 @@ class TestLoadDataset:
         save_dataset(back, tmp_path / "i2.idx", tmp_path / "l2.idx")
         again = load_dataset(tmp_path / "i2.idx", tmp_path / "l2.idx")
         assert np.array_equal(again.images, back.images)
-
-
-class TestPgmDir:
-    def test_loads_listed_files(self, tmp_path):
-        rng = np.random.default_rng(1)
-        for i in range(3):
-            write_pgm(tmp_path / f"img{i}.pgm",
-                      rng.integers(0, 256, (6, 5), dtype=np.uint8))
-        (tmp_path / "labels.csv").write_text(
-            "# filename,label\nimg0.pgm,0\nimg1.pgm,2\nimg2.pgm,1\n")
-        ds = load_pgm_dir(tmp_path, tmp_path / "labels.csv")
-        assert ds.images.shape == (3, 1, 6, 5)
-        assert list(ds.labels) == [0, 2, 1]
-        assert 0.0 <= ds.images.min() and ds.images.max() <= 1.0
-
-    def test_size_disagreement_rejected(self, tmp_path):
-        write_pgm(tmp_path / "a.pgm", np.zeros((4, 4), dtype=np.uint8))
-        write_pgm(tmp_path / "b.pgm", np.zeros((5, 4), dtype=np.uint8))
-        (tmp_path / "labels.csv").write_text("a.pgm,0\nb.pgm,1\n")
-        with pytest.raises(ShapeMismatch):
-            load_pgm_dir(tmp_path, tmp_path / "labels.csv")
-
-    def test_empty_listing_rejected(self, tmp_path):
-        (tmp_path / "labels.csv").write_text("# nothing here\n")
-        with pytest.raises(InvalidConfig):
-            load_pgm_dir(tmp_path, tmp_path / "labels.csv")
 
 
 class TestSynthetic:

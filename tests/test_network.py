@@ -23,7 +23,7 @@ from wavecnn import network as nw
 from wavecnn.cli import main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
 from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismatch
-from wavecnn.layers import Conv2d, Dense, Flatten, WaveletDown
+from wavecnn.layers import Conv2d, Dense, Flatten, PadToEven, WaveletDown
 
 
 class TestModelConfig:
@@ -80,7 +80,7 @@ class TestModelConfig:
         specs = (nw.conv(5, 2, 3, stride=2), nw.batchnorm(3), nw.relu(),
                  nw.downsample("dwt_cat", "db2", pad_odd=True, c_in=3, c_out=4),
                  nw.flatten(), nw.dense(7, 2))
-        assert [s.kind for s in specs] == list(nw._LAYER_KEYS)
+        assert [s.kind for s in specs] == list(nw._KINDS)
         cfg = nw.ModelConfig(layers=specs, seed=9, wavelet_rewrite="haar")
         assert nw.ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
@@ -176,8 +176,10 @@ class TestBuildModel:
         assert isinstance(model.layers[i + 1], WaveletDown)
 
     def test_wavelet_names_validated_at_build(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidConfig, match="^layer 3: unknown wavelet 'nosuch'"):
             nw.build_model(nw.mini_config("dwt_ll", "nosuch"))
+        with pytest.raises(InvalidConfig, match="^layer 0: unknown wavelet 'nosuch'"):
+            nw.Model(nw.ModelConfig(layers=(nw.downsample("dwt_cat", "nosuch"),)))
 
     def test_channel_mismatch_detected(self):
         cfg = nw.ModelConfig(layers=(nw.conv(3, 1, 4), nw.batchnorm(8)))
@@ -220,6 +222,15 @@ class TestBuildModel:
     def test_rejects_sizes_below_one(self, layers, at):
         with pytest.raises(InvalidConfig, match=f"^layer {at}: .* must be >= 1"):
             nw.Model(nw.ModelConfig(layers=layers))
+
+    def test_declared_state_is_bounded(self):
+        # (255 + 1) * n_out weights and biases: exactly MAX_STATE_VALUES
+        big = (nw.flatten(), nw.dense(255, nw.MAX_STATE_VALUES // 256))
+        assert nw.Model(nw.ModelConfig(layers=big)).parameter_count() == nw.MAX_STATE_VALUES
+        with pytest.raises(InvalidConfig, match="^layer 2: .* state values"):
+            nw.Model(nw.ModelConfig(layers=(nw.conv(1, 1, 1), *big)))
+        with pytest.raises(InvalidConfig, match="^layer 0: .* state values"):
+            nw.build_model(nw.ModelConfig(layers=(nw.conv(3, 1, 10 ** 18),)))
 
     def test_parameter_count_allocates_nothing(self):
         cfg = nw.ModelConfig(layers=(nw.flatten(), nw.dense(10, 6_000_000)))
@@ -291,13 +302,19 @@ class TestWaveletRewrite:
         m1, m2 = nw.build_model(base), nw.build_model(rewritten)
         assert m1.parameter_count() == m2.parameter_count()
 
-    def test_strided_conv_downsample_rewrites_too(self):
+    @pytest.mark.parametrize("pad_odd", [False, True])
+    @pytest.mark.parametrize("rewrite", ["", "haar"])
+    def test_strided_conv_downsample_rewrites_too(self, pad_odd, rewrite):
+        """The pad goes right before the stride-2 step: the strided conv,
+        or the wavelet downsample that a rewrite puts after the conv."""
         cfg = nw.ModelConfig(
-            layers=(nw.downsample("strided_conv", c_in=2, c_out=2),),
-            wavelet_rewrite="haar")
+            layers=(nw.downsample("strided_conv", pad_odd=pad_odd, c_in=2, c_out=2),),
+            wavelet_rewrite=rewrite)
         model = nw.build_model(cfg)
-        assert [type(l) for l in model.layers] == [Conv2d, WaveletDown]
-        assert model.layers[0].stride == 1
+        pad = [PadToEven] if pad_odd else []
+        want = [Conv2d, *pad, WaveletDown] if rewrite else [*pad, Conv2d]
+        assert [type(l) for l in model.layers] == want
+        assert [l.stride for l in model.layers if isinstance(l, Conv2d)] == [1 if rewrite else 2]
 
 
 def _separable_2class(n=64, seed=0):

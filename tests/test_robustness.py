@@ -288,6 +288,20 @@ class TestShift:
         with pytest.raises(ShiftOutOfRange):
             shift_image(x, 4, 0)
 
+    @pytest.mark.parametrize("padding", ["reflect", "edge", "constant"])
+    def test_one_shift_limit_for_every_padding(self, padding):
+        """A shift past min(h, w) - 1 would leave no pixel of the image."""
+        x = np.random.default_rng(0).random((1, 1, 5, 7))
+        assert shift_image(x, 4, -4, padding).shape == x.shape
+        with pytest.raises(ShiftOutOfRange):
+            shift_image(x, 0, 5, padding)
+        ds = Dataset(x, np.zeros(1, dtype=np.int64))
+        assert shift_consistency(_ConstantModel(), ds, ShiftTrialConfig(
+            max_shift=4, pairs=2, padding=padding)) == 100.0
+        with pytest.raises(ShiftOutOfRange):
+            shift_consistency(_ConstantModel(), ds,
+                              ShiftTrialConfig(max_shift=5, padding=padding))
+
     def test_constant_model_fully_consistent(self):
         ds = synthetic_classification(12, classes=3, image_hw=(16, 16), seed=1)
         value = shift_consistency(_ConstantModel(), ds,
