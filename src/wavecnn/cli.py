@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 usage error (bad flags/arguments), 2 runtime error
 to files; diagnostics go to stderr.
 
 Subcommands: filters, transform, idwt, denoise, train, eval, robustness,
-shift, flops.  Global flags (--seed, --precision, --threads) attach to each
-subcommand; transforms and denoising default to f64 precision, training to
-f32.
+shift, flops.  Each subcommand offers only the flags it reads: ``--seed`` on
+train and flops (default: the run config's, else 0) and on robustness and
+shift (default 0); ``--precision`` on transform, idwt and denoise (default
+f64) and on train (default f32).
 """
 
 from __future__ import annotations
@@ -36,38 +37,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _shape2(text: str):
-    try:
-        h, w = (int(p) for p in text.lower().split("x"))
-        if h < 1 or w < 1:
-            raise ValueError
-        return (h, w)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected HxW with positive ints, got {text!r}")
-
-
-def _int_at_least(minimum: int, what: str):
-    """An argparse type: an int of at least ``minimum``, else a usage error."""
-    def parse(text: str) -> int:
+def _dims(ranks, form: str):
+    """An argparse type: positive ints joined by ``x``, as many as one of
+    ``ranks``, else a usage error that shows ``form``."""
+    def parse(text: str) -> tuple:
         try:
-            value = int(text)
-            if value < minimum:
+            dims = tuple(int(p) for p in text.lower().split("x"))
+            if len(dims) not in ranks or any(d < 1 for d in dims):
                 raise ValueError
-            return value
+            return dims
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a {what} int, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected {form} with positive ints, got {text!r}")
     return parse
 
 
-def _shape_nchw(text: str):
+def _seed(text: str) -> int:
+    """An argparse type: an int of at least 0 (np.random.default_rng refuses
+    a negative seed), else a usage error."""
     try:
-        dims = tuple(int(p) for p in text.lower().split("x"))
-        if len(dims) not in (3, 4) or any(d < 1 for d in dims):
-            raise ValueError
-        return dims
+        value = int(text)
+        if value >= 0:
+            return value
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected CxHxW or NxCxHxW with positive ints, got {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
 
 
 def _sniff(path) -> str:
@@ -141,7 +134,7 @@ def _cmd_filters(args) -> int:
 
 def _cmd_transform(args) -> int:
     spec = get_wavelet(args.wavelet)
-    plane = _read_plane(args.input, _np_precision(args.precision or "f64"))
+    plane = _read_plane(args.input, _np_precision(args.precision))
     d = dwt2d(plane, spec)
     for name, band in zip(SUBBANDS, d.subbands()):
         path = f"{args.out_prefix}_{name}.wtn"
@@ -152,7 +145,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_idwt(args) -> int:
     spec = get_wavelet(args.wavelet)
-    dt = _np_precision(args.precision or "f64")
+    dt = _np_precision(args.precision)
     bands = [_read_finite_tensor(f"{args.in_prefix}_{name}.wtn", dt)
              for name in SUBBANDS]
     if any(b.ndim != 2 for b in bands):  # idwt2d would take a stack of planes
@@ -170,7 +163,7 @@ def _cmd_denoise(args) -> int:
         if not str(args.out).lower().endswith(".pgm"):
             out = out.astype(np.float64) / 255.0
     else:
-        dt = _np_precision(args.precision or "f64")
+        dt = _np_precision(args.precision)
         out = denoise.denoise_image(_read_finite_tensor(args.input, dt), cfg)
         if str(args.out).lower().endswith(".pgm"):
             out = np.asarray(out) * 255.0
@@ -196,7 +189,7 @@ def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=unique)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidConfig(f"{path}: not a UTF-8 JSON document: {exc}") from exc
 
 
@@ -217,13 +210,13 @@ def _model_config_from(cfg: dict, args, in_shape, classes: int = 10) -> network.
     the file.  An explicit ``"layers"`` list is taken as it is."""
     model = {key: cfg[key] for key in ("layers", "loss") if key in cfg}
     model["seed"] = _pick(args.seed, cfg, "seed", 0)
-    model["wavelet_rewrite"] = _pick(getattr(args, "rewrite", None), cfg, "wavelet_rewrite", "")
+    model["wavelet_rewrite"] = _pick(args.rewrite, cfg, "wavelet_rewrite", "")
     if "layers" not in cfg:
         arch = cfg.get("arch", "mini")
         if arch != "mini":
             raise InvalidConfig(f"unknown architecture {arch!r}")
-        mode = _pick(getattr(args, "mode", None), cfg, "mode", "max_pool")
-        wavelet = _pick(getattr(args, "wavelet", None), cfg, "wavelet", "")
+        mode = _pick(args.mode, cfg, "mode", "max_pool")
+        wavelet = _pick(args.wavelet, cfg, "wavelet", "")
         c, h, w = in_shape
         mini = network.mini_config(mode=mode, wavelet=wavelet, in_channels=c,
                                    image_hw=(h, w), classes=classes)
@@ -233,11 +226,9 @@ def _model_config_from(cfg: dict, args, in_shape, classes: int = 10) -> network.
 
 def _train_config_from(cfg: dict, args) -> network.TrainConfig:
     base = dict(cfg.get("train", {}))
-    for key, flag in (("lr", args.lr), ("momentum", args.momentum),
-                      ("weight_decay", args.weight_decay),
-                      ("batch", args.batch), ("epochs", args.epochs)):
-        if flag is not None:
-            base[key] = flag
+    for key in network._TRAIN_KEYS:
+        if getattr(args, key) is not None:
+            base[key] = getattr(args, key)
     return network.TrainConfig.from_dict(base)
 
 
@@ -252,7 +243,7 @@ def _cmd_train(args) -> int:
     top = max(int(d.labels.max(initial=0)) for d in (ds, val) if d is not None)
     model_cfg = _model_config_from(cfg, args, ds.images.shape[1:], classes=max(top + 1, 2))
     hyper = _train_config_from(cfg, args)
-    model = network.build_model(model_cfg, dtype=_np_precision(args.precision or "f32"))
+    model = network.build_model(model_cfg, dtype=_np_precision(args.precision))
     report = network.train(model, ds, hyper, val=val)
     if args.out:
         network.save_model(model, args.out)
@@ -283,8 +274,7 @@ def _cmd_robustness(args) -> int:
             ref = robustness.ErrorMatrix.from_csv(text)
     model = network.load_model(args.model)
     ds = datasets.load_dataset(args.images, args.labels)
-    matrix = robustness.error_matrix(
-        model, ds, seed=args.seed or 0, workers=args.threads)
+    matrix = robustness.error_matrix(model, ds, seed=args.seed)
     if ref is not None:
         report = robustness.robustness_report(matrix, ref)
         csv_text, json_text = report.to_csv(), report.to_json()
@@ -306,7 +296,7 @@ def _cmd_shift(args) -> int:
     ds = datasets.load_dataset(args.images, args.labels)
     cfg = robustness.ShiftTrialConfig(
         max_shift=args.range, pairs=args.pairs, padding=args.padding,
-        seed=args.seed or 0)
+        seed=args.seed)
     value = robustness.shift_consistency(model, ds, cfg)
     _emit(f"shift_consistency,{value!r}\n", args.out)
     return 0
@@ -329,31 +319,19 @@ def _cmd_flops(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    # np.random.default_rng refuses a negative seed
-    common.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=None,
-                        help="base RNG seed, at least 0 (default 0)")
-    common.add_argument("--precision", choices=("f32", "f64"), default=None,
-                        help="float width; transforms/denoise default f64, training f32")
-    common.add_argument("--threads", type=_int_at_least(1, "positive"), default=1,
-                        help="corruption workers, 'robustness' only (at least 1); on 2 "
-                             "vCPUs, 2 are 2-3x slower than 1 at 28 px, 1.2-1.8x faster "
-                             "from 128 px. Inference uses every usable CPU by itself")
-
     top = _Parser(prog="wavecnn",
                   description="Wavelet transforms, wavelet-downsampled CNNs, "
                               "denoising, robustness metrics, and madds reports.")
     sub = top.add_subparsers(dest="command", metavar="SUBCOMMAND")
     names = wavelet_names()
 
-    p = sub.add_parser("filters", parents=[common], help="print filter coefficients")
+    p = sub.add_parser("filters", help="print filter coefficients")
     p.add_argument("--wavelet", choices=names)
     p.add_argument("--list", action="store_true", help="list registry names")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_filters, parser=p)
 
-    p = sub.add_parser("transform", parents=[common],
-                       help="2D wavelet analysis of an image into four subband files")
+    p = sub.add_parser("transform", help="2D wavelet analysis of an image into four subband files")
     p.add_argument("--wavelet", choices=names, required=True)
     p.add_argument("--in", dest="input", required=True, metavar="FILE",
                    help="input image (PGM or raw tensor)")
@@ -361,26 +339,25 @@ def _build_parser() -> _Parser:
                    help="writes PREFIX_ll/_lh/_hl/_hh.wtn float tensors")
     p.set_defaults(func=_cmd_transform, parser=p)
 
-    p = sub.add_parser("idwt", parents=[common],
-                       help="2D wavelet synthesis from four subband files")
+    p = sub.add_parser("idwt", help="2D wavelet synthesis from four subband files")
     p.add_argument("--wavelet", choices=names, required=True)
     p.add_argument("--in-prefix", dest="in_prefix", required=True)
-    p.add_argument("--shape", type=_shape2, required=True, metavar="HxW",
+    p.add_argument("--shape", type=_dims((2,), "HxW"), required=True, metavar="HxW",
                    help="spatial shape of the reconstruction")
     p.add_argument("--out", required=True, help="output image (.pgm quantizes)")
     p.set_defaults(func=_cmd_idwt, parser=p)
 
-    p = sub.add_parser("denoise", parents=[common],
-                       help="soft-shrinkage wavelet denoising of one image")
-    p.add_argument("--in", dest="input", required=True, metavar="FILE")
+    p = sub.add_parser("denoise", help="soft-shrinkage wavelet denoising of one image")
+    p.add_argument("--in", dest="input", required=True, metavar="FILE",
+                   help="input image: PGM (denoised in f64 whatever --precision says) "
+                        "or raw tensor")
     p.add_argument("--out", required=True)
     p.add_argument("--wavelet", choices=names, default="haar")
     p.add_argument("--lambda", dest="lam", type=float, default=0.1,
                    help="shrinkage threshold on the [0,1] pixel scale")
     p.set_defaults(func=_cmd_denoise, parser=p)
 
-    p = sub.add_parser("train", parents=[common],
-                       help="train a model on an IDX dataset")
+    p = sub.add_parser("train", help="train a model on an IDX dataset")
     p.add_argument("--config", help="JSON run config (architecture + hyperparameters)")
     p.add_argument("--images", required=True, help="IDX image file")
     p.add_argument("--labels", required=True, help="IDX label file")
@@ -391,25 +368,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--wavelet", choices=names, help="wavelet for dwt_* modes")
     p.add_argument("--rewrite", choices=names, metavar="WAVELET",
                    help="rewrite stride-2 convs to stride-1 + ll downsample")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
+    for key, kind in network._TRAIN_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind)
     p.add_argument("--out", help="checkpoint path to write")
     p.add_argument("--report", help="write the training report CSV here (default stdout)")
     p.set_defaults(func=_cmd_train, parser=p)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="top-1 error of a checkpoint on an IDX dataset")
+    p = sub.add_parser("eval", help="top-1 error of a checkpoint on an IDX dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--images", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval, parser=p)
 
-    p = sub.add_parser("robustness", parents=[common],
-                       help="noise-corruption error matrix and CE/mCE report")
+    p = sub.add_parser("robustness", help="noise-corruption error matrix and CE/mCE report")
     p.add_argument("--model", required=True)
     p.add_argument("--images", required=True)
     p.add_argument("--labels", required=True)
@@ -418,8 +390,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-prefix", help="write PREFIX.csv and PREFIX.json")
     p.set_defaults(func=_cmd_robustness, parser=p)
 
-    p = sub.add_parser("shift", parents=[common],
-                       help="prediction consistency under random translations")
+    p = sub.add_parser("shift", help="prediction consistency under random translations")
     p.add_argument("--model", required=True)
     p.add_argument("--images", required=True)
     p.add_argument("--labels", required=True)
@@ -430,10 +401,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_shift, parser=p)
 
-    p = sub.add_parser("flops", parents=[common],
-                       help="multiply-add report for a model config")
+    p = sub.add_parser("flops", help="multiply-add report for a model config")
     p.add_argument("--config", required=True, help="model or run config JSON")
-    p.add_argument("--input", type=_shape_nchw, required=True, metavar="NxCxHxW",
+    p.add_argument("--input", type=_dims((3, 4), "CxHxW or NxCxHxW"), required=True,
+                   metavar="NxCxHxW",
                    help="input shape; a mini-arch run config is built for it")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--mode", choices=network.DOWNSAMPLE_MODES)
@@ -442,6 +413,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_flops, parser=p)
 
+    # the subcommands that read --seed and --precision, with their defaults
+    for name, default, what in (("train", None, "model init"), ("flops", None, "model"),
+                                ("robustness", 0, "corruption"), ("shift", 0, "shift-pair")):
+        shown = "the run config's, else 0" if default is None else default
+        sub.choices[name].add_argument("--seed", type=_seed, default=default,
+                                       help=f"{what} seed, at least 0 (default {shown})")
+    for name, default in (("transform", "f64"), ("idwt", "f64"), ("denoise", "f64"),
+                          ("train", "f32")):
+        sub.choices[name].add_argument("--precision", choices=("f32", "f64"), default=default,
+                                       help=f"float width (default {default})")
     return top
 
 

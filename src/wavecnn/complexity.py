@@ -86,6 +86,11 @@ class LayerMadds:
     banded: int = 0
 
 
+# the report's closing values, in the order both formats give them
+_SUBTOTALS = ("wavelet_subtotal", "other_subtotal", "total", "ratio_percent",
+              "wavelet_ll_only_subtotal", "wavelet_banded_subtotal")
+
+
 @dataclass(frozen=True)
 class MaddsReport:
     """Per-layer multiply-add table with wavelet/non-wavelet subtotals.
@@ -134,12 +139,7 @@ class MaddsReport:
                 }
                 for r in self.rows
             ],
-            "wavelet_subtotal": self.wavelet_subtotal,
-            "other_subtotal": self.other_subtotal,
-            "total": self.total,
-            "ratio_percent": self.ratio_percent,
-            "wavelet_ll_only_subtotal": self.wavelet_ll_only_subtotal,
-            "wavelet_banded_subtotal": self.wavelet_banded_subtotal,
+            **{name: getattr(self, name) for name in _SUBTOTALS},
         }
 
     def to_csv(self) -> str:
@@ -149,12 +149,7 @@ class MaddsReport:
             out_s = "x".join(str(d) for d in r.out_shape)
             lines.append(f"{r.index},{r.kind},{in_s},{out_s},{r.madds},"
                          f"{int(r.wavelet)},{r.ll_only},{r.banded}")
-        lines.append(f"wavelet_subtotal,{self.wavelet_subtotal},,,,,,")
-        lines.append(f"other_subtotal,{self.other_subtotal},,,,,,")
-        lines.append(f"total,{self.total},,,,,,")
-        lines.append(f"ratio_percent,{self.ratio_percent!r},,,,,,")
-        lines.append(f"wavelet_ll_only_subtotal,{self.wavelet_ll_only_subtotal},,,,,,")
-        lines.append(f"wavelet_banded_subtotal,{self.wavelet_banded_subtotal},,,,,,")
+        lines += [f"{name},{getattr(self, name)!r},,,,,," for name in _SUBTOTALS]
         return "\n".join(lines) + "\n"
 
 

@@ -225,17 +225,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _thread_map(fn, items, threads: int) -> list:
-    """``[fn(i) for i in items]``, on ``threads`` threads when there are two
-    or more.  Results come in item order, and the first failing item's error
-    is raised once every thread has stopped: the pool lives only for this
-    call, and leaving it cancels the items not yet started."""
-    if threads <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(threads) as pool:
-        return list(pool.map(fn, items))
-
-
 class Model:
     """A network built from its config.
 
@@ -326,8 +315,18 @@ class Model:
         if len(images) == 0:
             return self.forward(images, training=False)
         starts = range(0, len(images), batch)
-        chunks = _thread_map(lambda i: self.forward(images[i:i + batch], training=False),
-                             starts, min(_usable_cpus(), len(starts)))
+        threads = min(_usable_cpus(), len(starts))
+
+        def block(i):
+            return self.forward(images[i:i + batch], training=False)
+        if threads <= 1:
+            chunks = [block(i) for i in starts]
+        else:
+            # map yields in block order, so the first failing block's error is
+            # raised; leaving the pool waits for every thread and cancels the
+            # blocks not yet started
+            with ThreadPoolExecutor(threads) as pool:
+                chunks = list(pool.map(block, starts))
         return np.concatenate(chunks, axis=0)
 
     def predict(self, images: np.ndarray) -> np.ndarray:
@@ -638,7 +637,7 @@ def load_model(path) -> Model:
         raise FormatError(f"{path}: unknown element-type tag {tag}")
     try:
         cfg = json.loads(str(r.take(cfg_len), "utf-8"))
-    except ValueError as exc:  # also bad UTF-8
+    except (ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8
         raise FormatError(f"{path}: model config is not JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise FormatError(f"{path}: model config is not a JSON object")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (BadSeverity, InvalidConfig, MissingCorruption,
                      ShapeMismatch, ShiftOutOfRange, ZeroReference)
-from .network import _thread_map, evaluate
+from .network import evaluate
 
 GAUSSIAN = "gaussian"
 SHOT = "shot"
@@ -72,24 +72,16 @@ def corrupt(image: np.ndarray, kind: str, severity: int, rng_seed=0) -> np.ndarr
     return np.clip(out, 0.0, 1.0)
 
 
-def corrupt_dataset(dataset, kind: str, severity: int, seed: int = 0, workers: int = 1):
-    """Corrupt every image with an independent (seed, index) stream.
-
-    Worker count only affects wall-clock time; per-image streams make the
-    output identical regardless of scheduling.  ``workers`` below 1 raises
-    InvalidConfig.
+def corrupt_dataset(dataset, kind: str, severity: int, seed: int = 0):
+    """Corrupt every image, one after another, with an independent
+    (seed, index) stream, so an image's output does not depend on the
+    others in the dataset.
     """
     from .datasets import Dataset
 
     _severity_param(kind, severity)  # validate before any work
-    if workers < 1:
-        raise InvalidConfig(f"corruption workers must be >= 1, got {workers}")
     n = len(dataset)
-
-    def one(i):
-        return corrupt(dataset.images[i], kind, severity, rng_seed=[seed, i])
-
-    planes = _thread_map(one, range(n), workers)
+    planes = [corrupt(dataset.images[i], kind, severity, rng_seed=[seed, i]) for i in range(n)]
     images = np.stack(planes) if n else dataset.images.astype(np.float64)
     return Dataset(images, dataset.labels)
 
@@ -181,19 +173,17 @@ def _rates(name: str, values) -> list:
 
 
 def error_matrix(model, dataset, kinds=NOISE_CORRUPTIONS, seed: int = 0,
-                 workers: int = 1, model_id: str = "") -> ErrorMatrix:
+                 model_id: str = "") -> ErrorMatrix:
     """Measure a model's corrupted top-1 error over all kinds and severities.
 
-    ``workers`` threads corrupt the images (see :func:`corrupt_dataset`);
-    the forwards use every usable CPU whatever it is
-    (``Model.predict_logits``).  Raises InvalidConfig on ``workers`` below 1
-    (from ``corrupt_dataset``, before any forward) and (from ``evaluate``)
-    on a dataset without images.
+    The images are corrupted on the calling thread (:func:`corrupt_dataset`);
+    the forwards use every usable CPU (``Model.predict_logits``).  Raises
+    InvalidConfig (from ``evaluate``) on a dataset without images.
     """
     grid = np.empty((len(kinds), 5))
     for i, kind in enumerate(kinds):
         for severity in range(1, 6):
-            corrupted = corrupt_dataset(dataset, kind, severity, seed=seed, workers=workers)
+            corrupted = corrupt_dataset(dataset, kind, severity, seed=seed)
             grid[i, severity - 1] = evaluate(model, corrupted)
     ident = model_id or getattr(model, "checksum", lambda: "model")()[:12]
     return ErrorMatrix(ident, tuple(kinds), grid)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavecnn.cli import _RUN_KEYS, main
+from wavecnn.cli import _RUN_KEYS, _build_parser, main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
 from wavecnn.denoise import DenoiseConfig, denoise_image
 from wavecnn.network import _KINDS, _TRAIN_KEYS, build_model, load_model, mini_config, save_model
@@ -52,7 +54,7 @@ class TestExitCodes:
     def test_subcommand_help_exits_zero(self, capsys, sub):
         code, out, _ = run_cli(capsys, sub, "--help")
         assert code == 0
-        assert "--seed" in out and "--precision" in out and "--threads" in out
+        assert f"usage: wavecnn {sub}" in out
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "transform", "--wavelet", "haar")
@@ -643,13 +645,42 @@ def test_undecodable_csv_reference_exits_2(capsys, tmp_path, idx_pair):
     assert f"wavecnn robustness: error: InvalidConfig: {ref}: not a UTF-8 CSV file" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-4", "two"])
-def test_threads_below_one_is_a_usage_error(capsys, idx_pair, value):
-    code, out, err = run_cli(capsys, "robustness", "--model", "m.wcn",
-                             "--images", idx_pair[0], "--labels", idx_pair[1],
-                             "--threads", value)
-    assert code == 1 and out == ""
-    assert "--threads" in err and "expected a positive int" in err
+_REQUIRED_FLAGS = {
+    "filters": [],
+    "transform": ["--wavelet", "haar", "--in", "i.pgm", "--out-prefix", "b"],
+    "idwt": ["--wavelet", "haar", "--in-prefix", "b", "--shape", "4x4", "--out", "o.wtn"],
+    "denoise": ["--in", "i.pgm", "--out", "o.pgm"],
+    "train": ["--images", "i.idx", "--labels", "l.idx"],
+    "eval": ["--model", "m.wcn", "--images", "i.idx", "--labels", "l.idx"],
+    "robustness": ["--model", "m.wcn", "--images", "i.idx", "--labels", "l.idx"],
+    "shift": ["--model", "m.wcn", "--images", "i.idx", "--labels", "l.idx"],
+    "flops": ["--config", "c.json", "--input", "1x28x28"],
+}
+# flag -> (text given, value parsed, {subcommand that reads it: its default})
+_READ_FLAGS = {
+    "--seed": ("0", 0, {"train": None, "flops": None, "robustness": 0, "shift": 0}),
+    "--precision": ("f64", "f64",
+                    {"transform": "f64", "idwt": "f64", "denoise": "f64", "train": "f32"}),
+    "--threads": ("1", 1, {}),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_READ_FLAGS))
+@pytest.mark.parametrize("sub", sorted(_REQUIRED_FLAGS))
+def test_a_flag_is_offered_exactly_where_it_is_read(capsys, sub, flag):
+    """A subcommand takes a flag, with its default, only if it reads it;
+    elsewhere the flag is a usage error."""
+    text, value, readers = _READ_FLAGS[flag]
+    argv = [sub, *_REQUIRED_FLAGS[sub]]
+    parse = _build_parser().parse_args
+    if sub in readers:
+        assert getattr(parse(argv), flag[2:]) == readers[sub]
+        assert getattr(parse([*argv, flag, text]), flag[2:]) == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            parse([*argv, flag, text])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sub,argv", [
@@ -764,7 +795,11 @@ def test_untrainable_hyperparameters_exit_2(capsys, tmp_path, idx_pair, flags):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("data", [b'{"mode": "max_pool"', b'{"mode": "max_\xffpool"}', b""])
+_DEEP_JSON = b"[" * 200_000 + b"]" * 200_000  # past the decoder's recursion limit
+
+
+@pytest.mark.parametrize("data", [b'{"mode": "max_pool"', b'{"mode": "max_\xffpool"}', b"",
+                                  pytest.param(_DEEP_JSON, id="deep")])
 @pytest.mark.parametrize("command", ["train", "flops", "robustness"])
 def test_undecodable_json_exits_2(capsys, tmp_path, idx_pair, data, command):
     path = tmp_path / "doc.json"
@@ -781,3 +816,16 @@ def test_undecodable_json_exits_2(capsys, tmp_path, idx_pair, data, command):
     code, out, err = run_cli(capsys, command, *argv)
     assert code == 2 and out == ""
     assert f"wavecnn {command}: error: InvalidConfig: {path}: not a UTF-8 JSON document" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "robustness", "shift"])
+def test_checkpoint_with_a_deeply_nested_config_exits_2(capsys, tmp_path, idx_pair, command):
+    """A digest-valid checkpoint whose config nests past the decoder's
+    recursion limit is a FormatError, not a RecursionError traceback."""
+    body = b"WCN2" + struct.pack("<BI", 0, len(_DEEP_JSON)) + _DEEP_JSON + struct.pack("<I", 0)
+    path = tmp_path / "deep.wcn"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    code, out, err = run_cli(capsys, command, "--model", str(path),
+                             "--images", idx_pair[0], "--labels", idx_pair[1])
+    assert code == 2 and out == ""
+    assert f"wavecnn {command}: error: FormatError: {path}: model config is not JSON" in err

@@ -92,20 +92,6 @@ class TestCorruptDataset:
         tail = corrupt_dataset(ds.take(slice(0, 3)), "gaussian", 2, seed=9)
         assert np.array_equal(whole.images[:3], tail.images)
 
-    def test_workers_do_not_change_output(self):
-        ds = self._ds(10)
-        serial = corrupt_dataset(ds, "shot", 3, seed=1, workers=1)
-        threaded = corrupt_dataset(ds, "shot", 3, seed=1, workers=4)
-        assert np.array_equal(serial.images, threaded.images)
-
-    @pytest.mark.parametrize("workers", [0, -4])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(InvalidConfig, match="workers"):
-            corrupt_dataset(self._ds(), "gaussian", 1, workers=workers)
-        model = build_model(mini_config("max_pool", image_hw=(8, 8), classes=3))
-        with pytest.raises(InvalidConfig, match="workers"):
-            error_matrix(model, self._ds(), workers=workers)
-
     def test_labels_pass_through(self):
         ds = self._ds()
         out = corrupt_dataset(ds, "impulse", 1, seed=2)
