@@ -36,6 +36,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    def parse_args(self, args=None, namespace=None):
+        # as argparse's, but an unknown flag is reported with the usage of
+        # the subcommand it was given to, which lists the flags it takes
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            getattr(args, "parser", self).error("unrecognized arguments: " + " ".join(extras))
+        return args
+
 
 def _dims(ranks, form: str):
     """An argparse type: positive ints joined by ``x``, as many as one of
@@ -337,6 +345,8 @@ def _build_parser() -> _Parser:
                    help="input image (PGM or raw tensor)")
     p.add_argument("--out-prefix", required=True,
                    help="writes PREFIX_ll/_lh/_hl/_hh.wtn float tensors")
+    p.add_argument("--precision", choices=("f32", "f64"), default="f64",
+                   help="float width (default f64)")
     p.set_defaults(func=_cmd_transform, parser=p)
 
     p = sub.add_parser("idwt", help="2D wavelet synthesis from four subband files")
@@ -345,6 +355,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--shape", type=_dims((2,), "HxW"), required=True, metavar="HxW",
                    help="spatial shape of the reconstruction")
     p.add_argument("--out", required=True, help="output image (.pgm quantizes)")
+    p.add_argument("--precision", choices=("f32", "f64"), default="f64",
+                   help="float width (default f64)")
     p.set_defaults(func=_cmd_idwt, parser=p)
 
     p = sub.add_parser("denoise", help="soft-shrinkage wavelet denoising of one image")
@@ -355,6 +367,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--wavelet", choices=names, default="haar")
     p.add_argument("--lambda", dest="lam", type=float, default=0.1,
                    help="shrinkage threshold on the [0,1] pixel scale")
+    p.add_argument("--precision", choices=("f32", "f64"), default="f64",
+                   help="float width (default f64)")
     p.set_defaults(func=_cmd_denoise, parser=p)
 
     p = sub.add_parser("train", help="train a model on an IDX dataset")
@@ -368,6 +382,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--wavelet", choices=names, help="wavelet for dwt_* modes")
     p.add_argument("--rewrite", choices=names, metavar="WAVELET",
                    help="rewrite stride-2 convs to stride-1 + ll downsample")
+    p.add_argument("--seed", type=_seed,
+                   help="model init seed, at least 0 (default: the run config's, else 0)")
+    p.add_argument("--precision", choices=("f32", "f64"), default="f32",
+                   help="float width (default f32)")
     for key, kind in network._TRAIN_KEYS.items():
         p.add_argument("--" + key.replace("_", "-"), type=kind)
     p.add_argument("--out", help="checkpoint path to write")
@@ -388,6 +406,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--reference", help="reference error matrix (.csv or .json); "
                                        "omit to emit this model's matrix only")
     p.add_argument("--out-prefix", help="write PREFIX.csv and PREFIX.json")
+    p.add_argument("--seed", type=_seed, default=0, help="corruption seed, at least 0")
     p.set_defaults(func=_cmd_robustness, parser=p)
 
     p = sub.add_parser("shift", help="prediction consistency under random translations")
@@ -398,6 +417,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--pairs", type=int, default=64, help="random shift pairs")
     p.add_argument("--padding", choices=("reflect", "edge", "constant"),
                    default="reflect")
+    p.add_argument("--seed", type=_seed, default=0, help="shift-pair seed, at least 0")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_shift, parser=p)
 
@@ -411,18 +431,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--wavelet", choices=names)
     p.add_argument("--rewrite", choices=names, metavar="WAVELET")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_flops, parser=p)
+    p.set_defaults(func=_cmd_flops, parser=p, seed=None)  # the madds carry no seed
 
-    # the subcommands that read --seed and --precision, with their defaults
-    for name, default, what in (("train", None, "model init"), ("flops", None, "model"),
-                                ("robustness", 0, "corruption"), ("shift", 0, "shift-pair")):
-        shown = "the run config's, else 0" if default is None else default
-        sub.choices[name].add_argument("--seed", type=_seed, default=default,
-                                       help=f"{what} seed, at least 0 (default {shown})")
-    for name, default in (("transform", "f64"), ("idwt", "f64"), ("denoise", "f64"),
-                          ("train", "f32")):
-        sub.choices[name].add_argument("--precision", choices=("f32", "f64"), default=default,
-                                       help=f"float width (default {default})")
     return top
 
 

@@ -322,9 +322,6 @@ class Model:
         if threads <= 1:
             chunks = [block(i) for i in starts]
         else:
-            # map yields in block order, so the first failing block's error is
-            # raised; leaving the pool waits for every thread and cancels the
-            # blocks not yet started
             with ThreadPoolExecutor(threads) as pool:
                 chunks = list(pool.map(block, starts))
         return np.concatenate(chunks, axis=0)

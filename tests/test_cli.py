@@ -658,7 +658,7 @@ _REQUIRED_FLAGS = {
 }
 # flag -> (text given, value parsed, {subcommand that reads it: its default})
 _READ_FLAGS = {
-    "--seed": ("0", 0, {"train": None, "flops": None, "robustness": 0, "shift": 0}),
+    "--seed": ("0", 0, {"train": None, "robustness": 0, "shift": 0}),
     "--precision": ("f64", "f64",
                     {"transform": "f64", "idwt": "f64", "denoise": "f64", "train": "f32"}),
     "--threads": ("1", 1, {}),
@@ -669,7 +669,7 @@ _READ_FLAGS = {
 @pytest.mark.parametrize("sub", sorted(_REQUIRED_FLAGS))
 def test_a_flag_is_offered_exactly_where_it_is_read(capsys, sub, flag):
     """A subcommand takes a flag, with its default, only if it reads it;
-    elsewhere the flag is a usage error."""
+    elsewhere the flag is a usage error that shows that subcommand's usage."""
     text, value, readers = _READ_FLAGS[flag]
     argv = [sub, *_REQUIRED_FLAGS[sub]]
     parse = _build_parser().parse_args
@@ -680,14 +680,15 @@ def test_a_flag_is_offered_exactly_where_it_is_read(capsys, sub, flag):
         with pytest.raises(SystemExit) as exc:
             parse([*argv, flag, text])
         assert exc.value.code == 1
-        assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: wavecnn {sub} ")
+        assert f"wavecnn {sub}: error: unrecognized arguments: {flag} {text}" in err
 
 
 @pytest.mark.parametrize("sub,argv", [
     ("train", ["--images", "i.idx", "--labels", "l.idx"]),
     ("shift", ["--model", "m.wcn", "--images", "i.idx", "--labels", "l.idx"]),
-    ("robustness", ["--model", "m.wcn", "--images", "i.idx", "--labels", "l.idx"]),
-    ("flops", ["--config", "c.json", "--input", "1x28x28"])])
+    ("robustness", ["--model", "m.wcn", "--images", "i.idx", "--labels", "l.idx"])])
 def test_negative_seed_is_a_usage_error(capsys, sub, argv):
     code, out, err = run_cli(capsys, sub, *argv, "--seed", "-1")
     assert code == 1 and out == ""
