@@ -6,9 +6,9 @@ to files; diagnostics go to stderr.
 
 Subcommands: filters, transform, idwt, denoise, train, eval, robustness,
 shift, flops.  Each subcommand offers only the flags it reads: ``--seed`` on
-train and flops (default: the run config's, else 0) and on robustness and
-shift (default 0); ``--precision`` on transform, idwt and denoise (default
-f64) and on train (default f32).
+train (default: the run config's, else 0) and on robustness and shift
+(default 0); ``--precision`` on transform, idwt and denoise (default f64)
+and on train (default f32).
 """
 
 from __future__ import annotations

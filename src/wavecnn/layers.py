@@ -1,10 +1,17 @@
 """From-scratch network layers over NCHW numpy tensors.
 
-Every layer implements ``forward(x, training)`` and ``backward(grad)`` where
+Every layer offers ``forward(x, training)`` and ``backward(grad)``, where
 backward is the exact adjoint of the forward linearization; the gradient
-suite checks each one against central finite differences.  A training
-forward (``training=True``) keeps on ``self`` what backward needs, so a
-layer instance is used by one training loop at a time:
+suite checks each one against central finite differences.  Both live on
+``Layer`` and hold the one state rule.  ``forward`` checks ``x`` with
+``output_shape`` and calls ``_forward(x, training)``, which returns ``(out,
+state)``: what backward will need.  A training forward (``training=True``)
+keeps that state in the one slot ``_state``, so a layer instance is used by
+one training loop at a time; an inference forward keeps ``None`` there.
+``backward`` passes the kept state to ``_backward(grad, state)`` and raises
+``InvalidConfig`` when there is none, as after an inference forward.  A new
+layer implements ``output_shape``, ``_forward`` and ``_backward``, and names
+itself for error messages in ``who``.  The states:
 
 - ``Conv2d``: the im2col matrix ``(C_in*k*k, Ho*Wo*N)`` and the input shape.
   Its rows run over (input channel, kernel row, kernel column) and its
@@ -20,22 +27,21 @@ layer instance is used by one training loop at a time:
 - ``AvgPool2``, ``PadToEven``, ``Flatten``, ``WaveletDown``: shapes only;
   ``Dense``: its input.
 
-An inference forward (``training=False``) computes its output and nothing
-else: it builds no mask, keeps no im2col matrix or ``xhat``, and clears the
-state of an earlier training forward, so an evaluated model holds no
-activations.  Its output keeps its bits: BatchNorm applies the running
-statistics with the same operations in the same order, and max pooling
-runs the same knockout.  A backward that follows an inference forward
-raises ``InvalidConfig``.  ``Conv2d`` also frees its scratch early in
+A forward drops the state of an earlier forward before it computes, so an
+evaluated model holds no activations.  The ``_forward`` of an inference
+forward computes its output and nothing else: it builds no mask and keeps
+no im2col matrix or ``xhat``.  Its output keeps its bits: BatchNorm applies
+the running statistics with the same operations in the same order, and max
+pooling runs the same knockout.  ``Conv2d`` also frees its scratch early in
 inference: the padded input once the im2col matrix is built, and that
 matrix once the GEMM has read it, before the output copy is allocated.
 This keeps an inference forward's peak near one block's activations, which
 matters because ``Model.predict_logits`` runs one block per usable CPU.
 
 ``AvgPool2``, ``WaveletDown("ll")`` and ``WaveletDown("avg")`` share one
-forward and backward, a separable low-pass filter and stride-2 sampling per
-side (``_LowPassDown``); the window mean and the subband mean are matched to
-rounding, not bit for bit.
+``_forward`` and ``_backward``, a separable low-pass filter and stride-2
+sampling per side (``_LowPassDown``); the window mean and the subband mean
+are matched to rounding, not bit for bit.
 
 No layer reads NaN specially.  ``ReLU`` returns ``max(x, 0)``, which passes
 NaN on instead of mapping it to 0, so a NaN that enters training reaches the
@@ -46,7 +52,7 @@ those formulations as references.
 
 Each layer states what it accepts once, in ``output_shape``: shapes are
 per-image, (C, H, W) tuples before flatten and (F,) after.  ``forward``
-checks its input by calling it on ``x.shape[1:]``, and
+checks every input by calling it on ``x.shape[1:]``, and
 :mod:`wavecnn.complexity`, which holds every multiply-add count, traces a
 model through it.  A dim may be ``None``, unknown: checks run only on known
 dims and an output dim that depends on an unknown one is unknown.  So
@@ -78,7 +84,9 @@ from .transform import Decomposition2D, dwt2d, dwt2d_vjp, lowpass2d, lowpass2d_v
 
 
 class Layer:
-    """Base layer: stateless by default, no parameters."""
+    """Base layer: no parameters; holds the backward-state rule."""
+
+    _state = None  # what the last training forward kept for backward
 
     def param_shapes(self) -> dict:
         """Name -> shape of each learnable array; the gradient of ``name``
@@ -109,9 +117,28 @@ class Layer:
         return {name: getattr(self, name) for name in self.buffer_shapes()}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        raise NotImplementedError
+        self.output_shape(x.shape[1:])
+        self._state = None  # free the last state before this forward allocates
+        out, state = self._forward(x, training)
+        self._state = state if training else None
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        return self._backward(grad, self._saved())
+
+    def _saved(self):
+        """The state a training forward kept for backward; raises if there is none."""
+        if self._state is None:
+            raise InvalidConfig(f"{self.who} backward needs a training forward first "
+                                "(an inference forward keeps no backward state)")
+        return self._state
+
+    def _forward(self, x: np.ndarray, training: bool) -> tuple:
+        """``(output, state for backward)``; ``forward`` keeps the state only
+        when training, so inference need not build it."""
+        raise NotImplementedError
+
+    def _backward(self, grad: np.ndarray, state) -> np.ndarray:
         raise NotImplementedError
 
     def _param_backward(self, grad: np.ndarray) -> None:
@@ -123,14 +150,6 @@ class Layer:
         """The per-image output shape for ``in_shape``; raises
         ``ShapeMismatch``/``OddSpatial`` on an input the layer rejects."""
         return tuple(in_shape)
-
-
-def _saved(state, who: str):
-    """The state a training forward kept for backward; raises if there is none."""
-    if state is None:
-        raise InvalidConfig(f"{who} backward needs a training forward first "
-                            "(an inference forward keeps no backward state)")
-    return state
 
 
 def _require_chw(in_shape, who: str, channels: int | None = None) -> tuple:
@@ -155,6 +174,8 @@ def _uniform(fan_in: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:
 class Conv2d(Layer):
     """Same-padded cross-correlation with a square odd kernel, stride 1 or 2."""
 
+    who = "conv"
+
     def __init__(self, kernel: int, c_in: int, c_out: int, stride: int = 1):
         if kernel % 2 != 1 or kernel < 1:
             raise ShapeMismatch(f"kernel size must be odd and positive, got {kernel}")
@@ -166,8 +187,6 @@ class Conv2d(Layer):
         self.c_in = c_in
         self.c_out = c_out
         self.stride = stride
-        self._cols = None
-        self._x_shape = None
 
     def param_shapes(self):
         k = self.kernel
@@ -176,7 +195,7 @@ class Conv2d(Layer):
     def _initial(self, name, shape, rng):
         return _uniform(self.c_in * self.kernel * self.kernel, shape, rng)
 
-    def forward(self, x, training=False):
+    def _forward(self, x, training):
         _, ho, wo = self.output_shape(x.shape[1:])
         n, _, h, w = x.shape
         k, s, p = self.kernel, self.stride, self.kernel // 2
@@ -189,27 +208,27 @@ class Conv2d(Layer):
                 cols[:, ki, kj] = xp[:, ki:ki + s * ho:s, kj:kj + s * wo:s]
         cols = cols.reshape(self.c_in * k * k, ho * wo * n)
         del xp
-        self._cols, self._x_shape = (cols, x.shape) if training else (None, None)
+        state = (cols, x.shape) if training else None
         out = self.weight.reshape(self.c_out, -1) @ cols
-        del cols  # an inference forward frees it here; training keeps self._cols
+        del cols  # an inference forward frees it here; training keeps it in state
         # one copy into channel-major (C_out, N, Ho, Wo), adding the bias on the way
         y = np.empty((self.c_out, n, ho, wo), dtype=out.dtype)
         np.add(out.reshape(self.c_out, ho, wo, n).transpose(0, 3, 1, 2),
                self.bias[:, None, None, None], out=y)
-        return y.transpose(1, 0, 2, 3)
+        return y.transpose(1, 0, 2, 3), state
 
     def _param_backward(self, grad):
         """Fill ``grad_weight``/``grad_bias``; returns the batch-last gradient
         ``(C_out, Ho*Wo*N)`` that the input gradient is built from."""
-        cols = _saved(self._cols, "conv")
+        cols, _ = self._saved()
         g = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(self.c_out, -1)
         self.grad_bias = g.sum(axis=1)
         self.grad_weight = (cols @ g.T).T.reshape(self.weight.shape)
         return g
 
-    def backward(self, grad):
+    def _backward(self, grad, state):
         g = self._param_backward(grad)
-        n, _, h, w = self._x_shape
+        n, _, h, w = state[1]
         ho, wo = grad.shape[2:]
         k, s, p = self.kernel, self.stride, self.kernel // 2
         gcols = (self.weight.reshape(self.c_out, -1).T @ g).reshape(
@@ -223,7 +242,7 @@ class Conv2d(Layer):
         return gx.transpose(1, 0, 2, 3)
 
     def output_shape(self, in_shape):
-        _, h, w = _require_chw(in_shape, "conv", self.c_in)
+        _, h, w = _require_chw(in_shape, self.who, self.c_in)
         k, s, p = self.kernel, self.stride, self.kernel // 2
         return (self.c_out, *_known(lambda d: (d + 2 * p - k) // s + 1, (h, w)))
 
@@ -233,12 +252,12 @@ class BatchNorm2d(Layer):
 
     EPS = 1e-5
     MOMENTUM = 0.1
+    who = "batchnorm"
 
     def __init__(self, channels: int):
         if channels < 1:
             raise ShapeMismatch(f"batchnorm channels must be >= 1, got {channels}")
         self.channels = channels
-        self._cache = None
 
     def param_shapes(self):
         return {"gamma": (self.channels,), "beta": (self.channels,)}
@@ -249,16 +268,14 @@ class BatchNorm2d(Layer):
     def _initial(self, name, shape, rng):
         return np.ones(shape) if name in ("gamma", "running_var") else np.zeros(shape)
 
-    def forward(self, x, training=False):
-        self.output_shape(x.shape[1:])
+    def _forward(self, x, training):
         if not training:
             # the training formula with the running statistics, in one buffer
-            self._cache = None
             out = x - self.running_mean[:, None, None]
             out *= (1.0 / np.sqrt(self.running_var + self.EPS))[:, None, None]
             out *= self.gamma[:, None, None]
             out += self.beta[:, None, None]
-            return out
+            return out, None
         mean = x.mean(axis=(0, 2, 3))
         xhat = x - mean[:, None, None]
         m = x.shape[0] * x.shape[2] * x.shape[3]
@@ -268,13 +285,12 @@ class BatchNorm2d(Layer):
         self.running_var = ((1 - mo) * self.running_var + mo * var).astype(x.dtype)
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat *= inv_std[:, None, None]
-        self._cache = (xhat, inv_std)
         out = xhat * self.gamma[:, None, None]
         out += self.beta[:, None, None]
-        return out
+        return out, (xhat, inv_std)
 
-    def backward(self, grad):
-        xhat, inv_std = _saved(self._cache, "batchnorm")
+    def _backward(self, grad, state):
+        xhat, inv_std = state
         self.grad_gamma = np.einsum("nchw,nchw->c", grad, xhat)
         self.grad_beta = np.einsum("nchw->c", grad)
         scale = (self.gamma * inv_std)[:, None, None]
@@ -287,7 +303,7 @@ class BatchNorm2d(Layer):
         return gx
 
     def output_shape(self, in_shape):
-        return (self.channels, *_require_chw(in_shape, "batchnorm", self.channels)[1:])
+        return (self.channels, *_require_chw(in_shape, self.who, self.channels)[1:])
 
 
 def _bits(a):
@@ -307,15 +323,12 @@ def _word_mask(mask, dtype):
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._mask = None
+    who = "relu"
 
-    def forward(self, x, training=False):
-        self._mask = x > 0 if training else None
-        return np.maximum(x, 0)
+    def _forward(self, x, training):
+        return np.maximum(x, 0), (x > 0 if training else None)
 
-    def backward(self, grad):
-        mask = _saved(self._mask, "relu")
+    def _backward(self, grad, mask):
         return (_bits(grad) & _word_mask(mask, grad.dtype)).view(grad.dtype)
 
 
@@ -335,12 +348,9 @@ def _halved(in_shape, who: str) -> tuple:
 class MaxPool2(Layer):
     """2x2 stride-2 max pooling; ties route to the first (row-major) argmax."""
 
-    def __init__(self):
-        self._wins = None
-        self._shape = None
+    who = "max pooling"
 
-    def forward(self, x, training=False):
-        self.output_shape(x.shape[1:])
+    def _forward(self, x, training):
         a, b, c, d = _quarters(x)
         # a knockout in window order: a beats b and c beats d on ties, then
         # the (a, b) winner beats the (c, d) winner.  NumPy's maximum returns
@@ -349,16 +359,13 @@ class MaxPool2(Layer):
         top = np.maximum(b, a)
         bottom = np.maximum(d, c)
         if not training:
-            self._wins = self._shape = None
-            return np.maximum(bottom, top, out=top)
-        self._wins = (a >= b, c >= d, top >= bottom)
-        self._shape = x.shape
-        return np.maximum(bottom, top)
+            return np.maximum(bottom, top, out=top), None
+        return np.maximum(bottom, top), ((a >= b, c >= d, top >= bottom), x.shape)
 
-    def backward(self, grad):
-        wins = _saved(self._wins, "max pooling")
+    def _backward(self, grad, state):
+        wins, shape = state
         a_wins, c_wins, top_wins = (_word_mask(m, grad.dtype) for m in wins)
-        gx = np.empty_like(grad, shape=self._shape)  # in grad's memory order
+        gx = np.empty_like(grad, shape=shape)  # in grad's memory order
         ga, gb, gc, gd = _quarters(_bits(gx))
         top = _bits(grad) & top_wins
         bottom = _bits(grad) ^ top
@@ -369,7 +376,7 @@ class MaxPool2(Layer):
         return gx
 
     def output_shape(self, in_shape):
-        return _halved(in_shape, "max pooling")
+        return _halved(in_shape, self.who)
 
 
 class _LowPassDown(Layer):
@@ -381,15 +388,12 @@ class _LowPassDown(Layer):
 
     def __init__(self, taps):
         self.taps = tuple(taps)
-        self._hw = None
 
-    def forward(self, x, training=False):
-        self.output_shape(x.shape[1:])
-        self._hw = x.shape[2:] if training else None
-        return lowpass2d(x, self.taps)
+    def _forward(self, x, training):
+        return lowpass2d(x, self.taps), x.shape[2:]
 
-    def backward(self, grad):
-        return lowpass2d_vjp(grad, self.taps, _saved(self._hw, self.who))
+    def _backward(self, grad, hw):
+        return lowpass2d_vjp(grad, self.taps, hw)
 
     def output_shape(self, in_shape):
         return _halved(in_shape, self.who)
@@ -427,18 +431,16 @@ class WaveletDown(_LowPassDown):
         # "cat" runs the four-band path and leaves the taps unused
         super().__init__([(a + b) / 2 for a, b in zip(low, high)] if kind == "avg" else low)
 
-    def forward(self, x, training=False):
+    def _forward(self, x, training):
         if self.kind != "cat":
-            return super().forward(x, training)
-        self.output_shape(x.shape[1:])
-        self._hw = x.shape[2:] if training else None
-        return np.concatenate(dwt2d(x, self.spec).subbands(), axis=1)
+            return super()._forward(x, training)
+        return np.concatenate(dwt2d(x, self.spec).subbands(), axis=1), x.shape[2:]
 
-    def backward(self, grad):
+    def _backward(self, grad, hw):
         if self.kind != "cat":
-            return super().backward(grad)
+            return super()._backward(grad, hw)
         bands = np.split(grad, 4, axis=1)  # views of ll, lh, hl, hh
-        return dwt2d_vjp(Decomposition2D(*bands, _saved(self._hw, self.who)), self.spec)
+        return dwt2d_vjp(Decomposition2D(*bands, hw), self.spec)
 
     def output_shape(self, in_shape):
         c, h, w = super().output_shape(in_shape)
@@ -452,50 +454,46 @@ class PadToEven(Layer):
     inputs there; identity on already-even maps.
     """
 
-    def __init__(self):
-        self._crop = None
+    who = "pad"
 
-    def forward(self, x, training=False):
+    def _forward(self, x, training):
         _, hp, wp = self.output_shape(x.shape[1:])
         h, w = x.shape[2:]
-        self._crop = (h, w) if training else None
         if (hp, wp) == (h, w):
-            return x
+            return x, (h, w)
         out = np.zeros(x.shape[:2] + (hp, wp), dtype=x.dtype)
         out[:, :, :h, :w] = x
-        return out
+        return out, (h, w)
 
-    def backward(self, grad):
-        h, w = _saved(self._crop, "pad")
-        return grad[:, :, :h, :w]
+    def _backward(self, grad, hw):
+        return grad[:, :, :hw[0], :hw[1]]
 
     def output_shape(self, in_shape):
-        c, h, w = _require_chw(in_shape, "pad")
+        c, h, w = _require_chw(in_shape, self.who)
         return (c, *_known(lambda d: d + d % 2, (h, w)))
 
 
 class Flatten(Layer):
-    def __init__(self):
-        self._shape = None
+    who = "flatten"
 
-    def forward(self, x, training=False):
-        self._shape = x.shape if training else None
-        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))  # also for N = 0
+    def _forward(self, x, training):
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:]))), x.shape  # also for N = 0
 
-    def backward(self, grad):
-        return grad.reshape(_saved(self._shape, "flatten"))
+    def _backward(self, grad, shape):
+        return grad.reshape(shape)
 
     def output_shape(self, in_shape):
         return (None,) if None in in_shape else (math.prod(in_shape),)
 
 
 class Dense(Layer):
+    who = "dense"
+
     def __init__(self, n_in: int, n_out: int):
         if min(n_in, n_out) < 1:
             raise ShapeMismatch(f"dense sizes must be >= 1, got {n_in} -> {n_out}")
         self.n_in = n_in
         self.n_out = n_out
-        self._x = None
 
     def param_shapes(self):
         return {"weight": (self.n_in, self.n_out), "bias": (self.n_out,)}
@@ -503,13 +501,11 @@ class Dense(Layer):
     def _initial(self, name, shape, rng):
         return _uniform(self.n_in, shape, rng)
 
-    def forward(self, x, training=False):
-        self.output_shape(x.shape[1:])
-        self._x = x if training else None
-        return x @ self.weight + self.bias
+    def _forward(self, x, training):
+        return x @ self.weight + self.bias, x
 
-    def backward(self, grad):
-        self.grad_weight = _saved(self._x, "dense").T @ grad
+    def _backward(self, grad, x):
+        self.grad_weight = x.T @ grad
         self.grad_bias = grad.sum(axis=0)
         return grad @ self.weight.T
 

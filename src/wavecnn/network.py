@@ -19,7 +19,6 @@ import json
 import math
 import os
 import struct
-import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -396,14 +395,10 @@ class TrainReport:
     val_loss: tuple
     val_accuracy: tuple
     params_checksum: str
-    wall_clock_seconds: float
 
     def to_csv(self) -> str:
-        """Per-epoch CSV plus a checksum row.
-
-        Wall-clock time is deliberately excluded so fixed-seed runs serialize
-        bit-identically.
-        """
+        """Per-epoch CSV plus a checksum row; a fixed-seed run serializes
+        bit-identically."""
         lines = ["epoch,train_loss,val_loss,val_accuracy"]
         for i, (tl, vl, va) in enumerate(
                 zip(self.train_loss, self.val_loss, self.val_accuracy), start=1):
@@ -444,7 +439,6 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
     validation split.  A non-finite step or validation loss aborts with
     DivergedLoss carrying the partial report.
     """
-    t0 = time.perf_counter()
     if len(dataset.images) == 0:
         raise InvalidConfig("empty training dataset")
     val = val if val is not None else dataset
@@ -459,7 +453,7 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
 
     def partial_report():
         return TrainReport(tuple(train_losses), tuple(val_losses), tuple(val_accs),
-                           model.checksum(), time.perf_counter() - t0)
+                           model.checksum())
 
     for epoch in range(hyper.epochs):
         lr = _epoch_lr(hyper.lr, epoch, hyper.epochs)

@@ -317,12 +317,19 @@ def shift_image(images: np.ndarray, dy: int, dx: int,
 def shift_consistency(model, dataset, cfg: ShiftTrialConfig = ShiftTrialConfig()) -> float:
     """Percentage of (image, shift-pair) trials with matching predictions.
 
-    Raises InvalidConfig on a dataset without images, and ShiftOutOfRange
-    on a ``cfg.max_shift`` that :func:`shift_image` would refuse.
+    The images are cast to the model's precision (``model.dtype``) before
+    they are shifted; a shift only copies pixels, so the predictions are
+    those of casting after the shift.  Raises InvalidConfig on a dataset
+    without images or, as :func:`evaluate` does, with an image that holds
+    NaN or an infinity at that precision (no padding rule makes one, so the
+    images are checked once, unshifted), and ShiftOutOfRange on a
+    ``cfg.max_shift`` that :func:`shift_image` would refuse.
     """
-    images = np.asarray(dataset.images)
+    images = np.asarray(dataset.images, dtype=model.dtype)
     if len(images) == 0:
         raise InvalidConfig("shift consistency needs at least one image")
+    if not np.isfinite(images).all():
+        raise InvalidConfig("shift consistency needs finite image values")
     h, w = images.shape[-2], images.shape[-1]
     if cfg.max_shift > min(h, w) - 1:
         raise ShiftOutOfRange(f"shift range {cfg.max_shift} exceeds the limit "

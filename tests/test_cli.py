@@ -286,6 +286,17 @@ class TestTrainEval:
             assert code == 1 and out == ""
             assert "--val-images and --val-labels go together" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_diverged_training_exits_2(self, capsys, tmp_path, idx_pair):
+        imgs, labs = idx_pair
+        model, report = tmp_path / "m.wcn", tmp_path / "report.csv"
+        code, out, err = run_cli(capsys, "train", "--images", imgs, "--labels", labs,
+                                 "--epochs", "1", "--batch", "50", "--lr", "1e30",
+                                 "--out", str(model), "--report", str(report))
+        assert code == 2 and out == ""
+        assert "wavecnn train: error: DivergedLoss: loss became non-finite in epoch 1" in err
+        assert not model.exists() and not report.exists()
+
     def test_unknown_config_key_is_runtime_error(self, capsys, tmp_path, idx_pair):
         imgs, labs = idx_pair
         cfg_path = tmp_path / "run.json"

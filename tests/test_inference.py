@@ -17,14 +17,28 @@ from wavecnn.transform import dwt2d, lowpass2d
 DTYPES = [np.float32, np.float64]
 MODES = [("max_pool", ""), ("avg_pool", ""), ("strided_conv", ""),
          ("dwt_ll", "haar"), ("dwt_avg", "db4"), ("dwt_cat", "ch3.3")]
-STATE = ("_cols", "_x_shape", "_cache", "_mask", "_wins", "_shape", "_hw",
-         "_crop", "_x")
 
 
 def _same_bits(a, b):
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     word = f"u{a.dtype.itemsize}"
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(word), b.view(word))
+
+
+def _holds_array(value):
+    if isinstance(value, (tuple, list)):
+        return any(_holds_array(v) for v in value)
+    return isinstance(value, np.ndarray)
+
+
+def _kept_arrays(layer):
+    """Names of the attributes of ``layer`` that hold an ndarray, alone or in
+    a tuple or list, other than its declared params and buffers and their
+    ``grad_*``: whatever a forward kept, under any name."""
+    declared = {*layer.param_shapes(), *layer.buffer_shapes()}
+    declared |= {"grad_" + name for name in layer.param_shapes()}
+    return sorted(name for name, value in vars(layer).items()
+                  if name not in declared and _holds_array(value))
 
 
 def _data(shape, dtype, kind, seed=0):
@@ -131,7 +145,19 @@ class TestNoBackwardState:
         layer.forward(x, training=False)  # clears the training state
         with pytest.raises(InvalidConfig):
             layer.backward(g)
-        assert all(getattr(layer, name, None) is None for name in STATE)
+        assert _kept_arrays(layer) == []
+
+    def test_no_layer_overrides_the_state_rule(self):
+        """Every layer keeps its backward state through ``Layer.forward`` and
+        ``Layer.backward``, and implements ``_forward``/``_backward``."""
+        kinds, seen = [L.Layer], []
+        while kinds:
+            cls = kinds.pop()
+            seen.append(cls)
+            kinds.extend(cls.__subclasses__())
+        assert {L.Conv2d, L.Dense, L.PadToEven, L.AvgPool2, L.WaveletDown} <= set(seen)
+        for cls in seen[1:]:
+            assert "forward" not in vars(cls) and "backward" not in vars(cls), cls
 
     def test_model_backward_after_inference_raises(self):
         model = nw.build_model(nw.mini_config("max_pool"), dtype=np.float64)
@@ -148,7 +174,7 @@ class TestNoBackwardState:
 
         def held():
             return [(i, name) for i, layer in enumerate(model.layers)
-                    for name in STATE if getattr(layer, name, None) is not None]
+                    for name in _kept_arrays(layer)]
         for run in (lambda: nw.evaluate(model, ds),
                     lambda: error_matrix(model, ds, kinds=("gaussian",)),
                     lambda: shift_consistency(model, ds, ShiftTrialConfig(max_shift=2, pairs=1))):
@@ -181,7 +207,8 @@ class TestConvBuffers:
         x = _data((2, 3, 6, 10), np.float64, "normal")
         out = conv.forward(x, training=True)
         ho, wo = out.shape[2:]
-        assert conv._cols.shape == (3 * 3 * 3, ho * wo * 2)
+        cols, x_shape = conv._state
+        assert cols.shape == (3 * 3 * 3, ho * wo * 2) and x_shape == x.shape
         assert nw.gradcheck(conv, x, rng=np.random.default_rng(2)) < 1e-6
 
 

@@ -24,6 +24,7 @@ from wavecnn.cli import main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
 from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismatch
 from wavecnn.layers import Conv2d, Dense, Flatten, PadToEven, WaveletDown
+from wavecnn.robustness import ShiftTrialConfig, shift_consistency
 
 
 class TestModelConfig:
@@ -440,6 +441,22 @@ class TestPredictEvaluate:
             nw.evaluate(model, Dataset(images, np.zeros(4, dtype=np.int64)))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    @pytest.mark.parametrize("where", ["one pixel", "every pixel"])
+    def test_shift_consistency_rejects_non_finite_images(self, bad, where):
+        """As ``evaluate`` does, at the model's precision (1e300 is infinite
+        in float32); it used to report NaN images 100 % consistent."""
+        model = _tiny_model()
+        images = np.zeros((8, 1, 8, 8))
+        if where == "every pixel":
+            images[...] = bad
+        else:
+            images[2, 0, 3, 5] = bad
+        with pytest.raises(InvalidConfig, match="finite"):
+            shift_consistency(model, Dataset(images, np.zeros(8, dtype=np.int64)),
+                              ShiftTrialConfig(max_shift=2, pairs=2))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     def test_images_beyond_float32_range_rejected(self):
         model = _tiny_model()
         assert model.dtype == np.float32
@@ -765,19 +782,19 @@ class TestGradcheck:
     def test_detects_a_wrong_gradient(self):
         layer = Dense(6, 3)
         layer.init_params(np.random.default_rng(0), np.float64)
-        original = Dense.backward
+        original = Dense._backward
 
-        def broken(self, grad):
-            out = original(self, grad)
+        def broken(self, grad, x):
+            out = original(self, grad, x)
             self.grad_weight = self.grad_weight * 1.01
             return out
 
-        Dense.backward = broken
+        Dense._backward = broken
         try:
             x = np.random.default_rng(2).standard_normal((4, 6))
             assert nw.gradcheck(layer, x, rng=np.random.default_rng(3)) > 1e-4
         finally:
-            Dense.backward = original
+            Dense._backward = original
 
 
 def test_synthetic_dataset_trains_above_chance_quickly():

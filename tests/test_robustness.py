@@ -244,6 +244,8 @@ class TestRobustnessReport:
 
 
 class _ConstantModel:
+    dtype = np.float64
+
     def predict(self, images):
         return np.zeros(len(images), dtype=np.int64)
 
@@ -319,6 +321,8 @@ class TestShift:
         ds = synthetic_classification(8, classes=2, image_hw=(14, 14), seed=3)
 
         class Hash:
+            dtype = np.float64
+
             def predict(self, images):
                 return (images.sum(axis=(1, 2, 3)) * 17).astype(np.int64) % 3
 
