@@ -2,7 +2,7 @@
 
 Subpackages by theme:
 
-- :mod:`wavecnn.filterbank` — wavelet coefficient registry and validation
+- :mod:`wavecnn.filterbank` — wavelet coefficient registry
 - :mod:`wavecnn.transform` — 1D/2D DWT/IDWT as truncated matrices, evaluated
   tile by tile along their bands, with exact vector-Jacobian products; every
   transform takes a single signal or plane or a stack of them (NCHW)
@@ -24,8 +24,7 @@ from .datasets import (Dataset, load_dataset, read_idx, save_dataset,
 from .denoise import DenoiseConfig, denoise_image, soft_shrink
 from .errors import WaveError
 from .fileio import read_pgm, read_tensor, write_pgm, write_tensor
-from .filterbank import (Family, ValidationReport, WaveletSpec,
-                         derive_highpass, get_wavelet, validate_filterbank,
+from .filterbank import (Family, WaveletSpec, derive_highpass, get_wavelet,
                          wavelet_names)
 from .network import (DOWNSAMPLE_MODES, LayerSpec, Model, ModelConfig,
                       TrainConfig, TrainReport, build_model, evaluate,
@@ -44,8 +43,8 @@ __all__ = [
     "Dataset", "Decomposition2D", "DenoiseConfig", "DOWNSAMPLE_MODES",
     "DEFAULT_SEVERITY", "ErrorMatrix", "Family", "LayerSpec", "MaddsReport",
     "Model", "ModelConfig", "NOISE_CORRUPTIONS", "RobustnessReport",
-    "ShiftTrialConfig", "TrainConfig", "TrainReport", "ValidationReport",
-    "WaveError", "WaveletSpec", "build_model", "corrupt", "corrupt_dataset",
+    "ShiftTrialConfig", "TrainConfig", "TrainReport", "WaveError",
+    "WaveletSpec", "build_model", "corrupt", "corrupt_dataset",
     "corruption_error", "denoise_image", "derive_highpass", "dwt1d",
     "dwt1d_vjp", "dwt2d", "dwt2d_banded_madds", "dwt2d_madds", "dwt2d_vjp",
     "error_matrix", "errors", "evaluate", "get_wavelet", "gradcheck", "idwt1d",
@@ -53,6 +52,6 @@ __all__ = [
     "load_model", "mean_ce", "mini_config", "model_madds",
     "read_idx", "read_pgm", "read_tensor", "robustness_report",
     "save_dataset", "save_model", "shift_consistency", "shift_image",
-    "soft_shrink", "synthetic_classification", "train", "validate_filterbank",
+    "soft_shrink", "synthetic_classification", "train",
     "wavelet_names", "write_idx", "write_pgm", "write_tensor",
 ]

@@ -75,9 +75,15 @@ def load_dataset(images_path, labels_path) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, images_path, labels_path) -> None:
-    """Quantize a single-channel Dataset back to u8 IDX files."""
+    """Quantize a single-channel Dataset back to u8 IDX files.
+
+    Raises InvalidConfig, before either file is written, on a pixel that is
+    NaN or an infinity: no u8 value stands for it.
+    """
     if dataset.images.shape[1] != 1:
         raise ShapeMismatch("IDX export handles single-channel images only")
+    if not np.isfinite(dataset.images).all():
+        raise InvalidConfig("IDX export needs finite pixel values")
     pixels = np.clip(np.rint(dataset.images[:, 0] * 255.0), 0, 255).astype(np.uint8)
     write_idx(images_path, pixels)
     write_idx(labels_path, dataset.labels)

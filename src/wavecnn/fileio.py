@@ -89,7 +89,11 @@ _PGM_HEADER = re.compile(rb"P5" + _PGM_FIELD * 3)
 
 
 def read_pgm(path) -> np.ndarray:
-    """Binary PGM (P5, maxval <= 255) -> uint8 array of shape (rows, cols)."""
+    """Binary PGM (P5, maxval <= 255) -> uint8 array of shape (rows, cols).
+
+    Pixels are returned as stored, unscaled; one above maxval is a
+    ``FormatError``.
+    """
     r = Reader.from_file(path)
     head = _PGM_HEADER.match(r.buf)
     if head is None:
@@ -101,7 +105,10 @@ def read_pgm(path) -> np.ndarray:
     if width < 1 or height < 1 or not 0 < maxval <= 255:
         raise FormatError(f"{path}: unsupported PGM size {width}x{height} or maxval {maxval}")
     r.pos = head.end()
-    return r.array(np.uint8, (height, width)).copy()
+    pixels = r.array(np.uint8, (height, width))
+    if pixels.max() > maxval:
+        raise FormatError(f"{path}: a pixel exceeds the header's maxval {maxval}")
+    return pixels.copy()
 
 
 def write_pgm(path, image: np.ndarray) -> None:

@@ -7,10 +7,11 @@ at double precision; high-pass filters are derived by the alternating-sign
 reflection rule ``h[k] = (-1)**k * low[n - k]`` with ``n = len(low) - 1`` so
 the derived filter lives on the same support as its source.
 
-Orthogonal banks use one filter pair for analysis and synthesis.  Biorthogonal
-banks carry a dual low-pass: the analysis high-pass is derived from the dual,
-the synthesis high-pass from the primary, and the two pairs satisfy
-``sum_k l[k] * lt[k + 2m] = delta(m)``.
+Every bank is built by one rule from a low-pass ``low`` and its dual
+``dual``: analysis uses ``low`` and ``derive_highpass(dual, n)``, synthesis
+uses ``dual`` and ``derive_highpass(low, n)``.  An orthogonal bank is the
+case ``dual = low``, so its two pairs are identical; a biorthogonal pair
+satisfies ``sum_k low[k] * dual[k + 2m] = delta(m)``.
 """
 
 from __future__ import annotations
@@ -154,32 +155,22 @@ _COHEN = {
 }
 
 
-def _build_spec(name: str) -> WaveletSpec:
-    if name in _DAUBECHIES:
-        low = _DAUBECHIES[name]
-        high = derive_highpass(low, len(low) - 1)
-        return WaveletSpec(
-            name=name,
-            family=Family.ORTHOGONAL,
-            analysis_low=low,
-            analysis_high=high,
-            synthesis_low=low,
-            synthesis_high=high,
-            symmetric=(name == "haar"),
-        )
-    low, dual = _COHEN[name]
+def _build_spec(name: str, low: tuple, dual: tuple) -> WaveletSpec:
+    n = len(low) - 1
+    orthogonal = dual == low
     return WaveletSpec(
         name=name,
-        family=Family.BIORTHOGONAL,
+        family=Family.ORTHOGONAL if orthogonal else Family.BIORTHOGONAL,
         analysis_low=low,
-        analysis_high=derive_highpass(dual, len(low) - 1),
+        analysis_high=derive_highpass(dual, n),
         synthesis_low=dual,
-        synthesis_high=derive_highpass(low, len(low) - 1),
-        symmetric=True,
+        synthesis_high=derive_highpass(low, n),
+        symmetric=(name == "haar" or not orthogonal),
     )
 
 
-_REGISTRY = {name: _build_spec(name) for name in (*_DAUBECHIES, *_COHEN)}
+_BANKS = {**{name: (low, low) for name, low in _DAUBECHIES.items()}, **_COHEN}
+_REGISTRY = {name: _build_spec(name, low, dual) for name, (low, dual) in _BANKS.items()}
 
 
 def wavelet_names() -> tuple:
@@ -198,82 +189,3 @@ def get_wavelet(name: str) -> WaveletSpec:
     except KeyError:
         known = ", ".join(_REGISTRY)
         raise UnknownWavelet(f"unknown wavelet {name!r}; known: {known}") from None
-
-
-@dataclass(frozen=True)
-class FilterCheck:
-    name: str
-    passed: bool
-    residual: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the filter-bank identity checks, one entry per check."""
-
-    wavelet: str
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __iter__(self):
-        return iter(self.checks)
-
-
-_TOL = 1e-8
-
-
-def _shift_products(a, b):
-    """max_m | sum_k a[k] b[k+2m] - delta(m) | over all even shifts."""
-    worst = 0.0
-    span = (max(len(a), len(b)) // 2) + 1
-    for m in range(-span, span + 1):
-        acc = 0.0
-        for k, ak in enumerate(a):
-            j = k + 2 * m
-            if 0 <= j < len(b):
-                acc += ak * b[j]
-        target = 1.0 if m == 0 else 0.0
-        worst = max(worst, abs(acc - target))
-    return worst
-
-
-def _palindrome_defect(coeffs) -> float:
-    trimmed = list(coeffs)
-    while trimmed and trimmed[0] == 0.0:
-        trimmed.pop(0)
-    while trimmed and trimmed[-1] == 0.0:
-        trimmed.pop()
-    if not trimmed:
-        return 0.0
-    return max(abs(a - b) for a, b in zip(trimmed, reversed(trimmed)))
-
-
-def validate_filterbank(spec: WaveletSpec) -> ValidationReport:
-    """Check the filter-bank identities; failures are reported, not raised.
-
-    Covers the sum rule on both low-pass filters, the norm rule and shift
-    orthogonality (orthogonal family), biorthogonality across all even shifts,
-    and agreement of the ``symmetric`` flag with the stored coefficients.
-    """
-    checks = []
-
-    r = abs(sum(spec.analysis_low) - _SQRT2)
-    checks.append(FilterCheck("sum_rule_analysis", r <= _TOL, r))
-    r = abs(sum(spec.synthesis_low) - _SQRT2)
-    checks.append(FilterCheck("sum_rule_synthesis", r <= _TOL, r))
-
-    if spec.family is Family.ORTHOGONAL:
-        r = abs(sum(c * c for c in spec.analysis_low) - 1.0)
-        checks.append(FilterCheck("norm_rule", r <= _TOL, r))
-
-    r = _shift_products(spec.analysis_low, spec.synthesis_low)
-    checks.append(FilterCheck("biorthogonality_shifts", r <= _TOL, r))
-
-    defect = _palindrome_defect(spec.analysis_low)
-    flag_matches = (defect <= _TOL) == spec.symmetric
-    checks.append(FilterCheck("symmetry_flag", flag_matches, defect))
-
-    return ValidationReport(wavelet=spec.name, checks=tuple(checks))

@@ -425,7 +425,6 @@ class WaveletDown(_LowPassDown):
         if kind not in ("ll", "avg", "cat"):
             raise ShapeMismatch(f"unknown wavelet downsample kind {kind!r}")
         self.kind = kind
-        self.wavelet = wavelet
         self.spec = get_wavelet(wavelet)
         low, high = self.spec.analysis_low, self.spec.analysis_high
         # "cat" runs the four-band path and leaves the taps unused

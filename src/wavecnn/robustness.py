@@ -346,12 +346,9 @@ def _draw_trials(cfg: ShiftTrialConfig) -> list:
 
 def _agreement(model, images: np.ndarray, trials, padding: str) -> float:
     """Percentage of (image, trial) predictions that agree under the
-    trial's two shifts."""
-    agree = 0
-    total = 0
-    for (h0, w0), (h1, w1) in trials:
-        p0 = model.predict(shift_image(images, h0, w0, padding))
-        p1 = model.predict(shift_image(images, h1, w1, padding))
-        agree += int((p0 == p1).sum())
-        total += len(p0)
-    return 100.0 * agree / total
+    trial's two shifts.  Each distinct shift is predicted once."""
+    shifts = dict.fromkeys(shift for pair in trials for shift in pair)
+    preds = {(dy, dx): model.predict(shift_image(images, dy, dx, padding))
+             for dy, dx in shifts}
+    agree = sum(int((preds[a] == preds[b]).sum()) for a, b in trials)
+    return 100.0 * agree / (len(trials) * len(images))

@@ -72,8 +72,6 @@ _TILE = 16
 class AnalysisOperator:
     """Truncated analysis/synthesis matrices for one (wavelet, length) pair."""
 
-    wavelet: WaveletSpec
-    signal_length: int
     L: np.ndarray
     H: np.ndarray
     L_syn: np.ndarray
@@ -104,8 +102,6 @@ def build_operator(spec: WaveletSpec, n: int) -> AnalysisOperator:
         raise TooShort(f"operator length must be >= 2, got {n}")
     rows = n // 2
     return AnalysisOperator(
-        wavelet=spec,
-        signal_length=n,
         L=_place(spec.analysis_low, rows, n),
         H=_place(spec.analysis_high, rows, n),
         L_syn=_place(spec.synthesis_low, rows, n),

@@ -82,7 +82,8 @@ IDX_HEAD = b"\x00\x00\x08\x03"
 WTN_HEAD = b"WTN1\x00"  # float32, then a rank byte
 
 # Headers that escaped as MemoryError, OverflowError, struct.error or a bare
-# ValueError before every reader checked declared sizes against the file.
+# ValueError before every reader checked declared sizes against the file, and
+# a PGM pixel above its header's maxval, which once loaded as stored.
 REGRESSIONS = {
     "idx-truncated-dims": ("idx", IDX_HEAD + _dims("idx", 2)),
     "idx-dim-high-byte-set": ("idx", IDX_HEAD + _dims("idx", 0xff000002, 3, 4) + bytes(24)),
@@ -95,6 +96,7 @@ REGRESSIONS = {
                                    + bytes(4)),
     "wtn-empty-but-too-big": ("wtn", WTN_HEAD + b"\x02" + _dims("wtn", 0, (1 << 64) - 1)),
     "pgm-huge-dims": ("pgm", b"P5\n99999999 99999999\n255\n" + bytes(16)),
+    "pgm-pixel-above-maxval": ("pgm", b"P5\n2 1\n15\n" + bytes([200, 3])),
 }
 
 
@@ -114,6 +116,10 @@ class TestPgmHeader:
     def test_digits_without_separators_are_one_token(self):
         with pytest.raises(FormatError):
             _read("pgm", b"P5 123\n" + bytes(16))
+
+    def test_maxval_below_255_loads_unscaled(self):
+        img = _read("pgm", b"P5\n2 1\n15\n" + bytes([15, 3]))
+        assert img.tolist() == [[15, 3]]
 
     def test_comment_running_to_end_of_file(self):
         with pytest.raises(FormatError):

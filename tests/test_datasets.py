@@ -56,6 +56,16 @@ class TestIdxValueRange:
         with pytest.raises(FormatError):
             save_dataset(ds, tmp_path / "i.idx", tmp_path / "l.idx")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_rejected_before_writing(self, tmp_path, bad):
+        images = np.full((2, 1, 3, 3), 0.5)
+        images[1, 0, 1, 2] = bad
+        with pytest.raises(InvalidConfig):
+            save_dataset(Dataset(images, np.array([0, 1])),
+                         tmp_path / "i.idx", tmp_path / "l.idx")
+        assert not (tmp_path / "i.idx").exists()
+        assert not (tmp_path / "l.idx").exists()
+
 
 class TestLoadDataset:
     def test_scales_to_unit_and_adds_channel(self, tmp_path):

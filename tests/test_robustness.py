@@ -317,6 +317,29 @@ class TestShift:
         model = _ProbeParityModel(h, w)
         assert _agreement(model, ds.images, trials, "reflect") == 0.0
 
+    def test_each_distinct_shift_is_predicted_once(self):
+        ds = synthetic_classification(8, classes=2, image_hw=(14, 14), seed=3)
+
+        class Counting:
+            calls = 0
+
+            def predict(self, images):
+                self.calls += 1
+                return (images.sum(axis=(1, 2, 3)) * 17).astype(np.int64) % 3
+
+        trials = _draw_trials(ShiftTrialConfig(max_shift=2, pairs=40, seed=0))
+        distinct = {shift for pair in trials for shift in pair}
+        assert len(distinct) < 2 * len(trials)
+        model = Counting()
+        value = _agreement(model, ds.images, trials, "reflect")
+        assert model.calls == len(distinct)
+        # the same percentage as predicting both shifts of every trial
+        agree = sum(int((model.predict(shift_image(ds.images, *a))
+                         == model.predict(shift_image(ds.images, *b))).sum())
+                    for a, b in trials)
+        assert value == 100.0 * agree / (len(trials) * len(ds))
+        assert 0.0 < value < 100.0
+
     def test_deterministic_per_seed(self):
         ds = synthetic_classification(8, classes=2, image_hw=(14, 14), seed=3)
 
