@@ -106,6 +106,17 @@ def test_biorthogonal_high_pass_uses_the_dual(name):
     assert spec.synthesis_high == derive_highpass(spec.analysis_low, n)
 
 
+@pytest.mark.parametrize("name", ORTHOGONAL)
+def test_orthogonal_bank_is_its_own_dual(name):
+    # dual = low: the two pairs coincide and the high-pass is the
+    # alternating reflection of the one low-pass
+    spec = get_wavelet(name)
+    n = len(spec.analysis_low) - 1
+    assert spec.synthesis_low == spec.analysis_low
+    assert spec.synthesis_high == spec.analysis_high
+    assert spec.analysis_high == derive_highpass(spec.analysis_low, n)
+
+
 @pytest.mark.parametrize("name", BIORTHOGONAL)
 def test_cohen_filters_are_symmetric(name):
     spec = get_wavelet(name)
