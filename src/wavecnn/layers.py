@@ -13,8 +13,11 @@ one training loop at a time; an inference forward keeps ``None`` there.
 layer implements ``output_shape``, ``_forward`` and ``_backward``, and names
 itself for error messages in ``who``.  The states:
 
-- ``Conv2d``: the im2col matrix ``(C_in*k*k, Ho*Wo*N)`` and the input shape.
-  Its rows run over (input channel, kernel row, kernel column) and its
+- ``Conv2d``: its zero-padded batch-last input ``(C_in, H+2p, W+2p, N)``
+  and the input shape.  Forward and the weight gradient each build the
+  im2col matrix ``(C_in*k*k, Ho*Wo*N)`` from it, by the same tap copies, so
+  training keeps the input rather than the k*k times larger matrix.  The
+  matrix's rows run over (input channel, kernel row, kernel column) and its
   columns over (output row, output column, image): the batch is the fastest
   axis, so each tap copies runs of ``Wo*N`` samples at stride 1 and of ``N``
   at stride 2.  The output and the input gradient still leave the layer as
@@ -28,15 +31,17 @@ itself for error messages in ``who``.  The states:
   ``Dense``: its input.
 
 A forward drops the state of an earlier forward before it computes, so an
-evaluated model holds no activations.  The ``_forward`` of an inference
-forward computes its output and nothing else: it builds no mask and keeps
-no im2col matrix or ``xhat``.  Its output keeps its bits: BatchNorm applies
-the running statistics with the same operations in the same order, and max
-pooling runs the same knockout.  ``Conv2d`` also frees its scratch early in
-inference: the padded input once the im2col matrix is built, and that
-matrix once the GEMM has read it, before the output copy is allocated.
-This keeps an inference forward's peak near one block's activations, which
-matters because ``Model.predict_logits`` runs one block per usable CPU.
+evaluated model holds no activations; ``Model.backward`` also drops each
+layer's state once its backward has read it.  The ``_forward`` of an
+inference forward computes its output and nothing else: it builds no mask
+and keeps no padded input or ``xhat``.  Its output keeps its bits:
+BatchNorm applies the running statistics with the same operations in the
+same order, and max pooling runs the same knockout.  ``Conv2d`` also frees
+its scratch early in inference: the padded input once the im2col matrix is
+built, and that matrix once the GEMM has read it, before the output copy
+is allocated.  This keeps an inference forward's peak near one block's
+activations, which matters because ``Model.predict_logits`` runs one block
+per usable CPU.
 
 ``AvgPool2``, ``WaveletDown("ll")`` and ``WaveletDown("avg")`` share one
 ``_forward`` and ``_backward``, a separable low-pass filter and stride-2
@@ -195,22 +200,28 @@ class Conv2d(Layer):
     def _initial(self, name, shape, rng):
         return _uniform(self.c_in * self.kernel * self.kernel, shape, rng)
 
-    def _forward(self, x, training):
-        _, ho, wo = self.output_shape(x.shape[1:])
-        n, _, h, w = x.shape
-        k, s, p = self.kernel, self.stride, self.kernel // 2
-        # pad batch-last, so a stride-1 tap copies runs of wo*n samples
-        xp = np.zeros((self.c_in, h + 2 * p, w + 2 * p, n), dtype=x.dtype)
-        xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
-        cols = np.empty((self.c_in, k, k, ho, wo, n), dtype=x.dtype)
+    def _cols(self, xp, ho, wo):
+        """The im2col matrix ``(C_in*k*k, Ho*Wo*N)`` of the padded batch-last
+        input ``xp``, one copy per kernel tap."""
+        k, s, n = self.kernel, self.stride, xp.shape[-1]
+        cols = np.empty((self.c_in, k, k, ho, wo, n), dtype=xp.dtype)
         for ki in range(k):
             for kj in range(k):
                 cols[:, ki, kj] = xp[:, ki:ki + s * ho:s, kj:kj + s * wo:s]
-        cols = cols.reshape(self.c_in * k * k, ho * wo * n)
-        del xp
-        state = (cols, x.shape) if training else None
+        return cols.reshape(self.c_in * k * k, ho * wo * n)
+
+    def _forward(self, x, training):
+        _, ho, wo = self.output_shape(x.shape[1:])
+        n, _, h, w = x.shape
+        p = self.kernel // 2
+        # pad batch-last, so a stride-1 tap copies runs of wo*n samples
+        xp = np.zeros((self.c_in, h + 2 * p, w + 2 * p, n), dtype=x.dtype)
+        xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
+        cols = self._cols(xp, ho, wo)
+        state = (xp, x.shape) if training else None
+        del xp  # an inference forward frees it here; training keeps it in state
         out = self.weight.reshape(self.c_out, -1) @ cols
-        del cols  # an inference forward frees it here; training keeps it in state
+        del cols
         # one copy into channel-major (C_out, N, Ho, Wo), adding the bias on the way
         y = np.empty((self.c_out, n, ho, wo), dtype=out.dtype)
         np.add(out.reshape(self.c_out, ho, wo, n).transpose(0, 3, 1, 2),
@@ -220,10 +231,11 @@ class Conv2d(Layer):
     def _param_backward(self, grad):
         """Fill ``grad_weight``/``grad_bias``; returns the batch-last gradient
         ``(C_out, Ho*Wo*N)`` that the input gradient is built from."""
-        cols, _ = self._saved()
+        xp, _ = self._saved()
         g = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(self.c_out, -1)
         self.grad_bias = g.sum(axis=1)
-        self.grad_weight = (cols @ g.T).T.reshape(self.weight.shape)
+        # the columns are rebuilt here, and freed before the input gradient
+        self.grad_weight = (self._cols(xp, *grad.shape[2:]) @ g.T).T.reshape(self.weight.shape)
         return g
 
     def _backward(self, grad, state):

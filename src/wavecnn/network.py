@@ -254,12 +254,17 @@ class Model:
         """Fill every layer's parameter gradients from the loss gradient ``grad``.
 
         The first layer's input gradient is not computed: training discards
-        it (``gradcheck`` runs its own layer loop to check it).
+        it (``gradcheck`` runs its own layer loop to check it).  Each layer's
+        training state is freed as soon as its backward has read it, so the
+        pass holds only the state still ahead of it and leaves the model
+        holding none; a second call needs a new training forward.
         """
         for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
+            layer._state = None
         if self.layers:
             self.layers[0]._param_backward(grad)
+            self.layers[0]._state = None
 
     def named_params(self):
         for i, layer in enumerate(self.layers):
@@ -436,12 +441,15 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
 
     ``dataset``/``val`` carry ``images`` (NCHW float) and ``labels`` (int
     vector); when ``val`` is omitted the training split doubles as the
-    validation split.  A non-finite step or validation loss aborts with
-    DivergedLoss carrying the partial report.
+    validation split.  An empty training or validation split raises
+    InvalidConfig before the first step.  A non-finite step or validation
+    loss aborts with DivergedLoss carrying the partial report.
     """
     if len(dataset.images) == 0:
         raise InvalidConfig("empty training dataset")
     val = val if val is not None else dataset
+    if len(val.images) == 0:
+        raise InvalidConfig("empty validation dataset")
     images = np.asarray(dataset.images, dtype=model.dtype)
     labels = np.asarray(dataset.labels)
     val_images = np.asarray(val.images, dtype=model.dtype)

@@ -714,6 +714,15 @@ def test_train_on_an_empty_idx_pair_exits_2(capsys, tmp_path):
     assert "wavecnn train: error: InvalidConfig: empty training dataset" in err
 
 
+def test_train_on_an_empty_validation_pair_exits_2(capsys, tmp_path, idx_pair):
+    imgs, labs = tmp_path / "e.images.idx", tmp_path / "e.labels.idx"
+    save_dataset(Dataset(np.zeros((0, 1, 28, 28)), np.zeros(0, dtype=np.int64)), imgs, labs)
+    code, out, err = run_cli(capsys, "train", "--images", idx_pair[0], "--labels", idx_pair[1],
+                             "--val-images", str(imgs), "--val-labels", str(labs))
+    assert code == 2 and out == ""
+    assert "wavecnn train: error: InvalidConfig: empty validation dataset" in err
+
+
 def _labelled_pair(tmp_path, name, classes):
     imgs, labs = tmp_path / f"{name}.images.idx", tmp_path / f"{name}.labels.idx"
     save_dataset(synthetic_classification(20, classes=classes, seed=3), imgs, labs)

@@ -410,6 +410,15 @@ class TestTraining:
         with pytest.raises(InvalidConfig):
             nw.train(_tiny_model(), empty)
 
+    def test_empty_validation_split_rejected_before_any_step(self):
+        ds = _separable_2class(16)
+        model = _tiny_model()
+        before = model.checksum()
+        empty = Dataset(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(InvalidConfig, match="empty validation dataset"):
+            nw.train(model, ds, nw.TrainConfig(epochs=1, batch=8), val=empty)
+        assert model.checksum() == before
+
     def test_report_csv_layout(self):
         ds = _separable_2class(16)
         report = nw.train(_tiny_model(), ds, nw.TrainConfig(epochs=2, batch=8))

@@ -1,6 +1,8 @@
 import gc
+import re
 import types
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,31 @@ HAAR = get_wavelet("haar")
 
 def interior_margin(spec) -> int:
     return 2 * len(spec.analysis_low)
+
+
+def boundary_band(spec) -> tuple:
+    """``(r, odd_end)``: a zero-extended round trip loses the first ``r``
+    samples of each axis, and at an odd length also the last one when
+    ``odd_end``; derived from the filter supports.
+
+    Sample ``n`` is rebuilt from coefficient rows ``k`` with ``n - 2k`` on a
+    synthesis support, and row ``k = -1`` does not exist, so every ``n`` with
+    ``n + 2`` at or before the last synthesis tap is lost.  At an odd length
+    ``2K + 1`` row ``K`` does not exist either; it would read ``x[2K]``
+    through analysis tap 0 and give it back through synthesis tap 0.
+    """
+    last = max(max(i for i, c in enumerate(f) if c)
+               for f in (spec.synthesis_low, spec.synthesis_high))
+    pairs = ((spec.analysis_low, spec.synthesis_low),
+             (spec.analysis_high, spec.synthesis_high))
+    return max(last - 1, 0), any(a[0] != 0 and s[0] != 0 for a, s in pairs)
+
+
+def _lost(n, spec):
+    r, odd_end = boundary_band(spec)
+    lost = np.arange(n) < r
+    lost[-1] |= odd_end and n % 2 == 1
+    return lost
 
 
 class TestOperator:
@@ -185,6 +212,36 @@ class TestDwt2d:
         for shape in ((4,), (2, 8, 8)):  # not a spatial (H, W)
             with pytest.raises(ShapeMismatch):
                 Decomposition2D(*d.subbands(), shape)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", ALL)
+def test_round_trip_loses_exactly_the_boundary_band(name, dim, dtype, tol):
+    """Exact samples stay within rounding; in each lost one the worst error
+    over the stack is about 1e-3 or more."""
+    spec = get_wavelet(name)
+    for shape in [(5, 40, 48), (5, 41, 47)]:
+        x = np.random.default_rng(0).standard_normal(shape).astype(dtype)
+        if dim == 1:
+            back = idwt1d(*dwt1d(x, spec), spec, shape[-1])
+            want = _lost(shape[-1], spec)
+        else:
+            back = idwt2d(dwt2d(x, spec), spec)
+            want = _lost(shape[1], spec)[:, None] | _lost(shape[2], spec)
+        assert back.dtype == dtype
+        err = np.abs(back - x).max(axis=0)
+        got = err > tol if dim == 2 else err.max(axis=0) > tol
+        assert np.array_equal(got, want)
+
+
+def test_readme_boundary_table_matches_the_banks():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = re.findall(r"^ *\| ([a-z]+[\d.]*) \| (\d+) \| (\d+) \| (yes|no) \|$", readme,
+                      flags=re.MULTILINE)
+    want = {name: (len(get_wavelet(name).analysis_low), *boundary_band(get_wavelet(name)))
+            for name in ALL}
+    assert {name: (int(taps), int(r), odd == "yes") for name, taps, r, odd in rows} == want
 
 
 def _rel(a, b):
