@@ -70,7 +70,8 @@ def load_dataset(images_path, labels_path) -> Dataset:
     if images.shape[0] != labels.shape[0]:
         raise ShapeMismatch(
             f"{images.shape[0]} images but {labels.shape[0]} labels")
-    x = images.astype(np.float64)[:, None, :, :] / 255.0
+    x = images.astype(np.float64)[:, None]
+    x /= 255.0  # in place: one float64 copy of the images, not two
     return Dataset(x, labels.astype(np.int64))
 
 
@@ -84,8 +85,10 @@ def save_dataset(dataset: Dataset, images_path, labels_path) -> None:
         raise ShapeMismatch("IDX export handles single-channel images only")
     if not np.isfinite(dataset.images).all():
         raise InvalidConfig("IDX export needs finite pixel values")
-    pixels = np.clip(np.rint(dataset.images[:, 0] * 255.0), 0, 255).astype(np.uint8)
-    write_idx(images_path, pixels)
+    scaled = dataset.images[:, 0] * 255.0  # the one scaled buffer, rounded and clipped in place
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, 0, 255, out=scaled)
+    write_idx(images_path, scaled.astype(np.uint8))
     write_idx(labels_path, dataset.labels)
 
 

@@ -14,14 +14,17 @@ layer implements ``output_shape``, ``_forward`` and ``_backward``, and names
 itself for error messages in ``who``.  The states:
 
 - ``Conv2d``: its zero-padded batch-last input ``(C_in, H+2p, W+2p, N)``
-  and the input shape.  Forward and the weight gradient each build the
-  im2col matrix ``(C_in*k*k, Ho*Wo*N)`` from it, by the same tap copies, so
-  training keeps the input rather than the k*k times larger matrix.  The
-  matrix's rows run over (input channel, kernel row, kernel column) and its
-  columns over (output row, output column, image): the batch is the fastest
-  axis, so each tap copies runs of ``Wo*N`` samples at stride 1 and of ``N``
-  at stride 2.  The output and the input gradient still leave the layer as
-  NCHW views of channel-major ``(C, N, H, W)`` buffers, one copy each.
+  and the input shape.  No pass builds the whole im2col matrix
+  ``(C_in*k*k, Ho*Wo*N)``, k*k times the input: forward, the weight
+  gradient and the input gradient each walk the output rows in chunks of
+  at most ``_SCRATCH`` bytes of columns (at least one row), and use each
+  chunk while it is still in cache.  The matrix's rows run over (input
+  channel, kernel row, kernel column) and its columns over (output row,
+  output column, image): the batch is the fastest axis, so a chunk is one
+  copy of a window view on the padded input, in runs of ``Wo*N`` samples
+  at stride 1 and of ``N`` at stride 2, and a chunk's gradient columns are
+  one contiguous column range.  The output and the input gradient still
+  leave the layer as NCHW views of channel-major ``(C, N, H, W)`` buffers.
 - ``BatchNorm2d``: the normalized input ``xhat`` and ``1/sqrt(var + eps)``
   per channel.
 - ``ReLU``: the boolean mask ``x > 0``.
@@ -36,12 +39,11 @@ layer's state once its backward has read it.  The ``_forward`` of an
 inference forward computes its output and nothing else: it builds no mask
 and keeps no padded input or ``xhat``.  Its output keeps its bits:
 BatchNorm applies the running statistics with the same operations in the
-same order, and max pooling runs the same knockout.  ``Conv2d`` also frees
-its scratch early in inference: the padded input once the im2col matrix is
-built, and that matrix once the GEMM has read it, before the output copy
-is allocated.  This keeps an inference forward's peak near one block's
-activations, which matters because ``Model.predict_logits`` runs one block
-per usable CPU.
+same order, and max pooling runs the same knockout.  An inference
+``Conv2d`` holds its padded input, its output and one chunk of columns and
+products, and frees the padded input on return.  This keeps an inference
+forward's peak near one block's activations, which matters because
+``Model.predict_logits`` runs one block per usable CPU.
 
 ``AvgPool2``, ``WaveletDown("ll")`` and ``WaveletDown("avg")`` share one
 ``_forward`` and ``_backward``, a separable low-pass filter and stride-2
@@ -176,6 +178,19 @@ def _uniform(fan_in: int, shape: tuple, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+# Bytes of im2col columns that one chunk of output rows may fill; a chunk
+# holds at least one row (Conv2d._chunks).  Swept over the eight mini_config
+# convs (f32, batch 64, one BLAS thread, a 2-vCPU Xeon with 2 MiB of L2 per
+# core, interleaved with whole matrices), forward/backward ms summed:
+# 40.2/72.5 at 1 MiB, 39.7/72.7 at 2, 37.8/72.5 at 4 and 36.3/73.2 at 8,
+# against 40.2/74.4.  The tracemalloc peak of one 64-image step (max_pool /
+# dwt_cat): 12.7/20.9, 14.2/20.9, 16.7/24.9 and 17.5/31.4 MiB, against
+# 17.5/46.3.  2 MiB keeps the dwt_cat peak at its floor and a chunk within
+# one core's L2; 400-image dwt_cat inference took 113.5 ms at 1 MiB and
+# 107.8 ms at 2.
+_SCRATCH = 2 * 2**20
+
+
 class Conv2d(Layer):
     """Same-padded cross-correlation with a square odd kernel, stride 1 or 2."""
 
@@ -200,15 +215,38 @@ class Conv2d(Layer):
     def _initial(self, name, shape, rng):
         return _uniform(self.c_in * self.kernel * self.kernel, shape, rng)
 
+    def _windows(self, xp, ho, wo):
+        """The view ``(C_in, k, k, Ho, Wo, N)`` of the padded batch-last ``xp``
+        whose element ``(c, ki, kj, i, j, n)`` is ``xp[c, s*i + ki, s*j + kj,
+        n]``, built straight on ``xp``'s buffer as ``transform._windows`` builds
+        its views.  The taps overlap, so it is only read, or added to one tap
+        at a time."""
+        k, s, st = self.kernel, self.stride, xp.strides
+        return np.ndarray((self.c_in, k, k, ho, wo, xp.shape[-1]), xp.dtype, xp, 0,
+                          st[:3] + (s * st[1], s * st[2], st[3]))
+
+    def _chunks(self, ho, wo, n, itemsize):
+        """Output-row ranges ``(r0, r1)``, each as many rows as fit their
+        im2col columns in ``_SCRATCH`` bytes, and at least one; an empty
+        batch takes every row in one chunk."""
+        row = self.c_in * self.kernel * self.kernel * wo * n * itemsize
+        step = max(1, _SCRATCH // max(row, 1))
+        return [(r, min(r + step, ho)) for r in range(0, ho, step)]
+
     def _cols(self, xp, ho, wo):
-        """The im2col matrix ``(C_in*k*k, Ho*Wo*N)`` of the padded batch-last
-        input ``xp``, one copy per kernel tap."""
-        k, s, n = self.kernel, self.stride, xp.shape[-1]
-        cols = np.empty((self.c_in, k, k, ho, wo, n), dtype=xp.dtype)
-        for ki in range(k):
-            for kj in range(k):
-                cols[:, ki, kj] = xp[:, ki:ki + s * ho:s, kj:kj + s * wo:s]
-        return cols.reshape(self.c_in * k * k, ho * wo * n)
+        """Yield ``(r0, r1, cols)`` per chunk of output rows: ``cols`` is the
+        im2col matrix ``(C_in*k*k, (r1-r0)*Wo*N)`` of rows ``r0:r1``, one copy
+        of a window view into one buffer that every chunk reuses, so it is
+        overwritten by the next chunk."""
+        win = self._windows(xp, ho, wo)
+        chunks = self._chunks(ho, wo, xp.shape[-1], xp.itemsize)
+        rows = max((r1 - r0 for r0, r1 in chunks), default=0)
+        buf = np.empty(win[:, :, :, :rows].size, xp.dtype)
+        for r0, r1 in chunks:
+            part = win[:, :, :, r0:r1]
+            cols = buf[:part.size].reshape(part.shape)
+            np.copyto(cols, part)
+            yield r0, r1, cols.reshape(self.c_in * self.kernel ** 2, -1)
 
     def _forward(self, x, training):
         _, ho, wo = self.output_shape(x.shape[1:])
@@ -217,38 +255,50 @@ class Conv2d(Layer):
         # pad batch-last, so a stride-1 tap copies runs of wo*n samples
         xp = np.zeros((self.c_in, h + 2 * p, w + 2 * p, n), dtype=x.dtype)
         xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
-        cols = self._cols(xp, ho, wo)
-        state = (xp, x.shape) if training else None
-        del xp  # an inference forward frees it here; training keeps it in state
-        out = self.weight.reshape(self.c_out, -1) @ cols
-        del cols
-        # one copy into channel-major (C_out, N, Ho, Wo), adding the bias on the way
-        y = np.empty((self.c_out, n, ho, wo), dtype=out.dtype)
-        np.add(out.reshape(self.c_out, ho, wo, n).transpose(0, 3, 1, 2),
-               self.bias[:, None, None, None], out=y)
-        return y.transpose(1, 0, 2, 3), state
+        weight = self.weight.reshape(self.c_out, -1)
+        bias = self.bias[:, None, None, None]
+        # channel-major (C_out, N, Ho, Wo): each chunk's product takes the
+        # bias in place and is copied in while it is still in cache (a copy
+        # runs ~30 % faster into these row slices than an add with out=)
+        y = np.empty((self.c_out, n, ho, wo), dtype=np.result_type(weight, x))
+        for r0, r1, cols in self._cols(xp, ho, wo):
+            out = (weight @ cols).reshape(self.c_out, r1 - r0, wo, n)
+            out += bias
+            y[:, :, r0:r1] = out.transpose(0, 3, 1, 2)
+        return y.transpose(1, 0, 2, 3), ((xp, x.shape) if training else None)
 
     def _param_backward(self, grad):
         """Fill ``grad_weight``/``grad_bias``; returns the batch-last gradient
         ``(C_out, Ho*Wo*N)`` that the input gradient is built from."""
         xp, _ = self._saved()
-        g = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(self.c_out, -1)
+        ho, wo = grad.shape[2:]
+        m = wo * grad.shape[0]  # columns per output row
+        g = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(self.c_out, ho * m)
         self.grad_bias = g.sum(axis=1)
-        # the columns are rebuilt here, and freed before the input gradient
-        self.grad_weight = (self._cols(xp, *grad.shape[2:]) @ g.T).T.reshape(self.weight.shape)
+        # the columns are rebuilt chunk by chunk, and each chunk's product added
+        gw = np.zeros((self.weight[0].size, self.c_out), dtype=np.result_type(xp, g))
+        for r0, r1, cols in self._cols(xp, ho, wo):
+            gw += cols @ g[:, r0 * m:r1 * m].T
+        self.grad_weight = gw.T.reshape(self.weight.shape)
         return g
 
     def _backward(self, grad, state):
         g = self._param_backward(grad)
         n, _, h, w = state[1]
         ho, wo = grad.shape[2:]
-        k, s, p = self.kernel, self.stride, self.kernel // 2
-        gcols = (self.weight.reshape(self.c_out, -1).T @ g).reshape(
-            self.c_in, k, k, ho, wo, n)
+        k, p, m = self.kernel, self.kernel // 2, wo * n
+        weight = self.weight.reshape(self.c_out, -1)
         gxp = np.zeros((self.c_in, h + 2 * p, w + 2 * p, n), dtype=g.dtype)
-        for ki in range(k):
-            for kj in range(k):
-                gxp[:, ki:ki + s * ho:s, kj:kj + s * wo:s] += gcols[:, ki, kj]
+        win = self._windows(gxp, ho, wo)
+        # col2im, last chunk first: padded row s*i + ki takes tap row ki from
+        # output row i, so its lower tap rows come from later chunks, and each
+        # padded sample still sums its taps in (ki, kj) order
+        for r0, r1 in reversed(self._chunks(ho, wo, n, g.itemsize)):
+            gcols = (weight.T @ g[:, r0 * m:r1 * m]).reshape(self.c_in, k, k, r1 - r0, wo, n)
+            for ki in range(k):
+                for kj in range(k):
+                    win[:, ki, kj, r0:r1] += gcols[:, ki, kj]
+            del gcols  # before the next chunk's product is allocated
         # one copy back to channel-major (C_in, N, H, W)
         gx = np.ascontiguousarray(gxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2))
         return gx.transpose(1, 0, 2, 3)

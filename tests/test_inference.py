@@ -196,9 +196,9 @@ class TestNoBackwardState:
 
 
 class TestConvBuffers:
-    """An inference conv frees its padded input and its im2col matrix as
-    soon as it has read them; a training conv keeps the padded input for
-    backward, which rebuilds the matrix from it."""
+    """A conv builds its im2col columns one chunk of output rows at a time
+    and never the whole matrix; a training conv keeps the padded input for
+    backward, which rebuilds the chunks from it."""
 
     def test_inference_forward_peak(self):
         model = nw.build_model(nw.mini_config("max_pool"))
@@ -231,6 +231,55 @@ class TestConvBuffers:
         # 46.3 MiB; 89.0 MiB while every layer held its state through backward
         # and each conv kept its im2col matrix
         assert peak < 50.0 * 2**20
+
+    def test_training_step_peak_with_bounded_conv_scratch(self):
+        """The same step, now that no conv pass builds its whole im2col
+        matrix: 20.9 MiB, against 46.3 MiB with whole matrices."""
+        model = nw.build_model(nw.mini_config("dwt_cat", "ch3.3"))
+        x = _data((64, 1, 28, 28), np.float32, "normal")
+        labels = np.arange(64) % 10
+
+        def step():
+            model.loss.forward(model.forward(x, training=True), labels)
+            model.backward(model.loss.backward())
+        step()  # warm the transform caches
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25.0 * 2**20
+
+    @pytest.mark.parametrize("batch", [64, 256])
+    def test_conv_step_scratch_is_bounded_by_the_chunk_rule(self, batch):
+        """A ``dwt_cat`` stage-2 conv (64 -> 32 at 14 px).  Its training
+        forward allocates, besides the padded input and the output, at most
+        twice the largest row chunk; its backward, besides those, the
+        batch-last gradient, the padded input gradient and the input
+        gradient, also at most twice that chunk.  The largest chunk is
+        ``_SCRATCH`` bytes of columns or one output row's columns, whichever
+        is larger: one row is 1.97 MiB at batch 64 and 7.9 MiB at batch 256,
+        where the whole matrix is 27.6 and 110 MiB."""
+        conv = L.Conv2d(3, 64, 32)
+        conv.init_params(np.random.default_rng(3), np.dtype(np.float32))
+        x = _data((batch, 64, 14, 14), np.float32, "normal")
+        g = _data((batch, 32, 14, 14), np.float32, "normal", seed=1)
+        conv.forward(x, training=True)
+        conv.backward(g)
+        tracemalloc.start()
+        try:
+            y = conv.forward(x, training=True)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            gx = conv.backward(g)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = conv._state[0].nbytes
+        bound = 2 * max(L._SCRATCH, 64 * 9 * 14 * batch * 4)
+        assert forward_peak - (padded + y.nbytes) <= bound
+        assert backward_peak - (2 * padded + y.nbytes + g.nbytes + gx.nbytes) <= bound
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_training_forward_keeps_padded_input_and_backward_matches(self, stride):

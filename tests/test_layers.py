@@ -471,6 +471,44 @@ class TestMatchesReplacedFormulation:
         assert _same_bits(conv.grad_weight, gw) and _same_bits(conv.grad_bias, gb)
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("batch", [0, 1, 3, 64])
+    @pytest.mark.parametrize("kernel,c_in,c_out,stride,hw", CONV_CASES)
+    def test_conv_row_chunks_keep_the_bits(self, kernel, c_in, c_out, stride, hw, batch,
+                                           dtype, monkeypatch):
+        """With a scratch budget of two output rows' columns, every case runs
+        several row chunks (one row each at batch 0), and an odd row count
+        ends on a one-row chunk.  At batch 64 each chunk holds a multiple of
+        64 columns, so BLAS computes every output column with the kernel it
+        uses in the one-chunk run: the output and the input gradient keep
+        every bit.  At batches 1 and 3 a chunk ends inside a BLAS block, and
+        OpenBLAS rounds such tail columns by another kernel, so they match to
+        rounding.  The weight gradient sums the chunks' products, so it
+        matches to rounding at every batch."""
+        rng = np.random.default_rng(6)
+        conv = _init(L.Conv2d(kernel, c_in, c_out, stride=stride), seed=7, dtype=dtype)
+        x = rng.standard_normal((batch, c_in) + hw).astype(dtype)
+        _, ho, wo = conv.output_shape(x.shape[1:])
+        g = rng.standard_normal((batch, c_out, ho, wo)).astype(dtype)
+        row = c_in * kernel * kernel * wo * batch * np.dtype(dtype).itemsize
+
+        def run(scratch):
+            monkeypatch.setattr(L, "_SCRATCH", scratch)
+            y = conv.forward(x, training=True)
+            return y, conv.backward(g), conv.grad_weight, conv.grad_bias
+        y1, gx1, gw1, gb1 = run(ho * max(row, 1))
+        assert len(conv._chunks(ho, wo, batch, np.dtype(dtype).itemsize)) == 1
+        y, gx, gw, gb = run(2 * row)
+        assert len(conv._chunks(ho, wo, batch, np.dtype(dtype).itemsize)) == \
+            (ho if batch == 0 else -(-ho // 2)) > 1
+        assert _same_bits(gb, gb1)
+        if batch % 64 == 0:
+            assert _same_bits(y, y1) and _same_bits(gx, gx1)
+        else:
+            _close(y, y1, dtype)
+            _close(gx, gx1, dtype)
+        _close(gw, gw1, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("wavelet", wavelet_names())
     def test_ll_backward_matches_full_vjp(self, wavelet, dtype):
         """The replaced backward ran the full vjp with three zero bands.  Odd
