@@ -473,8 +473,8 @@ class TestMatchesReplacedFormulation:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("batch", [0, 1, 3, 64])
     @pytest.mark.parametrize("kernel,c_in,c_out,stride,hw", CONV_CASES)
-    def test_conv_row_chunks_keep_the_bits(self, kernel, c_in, c_out, stride, hw, batch,
-                                           dtype, monkeypatch):
+    def test_conv_row_chunks_match_the_one_chunk_run(self, kernel, c_in, c_out, stride, hw, batch,
+                                                    dtype, monkeypatch):
         """With a scratch budget of two output rows' columns, every case runs
         several row chunks (one row each at batch 0), and an odd row count
         ends on a one-row chunk.  At batch 64 each chunk holds a multiple of
@@ -498,8 +498,8 @@ class TestMatchesReplacedFormulation:
         y1, gx1, gw1, gb1 = run(ho * max(row, 1))
         assert len(conv._chunks(ho, wo, batch, np.dtype(dtype).itemsize)) == 1
         y, gx, gw, gb = run(2 * row)
-        assert len(conv._chunks(ho, wo, batch, np.dtype(dtype).itemsize)) == \
-            (ho if batch == 0 else -(-ho // 2)) > 1
+        chunks = conv._chunks(ho, wo, batch, np.dtype(dtype).itemsize)
+        assert len(chunks) == (ho if batch == 0 else -(-ho // 2)) and len(chunks) > 1
         assert _same_bits(gb, gb1)
         if batch % 64 == 0:
             assert _same_bits(y, y1) and _same_bits(gx, gx1)

@@ -25,10 +25,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np  # noqa: E402
+import numpy as np
 
-from wavecnn import network as nw  # noqa: E402
-from wavecnn.datasets import synthetic_classification  # noqa: E402
+from wavecnn import network as nw
+from wavecnn.datasets import synthetic_classification
 
 MODES = (("max_pool", ""), ("avg_pool", ""), ("strided_conv", ""),
          ("dwt_ll", "haar"), ("dwt_avg", "db4"), ("dwt_cat", "ch3.3"))
