@@ -28,7 +28,7 @@ from .filterbank import (Family, WaveletSpec, derive_highpass, get_wavelet,
                          wavelet_names)
 from .network import (DOWNSAMPLE_MODES, LayerSpec, Model, ModelConfig,
                       TrainConfig, TrainReport, build_model, evaluate,
-                      gradcheck, load_model, mini_config, save_model, train)
+                      load_model, mini_config, save_model, train)
 from .robustness import (DEFAULT_SEVERITY, NOISE_CORRUPTIONS, ErrorMatrix,
                          RobustnessReport, ShiftTrialConfig, corrupt,
                          corrupt_dataset, corruption_error, error_matrix,
@@ -47,7 +47,7 @@ __all__ = [
     "WaveletSpec", "build_model", "corrupt", "corrupt_dataset",
     "corruption_error", "denoise_image", "derive_highpass", "dwt1d",
     "dwt1d_vjp", "dwt2d", "dwt2d_banded_madds", "dwt2d_madds", "dwt2d_vjp",
-    "error_matrix", "errors", "evaluate", "get_wavelet", "gradcheck", "idwt1d",
+    "error_matrix", "errors", "evaluate", "get_wavelet", "idwt1d",
     "idwt2d", "idwt2d_madds", "idwt2d_vjp", "load_dataset",
     "load_model", "mean_ce", "mini_config", "model_madds",
     "read_idx", "read_pgm", "read_tensor", "robustness_report",

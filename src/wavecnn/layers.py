@@ -73,8 +73,8 @@ Each layer with state declares it once, as names and shapes:
 ``param_shapes`` for the learnable arrays (the gradient of ``weight`` is
 ``grad_weight``) and ``buffer_shapes`` for what else a checkpoint keeps
 (BatchNorm's running statistics).  ``params``, ``grads``, ``buffers`` and
-``init_params`` read the declaration, and so do the model's parameter count
-and the checkpoint loader, which therefore need no allocated arrays.  A
+``init_params`` read the declaration, and so do the model's state-value
+limit and the checkpoint loader, which therefore need no allocated arrays.  A
 layer holds its arrays as attributes of those names once ``init_params`` or
 the loader has set them.
 """

@@ -1,4 +1,4 @@
-"""Model configuration, building, training, and gradient checking.
+"""Model configuration, building, training, evaluation and checkpoints.
 
 A model is an ordered list of layer specs (conv / batchnorm / relu /
 downsample / flatten / dense) with softmax cross-entropy loss.  Building is
@@ -231,8 +231,8 @@ class Model:
     most ``MAX_STATE_VALUES`` state values, and builds them with their state
     declared but not allocated: :func:`build_model` draws the initial
     values and :func:`load_model` reads them from a file.  An
-    unfilled model can still be counted (``parameter_count``,
-    :func:`wavecnn.complexity.model_madds`).
+    unfilled model can still be counted
+    (:func:`wavecnn.complexity.model_madds`).
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32):
@@ -254,10 +254,10 @@ class Model:
         """Fill every layer's parameter gradients from the loss gradient ``grad``.
 
         The first layer's input gradient is not computed: training discards
-        it (``gradcheck`` runs its own layer loop to check it).  Each layer's
-        training state is freed as soon as its backward has read it, so the
-        pass holds only the state still ahead of it and leaves the model
-        holding none; a second call needs a new training forward.
+        it, and a caller that needs it runs each layer's ``backward``.  Each
+        layer's training state is freed as soon as its backward has read it,
+        so the pass holds only the state still ahead of it and leaves the
+        model holding none; a second call needs a new training forward.
         """
         for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
@@ -275,11 +275,6 @@ class Model:
         for i, layer in enumerate(self.layers):
             for name, arr in layer.buffers().items():
                 yield f"{i}.{name}", arr
-
-    def parameter_count(self) -> int:
-        """Counted from the declared shapes, so it allocates nothing."""
-        return sum(math.prod(shape) for layer in self.layers
-                   for shape in layer.param_shapes().values())
 
     def checksum(self) -> str:
         digest = hashlib.sha256()
@@ -499,6 +494,18 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
     return partial_report()
 
 
+def _checked_images(model: Model, dataset, caller: str) -> np.ndarray:
+    """``dataset.images`` cast to ``model.dtype``; InvalidConfig, naming
+    ``caller``, if there is no image or one holds NaN or an infinity at
+    that precision."""
+    images = np.asarray(dataset.images, dtype=model.dtype)
+    if len(images) == 0:
+        raise InvalidConfig(f"{caller} needs at least one image")
+    if not np.isfinite(images).all():
+        raise InvalidConfig(f"{caller} needs finite image values")
+    return images
+
+
 def evaluate(model: Model, dataset) -> float:
     """Top-1 error rate on a dataset, in [0, 1].
 
@@ -506,80 +513,12 @@ def evaluate(model: Model, dataset) -> float:
     rate, and if an image holds NaN or an infinity at the model's precision,
     since such an image would be classified as garbage silently.
     """
-    images = np.asarray(dataset.images, dtype=model.dtype)
-    if len(images) == 0:
-        raise InvalidConfig("evaluate needs at least one image")
-    if not np.isfinite(images).all():
-        raise InvalidConfig("evaluate needs finite image values")
-    preds = model.predict(images)
+    preds = model.predict(_checked_images(model, dataset, "evaluate"))
     labels = np.asarray(dataset.labels)
     if preds.shape != labels.shape:
         raise ShapeMismatch(
             f"prediction/label shapes differ: {preds.shape} vs {labels.shape}")
     return float((preds != labels).mean())
-
-
-# --- gradient checking ---
-
-
-def gradcheck(target, x: np.ndarray, epsilon: float = 1e-6,
-              rng=None, max_coords: int = 150) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``target`` is a layer or model (anything with forward/backward); build it
-    in float64 for meaningful results.  The scalar probe is a fixed random
-    linear functional of the output; input coordinates and every parameter
-    tensor are checked (subsampled beyond ``max_coords`` entries per tensor).
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    x = np.asarray(x, dtype=np.float64)
-    layers = target.layers if hasattr(target, "layers") else [target]
-
-    def run(inp):
-        out = inp
-        for layer in layers:
-            out = layer.forward(out, training=True)
-        return out
-
-    y = run(x)
-    w = rng.standard_normal(y.shape)
-    analytic_grad = w
-    for layer in reversed(layers):
-        analytic_grad = layer.backward(analytic_grad)
-    param_grads = [{k: np.array(v) for k, v in layer.grads().items()}
-                   for layer in layers]
-
-    def loss_at(inp):
-        return float((w * run(inp)).sum())
-
-    def coords(size):
-        if size <= max_coords:
-            return range(size)
-        return sorted(rng.choice(size, size=max_coords, replace=False))
-
-    worst = 0.0
-
-    def check(array, grads):
-        nonlocal worst
-        flat = array.reshape(-1)
-        gflat = np.asarray(grads).reshape(-1)
-        for i in coords(flat.size):
-            keep = flat[i]
-            flat[i] = keep + epsilon
-            lp = loss_at(x)
-            flat[i] = keep - epsilon
-            lm = loss_at(x)
-            flat[i] = keep
-            fd = (lp - lm) / (2 * epsilon)
-            a = gflat[i]
-            rel = abs(a - fd) / max(1.0, abs(a), abs(fd))
-            worst = max(worst, rel)
-
-    check(x, analytic_grad)
-    for layer, grads in zip(layers, param_grads):
-        for name, p in layer.params().items():
-            check(p, grads[name])
-    return worst
 
 
 # --- checkpoints ---

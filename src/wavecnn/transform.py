@@ -43,8 +43,8 @@ synthesis; :func:`dwt2d_interleaved` and :func:`idwt2d_interleaved` hand
 the array itself over, which is how :mod:`wavecnn.denoise` shrinks the
 detail coefficients in place.
 
-:func:`build_operator` materializes the dense matrices; it is the reference
-definition the core is tested against.
+No dense operator is ever built; the tests hold the dense matrices as the
+reference definition and check the core against them.
 
 Every array a transform returns is C-contiguous and shares no memory with
 its inputs, so callers may reshape it and write into it.
@@ -68,16 +68,6 @@ from .filterbank import WaveletSpec
 _TILE = 16
 
 
-@dataclass(frozen=True)
-class AnalysisOperator:
-    """Truncated analysis/synthesis matrices for one (wavelet, length) pair."""
-
-    L: np.ndarray
-    H: np.ndarray
-    L_syn: np.ndarray
-    H_syn: np.ndarray
-
-
 def _place(coeffs, rows: int, cols: int) -> np.ndarray:
     """``rows x cols`` matrix whose row k holds ``coeffs`` from column 2k on."""
     mat = np.zeros((rows, cols))
@@ -87,26 +77,6 @@ def _place(coeffs, rows: int, cols: int) -> np.ndarray:
             if col < cols:
                 mat[k, col] = c
     return mat
-
-
-def build_operator(spec: WaveletSpec, n: int) -> AnalysisOperator:
-    """Materialize the four dense operator matrices for signal length ``n``.
-
-    The transforms never build these; they are the reference definition of
-    the truncated operators, against which the tiled core is checked.
-
-    Raises:
-        TooShort: if ``n < 2``.
-    """
-    if n < 2:
-        raise TooShort(f"operator length must be >= 2, got {n}")
-    rows = n // 2
-    return AnalysisOperator(
-        L=_place(spec.analysis_low, rows, n),
-        H=_place(spec.analysis_high, rows, n),
-        L_syn=_place(spec.synthesis_low, rows, n),
-        H_syn=_place(spec.synthesis_high, rows, n),
-    )
 
 
 class _Bank(NamedTuple):

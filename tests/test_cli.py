@@ -359,6 +359,17 @@ def test_shift_wider_than_the_images_exits_2(capsys, tmp_path, idx_pair, padding
     assert "wavecnn shift: error: ShiftOutOfRange: shift range 100 exceeds the limit 27" in err
 
 
+def test_shift_pairs_beyond_the_cap_exit_2(capsys, tmp_path, idx_pair):
+    """Once a traceback: drawing 10**12 pairs asked NumPy for 29 TiB."""
+    model = tmp_path / "m.wcn"
+    save_model(build_model(mini_config("max_pool")), model)
+    code, out, err = run_cli(capsys, "shift", "--model", str(model), "--images", idx_pair[0],
+                             "--labels", idx_pair[1], "--pairs", "1000000000000")
+    assert code == 2 and out == ""
+    assert ("wavecnn shift: error: InvalidConfig: 1000000000000 shift pairs are more "
+            "than the 1048576 a shift test may draw") in err
+
+
 class TestEmptyDataset:
     @pytest.mark.parametrize("command", ["eval", "robustness", "shift"])
     def test_empty_idx_pair_is_runtime_error(self, capsys, tmp_path, command):

@@ -14,6 +14,8 @@ from wavecnn.filterbank import get_wavelet, wavelet_names
 from wavecnn.robustness import ShiftTrialConfig, error_matrix, shift_consistency
 from wavecnn.transform import dwt2d, lowpass2d
 
+from reference import gradcheck
+
 DTYPES = [np.float32, np.float64]
 MODES = [("max_pool", ""), ("avg_pool", ""), ("strided_conv", ""),
          ("dwt_ll", "haar"), ("dwt_avg", "db4"), ("dwt_cat", "ch3.3")]
@@ -289,7 +291,7 @@ class TestConvBuffers:
         conv.forward(x, training=True)
         xp, x_shape = conv._state
         assert xp.shape == (3, 6 + 2, 10 + 2, 2) and x_shape == x.shape
-        assert nw.gradcheck(conv, x, rng=np.random.default_rng(2)) < 1e-6
+        assert gradcheck(conv, x, rng=np.random.default_rng(2)) < 1e-6
 
 
 class TestPredictBlocks:

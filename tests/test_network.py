@@ -26,6 +26,8 @@ from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismat
 from wavecnn.layers import Conv2d, Dense, Flatten, PadToEven, WaveletDown
 from wavecnn.robustness import ShiftTrialConfig, shift_consistency
 
+from reference import gradcheck, parameter_count
+
 
 class TestModelConfig:
     def test_json_round_trip(self):
@@ -161,9 +163,9 @@ class TestBuildModel:
 
     def test_parameter_count_invariant_across_pooling_swaps(self):
         counts = {
-            mode: nw.build_model(
+            mode: parameter_count(nw.build_model(
                 nw.mini_config(mode, "haar" if mode.startswith("dwt") else "")
-            ).parameter_count()
+            ))
             for mode in ("max_pool", "avg_pool", "dwt_ll", "dwt_avg")
         }
         assert len(set(counts.values())) == 1
@@ -227,7 +229,7 @@ class TestBuildModel:
     def test_declared_state_is_bounded(self):
         # (255 + 1) * n_out weights and biases: exactly MAX_STATE_VALUES
         big = (nw.flatten(), nw.dense(255, nw.MAX_STATE_VALUES // 256))
-        assert nw.Model(nw.ModelConfig(layers=big)).parameter_count() == nw.MAX_STATE_VALUES
+        assert parameter_count(nw.Model(nw.ModelConfig(layers=big))) == nw.MAX_STATE_VALUES
         with pytest.raises(InvalidConfig, match="^layer 2: .* state values"):
             nw.Model(nw.ModelConfig(layers=(nw.conv(1, 1, 1), *big)))
         with pytest.raises(InvalidConfig, match="^layer 0: .* state values"):
@@ -237,12 +239,12 @@ class TestBuildModel:
         cfg = nw.ModelConfig(layers=(nw.flatten(), nw.dense(10, 6_000_000)))
         tracemalloc.start()
         try:
-            assert nw.Model(cfg).parameter_count() == 66_000_000
+            assert parameter_count(nw.Model(cfg)) == 66_000_000
             assert tracemalloc.get_traced_memory()[1] < _BOUND
         finally:
             tracemalloc.stop()
         small = nw.mini_config("dwt_cat", "haar")
-        assert nw.Model(small).parameter_count() == \
+        assert parameter_count(nw.Model(small)) == \
             sum(arr.size for _, arr in nw.build_model(small).named_params())
 
 
@@ -301,7 +303,7 @@ class TestWaveletRewrite:
         base = nw.mini_config("strided_conv", seed=3)
         rewritten = dataclasses.replace(base, wavelet_rewrite="db2")
         m1, m2 = nw.build_model(base), nw.build_model(rewritten)
-        assert m1.parameter_count() == m2.parameter_count()
+        assert parameter_count(m1) == parameter_count(m2)
 
     @pytest.mark.parametrize("pad_odd", [False, True])
     @pytest.mark.parametrize("rewrite", ["", "haar"])
@@ -473,6 +475,20 @@ class TestPredictEvaluate:
         images[0, 0, 0, 0] = 1e300  # finite in float64, inf at the model's precision
         with pytest.raises(InvalidConfig):
             nw.evaluate(model, Dataset(images, np.zeros(2, dtype=np.int64)))
+
+    @pytest.mark.parametrize("caller,run", [
+        ("evaluate", nw.evaluate),
+        ("shift consistency",
+         lambda model, ds: shift_consistency(model, ds, ShiftTrialConfig(max_shift=2, pairs=2)))])
+    @pytest.mark.parametrize("images,need", [
+        (np.zeros((0, 1, 8, 8)), "at least one image"),
+        (np.full((3, 1, 8, 8), np.nan), "finite image values")])
+    def test_input_check_messages(self, caller, run, images, need):
+        """``evaluate`` and ``shift_consistency`` share one input check."""
+        labels = np.zeros(len(images), dtype=np.int64)
+        with pytest.raises(InvalidConfig) as info:
+            run(_tiny_model(), Dataset(images, labels))
+        assert str(info.value) == f"{caller} needs {need}"
 
     def test_empty_dataset(self):
         model = _tiny_model()
@@ -785,8 +801,8 @@ class TestGradcheck:
         model = nw.build_model(nw.mini_config("dwt_avg", "db2", image_hw=(12, 12)),
                                dtype=np.float64)
         x = np.random.default_rng(0).standard_normal((2, 1, 12, 12))
-        assert nw.gradcheck(model, x, rng=np.random.default_rng(1),
-                            max_coords=30) < 1e-6
+        assert gradcheck(model, x, rng=np.random.default_rng(1),
+                         max_coords=30) < 1e-6
 
     def test_detects_a_wrong_gradient(self):
         layer = Dense(6, 3)
@@ -801,7 +817,7 @@ class TestGradcheck:
         Dense._backward = broken
         try:
             x = np.random.default_rng(2).standard_normal((4, 6))
-            assert nw.gradcheck(layer, x, rng=np.random.default_rng(3)) > 1e-4
+            assert gradcheck(layer, x, rng=np.random.default_rng(3)) > 1e-4
         finally:
             Dense._backward = original
 

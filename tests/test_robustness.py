@@ -8,7 +8,7 @@ from wavecnn.network import build_model, evaluate, mini_config
 from wavecnn.errors import (BadSeverity, InvalidConfig, MissingCorruption,
                             ShapeMismatch, ShiftOutOfRange, ZeroReference)
 from wavecnn.robustness import (CATEGORY_MEMBERS, DEFAULT_SEVERITY,
-                                NOISE_CORRUPTIONS, ErrorMatrix,
+                                MAX_SHIFT_PAIRS, NOISE_CORRUPTIONS, ErrorMatrix,
                                 ShiftTrialConfig, corrupt, corrupt_dataset,
                                 corruption_error, error_matrix, mean_ce,
                                 robustness_report, shift_consistency,
@@ -374,6 +374,11 @@ class TestShift:
             ShiftTrialConfig(pairs=0)
         with pytest.raises(InvalidConfig):
             ShiftTrialConfig(padding="wrap")
+
+    def test_pairs_capped(self):
+        assert ShiftTrialConfig(pairs=MAX_SHIFT_PAIRS).pairs == MAX_SHIFT_PAIRS
+        with pytest.raises(InvalidConfig, match="shift pairs are more than"):
+            ShiftTrialConfig(pairs=MAX_SHIFT_PAIRS + 1)
 
 
 class TestErrorMatrixMeasurement:
