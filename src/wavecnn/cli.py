@@ -207,37 +207,29 @@ def _load_run_config(path) -> dict:
     return network._check_fields(_load_json(path), _RUN_KEYS, f"{path}: run config")
 
 
-def _pick(flag_value, cfg: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return cfg.get(key, default)
+# the run-config keys a flag of the same dest sets, and what a config without one means
+_MODEL_FLAGS = {"seed": 0, "wavelet_rewrite": "", "mode": "max_pool", "wavelet": ""}
+
+
+def _flags_over(base: dict, args, keys) -> dict:
+    """``base`` with each of ``keys`` whose flag was given set to the flag's
+    value; each flag's dest is its config key."""
+    return {**base, **{k: getattr(args, k) for k in keys if getattr(args, k) is not None}}
 
 
 def _model_config_from(cfg: dict, args, in_shape, classes: int = 10) -> network.ModelConfig:
     """The model a run config describes for (C, H, W) inputs; flags win over
     the file.  An explicit ``"layers"`` list is taken as it is."""
-    model = {key: cfg[key] for key in ("layers", "loss") if key in cfg}
-    model["seed"] = _pick(args.seed, cfg, "seed", 0)
-    model["wavelet_rewrite"] = _pick(args.rewrite, cfg, "wavelet_rewrite", "")
-    if "layers" not in cfg:
-        arch = cfg.get("arch", "mini")
-        if arch != "mini":
-            raise InvalidConfig(f"unknown architecture {arch!r}")
-        mode = _pick(args.mode, cfg, "mode", "max_pool")
-        wavelet = _pick(args.wavelet, cfg, "wavelet", "")
+    run = _flags_over({"arch": "mini", **_MODEL_FLAGS, **cfg}, args, _MODEL_FLAGS)
+    model = {key: run[key] for key in ("layers", "loss", "seed", "wavelet_rewrite") if key in run}
+    if "layers" not in run:
+        if run["arch"] != "mini":
+            raise InvalidConfig(f"unknown architecture {run['arch']!r}")
         c, h, w = in_shape
-        mini = network.mini_config(mode=mode, wavelet=wavelet, in_channels=c,
+        mini = network.mini_config(mode=run["mode"], wavelet=run["wavelet"], in_channels=c,
                                    image_hw=(h, w), classes=classes)
         model["layers"] = [spec.to_dict() for spec in mini.layers]
     return network.ModelConfig.from_dict(model)
-
-
-def _train_config_from(cfg: dict, args) -> network.TrainConfig:
-    base = dict(cfg.get("train", {}))
-    for key in network._TRAIN_KEYS:
-        if getattr(args, key) is not None:
-            base[key] = getattr(args, key)
-    return network.TrainConfig.from_dict(base)
 
 
 def _cmd_train(args) -> int:
@@ -250,7 +242,8 @@ def _cmd_train(args) -> int:
         val = datasets.load_dataset(args.val_images, args.val_labels)
     top = max(int(d.labels.max(initial=0)) for d in (ds, val) if d is not None)
     model_cfg = _model_config_from(cfg, args, ds.images.shape[1:], classes=max(top + 1, 2))
-    hyper = _train_config_from(cfg, args)
+    hyper = network.TrainConfig.from_dict(_flags_over(cfg.get("train", {}), args,
+                                                      network._TRAIN_KEYS))
     model = network.build_model(model_cfg, dtype=_np_precision(args.precision))
     report = network.train(model, ds, hyper, val=val)
     if args.out:
@@ -260,9 +253,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _model_and_data(args):
+    """The checkpoint ``--model`` and the data set ``--images``/``--labels``."""
+    return network.load_model(args.model), datasets.load_dataset(args.images, args.labels)
+
+
 def _cmd_eval(args) -> int:
-    model = network.load_model(args.model)
-    ds = datasets.load_dataset(args.images, args.labels)
+    model, ds = _model_and_data(args)
     err = network.evaluate(model, ds)
     _emit(f"metric,value\ntop1_error,{err!r}\naccuracy,{1.0 - err!r}\n", args.out)
     return 0
@@ -280,8 +277,7 @@ def _cmd_robustness(args) -> int:
             except UnicodeDecodeError as exc:
                 raise InvalidConfig(f"{args.reference}: not a UTF-8 CSV file: {exc}") from exc
             ref = robustness.ErrorMatrix.from_csv(text)
-    model = network.load_model(args.model)
-    ds = datasets.load_dataset(args.images, args.labels)
+    model, ds = _model_and_data(args)
     matrix = robustness.error_matrix(model, ds, seed=args.seed)
     if ref is not None:
         report = robustness.robustness_report(matrix, ref)
@@ -291,17 +287,15 @@ def _cmd_robustness(args) -> int:
         json_text = json.dumps(matrix.to_json_dict(), indent=2, sort_keys=True) + "\n"
     if args.out_prefix:
         for suffix, text in ((".csv", csv_text), (".json", json_text)):
-            with open(args.out_prefix + suffix, "w") as fh:
-                fh.write(text)
+            _emit(text, args.out_prefix + suffix)
             print(args.out_prefix + suffix)
     else:
-        sys.stdout.write(csv_text)
+        _emit(csv_text, None)
     return 0
 
 
 def _cmd_shift(args) -> int:
-    model = network.load_model(args.model)
-    ds = datasets.load_dataset(args.images, args.labels)
+    model, ds = _model_and_data(args)
     cfg = robustness.ShiftTrialConfig(
         max_shift=args.range, pairs=args.pairs, padding=args.padding,
         seed=args.seed)
@@ -326,6 +320,17 @@ def _cmd_flops(args) -> int:
 # --- parser assembly ---
 
 
+def _add_precision(p, default: str) -> None:
+    p.add_argument("--precision", choices=("f32", "f64"), default=default,
+                   help=f"float width (default {default})")
+
+
+def _add_model_and_data(p) -> None:
+    """The flags :func:`_model_and_data` reads."""
+    for flag in ("--model", "--images", "--labels"):
+        p.add_argument(flag, required=True)
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="wavecnn",
                   description="Wavelet transforms, wavelet-downsampled CNNs, "
@@ -345,8 +350,7 @@ def _build_parser() -> _Parser:
                    help="input image (PGM or raw tensor)")
     p.add_argument("--out-prefix", required=True,
                    help="writes PREFIX_ll/_lh/_hl/_hh.wtn float tensors")
-    p.add_argument("--precision", choices=("f32", "f64"), default="f64",
-                   help="float width (default f64)")
+    _add_precision(p, "f64")
     p.set_defaults(func=_cmd_transform, parser=p)
 
     p = sub.add_parser("idwt", help="2D wavelet synthesis from four subband files")
@@ -355,8 +359,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--shape", type=_dims((2,), "HxW"), required=True, metavar="HxW",
                    help="spatial shape of the reconstruction")
     p.add_argument("--out", required=True, help="output image (.pgm quantizes)")
-    p.add_argument("--precision", choices=("f32", "f64"), default="f64",
-                   help="float width (default f64)")
+    _add_precision(p, "f64")
     p.set_defaults(func=_cmd_idwt, parser=p)
 
     p = sub.add_parser("denoise", help="soft-shrinkage wavelet denoising of one image")
@@ -367,8 +370,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--wavelet", choices=names, default="haar")
     p.add_argument("--lambda", dest="lam", type=float, default=0.1,
                    help="shrinkage threshold on the [0,1] pixel scale")
-    p.add_argument("--precision", choices=("f32", "f64"), default="f64",
-                   help="float width (default f64)")
+    _add_precision(p, "f64")
     p.set_defaults(func=_cmd_denoise, parser=p)
 
     p = sub.add_parser("train", help="train a model on an IDX dataset")
@@ -380,12 +382,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=network.DOWNSAMPLE_MODES,
                    help="downsample mode for the reference architecture")
     p.add_argument("--wavelet", choices=names, help="wavelet for dwt_* modes")
-    p.add_argument("--rewrite", choices=names, metavar="WAVELET",
+    p.add_argument("--rewrite", dest="wavelet_rewrite", choices=names, metavar="WAVELET",
                    help="rewrite stride-2 convs to stride-1 + ll downsample")
     p.add_argument("--seed", type=_seed,
                    help="model init seed, at least 0 (default: the run config's, else 0)")
-    p.add_argument("--precision", choices=("f32", "f64"), default="f32",
-                   help="float width (default f32)")
+    _add_precision(p, "f32")
     for key, kind in network._TRAIN_KEYS.items():
         p.add_argument("--" + key.replace("_", "-"), type=kind)
     p.add_argument("--out", help="checkpoint path to write")
@@ -393,16 +394,12 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train, parser=p)
 
     p = sub.add_parser("eval", help="top-1 error of a checkpoint on an IDX dataset")
-    p.add_argument("--model", required=True)
-    p.add_argument("--images", required=True)
-    p.add_argument("--labels", required=True)
+    _add_model_and_data(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval, parser=p)
 
     p = sub.add_parser("robustness", help="noise-corruption error matrix and CE/mCE report")
-    p.add_argument("--model", required=True)
-    p.add_argument("--images", required=True)
-    p.add_argument("--labels", required=True)
+    _add_model_and_data(p)
     p.add_argument("--reference", help="reference error matrix (.csv or .json); "
                                        "omit to emit this model's matrix only")
     p.add_argument("--out-prefix", help="write PREFIX.csv and PREFIX.json")
@@ -410,9 +407,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_robustness, parser=p)
 
     p = sub.add_parser("shift", help="prediction consistency under random translations")
-    p.add_argument("--model", required=True)
-    p.add_argument("--images", required=True)
-    p.add_argument("--labels", required=True)
+    _add_model_and_data(p)
     p.add_argument("--range", type=int, default=8, help="max shift in pixels")
     p.add_argument("--pairs", type=int, default=64, help="random shift pairs")
     p.add_argument("--padding", choices=("reflect", "edge", "constant"),
@@ -429,7 +424,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--mode", choices=network.DOWNSAMPLE_MODES)
     p.add_argument("--wavelet", choices=names)
-    p.add_argument("--rewrite", choices=names, metavar="WAVELET")
+    p.add_argument("--rewrite", dest="wavelet_rewrite", choices=names, metavar="WAVELET")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_flops, parser=p, seed=None)  # the madds carry no seed
 

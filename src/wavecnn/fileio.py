@@ -55,28 +55,29 @@ class Reader:
 
 
 TENSOR_MAGIC = b"WTN1"
-_TAG_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_DTYPE_TO_TAG = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+# the element-type tags of tensor files and model checkpoints
+TAG_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+DTYPE_TO_TAG = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
 def write_tensor(path, array: np.ndarray) -> None:
     arr = np.asarray(array)
-    if arr.dtype not in _DTYPE_TO_TAG:
+    if arr.dtype not in DTYPE_TO_TAG:
         arr = arr.astype(np.float64)
-    tag = _DTYPE_TO_TAG[arr.dtype]
+    tag = DTYPE_TO_TAG[arr.dtype]
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<BB", tag, arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[tag]).tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype=TAG_TO_DTYPE[tag]).tobytes())
 
 
 def read_tensor(path) -> np.ndarray:
     r = Reader.from_file(path)
     magic, tag, rank = r.unpack("<4sBB")
-    if magic != TENSOR_MAGIC or tag not in _TAG_TO_DTYPE:
+    if magic != TENSOR_MAGIC or tag not in TAG_TO_DTYPE:
         raise FormatError(f"{path}: not a raw tensor file (magic {magic!r}, type tag {tag})")
-    dtype = _TAG_TO_DTYPE[tag]
+    dtype = TAG_TO_DTYPE[tag]
     return r.array(dtype, r.unpack(f"<{rank}Q")).astype(dtype.newbyteorder("="))
 
 

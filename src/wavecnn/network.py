@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (DivergedLoss, FormatError, InvalidConfig, OddSpatial, ShapeMismatch,
                      UnknownWavelet)
-from .fileio import Reader
+from .fileio import DTYPE_TO_TAG, TAG_TO_DTYPE, Reader
 from .filterbank import get_wavelet
 from .layers import (AvgPool2, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2,
                      PadToEven, ReLU, SoftmaxCrossEntropy, WaveletDown)
@@ -451,7 +451,9 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
     val_labels = np.asarray(val.labels)
 
     rng = np.random.default_rng([model.config.seed, 0x5eed])
-    velocity = {}
+    # one momentum buffer per parameter, in layer order
+    slots = [(layer, name, np.zeros_like(p))
+             for layer in model.layers for name, p in layer.params().items()]
     train_losses, val_losses, val_accs = [], [], []
 
     def partial_report():
@@ -471,19 +473,13 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
                     f"loss became non-finite in epoch {epoch + 1}", partial_report())
             epoch_loss += loss * len(idx)
             model.backward(model.loss.backward())
-            for li, layer in enumerate(model.layers):
-                grads = layer.grads()
-                for name, p in layer.params().items():
-                    g = grads[name]
-                    if hyper.weight_decay:
-                        g = g + hyper.weight_decay * p
-                    v = velocity.get((li, name))
-                    if v is None:
-                        v = np.zeros_like(p)
-                        velocity[(li, name)] = v
-                    v *= hyper.momentum
-                    v -= lr * g
-                    p += v
+            for layer, name, v in slots:
+                p, g = getattr(layer, name), getattr(layer, "grad_" + name)
+                if hyper.weight_decay:
+                    g = g + hyper.weight_decay * p
+                v *= hyper.momentum
+                v -= lr * g
+                p += v
         train_losses.append(epoch_loss / len(images))
         vl, va = _eval_loss_acc(model, val_images, val_labels, hyper.batch)
         val_losses.append(vl)
@@ -526,19 +522,18 @@ def evaluate(model: Model, dataset) -> float:
 _MAGIC = b"WCN2"
 _LEGACY_MAGIC = b"WCN1"  # the same layout without the trailing digest
 _DIGEST = 32  # sha256 over every byte before it
-_DTYPE_TAGS = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
 
 
 def save_model(model: Model, path) -> None:
     """Write a versioned binary checkpoint (config plus all state arrays),
     closed by a sha256 of everything before it."""
-    tag = 0 if model.dtype == np.float32 else 1
+    tag = DTYPE_TO_TAG.get(model.dtype, 1)  # any other dtype is kept as float64
     cfg_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
     entries = list(model.named_params()) + list(model.named_buffers())
     parts = [_MAGIC, struct.pack("<BI", tag, len(cfg_blob)), cfg_blob,
              struct.pack("<I", len(entries))]
     for name, arr in entries:
-        blob = np.ascontiguousarray(arr).astype("<f4" if tag == 0 else "<f8").tobytes()
+        blob = np.ascontiguousarray(arr).astype(TAG_TO_DTYPE[tag]).tobytes()
         nb = name.encode()
         parts += [struct.pack("<H", len(nb)), nb,
                   struct.pack(f"<B{arr.ndim}QQ", arr.ndim, *arr.shape, len(blob)), blob]
@@ -571,7 +566,7 @@ def load_model(path) -> Model:
         raise InvalidConfig(f"{path}: not a model checkpoint")
     r = Reader(data, path)
     _, tag, cfg_len = r.unpack("<4sBI")
-    if tag not in _DTYPE_TAGS:
+    if tag not in TAG_TO_DTYPE:
         raise FormatError(f"{path}: unknown element-type tag {tag}")
     try:
         cfg = json.loads(str(r.take(cfg_len), "utf-8"))
@@ -579,11 +574,10 @@ def load_model(path) -> Model:
         raise FormatError(f"{path}: model config is not JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise FormatError(f"{path}: model config is not a JSON object")
-    model = Model(ModelConfig.from_dict(cfg), dtype=_DTYPE_TAGS[tag])
+    item = TAG_TO_DTYPE[tag]
+    model = Model(ModelConfig.from_dict(cfg), dtype=item.newbyteorder("="))
     state = {f"{i}.{name}": (layer, name, shape) for i, layer in enumerate(model.layers)
              for name, shape in {**layer.param_shapes(), **layer.buffer_shapes()}.items()}
-    item = np.dtype("<f4" if tag == 0 else "<f8")
-    loaded = set()
     (count,) = r.unpack("<I")
     for _ in range(count):
         (name_len,) = r.unpack("<H")
@@ -591,9 +585,9 @@ def load_model(path) -> Model:
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}Q")
         (nbytes,) = r.unpack("<Q")
-        if name not in state or name in loaded:
+        if name not in state:  # each entry is popped once read
             raise FormatError(f"{path}: unexpected or repeated state entry {name!r}")
-        layer, attr, want = state[name]
+        layer, attr, want = state.pop(name)
         if shape != want or nbytes != math.prod(want) * item.itemsize:
             raise FormatError(f"{path}: {name} holds shape {shape} in {nbytes} bytes, "
                               f"expected {want}")
@@ -601,9 +595,8 @@ def load_model(path) -> Model:
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: {name} holds NaN or infinite values")
         setattr(layer, attr, arr)
-        loaded.add(name)
-    if loaded != set(state):
-        raise FormatError(f"{path}: missing state entries {sorted(set(state) - loaded)}")
+    if state:
+        raise FormatError(f"{path}: missing state entries {sorted(state)}")
     if r.pos != len(data):
         raise FormatError(f"{path}: {len(data) - r.pos} trailing bytes")
     return model

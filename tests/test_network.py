@@ -389,23 +389,34 @@ class TestTraining:
         assert len(report.train_loss) == len(report.val_loss) == len(report.val_accuracy) == 1
         assert np.isfinite(report.train_loss[0]) and not np.isfinite(report.val_loss[0])
 
-    def test_one_step_with_weight_decay_matches_the_hand_update(self):
+    @pytest.mark.parametrize("batch", [16, 8])
+    def test_steps_with_weight_decay_match_the_hand_update(self, batch):
+        """One step (batch 16) or two (batch 8).  The velocity starts at zero
+        and carries over: v1 = -lr (g1 + wd p0), p1 = p0 + v1, then
+        v2 = m v1 - lr (g2 + wd p1), p2 = p1 + v2, with g2 taken at p1."""
         ds = _separable_2class(16)
-        hyper = nw.TrainConfig(lr=0.3, momentum=0.9, weight_decay=0.05, batch=16, epochs=1)
+        hyper = nw.TrainConfig(lr=0.3, momentum=0.9, weight_decay=0.05, batch=batch, epochs=1)
         model, ref = _tiny_model(seed=5), _tiny_model(seed=5)
-        # the one batch of the epoch, in the order train draws it
+        # the batches of the epoch, in the order train draws them
         order = np.random.default_rng([ref.config.seed, 0x5eed]).permutation(16)
-        images = np.asarray(ds.images, dtype=ref.dtype)[order]
-        ref.loss.forward(ref.forward(images, training=True), ds.labels[order])
-        ref.backward(ref.loss.backward())
+        images = np.asarray(ds.images, dtype=ref.dtype)
         dense = ref.layers[1]
+        v = {name: np.zeros_like(p) for name, p in dense.params().items()}
+        without_decay = {}
+        for start in range(0, 16, batch):
+            idx = order[start:start + batch]
+            ref.loss.forward(ref.forward(images[idx], training=True), ds.labels[idx])
+            ref.backward(ref.loss.backward())
+            for name, p in dense.params().items():
+                g = dense.grads()[name]
+                without_decay[name] = p + hyper.momentum * v[name] - hyper.lr * g
+                v[name] = hyper.momentum * v[name] - hyper.lr * (g + hyper.weight_decay * p)
+                p += v[name]
         nw.train(model, ds, hyper)
         for name, p in dense.params().items():
-            g = dense.grads()[name]
             got = model.layers[1].params()[name]
-            np.testing.assert_allclose(got, p - hyper.lr * (g + hyper.weight_decay * p),
-                                       rtol=1e-6, atol=1e-7)
-            assert not np.allclose(got, p - hyper.lr * g, rtol=1e-6, atol=1e-7)
+            np.testing.assert_allclose(got, p, rtol=1e-6, atol=1e-7)
+            assert not np.allclose(got, without_decay[name], rtol=1e-6, atol=1e-7)
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=np.int64))
