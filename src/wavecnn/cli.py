@@ -116,6 +116,11 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _json(d: dict) -> str:
+    """The text of every JSON report."""
+    return json.dumps(d, indent=2, sort_keys=True) + "\n"
+
+
 def _np_precision(name: str):
     return np.float32 if name == "f32" else np.float64
 
@@ -279,18 +284,13 @@ def _cmd_robustness(args) -> int:
             ref = robustness.ErrorMatrix.from_csv(text)
     model, ds = _model_and_data(args)
     matrix = robustness.error_matrix(model, ds, seed=args.seed)
-    if ref is not None:
-        report = robustness.robustness_report(matrix, ref)
-        csv_text, json_text = report.to_csv(), report.to_json()
-    else:
-        csv_text = matrix.to_csv()
-        json_text = json.dumps(matrix.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    result = matrix if ref is None else robustness.robustness_report(matrix, ref)
     if args.out_prefix:
-        for suffix, text in ((".csv", csv_text), (".json", json_text)):
+        for suffix, text in ((".csv", result.to_csv()), (".json", _json(result.to_json_dict()))):
             _emit(text, args.out_prefix + suffix)
             print(args.out_prefix + suffix)
     else:
-        _emit(csv_text, None)
+        _emit(result.to_csv(), None)
     return 0
 
 
@@ -309,11 +309,7 @@ def _cmd_flops(args) -> int:
     model = network.Model(_model_config_from(_load_run_config(args.config), args,
                                              args.input[-3:]))
     report = complexity.model_madds(model, args.input)
-    if args.format == "csv":
-        _emit(report.to_csv(), args.out)
-    else:
-        _emit(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-              args.out)
+    _emit(report.to_csv() if args.format == "csv" else _json(report.to_json_dict()), args.out)
     return 0
 
 

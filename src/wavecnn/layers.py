@@ -72,11 +72,11 @@ images of any size may come in.
 Each layer with state declares it once, as names and shapes:
 ``param_shapes`` for the learnable arrays (the gradient of ``weight`` is
 ``grad_weight``) and ``buffer_shapes`` for what else a checkpoint keeps
-(BatchNorm's running statistics).  ``params``, ``grads``, ``buffers`` and
-``init_params`` read the declaration, and so do the model's state-value
-limit and the checkpoint loader, which therefore need no allocated arrays.  A
-layer holds its arrays as attributes of those names once ``init_params`` or
-the loader has set them.
+(BatchNorm's running statistics).  ``params``, ``buffers`` and ``init_params``
+read the declaration, and so do the model's state-value limit and the
+checkpoint loader, which therefore need no allocated arrays.  A layer holds
+its arrays as attributes of those names once ``init_params`` or the loader
+has set them.
 """
 
 from __future__ import annotations
@@ -116,9 +116,6 @@ class Layer:
 
     def params(self) -> dict:
         return {name: getattr(self, name) for name in self.param_shapes()}
-
-    def grads(self) -> dict:
-        return {name: getattr(self, "grad_" + name, None) for name in self.param_shapes()}
 
     def buffers(self) -> dict:
         return {name: getattr(self, name) for name in self.buffer_shapes()}

@@ -520,7 +520,6 @@ def evaluate(model: Model, dataset) -> float:
 # --- checkpoints ---
 
 _MAGIC = b"WCN2"
-_LEGACY_MAGIC = b"WCN1"  # the same layout without the trailing digest
 _DIGEST = 32  # sha256 over every byte before it
 
 
@@ -553,17 +552,16 @@ def load_model(path) -> Model:
     mismatch, a config that is not JSON, a state entry that is missing,
     unknown, repeated or of the wrong size, or one that holds NaN or an
     infinity raises ``FormatError``; a file that is not a checkpoint at all
-    raises ``InvalidConfig``.  ``WCN1`` files, which carry no digest, go
-    through the same parser.
+    raises ``InvalidConfig``.  So does a file of the older ``WCN1`` layout:
+    it carries no digest, so a flipped bit in it would load silently.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] == _MAGIC:
-        data, digest = data[:-_DIGEST], data[-_DIGEST:]
-        if hashlib.sha256(data).digest() != digest:
-            raise FormatError(f"{path}: checkpoint digest mismatch (truncated or corrupt)")
-    elif data[:4] != _LEGACY_MAGIC:
+    if data[:4] != _MAGIC:
         raise InvalidConfig(f"{path}: not a model checkpoint")
+    data, digest = data[:-_DIGEST], data[-_DIGEST:]
+    if hashlib.sha256(data).digest() != digest:
+        raise FormatError(f"{path}: checkpoint digest mismatch (truncated or corrupt)")
     r = Reader(data, path)
     _, tag, cfg_len = r.unpack("<4sBI")
     if tag not in TAG_TO_DTYPE:

@@ -11,8 +11,6 @@ Shift consistency measures how often predictions survive small translations.
 from __future__ import annotations
 
 import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +86,13 @@ def corrupt_dataset(dataset, kind: str, severity: int, seed: int = 0):
 
 # --- error matrices ---
 
+_HEADER = "corruption,severity_1,severity_2,severity_3,severity_4,severity_5"
+
+
+def _row(name: str, rates) -> str:
+    """One CSV row of a matrix: the corruption, then its five rates."""
+    return name + "," + ",".join(repr(float(v)) for v in rates)
+
 
 @dataclass(frozen=True)
 class ErrorMatrix:
@@ -118,12 +123,9 @@ class ErrorMatrix:
             raise MissingCorruption([corruption]) from None
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# model: {self.model_id}\n")
-        out.write("corruption,severity_1,severity_2,severity_3,severity_4,severity_5\n")
-        for name, row in zip(self.corruptions, self.errors):
-            out.write(name + "," + ",".join(repr(float(v)) for v in row) + "\n")
-        return out.getvalue()
+        lines = [f"# model: {self.model_id}", _HEADER]
+        lines += [_row(name, row) for name, row in zip(self.corruptions, self.errors)]
+        return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_csv(text: str) -> "ErrorMatrix":
@@ -225,19 +227,14 @@ class RobustnessReport:
     mces: dict
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# model: {self.measured.model_id}\n")
-        out.write(f"# reference: {self.reference.model_id}\n")
-        out.write("corruption,severity_1,severity_2,severity_3,severity_4,"
-                  "severity_5,ce\n")
-        for name, row in zip(self.measured.corruptions, self.measured.errors):
-            ce = self.ces.get(name)
-            tail = repr(float(ce)) if ce is not None else ""
-            out.write(name + "," + ",".join(repr(float(v)) for v in row)
-                      + "," + tail + "\n")
-        for category, value in sorted(self.mces.items()):
-            out.write(f"mce_{category},,,,,,{float(value)!r}\n")
-        return out.getvalue()
+        m = self.measured
+        lines = [f"# model: {m.model_id}", f"# reference: {self.reference.model_id}",
+                 _HEADER + ",ce"]
+        for name, row in zip(m.corruptions, m.errors):
+            ce = repr(float(self.ces[name])) if name in self.ces else ""
+            lines.append(_row(name, row) + "," + ce)
+        lines += [f"mce_{c},,,,,,{float(v)!r}" for c, v in sorted(self.mces.items())]
+        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
@@ -248,9 +245,6 @@ class RobustnessReport:
             "ce": {k: float(v) for k, v in self.ces.items()},
             "mce": {k: float(v) for k, v in self.mces.items()},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def robustness_report(measured: ErrorMatrix,

@@ -3,8 +3,9 @@
 The library never builds these: it evaluates the truncated operators tile by
 tile and computes exact vector-Jacobian products.  The tests check it
 against the dense operator matrices (:func:`build_operator`), against
-central finite differences (:func:`gradcheck`), and count parameters from
-the declared shapes (:func:`parameter_count`).
+central finite differences (:func:`gradcheck`), count parameters from
+the declared shapes (:func:`parameter_count`), and read the gradients a
+backward left on a layer (:func:`grads`).
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ def parameter_count(model) -> int:
                for shape in layer.param_shapes().values())
 
 
+def grads(layer) -> dict:
+    """Name -> gradient of each learnable array of ``layer`` (``grad_<name>``),
+    None where no backward has set it."""
+    return {name: getattr(layer, "grad_" + name, None) for name in layer.param_shapes()}
+
+
 def gradcheck(target, x: np.ndarray, epsilon: float = 1e-6,
               rng=None, max_coords: int = 150) -> float:
     """Max relative error between analytic and central-difference gradients.
@@ -79,7 +86,7 @@ def gradcheck(target, x: np.ndarray, epsilon: float = 1e-6,
     analytic_grad = w
     for layer in reversed(layers):
         analytic_grad = layer.backward(analytic_grad)
-    param_grads = [{k: np.array(v) for k, v in layer.grads().items()}
+    param_grads = [{k: np.array(v) for k, v in grads(layer).items()}
                    for layer in layers]
 
     def loss_at(inp):
@@ -92,10 +99,10 @@ def gradcheck(target, x: np.ndarray, epsilon: float = 1e-6,
 
     worst = 0.0
 
-    def check(array, grads):
+    def check(array, gradient):
         nonlocal worst
         flat = array.reshape(-1)
-        gflat = np.asarray(grads).reshape(-1)
+        gflat = np.asarray(gradient).reshape(-1)
         for i in coords(flat.size):
             keep = flat[i]
             flat[i] = keep + epsilon
@@ -109,7 +116,7 @@ def gradcheck(target, x: np.ndarray, epsilon: float = 1e-6,
             worst = max(worst, rel)
 
     check(x, analytic_grad)
-    for layer, grads in zip(layers, param_grads):
+    for layer, layer_grads in zip(layers, param_grads):
         for name, p in layer.params().items():
-            check(p, grads[name])
+            check(p, layer_grads[name])
     return worst

@@ -26,7 +26,7 @@ from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismat
 from wavecnn.layers import Conv2d, Dense, Flatten, PadToEven, WaveletDown
 from wavecnn.robustness import ShiftTrialConfig, shift_consistency
 
-from reference import gradcheck, parameter_count
+from reference import gradcheck, grads, parameter_count
 
 
 class TestModelConfig:
@@ -408,7 +408,7 @@ class TestTraining:
             ref.loss.forward(ref.forward(images[idx], training=True), ds.labels[idx])
             ref.backward(ref.loss.backward())
             for name, p in dense.params().items():
-                g = dense.grads()[name]
+                g = grads(dense)[name]
                 without_decay[name] = p + hyper.momentum * v[name] - hyper.lr * g
                 v[name] = hyper.momentum * v[name] - hyper.lr * (g + hyper.weight_decay * p)
                 p += v[name]
@@ -573,15 +573,15 @@ def _state(model):
             list(model.named_params()) + list(model.named_buffers())}
 
 
-def _legacy(data):
-    """The same checkpoint in the WCN1 layout: no trailing digest."""
-    return b"WCN1" + data[4:-32]
+def _resealed(body) -> bytes:
+    """A checkpoint body closed by a fresh sha256, so that a defect in it
+    passes the digest check and only the parser can catch it."""
+    return bytes(body) + hashlib.sha256(body).digest()
 
 
-def _legacy_with(data, defect):
-    """The WCN1 form of checkpoint ``data`` with one ``defect`` that only the
-    parser can catch, since that layout carries no digest."""
-    body = bytearray(_legacy(data))
+def _with_defect(data, defect):
+    """Checkpoint ``data`` with one ``defect``, behind a fresh digest."""
+    body = bytearray(data[:-32])
     (cfg_len,) = struct.unpack_from("<I", body, 5)
     first = 9 + cfg_len + 4  # the first state entry, after the entry count
     (name_len,) = struct.unpack_from("<H", body, first)
@@ -596,7 +596,29 @@ def _legacy_with(data, defect):
         struct.pack_into("<Q", body, at, struct.unpack_from("<Q", body, at)[0] + 1)
     else:
         body += b"\0"
-    return bytes(body)
+    return _resealed(body)
+
+
+def _with_value(data, entry, value):
+    """Checkpoint ``data`` with the last element of state ``entry`` set to
+    ``value``, behind a fresh digest."""
+    body = bytearray(data[:-32])
+    at = body.index(entry.encode()) + len(entry)  # the entry's rank byte
+    ndim = body[at]
+    (nbytes,) = struct.unpack_from("<Q", body, at + 1 + 8 * ndim)
+    end = at + 9 + 8 * ndim + nbytes
+    item = nw.TAG_TO_DTYPE[body[4]]
+    body[end - item.itemsize:end] = np.array(value, item).tobytes()
+    return _resealed(body)
+
+
+def _eval_fails(tmp_path, capsys, model, error: str):
+    """``wavecnn eval`` on checkpoint ``model`` exits 2 and names ``error``."""
+    imgs, labs = tmp_path / "i.idx", tmp_path / "l.idx"
+    save_dataset(Dataset(np.zeros((2, 1, 4, 4)), np.zeros(2, dtype=np.int64)), imgs, labs)
+    assert main(["eval", "--model", str(model), "--images", str(imgs),
+                 "--labels", str(labs)]) == 2
+    assert f"wavecnn eval: error: {error}:" in capsys.readouterr().err
 
 
 def _loads_same_or_fails_loudly(path, want):
@@ -616,30 +638,37 @@ class TestCorruptCheckpoint:
         assert data[:4] == b"WCN2"
         assert hashlib.sha256(data[:-32]).digest() == data[-32:]
 
-    def test_wcn1_still_loads(self, tmp_path):
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_wcn1_is_refused(self, tmp_path, capsys, flipped):
+        """The older layout carries no digest, so a flipped bit in it would
+        load silently."""
         path = tmp_path / "m.wcn"
-        want = _small_checkpoint(path)
-        path.write_bytes(_legacy(path.read_bytes()))
-        got = _state(nw.load_model(path))
-        assert all(np.array_equal(got[k], want[k]) for k in want)
+        _small_checkpoint(path)
+        body = bytearray(b"WCN1" + path.read_bytes()[4:-32])
+        if flipped:
+            body[-1] ^= 0x01  # in the payload of running_var, the last entry
+        path.write_bytes(body)
+        with pytest.raises(InvalidConfig, match="not a model checkpoint"):
+            nw.load_model(path)
+        _eval_fails(tmp_path, capsys, path, "InvalidConfig")
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_entry_count_patched_to_zero(self, tmp_path, legacy):
+    @pytest.mark.parametrize("resealed", [False, True])
+    def test_entry_count_patched_to_zero(self, tmp_path, resealed):
         path = tmp_path / "m.wcn"
         _small_checkpoint(path)
         data = bytearray(path.read_bytes())
         (cfg_len,) = struct.unpack_from("<I", data, 5)
         struct.pack_into("<I", data, 9 + cfg_len, 0)
-        path.write_bytes(_legacy(data) if legacy else data)
+        path.write_bytes(_resealed(data[:-32]) if resealed else data)
         with pytest.raises(FormatError):
             nw.load_model(path)
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_last_100_bytes_cut(self, tmp_path, legacy):
+    @pytest.mark.parametrize("resealed", [False, True])
+    def test_last_100_bytes_cut(self, tmp_path, resealed):
         path = tmp_path / "m.wcn"
         _small_checkpoint(path)
         data = path.read_bytes()
-        path.write_bytes((_legacy(data) if legacy else data)[:-100])
+        path.write_bytes(_resealed(data[:-132]) if resealed else data[:-100])
         with pytest.raises(FormatError):
             nw.load_model(path)
 
@@ -655,10 +684,10 @@ class TestCorruptCheckpoint:
 
     @pytest.mark.parametrize("change", ["duplicate", "extra"])
     def test_entry_set_must_match_exactly(self, tmp_path, change):
-        """In the WCN1 layout, which has no digest to catch it first."""
+        """Behind a fresh digest, so only the parser can catch it."""
         path = tmp_path / "m.wcn"
         _small_checkpoint(path)
-        body = bytearray(_legacy(path.read_bytes()))
+        body = bytearray(path.read_bytes()[:-32])
         (cfg_len,) = struct.unpack_from("<I", body, 5)
         at = 9 + cfg_len
         (count,) = struct.unpack_from("<I", body, at)
@@ -670,32 +699,28 @@ class TestCorruptCheckpoint:
         if change == "extra":
             first = first.replace(b"0.weight", b"9.weight")
         struct.pack_into("<I", body, at, count + 1)
-        path.write_bytes(bytes(body) + first)
+        path.write_bytes(_resealed(bytes(body) + first))
         with pytest.raises(FormatError):
             nw.load_model(path)
 
     def test_bad_json_config(self, tmp_path):
         path = tmp_path / "m.wcn"
         _small_checkpoint(path)
-        body = bytearray(_legacy(path.read_bytes()))
+        body = bytearray(path.read_bytes()[:-32])
         body[9] = ord("[")
-        path.write_bytes(body)
+        path.write_bytes(_resealed(body))
         with pytest.raises(FormatError):
             nw.load_model(path)
 
     @pytest.mark.parametrize("defect", ["dtype tag", "config not an object", "entry shape",
                                         "entry size", "trailing bytes"])
-    def test_parser_rejects_in_the_digestless_layout(self, tmp_path, capsys, defect):
+    def test_parser_rejects_behind_a_fresh_digest(self, tmp_path, capsys, defect):
         path = tmp_path / "m.wcn"
         _small_checkpoint(path)
-        path.write_bytes(_legacy_with(path.read_bytes(), defect))
+        path.write_bytes(_with_defect(path.read_bytes(), defect))
         with pytest.raises(FormatError):
             nw.load_model(path)
-        imgs, labs = tmp_path / "i.idx", tmp_path / "l.idx"
-        save_dataset(Dataset(np.zeros((2, 1, 4, 4)), np.zeros(2, dtype=np.int64)), imgs, labs)
-        assert main(["eval", "--model", str(path), "--images", str(imgs),
-                     "--labels", str(labs)]) == 2
-        assert "wavecnn eval: error: FormatError:" in capsys.readouterr().err
+        _eval_fails(tmp_path, capsys, path, "FormatError")
 
     def test_every_truncation_fails_loudly(self, tmp_path):
         path = tmp_path / "m.wcn"
@@ -763,18 +788,21 @@ class TestLoadAllocatesNothingUnchecked:
 
 
 class TestNonFiniteState:
-    @pytest.mark.parametrize("legacy", [False, True])
+    @pytest.mark.parametrize("patched", [False, True])
     @pytest.mark.parametrize("layer,name,bad", [
         (0, "weight", np.nan), (0, "bias", -np.inf), (1, "gamma", np.inf),
         (1, "running_var", np.inf), (1, "running_mean", np.nan), (5, "weight", np.nan)])
-    def test_rejected_in_both_layouts(self, tmp_path, legacy, layer, name, bad):
+    def test_rejected_saved_or_patched(self, tmp_path, patched, layer, name, bad):
+        """Written by ``save_model``, or patched into a clean file behind a
+        fresh digest."""
         path = tmp_path / "m.wcn"
         _small_checkpoint(path)
-        model = nw.load_model(path)
-        getattr(model.layers[layer], name).reshape(-1)[-1] = bad
-        nw.save_model(model, path)
-        if legacy:
-            path.write_bytes(_legacy(path.read_bytes()))
+        if patched:
+            path.write_bytes(_with_value(path.read_bytes(), f"{layer}.{name}", bad))
+        else:
+            model = nw.load_model(path)
+            getattr(model.layers[layer], name).reshape(-1)[-1] = bad
+            nw.save_model(model, path)
         with pytest.raises(FormatError, match=f"{layer}.{name} holds NaN or infinite"):
             nw.load_model(path)
 
@@ -802,8 +830,8 @@ class TestModelBackward:
         model.layers[0].backward = input_gradient
         assert model.backward(g) is None
         for mine, theirs in zip(model.layers, full.layers):
-            for name, arr in mine.grads().items():
-                ref = theirs.grads()[name]
+            for name, arr in grads(mine).items():
+                ref = grads(theirs)[name]
                 assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes()
 
 

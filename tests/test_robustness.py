@@ -1,4 +1,6 @@
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +244,47 @@ class TestRobustnessReport:
         assert d["mce"]["noise"] == pytest.approx(50.0)
         assert set(d["ce"]) == set(NOISE_CORRUPTIONS)
 
+
+
+GOLDEN = Path(__file__).parent / "golden" / "robustness"
+
+
+def _json_text(d: dict) -> str:
+    """The JSON text the CLI writes for a report."""
+    return json.dumps(d, indent=2, sort_keys=True) + "\n"
+
+
+class TestReportBytes:
+    """Golden report bytes on rates that print awkwardly (1/3, 0.1, 2/3).
+    The reference lacks ``defocus`` (an empty ``ce`` cell) and holds every
+    noise kind (an ``mce_noise`` row)."""
+
+    def _pair(self):
+        measured = ErrorMatrix("model-b", (*NOISE_CORRUPTIONS, "defocus"), np.array([
+            [1 / 3, 0.1, 2 / 3, 0.1 + 0.2, 1.0],
+            [0.0, 1 / 3, 0.1, 2 / 3, 0.7],
+            [2 / 3, 2 / 3, 1 / 3, 0.1, 0.05],
+            [0.1, 0.2, 1 / 3, 2 / 3, 0.9]]))
+        reference = ErrorMatrix("ref-b", NOISE_CORRUPTIONS, np.array([
+            [0.1, 0.1, 1 / 3, 2 / 3, 0.9],
+            [2 / 3, 0.1, 0.1, 1 / 3, 0.3],
+            [1 / 3] * 5]))
+        return measured, reference
+
+    def test_error_matrix_csv(self):
+        assert self._pair()[0].to_csv() == (GOLDEN / "matrix.csv").read_text()
+
+    def test_error_matrix_json(self):
+        text = _json_text(self._pair()[0].to_json_dict())
+        assert text == (GOLDEN / "matrix.json").read_text()
+
+    def test_report_csv(self):
+        text = robustness_report(*self._pair()).to_csv()
+        assert text == (GOLDEN / "report.csv").read_text()
+
+    def test_report_json(self):
+        text = _json_text(robustness_report(*self._pair()).to_json_dict())
+        assert text == (GOLDEN / "report.json").read_text()
 
 class _ConstantModel:
     dtype = np.float64

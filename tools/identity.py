@@ -132,11 +132,11 @@ def malformed() -> None:
     data = ("--images", "tr.images.idx", "--labels", "tr.labels.idx")
     blob = Path("max_pool.wcn").read_bytes()
     Path("truncated.wcn").write_bytes(blob[:len(blob) // 2])
-    # WCN1 is WCN2 without the digest; the entry count follows the config
+    # no state entries behind a fresh digest; the entry count follows the config
     (cfg_len,) = struct.unpack_from("<I", blob, 5)
-    legacy = bytearray(b"WCN1" + blob[4:-32])
-    struct.pack_into("<I", legacy, 9 + cfg_len, 0)
-    Path("empty.wcn").write_bytes(bytes(legacy))
+    body = bytearray(blob[:-32])
+    struct.pack_into("<I", body, 9 + cfg_len, 0)
+    Path("empty.wcn").write_bytes(bytes(body) + hashlib.sha256(body).digest())
     for model in ("truncated.wcn", "empty.wcn"):
         run(f"eval {model}", "eval", "--model", model, *data, expect=2)
     for cfg in ("resnet.json", "repeated.json"):
