@@ -9,7 +9,9 @@ Subpackages by theme:
 - :mod:`wavecnn.denoise` — soft-shrinkage wavelet denoising
 - :mod:`wavecnn.layers` / :mod:`wavecnn.network` — a small NumPy neural
   network with wavelet down-sampling layers, training, and checkpoints
-- :mod:`wavecnn.datasets` — IDX ingestion and a synthetic task
+- :mod:`wavecnn.datasets` — data sets from IDX files and a synthetic task
+- :mod:`wavecnn.fileio` — every file layout (IDX, PGM, WTN, WCN) and the
+  one path that writes files
 - :mod:`wavecnn.robustness` — noise corruptions, corruption-error metrics,
   shift consistency
 - :mod:`wavecnn.complexity` — multiply-add accounting

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error (bad flags/arguments), 2 runtime error
 (bad files, incompatible shapes, diverged training).  Results go to stdout or
-to files; diagnostics go to stderr.
+to files; diagnostics go to stderr.  The file layouts, and how a file is
+written, are :mod:`wavecnn.fileio`'s.
 
 Subcommands: filters, transform, idwt, denoise, train, eval, robustness,
 shift, flops.  Each subcommand offers only the flags it reads: ``--seed`` on
@@ -71,19 +72,9 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
 
 
-def _sniff(path) -> str:
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head[:2] == b"P5":
-        return "pgm"
-    if head == fileio.TENSOR_MAGIC:
-        return "tensor"
-    raise FormatError(f"{path}: neither a PGM image nor a raw tensor file")
-
-
-def _read_finite_tensor(path, dtype) -> np.ndarray:
-    """Raw tensor file -> ``dtype`` array; NaN or infinite entries are a FormatError."""
-    arr = fileio.read_tensor(path).astype(dtype)
+def _finite(arr, path, dtype) -> np.ndarray:
+    """``arr`` read from ``path`` as ``dtype``; NaN or infinite entries are a FormatError."""
+    arr = arr.astype(dtype)
     if not np.isfinite(arr).all():
         raise FormatError(
             f"{path}: tensor holds NaN or infinite values as {np.dtype(dtype).name}")
@@ -92,9 +83,10 @@ def _read_finite_tensor(path, dtype) -> np.ndarray:
 
 def _read_plane(path, dtype) -> np.ndarray:
     """Image file -> 2-D float array; PGM pixels keep their 0..255 scale."""
-    if _sniff(path) == "pgm":
-        return fileio.read_pgm(path).astype(dtype)
-    arr = _read_finite_tensor(path, dtype)
+    arr = fileio._read_image(path)
+    if arr.dtype == np.uint8:  # a PGM
+        return arr.astype(dtype)
+    arr = _finite(arr, path, dtype)
     if arr.ndim != 2:
         raise FormatError(f"{path}: expected a 2-D tensor, got rank {arr.ndim}")
     return arr
@@ -110,8 +102,7 @@ def _write_plane(path, arr) -> None:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        fileio._write(out_path, text.encode())
     else:
         sys.stdout.write(text)
 
@@ -159,8 +150,8 @@ def _cmd_transform(args) -> int:
 def _cmd_idwt(args) -> int:
     spec = get_wavelet(args.wavelet)
     dt = _np_precision(args.precision)
-    bands = [_read_finite_tensor(f"{args.in_prefix}_{name}.wtn", dt)
-             for name in SUBBANDS]
+    paths = [f"{args.in_prefix}_{name}.wtn" for name in SUBBANDS]
+    bands = [_finite(fileio.read_tensor(path), path, dt) for path in paths]
     if any(b.ndim != 2 for b in bands):  # idwt2d would take a stack of planes
         raise FormatError(f"{args.in_prefix}: expected 2-D bands, got {[b.shape for b in bands]}")
     d = Decomposition2D(*bands, original_shape=args.shape)
@@ -171,13 +162,14 @@ def _cmd_idwt(args) -> int:
 
 def _cmd_denoise(args) -> int:
     cfg = denoise.DenoiseConfig(wavelet=args.wavelet, threshold=args.lam)
-    if _sniff(args.input) == "pgm":
-        out = denoise.denoise_image(fileio.read_pgm(args.input), cfg)
+    image = fileio._read_image(args.input)
+    if image.dtype == np.uint8:  # a PGM
+        out = denoise.denoise_image(image, cfg)
         if not str(args.out).lower().endswith(".pgm"):
             out = out.astype(np.float64) / 255.0
     else:
         dt = _np_precision(args.precision)
-        out = denoise.denoise_image(_read_finite_tensor(args.input, dt), cfg)
+        out = denoise.denoise_image(_finite(image, args.input, dt), cfg)
         if str(args.out).lower().endswith(".pgm"):
             out = np.asarray(out) * 255.0
     _write_plane(args.out, out)

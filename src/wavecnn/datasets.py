@@ -1,4 +1,7 @@
-"""Dataset containers, IDX ingestion, and a synthetic task.
+"""Dataset containers, IDX data sets, and a synthetic task.
+
+``read_idx``/``write_idx`` and the IDX layout live in :mod:`wavecnn.fileio`
+and are importable from here too.
 
 Images travel through the toolkit as float NCHW arrays on the unit scale
 [0, 1]; labels are an integer vector.  The synthetic generator draws each
@@ -8,13 +11,12 @@ order-independent.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, InvalidConfig, ShapeMismatch
-from .fileio import Reader
+from .fileio import read_idx, write_idx
 
 
 @dataclass(frozen=True)
@@ -34,29 +36,6 @@ class Dataset:
 
     def take(self, index) -> "Dataset":
         return Dataset(self.images[index], self.labels[index])
-
-
-def read_idx(path) -> np.ndarray:
-    """Read a u8 IDX file (big-endian header) into an array of its stored rank."""
-    r = Reader.from_file(path)
-    magic, rank = r.unpack(">3sB")
-    if magic != b"\x00\x00\x08":
-        raise FormatError(f"{path}: not a u8 IDX file (magic {magic.hex()})")
-    return r.array(np.uint8, r.unpack(f">{rank}I")).copy()
-
-
-def write_idx(path, array: np.ndarray) -> None:
-    """Rank 1 or 3 array of values in 0..255 -> u8 IDX file."""
-    arr = np.asarray(array)
-    if arr.ndim not in (1, 3):
-        raise FormatError(f"IDX writer handles rank 1 or 3, got {arr.ndim}")
-    if not np.all((arr >= 0) & (arr <= 255)):
-        raise FormatError("IDX files hold u8 values; got values outside 0..255")
-    arr = np.ascontiguousarray(arr, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">I", 0x800 | arr.ndim))
-        fh.write(struct.pack(f">{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())
 
 
 def load_dataset(images_path, labels_path) -> Dataset:

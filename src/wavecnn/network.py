@@ -10,24 +10,26 @@ the three wavelet modes (keep ll / average subbands / concatenate subbands).
 Configs may also carry a wavelet rewrite flag that turns every stride-2 conv
 into the same-shaped stride-1 conv followed by an ll-only wavelet downsample,
 leaving the parameter count untouched.
+
+Checkpoints use the WCN2 layout of :mod:`wavecnn.fileio`, which owns its
+bytes and its digest; this module assembles the model and checks each
+entry's name, shape and values against it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
-import struct
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .errors import (DivergedLoss, FormatError, InvalidConfig, OddSpatial, ShapeMismatch,
                      UnknownWavelet)
-from .fileio import DTYPE_TO_TAG, TAG_TO_DTYPE, Reader
 from .filterbank import get_wavelet
 from .layers import (AvgPool2, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2,
                      PadToEven, ReLU, SoftmaxCrossEntropy, WaveletDown)
@@ -238,8 +240,10 @@ class Model:
     def __init__(self, config: ModelConfig, dtype=np.float32):
         if config.wavelet_rewrite:
             get_wavelet(config.wavelet_rewrite)  # validate the name early
-        # inputs are images of any size and channel count
-        self.layers, _ = _chain(config.layers, (None, None, None), config.wavelet_rewrite)
+        # inputs are images of any size and channel count, so the per-image
+        # output shape holds None where it depends on the input
+        self.layers, self.out_shape = _chain(config.layers, (None, None, None),
+                                             config.wavelet_rewrite)
         self.config = config
         self.dtype = np.dtype(dtype)
         self.loss = SoftmaxCrossEntropy()
@@ -436,10 +440,16 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
 
     ``dataset``/``val`` carry ``images`` (NCHW float) and ``labels`` (int
     vector); when ``val`` is omitted the training split doubles as the
-    validation split.  An empty training or validation split raises
+    validation split.  A model whose output per image is not one flat
+    logit vector, or an empty training or validation split, raises
     InvalidConfig before the first step.  A non-finite step or validation
-    loss aborts with DivergedLoss carrying the partial report.
+    loss aborts with DivergedLoss carrying the partial report; NumPy's
+    overflow and invalid-value warnings on the way there are silenced, as
+    that check is the divergence signal.
     """
+    if len(model.out_shape) != 1:
+        raise InvalidConfig(f"model config: its layers give each image the output shape "
+                            f"{model.out_shape}, but training needs a flat (classes,) vector")
     if len(dataset.images) == 0:
         raise InvalidConfig("empty training dataset")
     val = val if val is not None else dataset
@@ -460,33 +470,34 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
         return TrainReport(tuple(train_losses), tuple(val_losses), tuple(val_accs),
                            model.checksum())
 
-    for epoch in range(hyper.epochs):
-        lr = _epoch_lr(hyper.lr, epoch, hyper.epochs)
-        order = rng.permutation(len(images))
-        epoch_loss = 0.0
-        for start in range(0, len(order), hyper.batch):
-            idx = order[start:start + hyper.batch]
-            logits = model.forward(images[idx], training=True)
-            loss = model.loss.forward(logits, labels[idx])
-            if not np.isfinite(loss):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hyper.epochs):
+            lr = _epoch_lr(hyper.lr, epoch, hyper.epochs)
+            order = rng.permutation(len(images))
+            epoch_loss = 0.0
+            for start in range(0, len(order), hyper.batch):
+                idx = order[start:start + hyper.batch]
+                logits = model.forward(images[idx], training=True)
+                loss = model.loss.forward(logits, labels[idx])
+                if not np.isfinite(loss):
+                    raise DivergedLoss(
+                        f"loss became non-finite in epoch {epoch + 1}", partial_report())
+                epoch_loss += loss * len(idx)
+                model.backward(model.loss.backward())
+                for layer, name, v in slots:
+                    p, g = getattr(layer, name), getattr(layer, "grad_" + name)
+                    if hyper.weight_decay:
+                        g = g + hyper.weight_decay * p
+                    v *= hyper.momentum
+                    v -= lr * g
+                    p += v
+            train_losses.append(epoch_loss / len(images))
+            vl, va = _eval_loss_acc(model, val_images, val_labels, hyper.batch)
+            val_losses.append(vl)
+            val_accs.append(va)
+            if not np.isfinite(vl):
                 raise DivergedLoss(
-                    f"loss became non-finite in epoch {epoch + 1}", partial_report())
-            epoch_loss += loss * len(idx)
-            model.backward(model.loss.backward())
-            for layer, name, v in slots:
-                p, g = getattr(layer, name), getattr(layer, "grad_" + name)
-                if hyper.weight_decay:
-                    g = g + hyper.weight_decay * p
-                v *= hyper.momentum
-                v -= lr * g
-                p += v
-        train_losses.append(epoch_loss / len(images))
-        vl, va = _eval_loss_acc(model, val_images, val_labels, hyper.batch)
-        val_losses.append(vl)
-        val_accs.append(va)
-        if not np.isfinite(vl):
-            raise DivergedLoss(
-                f"validation loss became non-finite in epoch {epoch + 1}", partial_report())
+                    f"validation loss became non-finite in epoch {epoch + 1}", partial_report())
     return partial_report()
 
 
@@ -519,26 +530,12 @@ def evaluate(model: Model, dataset) -> float:
 
 # --- checkpoints ---
 
-_MAGIC = b"WCN2"
-_DIGEST = 32  # sha256 over every byte before it
-
 
 def save_model(model: Model, path) -> None:
-    """Write a versioned binary checkpoint (config plus all state arrays),
-    closed by a sha256 of everything before it."""
-    tag = DTYPE_TO_TAG.get(model.dtype, 1)  # any other dtype is kept as float64
-    cfg_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
-    entries = list(model.named_params()) + list(model.named_buffers())
-    parts = [_MAGIC, struct.pack("<BI", tag, len(cfg_blob)), cfg_blob,
-             struct.pack("<I", len(entries))]
-    for name, arr in entries:
-        blob = np.ascontiguousarray(arr).astype(TAG_TO_DTYPE[tag]).tobytes()
-        nb = name.encode()
-        parts += [struct.pack("<H", len(nb)), nb,
-                  struct.pack(f"<B{arr.ndim}QQ", arr.ndim, *arr.shape, len(blob)), blob]
-    body = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(body + hashlib.sha256(body).digest())
+    """Write a WCN2 checkpoint (:mod:`wavecnn.fileio`): the config and every
+    state array, closed by a sha256 of everything before it."""
+    fileio._write_checkpoint(path, model.dtype, model.config.to_dict(),
+                             [*model.named_params(), *model.named_buffers()])
 
 
 def load_model(path) -> Model:
@@ -555,46 +552,22 @@ def load_model(path) -> Model:
     raises ``InvalidConfig``.  So does a file of the older ``WCN1`` layout:
     it carries no digest, so a flipped bit in it would load silently.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
-        raise InvalidConfig(f"{path}: not a model checkpoint")
-    data, digest = data[:-_DIGEST], data[-_DIGEST:]
-    if hashlib.sha256(data).digest() != digest:
-        raise FormatError(f"{path}: checkpoint digest mismatch (truncated or corrupt)")
-    r = Reader(data, path)
-    _, tag, cfg_len = r.unpack("<4sBI")
-    if tag not in TAG_TO_DTYPE:
-        raise FormatError(f"{path}: unknown element-type tag {tag}")
-    try:
-        cfg = json.loads(str(r.take(cfg_len), "utf-8"))
-    except (ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8
-        raise FormatError(f"{path}: model config is not JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise FormatError(f"{path}: model config is not a JSON object")
-    item = TAG_TO_DTYPE[tag]
-    model = Model(ModelConfig.from_dict(cfg), dtype=item.newbyteorder("="))
-    state = {f"{i}.{name}": (layer, name, shape) for i, layer in enumerate(model.layers)
-             for name, shape in {**layer.param_shapes(), **layer.buffer_shapes()}.items()}
-    (count,) = r.unpack("<I")
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        name = str(r.take(name_len), "utf-8", "replace")
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}Q")
-        (nbytes,) = r.unpack("<Q")
-        if name not in state:  # each entry is popped once read
-            raise FormatError(f"{path}: unexpected or repeated state entry {name!r}")
-        layer, attr, want = state.pop(name)
-        if shape != want or nbytes != math.prod(want) * item.itemsize:
-            raise FormatError(f"{path}: {name} holds shape {shape} in {nbytes} bytes, "
-                              f"expected {want}")
-        arr = r.array(item, shape).astype(model.dtype)
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: {name} holds NaN or infinite values")
-        setattr(layer, attr, arr)
-    if state:
-        raise FormatError(f"{path}: missing state entries {sorted(state)}")
-    if r.pos != len(data):
-        raise FormatError(f"{path}: {len(data) - r.pos} trailing bytes")
-    return model
+    def assemble(dtype, cfg, entries) -> Model:
+        model = Model(ModelConfig.from_dict(cfg), dtype=dtype)
+        state = {f"{i}.{name}": (layer, name, shape) for i, layer in enumerate(model.layers)
+                 for name, shape in {**layer.param_shapes(), **layer.buffer_shapes()}.items()}
+        for name, shape, nbytes, read in entries:
+            if name not in state:  # each entry is popped once read
+                raise FormatError(f"{path}: unexpected or repeated state entry {name!r}")
+            layer, attr, want = state.pop(name)
+            if shape != want or nbytes != math.prod(want) * model.dtype.itemsize:
+                raise FormatError(f"{path}: {name} holds shape {shape} in {nbytes} bytes, "
+                                  f"expected {want}")
+            arr = read()
+            if not np.isfinite(arr).all():
+                raise FormatError(f"{path}: {name} holds NaN or infinite values")
+            setattr(layer, attr, arr)
+        if state:
+            raise FormatError(f"{path}: missing state entries {sorted(state)}")
+        return model
+    return fileio._read_checkpoint(path, assemble)

@@ -297,6 +297,12 @@ class TestTrainEval:
         assert "wavecnn train: error: DivergedLoss: loss became non-finite in epoch 1" in err
         assert not model.exists() and not report.exists()
 
+    def test_an_overflowing_momentum_prints_only_its_error(self, capsys, idx_pair):
+        code, out, err = run_cli(capsys, "train", "--images", idx_pair[0], "--labels",
+                                 idx_pair[1], "--epochs", "1", "--momentum", "1e308")
+        assert code == 2 and out == ""
+        assert err == "wavecnn train: error: DivergedLoss: loss became non-finite in epoch 1\n"
+
     def test_unknown_config_key_is_runtime_error(self, capsys, tmp_path, idx_pair):
         imgs, labs = idx_pair
         cfg_path = tmp_path / "run.json"
@@ -562,6 +568,9 @@ BAD_RUN_CONFIGS = [
     ({"layers": [{"kind": "pool"}]}, BOTH),
     ({"layers": [{"kind": "conv", "kernel": 3, "c_in": 1, "c_out": 2}], "seed": 1.5}, BOTH),
     ({"mode": "max_pool", "seed": -1}, BOTH),
+    # ``flops`` counts a model of any output shape; training needs flat logits
+    ({"layers": []}, TRAIN_ONLY),
+    ({"layers": [{"kind": "conv", "kernel": 3, "c_in": 1, "c_out": 4}]}, TRAIN_ONLY),
 ]
 
 

@@ -1,9 +1,16 @@
+import errno
+import io
+import os
+import stat
+
 import numpy as np
 import pytest
 
+from wavecnn import fileio
 from wavecnn.errors import FormatError
 from wavecnn.fileio import (TENSOR_MAGIC, read_pgm, read_tensor, write_pgm,
                             write_tensor)
+from wavecnn.network import build_model, mini_config, save_model
 
 
 class TestTensorFormat:
@@ -111,3 +118,82 @@ class TestPgm:
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))
+
+
+def _small_model(seed):
+    return build_model(mini_config("dwt_ll", "haar", image_hw=(8, 8), classes=2, seed=seed))
+
+
+class TestWholeFileWrites:
+    """Every writer goes through ``fileio._write``: a regular destination is
+    replaced whole, anything else is written in place."""
+
+    def test_a_failed_write_leaves_the_old_checkpoint_and_no_stray_file(self, tmp_path,
+                                                                          monkeypatch):
+        path = tmp_path / "m.wcn"
+        save_model(_small_model(0), path)
+        old = path.read_bytes()
+
+        writes = []
+
+        class DiskFills(io.BufferedWriter):
+            """Fails its third write, partway through the file, as a full disk does."""
+
+            def write(self, data):
+                writes.append(data)
+                if len(writes) == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        def open_on_a_full_disk(file, mode):
+            return DiskFills(io.FileIO(file, mode[0]))
+        monkeypatch.setattr(fileio, "open", open_on_a_full_disk, raising=False)
+        with pytest.raises(OSError) as info:
+            save_model(_small_model(1), path)
+        assert info.value.errno == errno.ENOSPC and len(writes) == 3
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["m.wcn"]
+
+    def test_a_replaced_file_keeps_its_permission_bits(self, tmp_path):
+        path = tmp_path / "t.wtn"
+        write_tensor(path, np.zeros(2))
+        path.chmod(0o640)
+        write_tensor(path, np.ones(3))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert np.array_equal(read_tensor(path), np.ones(3))
+
+    def test_a_new_file_gets_the_mode_of_a_plain_open(self, tmp_path):
+        write_pgm(tmp_path / "new.pgm", np.zeros((2, 2), np.uint8))
+        (tmp_path / "plain").write_bytes(b"")
+        assert (tmp_path / "new.pgm").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        arr = np.arange(6.0)
+        write_tensor(tmp_path / "plain.wtn", arr)
+        fifo = tmp_path / "fifo.wtn"
+        os.mkfifo(fifo)
+        # a reader that never blocks: with it open, the writer's open returns
+        # at once, and the bytes fit in the pipe buffer
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_tensor(fifo, arr)
+            got = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert got == (tmp_path / "plain.wtn").read_bytes()
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "real.pgm", tmp_path / "link.pgm"
+        write_pgm(target, np.zeros((2, 2), np.uint8))
+        link.symlink_to(target.name)
+        img = np.full((3, 4), 7, np.uint8)
+        write_pgm(link, img)
+        assert link.is_symlink()
+        assert np.array_equal(read_pgm(target), img)
+
+    def test_a_missing_directory_is_named_as_the_destination(self, tmp_path):
+        path = tmp_path / "absent" / "t.wtn"
+        with pytest.raises(FileNotFoundError) as info:
+            write_tensor(path, np.zeros(2))
+        assert info.value.filename == str(path)

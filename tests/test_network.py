@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavecnn import network as nw
+from wavecnn import fileio, network as nw
 from wavecnn.cli import main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
 from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismatch
@@ -432,6 +432,29 @@ class TestTraining:
             nw.train(model, ds, nw.TrainConfig(epochs=1, batch=8), val=empty)
         assert model.checksum() == before
 
+    def test_an_overflowing_momentum_diverges_without_a_warning(self):
+        """``pyproject.toml`` makes a RuntimeWarning an error, so a NumPy
+        overflow warning escaping the loop fails this test."""
+        ds = _separable_2class(16)
+        with pytest.raises(DivergedLoss, match="loss became non-finite in epoch 1"):
+            nw.train(_tiny_model(), ds, nw.TrainConfig(momentum=1e308, epochs=1, batch=8))
+
+    @pytest.mark.parametrize("layers", [[], [nw.conv(3, 1, 4)], [nw.conv(3, 1, 4), nw.relu()]])
+    def test_an_output_that_is_not_flat_is_refused_before_any_step(self, layers):
+        ds = _separable_2class(16)
+        model = nw.build_model(nw.ModelConfig(layers=tuple(layers)))
+        before = model.checksum()
+        with pytest.raises(InvalidConfig, match=r"model config: .* shape \("):
+            nw.train(model, ds, nw.TrainConfig(epochs=1, batch=8))
+        assert model.checksum() == before
+
+    def test_a_flat_output_without_a_dense_layer_trains(self):
+        """Flatten alone gives each image a (features,) vector: 64 logits."""
+        ds = _separable_2class(16)
+        model = nw.build_model(nw.ModelConfig(layers=(nw.flatten(),)))
+        assert model.out_shape == (None,)
+        assert len(nw.train(model, ds, nw.TrainConfig(epochs=1, batch=8)).train_loss) == 1
+
     def test_report_csv_layout(self):
         ds = _separable_2class(16)
         report = nw.train(_tiny_model(), ds, nw.TrainConfig(epochs=2, batch=8))
@@ -607,7 +630,7 @@ def _with_value(data, entry, value):
     ndim = body[at]
     (nbytes,) = struct.unpack_from("<Q", body, at + 1 + 8 * ndim)
     end = at + 9 + 8 * ndim + nbytes
-    item = nw.TAG_TO_DTYPE[body[4]]
+    item = fileio.TAG_TO_DTYPE[body[4]]
     body[end - item.itemsize:end] = np.array(value, item).tobytes()
     return _resealed(body)
 

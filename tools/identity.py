@@ -12,10 +12,12 @@ paths, on inputs it writes itself without ``wavecnn``, and prints one
 ``sha256  name`` line per output: the stdout and stderr of every run (its
 exit code is part of the name) and every file a run writes.  It covers
 ``--help`` of every subcommand, ``filters`` for every bank, ``transform``,
-``idwt`` and ``denoise``, a small ``train`` in every mode, ``eval``,
-``robustness``, ``shift``, ``flops``, and the messages for a set of
-malformed inputs.  A run that exits with a code other than the one expected
-of it is reported on stderr and makes the tool exit 1.
+``idwt`` and ``denoise`` between PGM and tensor files, a small ``train`` in
+every mode, ``eval``, ``robustness``, ``shift``, ``flops``, the ``--out``
+file of each subcommand that has one, and the messages for a set of
+malformed inputs, among them checkpoints altered behind a fresh digest.  A
+run that exits with a code other than the one expected of it is reported on
+stderr and makes the tool exit 1.
 """
 
 from __future__ import annotations
@@ -68,11 +70,14 @@ def run(name: str, *argv, expect: int = 0, files=()) -> str:
 
 
 def write_inputs() -> None:
-    """A 24x28 PGM image, a 40-image 16x16 IDX data set with four classes,
-    and the run configs, written without ``wavecnn``."""
+    """A 24x28 PGM image and the same pixels as a unit-scale f64 tensor, a
+    40-image 16x16 IDX data set with four classes, and the run configs,
+    written without ``wavecnn``."""
     rng = np.random.default_rng(0)
     pixels = rng.integers(0, 256, (24, 28), np.uint8)
     Path("img.pgm").write_bytes(b"P5\n28 24\n255\n" + pixels.tobytes())
+    Path("unit.wtn").write_bytes(b"WTN1" + struct.pack("<BB2Q", 1, 2, 24, 28)
+                                 + (pixels / 255.0).astype("<f8").tobytes())
     images = rng.integers(0, 256, (40, 16, 16), np.uint8)
     labels = (np.arange(40) % 4).astype(np.uint8)
     Path("tr.images.idx").write_bytes(struct.pack(">I3I", 0x803, 40, 16, 16) + images.tobytes())
@@ -98,6 +103,15 @@ def transforms() -> None:
                 files=[f"{tag}.dn.wtn"])
         run(f"denoise {bank} pgm", "denoise", "--wavelet", bank, "--in", "img.pgm",
             "--out", f"{bank}.dn.pgm", files=[f"{bank}.dn.pgm"])
+        run(f"idwt {bank} to pgm", "idwt", "--wavelet", bank, "--in-prefix", f"{bank}.f64",
+            "--shape", "24x28", "--out", f"{bank}.idwt.pgm", files=[f"{bank}.idwt.pgm"])
+        run(f"denoise {bank} tensor to pgm", "denoise", "--wavelet", bank, "--in", "unit.wtn",
+            "--out", f"{bank}.unit.dn.pgm", files=[f"{bank}.unit.dn.pgm"])
+        run(f"denoise {bank} tensor to tensor", "denoise", "--wavelet", bank, "--in", "unit.wtn",
+            "--out", f"{bank}.unit.dn.wtn", files=[f"{bank}.unit.dn.wtn"])
+    bands = [f"unit_{b}.wtn" for b in ("ll", "lh", "hl", "hh")]
+    run("transform unit.wtn", "transform", "--wavelet", "db4", "--in", "unit.wtn",
+        "--out-prefix", "unit", files=bands)
 
 
 def models() -> None:
@@ -113,6 +127,9 @@ def models() -> None:
         run(f"eval {model}", "eval", *given)
         run(f"shift {model}", "shift", *given, "--range", "3", "--pairs", "6", "--seed", "1")
     given = ("--model", "dwt_ll.wcn", *data)
+    run("eval --out", "eval", *given, "--out", "eval.csv", files=["eval.csv"])
+    run("shift --out", "shift", *given, "--range", "2", "--pairs", "4", "--out", "shift.csv",
+        files=["shift.csv"])
     run("robustness", "robustness", *given, "--seed", "2")
     run("robustness prefix", "robustness", *given, "--out-prefix", "ref",
         files=["ref.csv", "ref.json"])
@@ -126,19 +143,59 @@ def models() -> None:
                 *_mode(mode), "--format", fmt)
     run("flops rewrite", "flops", "--config", "run.json", "--input", "3x32x32",
         *_mode("strided_conv"), "--rewrite", "haar", "--format", "csv")
+    run("flops --out", "flops", "--config", "run.json", "--input", "1x28x28", *_mode("dwt_ll"),
+        "--out", "flops.json", files=["flops.json"])
+
+
+def altered_checkpoints() -> tuple:
+    """A cut copy of ``max_pool.wcn`` and copies altered behind a fresh
+    digest; returns their names, then that of a file that is no checkpoint."""
+    blob = Path("max_pool.wcn").read_bytes()
+    Path("truncated.wcn").write_bytes(blob[:len(blob) // 2])
+    body = blob[:-32]
+    # the entry count follows the config; each entry is a u16 name length,
+    # the name, a u8 rank, u64 dims, a u64 byte count and the payload
+    (cfg_len,) = struct.unpack_from("<I", body, 5)
+    count_at = 9 + cfg_len
+    (count,) = struct.unpack_from("<I", body, count_at)
+    first = count_at + 4
+    rank_at = first + 2 + struct.unpack_from("<H", body, first)[0]
+    dims_at, size_at = rank_at + 1, rank_at + 1 + 8 * body[rank_at]
+    (dim0,) = struct.unpack_from("<Q", body, dims_at)
+    (nbytes,) = struct.unpack_from("<Q", body, size_at)
+    entry = body[first:size_at + 8 + nbytes]
+    altered = {
+        "empty.wcn": body[:count_at] + struct.pack("<I", 0) + body[first:],
+        "repeated.wcn": body[:count_at] + struct.pack("<I", count + 1) + entry + body[first:],
+        "shape.wcn": body[:dims_at] + struct.pack("<Q", dim0 + 1) + body[dims_at + 8:],
+        "tag.wcn": body[:4] + b"\x07" + body[5:],
+        "trailing.wcn": body + b"\0",
+    }
+    for name, data in altered.items():
+        Path(name).write_bytes(data + hashlib.sha256(data).digest())
+    return ("truncated.wcn", *altered, "img.pgm")
 
 
 def malformed() -> None:
     data = ("--images", "tr.images.idx", "--labels", "tr.labels.idx")
-    blob = Path("max_pool.wcn").read_bytes()
-    Path("truncated.wcn").write_bytes(blob[:len(blob) // 2])
-    # no state entries behind a fresh digest; the entry count follows the config
-    (cfg_len,) = struct.unpack_from("<I", blob, 5)
-    body = bytearray(blob[:-32])
-    struct.pack_into("<I", body, 9 + cfg_len, 0)
-    Path("empty.wcn").write_bytes(bytes(body) + hashlib.sha256(body).digest())
-    for model in ("truncated.wcn", "empty.wcn"):
+    for model in altered_checkpoints():
         run(f"eval {model}", "eval", "--model", model, *data, expect=2)
+    images = Path("tr.images.idx").read_bytes()
+    Path("cut.images.idx").write_bytes(images[:len(images) - 1])
+    run("eval cut.images.idx", "eval", "--model", "max_pool.wcn", "--images", "cut.images.idx",
+        "--labels", "tr.labels.idx", expect=2)
+    for name in ("run.json", "absent.pgm"):
+        run(f"transform {name}", "transform", "--wavelet", "haar", "--in", name,
+            "--out-prefix", "bad", expect=2)
+    for band in ("ll", "lh", "hl", "hh"):
+        raw = Path(f"haar.f64_{band}.wtn").read_bytes()
+        Path(f"cut_{band}.wtn").write_bytes(raw[:-8] if band == "hh" else raw)
+    run("idwt truncated band", "idwt", "--wavelet", "haar", "--in-prefix", "cut",
+        "--shape", "24x28", "--out", "cut.wtn", expect=2)
+    run("idwt into a missing directory", "idwt", "--wavelet", "haar", "--in-prefix",
+        "haar.f64", "--shape", "24x28", "--out", "absent/x.wtn", expect=2)
+    run("filters into a missing directory", "filters", "--list", "--out", "absent/x.txt",
+        expect=2)
     for cfg in ("resnet.json", "repeated.json"):
         run(f"train {cfg}", "train", "--config", cfg, *data, expect=2)
     run("robustness latin1.csv", "robustness", "--model", "max_pool.wcn", *data,
@@ -160,6 +217,10 @@ def main() -> int:
                 run(f"{sub} --help", sub, "--help")
             for bank in run("filters --list", "filters", "--list").split():
                 run(f"filters {bank}", "filters", "--wavelet", bank)
+            run("filters --out", "filters", "--wavelet", "db4", "--out", "db4.csv",
+                files=["db4.csv"])
+            run("filters --list --out", "filters", "--list", "--out", "names.txt",
+                files=["names.txt"])
             transforms()
             models()
             malformed()
