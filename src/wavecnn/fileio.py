@@ -27,6 +27,7 @@ goes through :func:`_write`.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -83,15 +84,21 @@ def _write(path, *parts) -> None:
     Where ``path`` is a regular file or does not exist, the parts go to a
     sibling temporary file that then replaces it, so ``path`` holds either
     its old bytes or all the new ones.  A replaced file keeps its permission
-    bits, and on any failure the temporary file is removed.  A symlink,
-    device or FIFO (``/dev/stdout``) is written in place.  Nothing is synced
-    to disk, so a power loss may still cut a file.
+    bits, and on any failure the temporary file is removed.  A file the
+    caller may not write is refused, as an in-place open refuses it.  The
+    rename has limits an in-place write does not: the replaced file takes
+    the writer's owner and group, a hard link to it keeps the old bytes, and
+    in a sticky directory (``/tmp``) another user's file cannot be replaced.
+    A symlink, device or FIFO (``/dev/stdout``) is written in place.
+    Nothing is synced to disk, so a power loss may still cut a file.
     """
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
         mode = None
     whole = mode is None or stat.S_ISREG(mode)
+    if whole and mode is not None and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
     dest = (os.path.join(os.path.dirname(path), f".wavecnn-{os.urandom(6).hex()}.tmp")
             if whole else path)
     try:
@@ -104,7 +111,10 @@ def _write(path, *parts) -> None:
         if whole:
             if mode is not None:
                 os.chmod(dest, stat.S_IMODE(mode))
-            os.replace(dest, path)
+            try:
+                os.replace(dest, path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     except BaseException:
         if whole:
             os.unlink(dest)

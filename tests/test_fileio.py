@@ -154,6 +154,32 @@ class TestWholeFileWrites:
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["m.wcn"]
 
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+    def test_a_write_protected_file_is_refused_and_kept(self, tmp_path):
+        path = tmp_path / "m.wcn"
+        save_model(_small_model(0), path)
+        old = path.read_bytes()
+        path.chmod(0o444)
+        with pytest.raises(PermissionError) as info:
+            save_model(_small_model(1), path)
+        assert info.value.filename == str(path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["m.wcn"]
+
+    def test_a_failed_rename_names_the_destination_and_leaves_no_stray_file(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "t.wtn"
+        write_tensor(path, np.zeros(2))
+
+        def sticky_directory(src, dst):  # another user's file in /tmp
+            raise OSError(errno.EPERM, os.strerror(errno.EPERM), src, None, dst)
+        monkeypatch.setattr(os, "replace", sticky_directory)
+        with pytest.raises(PermissionError) as info:
+            write_tensor(path, np.ones(3))
+        assert info.value.filename == str(path)
+        assert np.array_equal(read_tensor(path), np.zeros(2))
+        assert os.listdir(tmp_path) == ["t.wtn"]
+
     def test_a_replaced_file_keeps_its_permission_bits(self, tmp_path):
         path = tmp_path / "t.wtn"
         write_tensor(path, np.zeros(2))
