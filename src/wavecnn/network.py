@@ -287,6 +287,24 @@ class Model:
             digest.update(np.ascontiguousarray(arr).tobytes())
         return digest.hexdigest()
 
+    def _logits(self, images: np.ndarray, batch: int, cpus: int) -> np.ndarray:
+        """The one inference block loop: one ``training=False`` forward per
+        block of ``batch`` images, on up to ``cpus`` threads, the logits
+        joined in block order (see :meth:`predict_logits`)."""
+        if len(images) == 0:
+            return self.forward(images, training=False)
+        starts = range(0, len(images), batch)
+        threads = min(cpus, len(starts))
+
+        def block(i):
+            return self.forward(images[i:i + batch], training=False)
+        if threads <= 1:
+            chunks = [block(i) for i in starts]
+        else:
+            with ThreadPoolExecutor(threads) as pool:
+                chunks = list(pool.map(block, starts))
+        return np.concatenate(chunks, axis=0)
+
     def predict_logits(self, images: np.ndarray, batch: int = 32) -> np.ndarray:
         """Logits of ``images``, one inference forward per block of ``batch``.
 
@@ -310,24 +328,14 @@ class Model:
         in any block raises the error of the first failing block, after
         every thread of the call has finished; no thread outlives the call,
         so a forked child needs nothing special.
-        ``train`` keeps its per-epoch validation serial: a pool thread
-        allocates from its own malloc arena, which cannot reuse what the
-        training step freed, and the train peak RSS grew 16 % for a 2 %
-        speed-up when it went through here.
+        ``train``'s per-epoch validation runs the same block loop on the
+        calling thread: a pool thread allocates from its own malloc arena,
+        which cannot reuse what the training step freed.  Validating
+        through the pool took the bench ``train`` peak RSS from 81.1 to
+        109.1-111.9 MiB (2 runs each, 2-vCPU Xeon) for no resolved
+        speed-up.
         """
-        if len(images) == 0:
-            return self.forward(images, training=False)
-        starts = range(0, len(images), batch)
-        threads = min(_usable_cpus(), len(starts))
-
-        def block(i):
-            return self.forward(images[i:i + batch], training=False)
-        if threads <= 1:
-            chunks = [block(i) for i in starts]
-        else:
-            with ThreadPoolExecutor(threads) as pool:
-                chunks = list(pool.map(block, starts))
-        return np.concatenate(chunks, axis=0)
+        return self._logits(images, batch, _usable_cpus())
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         # argmax takes the first maximum, so ties resolve to the lowest class
@@ -421,17 +429,19 @@ def _epoch_lr(base: float, epoch: int, epochs: int) -> float:
 
 
 def _eval_loss_acc(model: Model, images, labels, batch: int):
+    """Mean loss and accuracy over the validation split: the logits come
+    from the serial block loop, and the loss is summed per block of
+    ``batch``, so it keeps the bits of scoring each block as it is
+    forwarded.  The loss has its own ``SoftmaxCrossEntropy``, apart from
+    ``model.loss``, which only training steps call."""
+    logits = model._logits(images, batch, cpus=1)
     loss_fn = SoftmaxCrossEntropy()
     total_loss = 0.0
-    correct = 0
     for i in range(0, len(images), batch):
-        xb = images[i:i + batch]
         yb = labels[i:i + batch]
-        logits = model.forward(xb, training=False)
-        total_loss += loss_fn.forward(logits, yb) * len(yb)
-        correct += int((logits.argmax(axis=1) == yb).sum())
+        total_loss += loss_fn.forward(logits[i:i + batch], yb) * len(yb)
     n = len(images)
-    return total_loss / n, correct / n
+    return total_loss / n, int((logits.argmax(axis=1) == labels).sum()) / n
 
 
 def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
@@ -441,11 +451,12 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
     ``dataset``/``val`` carry ``images`` (NCHW float) and ``labels`` (int
     vector); when ``val`` is omitted the training split doubles as the
     validation split.  A model whose output per image is not one flat
-    logit vector, or an empty training or validation split, raises
-    InvalidConfig before the first step.  A non-finite step or validation
-    loss aborts with DivergedLoss carrying the partial report; NumPy's
-    overflow and invalid-value warnings on the way there are silenced, as
-    that check is the divergence signal.
+    logit vector, an empty training or validation split, or a split with
+    an image that holds NaN or an infinity at the model's precision,
+    raises InvalidConfig before the first step.  A non-finite step or
+    validation loss aborts with DivergedLoss carrying the partial report;
+    NumPy's overflow and invalid-value warnings on the way there are
+    silenced, as that check is the divergence signal.
     """
     if len(model.out_shape) != 1:
         raise InvalidConfig(f"model config: its layers give each image the output shape "
@@ -455,9 +466,9 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
     val = val if val is not None else dataset
     if len(val.images) == 0:
         raise InvalidConfig("empty validation dataset")
-    images = np.asarray(dataset.images, dtype=model.dtype)
+    images = _checked_images(model, dataset, "training split")
     labels = np.asarray(dataset.labels)
-    val_images = np.asarray(val.images, dtype=model.dtype)
+    val_images = images if val is dataset else _checked_images(model, val, "validation split")
     val_labels = np.asarray(val.labels)
 
     rng = np.random.default_rng([model.config.seed, 0x5eed])

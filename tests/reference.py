@@ -5,7 +5,10 @@ tile and computes exact vector-Jacobian products.  The tests check it
 against the dense operator matrices (:func:`build_operator`), against
 central finite differences (:func:`gradcheck`), count parameters from
 the declared shapes (:func:`parameter_count`), and read the gradients a
-backward left on a layer (:func:`grads`).
+backward left on a layer (:func:`grads`).  Validation is checked against
+a loop that scores each block as it forwards it (:func:`eval_loss_acc`),
+and the shift agreement against a walk over the trials one pair at a time
+(:func:`pairwise_agreement`).
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import numpy as np
 
 from wavecnn.errors import TooShort
 from wavecnn.filterbank import WaveletSpec
+from wavecnn.layers import SoftmaxCrossEntropy
+from wavecnn.robustness import shift_image
 from wavecnn.transform import _place
 
 
@@ -120,3 +125,31 @@ def gradcheck(target, x: np.ndarray, epsilon: float = 1e-6,
         for name, p in layer.params().items():
             check(p, layer_grads[name])
     return worst
+
+
+def eval_loss_acc(model, images, labels, batch: int) -> tuple:
+    """Mean validation loss and accuracy, each block of ``batch`` images
+    forwarded, scored and counted before the next."""
+    loss_fn = SoftmaxCrossEntropy()
+    total_loss = 0.0
+    correct = 0
+    for i in range(0, len(images), batch):
+        xb = images[i:i + batch]
+        yb = labels[i:i + batch]
+        logits = model.forward(xb, training=False)
+        total_loss += loss_fn.forward(logits, yb) * len(yb)
+        correct += int((logits.argmax(axis=1) == yb).sum())
+    n = len(images)
+    return total_loss / n, correct / n
+
+
+def pairwise_agreement(model, images, trials, padding: str) -> float:
+    """Shift agreement in percent, walking the ``(h0, w0, h1, w1)`` rows of
+    ``trials`` as ((h0, w0), (h1, w1)) tuples one pair at a time; each
+    distinct shift is predicted once, in order of first appearance."""
+    pairs = [((int(r[0]), int(r[1])), (int(r[2]), int(r[3]))) for r in trials]
+    shifts = dict.fromkeys(shift for pair in pairs for shift in pair)
+    preds = {(dy, dx): model.predict(shift_image(images, dy, dx, padding))
+             for dy, dx in shifts}
+    agree = sum(int((preds[a] == preds[b]).sum()) for a, b in pairs)
+    return 100.0 * agree / (len(pairs) * len(images))

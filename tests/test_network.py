@@ -13,6 +13,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismat
 from wavecnn.layers import Conv2d, Dense, Flatten, PadToEven, WaveletDown
 from wavecnn.robustness import ShiftTrialConfig, shift_consistency
 
-from reference import gradcheck, grads, parameter_count
+from reference import eval_loss_acc, gradcheck, grads, parameter_count
 
 
 class TestModelConfig:
@@ -430,6 +431,35 @@ class TestTraining:
         empty = Dataset(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=np.int64))
         with pytest.raises(InvalidConfig, match="empty validation dataset"):
             nw.train(model, ds, nw.TrainConfig(epochs=1, batch=8), val=empty)
+        assert model.checksum() == before
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_non_finite_training_pixel_rejected_before_any_step(self, bad):
+        """As ``evaluate`` does, at the model's precision (1e300 is infinite
+        in float32), and before any step changes the model."""
+        ds = _separable_2class(16)
+        images = ds.images.copy()
+        images[3, 0, 2, 5] = bad
+        model = _tiny_model()
+        before = model.checksum()
+        with pytest.raises(InvalidConfig, match="^training split needs finite image values$"):
+            nw.train(model, Dataset(images, ds.labels), nw.TrainConfig(epochs=1, batch=8))
+        assert model.checksum() == before
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e300])
+    def test_non_finite_validation_pixel_rejected_before_any_step(self, bad):
+        """Before any step: no epoch is trained for a split that cannot be
+        scored."""
+        ds = _separable_2class(16)
+        images = ds.images.copy()
+        images[0, 0, 7, 0] = bad
+        model = _tiny_model()
+        before = model.checksum()
+        with pytest.raises(InvalidConfig, match="^validation split needs finite image values$"):
+            nw.train(model, ds, nw.TrainConfig(epochs=1, batch=8),
+                     val=Dataset(images, ds.labels))
         assert model.checksum() == before
 
     def test_an_overflowing_momentum_diverges_without_a_warning(self):
@@ -889,6 +919,44 @@ def test_synthetic_dataset_trains_above_chance_quickly():
     model = nw.build_model(nw.mini_config("avg_pool", classes=4, seed=0))
     report = nw.train(model, ds, nw.TrainConfig(epochs=3, batch=32))
     assert report.val_accuracy[-1] > 0.5
+
+
+# --- validation: the inference block loop on the calling thread ---
+
+
+class TestValidationLoop:
+    def test_validation_starts_no_thread(self, monkeypatch):
+        """Even where four CPUs are usable: a pool thread's malloc arena
+        cannot reuse what the training step freed.  The same patch sees
+        ``predict_logits`` open its pool."""
+        pools = []
+
+        def recording(threads):
+            pools.append(threads)
+            return ThreadPoolExecutor(threads)
+        monkeypatch.setattr(nw, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(nw, "ThreadPoolExecutor", recording)
+        ds = _separable_2class(40)
+        model = _tiny_model()
+        nw.train(model, ds, nw.TrainConfig(epochs=2, batch=8))
+        assert pools == []
+        model.predict_logits(ds.images, batch=8)
+        assert pools == [4]
+
+    @pytest.mark.parametrize("batch", [16, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_val_loss_and_accuracy_keep_the_per_block_bits(self, batch, dtype):
+        """Neither batch divides the 40 validation images, so the last
+        block is short; the loss is still summed block by block."""
+        train_ds = synthetic_classification(48, classes=10, seed=7)
+        val = synthetic_classification(40, classes=10, seed=8)
+        model = nw.build_model(nw.mini_config("dwt_ll", "haar", seed=3), dtype=dtype)
+        report = nw.train(model, train_ds, nw.TrainConfig(epochs=1, batch=batch), val=val)
+        images = val.images.astype(dtype)
+        want = eval_loss_acc(model, images, val.labels, batch)
+        assert (report.val_loss[0], report.val_accuracy[0]) == want
+        assert nw._eval_loss_acc(model, images, val.labels, batch) == want
+        assert 0.0 < want[1] < 1.0
 
 
 # --- inference blocks on every usable CPU ---

@@ -17,6 +17,8 @@ from wavecnn.robustness import (CATEGORY_MEMBERS, DEFAULT_SEVERITY,
                                 shift_image)
 from wavecnn.robustness import _agreement, _draw_trials
 
+from reference import pairwise_agreement
+
 
 class TestCorrupt:
     def test_zero_sigma_is_identity(self, monkeypatch):
@@ -347,7 +349,7 @@ class TestShift:
                 return np.argmax(images.reshape(len(images), -1), axis=1) % 7
 
         drawn = _draw_trials(ShiftTrialConfig(max_shift=3, pairs=6, seed=4))
-        trials = [(a, a) for a, _ in drawn]
+        trials = np.tile(drawn[:, :2], 2)  # (h0, w0, h0, w0)
         assert _agreement(Odd(), ds.images, trials, "reflect") == 100.0
 
     def test_adversarial_parity_pairs_give_zero(self):
@@ -356,7 +358,7 @@ class TestShift:
         images[:, 0, h // 2, w // 2] = 1.0  # lit probe at the center
         ds = Dataset(images, np.zeros(4, dtype=np.int64))
         # shift pairs chosen so exactly one side moves the probe away
-        trials = [((0, 0), (1, 0)), ((0, 1), (0, 0))]
+        trials = np.array([[0, 0, 1, 0], [0, 1, 0, 0]])
         model = _ProbeParityModel(h, w)
         assert _agreement(model, ds.images, trials, "reflect") == 0.0
 
@@ -371,16 +373,32 @@ class TestShift:
                 return (images.sum(axis=(1, 2, 3)) * 17).astype(np.int64) % 3
 
         trials = _draw_trials(ShiftTrialConfig(max_shift=2, pairs=40, seed=0))
-        distinct = {shift for pair in trials for shift in pair}
+        distinct = {tuple(shift) for shift in trials.reshape(-1, 2).tolist()}
         assert len(distinct) < 2 * len(trials)
         model = Counting()
         value = _agreement(model, ds.images, trials, "reflect")
         assert model.calls == len(distinct)
         # the same percentage as predicting both shifts of every trial
-        agree = sum(int((model.predict(shift_image(ds.images, *a))
-                         == model.predict(shift_image(ds.images, *b))).sum())
-                    for a, b in trials)
+        agree = sum(int((model.predict(shift_image(ds.images, *r[:2]))
+                         == model.predict(shift_image(ds.images, *r[2:]))).sum())
+                    for r in trials.tolist())
         assert value == 100.0 * agree / (len(trials) * len(ds))
+        assert 0.0 < value < 100.0
+
+    def test_repeated_pairs_match_the_pairwise_walk(self):
+        """At range 1 there are 9 shifts and 81 ordered pairs, so 500
+        draws repeat most pairs; each distinct pair is compared once and
+        counted as often as it was drawn."""
+        ds = synthetic_classification(8, classes=2, image_hw=(14, 14), seed=3)
+
+        class Hash:
+            def predict(self, images):
+                return (images.sum(axis=(1, 2, 3)) * 17).astype(np.int64) % 3
+
+        trials = _draw_trials(ShiftTrialConfig(max_shift=1, pairs=500, seed=0))
+        assert len(np.unique(trials, axis=0)) < len(trials) // 5
+        value = _agreement(Hash(), ds.images, trials, "reflect")
+        assert value == pairwise_agreement(Hash(), ds.images, trials, "reflect")
         assert 0.0 < value < 100.0
 
     def test_deterministic_per_seed(self):

@@ -13,11 +13,12 @@ paths, on inputs it writes itself without ``wavecnn``, and prints one
 exit code is part of the name) and every file a run writes.  It covers
 ``--help`` of every subcommand, ``filters`` for every bank, ``transform``,
 ``idwt`` and ``denoise`` between PGM and tensor files, a small ``train`` in
-every mode, ``eval``, ``robustness``, ``shift``, ``flops``, the ``--out``
-file of each subcommand that has one, and the messages for a set of
-malformed inputs, among them checkpoints altered behind a fresh digest.  A
-run that exits with a code other than the one expected of it is reported on
-stderr and makes the tool exit 1.
+every mode and with a validation split that no ``--batch`` divides,
+``eval``, ``robustness``, ``shift`` (also on a draw that repeats most of
+its pairs), ``flops``, the ``--out`` file of each subcommand that has one,
+and the messages for a set of malformed inputs, among them checkpoints
+altered behind a fresh digest.  A run that exits with a code other than
+the one expected of it is reported on stderr and makes the tool exit 1.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def run(name: str, *argv, expect: int = 0, files=()) -> str:
 
 def write_inputs() -> None:
     """A 24x28 PGM image and the same pixels as a unit-scale f64 tensor, a
-    40-image 16x16 IDX data set with four classes, and the run configs,
-    written without ``wavecnn``."""
+    40-image 16x16 IDX data set with four classes, a 23-image validation
+    set like it, and the run configs, written without ``wavecnn``."""
     rng = np.random.default_rng(0)
     pixels = rng.integers(0, 256, (24, 28), np.uint8)
     Path("img.pgm").write_bytes(b"P5\n28 24\n255\n" + pixels.tobytes())
@@ -82,6 +83,9 @@ def write_inputs() -> None:
     labels = (np.arange(40) % 4).astype(np.uint8)
     Path("tr.images.idx").write_bytes(struct.pack(">I3I", 0x803, 40, 16, 16) + images.tobytes())
     Path("tr.labels.idx").write_bytes(struct.pack(">II", 0x801, 40) + labels.tobytes())
+    images = rng.integers(0, 256, (23, 16, 16), np.uint8)
+    Path("va.images.idx").write_bytes(struct.pack(">I3I", 0x803, 23, 16, 16) + images.tobytes())
+    Path("va.labels.idx").write_bytes(struct.pack(">II", 0x801, 23) + labels[:23].tobytes())
     hyper = {"epochs": 2, "batch": 16, "lr": 0.01}
     Path("run.json").write_text(json.dumps({"arch": "mini", "train": hyper}))
     Path("resnet.json").write_text(json.dumps({"arch": "resnet"}))
@@ -122,6 +126,11 @@ def models() -> None:
             files=[f"{mode}.wcn", f"{mode}.csv"])
     run("train dwt_cat f64", "train", "--config", "run.json", *data, *_mode("dwt_cat"),
         "--precision", "f64", "--seed", "3", "--out", "f64.wcn", files=["f64.wcn"])
+    for prec in ("f32", "f64"):  # 23 validation images in blocks of 7
+        run(f"train validation split {prec}", "train", "--config", "run.json", *data,
+            "--val-images", "va.images.idx", "--val-labels", "va.labels.idx",
+            *_mode("dwt_avg"), "--batch", "7", "--precision", prec, "--out", f"val.{prec}.wcn",
+            "--report", f"val.{prec}.csv", files=[f"val.{prec}.wcn", f"val.{prec}.csv"])
     for model in ("max_pool.wcn", "dwt_cat.wcn", "f64.wcn"):
         given = ("--model", model, *data)
         run(f"eval {model}", "eval", *given)
@@ -130,6 +139,7 @@ def models() -> None:
     run("eval --out", "eval", *given, "--out", "eval.csv", files=["eval.csv"])
     run("shift --out", "shift", *given, "--range", "2", "--pairs", "4", "--out", "shift.csv",
         files=["shift.csv"])
+    run("shift repeated pairs", "shift", *given, "--range", "1", "--pairs", "300")
     run("robustness", "robustness", *given, "--seed", "2")
     run("robustness prefix", "robustness", *given, "--out-prefix", "ref",
         files=["ref.csv", "ref.json"])
