@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import Dataset
 from .errors import (BadSeverity, InvalidConfig, MissingCorruption,
                      ShapeMismatch, ShiftOutOfRange, ZeroReference)
 from .network import _checked_images, evaluate
@@ -42,9 +43,53 @@ CATEGORY_MEMBERS = {
 def _severity_param(kind: str, severity: int) -> float:
     if kind not in DEFAULT_SEVERITY:
         raise InvalidConfig(f"unknown corruption kind {kind!r}")
-    if not isinstance(severity, (int, np.integer)) or not 1 <= severity <= 5:
+    if (isinstance(severity, bool) or not isinstance(severity, (int, np.integer))
+            or not 1 <= severity <= 5):
         raise BadSeverity(f"severity must be an integer in 1..5, got {severity!r}")
     return float(DEFAULT_SEVERITY[kind][severity - 1])
+
+
+def _corrupted(x: np.ndarray, kind: str, severities, seeds):
+    """Yield the float64 stack ``x`` corrupted at each of ``severities`` in
+    turn, image ``i`` drawn from ``np.random.default_rng(seeds[i])``.
+
+    Every yield is the same buffer, which the next severity overwrites.
+    Gaussian and impulse draw once per image and hold their draws for all
+    severities (the impulse salt as booleans); shot draws once per image
+    and severity, from a fresh stream each time (see
+    :func:`corrupt_dataset`).
+    """
+    params = [_severity_param(kind, s) for s in severities]
+    # written so that NaN, which fails every comparison, fails the check too
+    if x.size and not (x.min() >= -1e-9 and x.max() <= 1 + 1e-9):
+        raise InvalidConfig("corrupt expects finite images on the [0, 1] scale")
+    out = np.empty(x.shape)
+    if kind == GAUSSIAN:
+        z = np.empty(x.shape)
+        for i, seed in enumerate(seeds):
+            np.random.default_rng(seed).standard_normal(out=z[i, ...])
+    elif kind == IMPULSE:
+        u = np.empty(x.shape)
+        salt = np.empty(x.shape, dtype=bool)
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            rng.random(out=u[i, ...])
+            np.less(rng.random(x.shape[1:]), 0.5, out=salt[i, ...])
+    for param in params:
+        if kind == GAUSSIAN:
+            np.multiply(z, param, out=out)
+            out += 0.0  # turns -0.0 noise into 0.0, as normal() does
+            out += x
+        elif kind == SHOT:
+            for i, seed in enumerate(seeds):
+                # a pixel in the tolerated [-1e-9, 0) gets rate 0, not an error
+                lam = np.maximum(x[i, ...] * param, 0.0)
+                out[i, ...] = np.random.default_rng(seed).poisson(lam)
+            out /= param
+        else:  # impulse
+            np.copyto(out, x)
+            np.copyto(out, salt, where=u < param)
+        yield np.clip(out, 0.0, 1.0, out=out)
 
 
 def corrupt(image: np.ndarray, kind: str, severity: int, rng_seed=0) -> np.ndarray:
@@ -53,34 +98,30 @@ def corrupt(image: np.ndarray, kind: str, severity: int, rng_seed=0) -> np.ndarr
     ``rng_seed`` is any ``np.random.default_rng`` seed, so callers can derive
     independent per-image streams.
     """
-    param = _severity_param(kind, severity)
-    x = np.asarray(image, dtype=np.float64)
-    # written so that NaN, which fails every comparison, fails the check too
-    if x.size and not (x.min() >= -1e-9 and x.max() <= 1 + 1e-9):
-        raise InvalidConfig("corrupt expects finite images on the [0, 1] scale")
-    rng = np.random.default_rng(rng_seed)
-    if kind == GAUSSIAN:
-        out = x + rng.normal(0.0, param, size=x.shape)
-    elif kind == SHOT:
-        out = rng.poisson(x * param).astype(np.float64) / param
-    else:  # impulse
-        replaced = rng.random(x.shape) < param
-        salt = rng.random(x.shape) < 0.5
-        out = np.where(replaced, np.where(salt, 1.0, 0.0), x)
-    return np.clip(out, 0.0, 1.0)
+    x = np.asarray(image, dtype=np.float64)[None]
+    return next(_corrupted(x, kind, (severity,), [rng_seed]))[0]
+
+
+def _dataset_seeds(seed: int, n: int) -> list:
+    """The per-image stream seeds of a data set: ``[seed, i]`` for image i."""
+    return [[seed, i] for i in range(n)]
 
 
 def corrupt_dataset(dataset, kind: str, severity: int, seed: int = 0):
-    """Corrupt every image, one after another, with an independent
-    (seed, index) stream, so an image's output does not depend on the
-    others in the dataset.
-    """
-    from .datasets import Dataset
+    """Corrupt every image with an independent (seed, index) stream, so an
+    image's output does not depend on the others in the dataset.
 
-    _severity_param(kind, severity)  # validate before any work
-    n = len(dataset)
-    planes = [corrupt(dataset.images[i], kind, severity, rng_seed=[seed, i]) for i in range(n)]
-    images = np.stack(planes) if n else dataset.images.astype(np.float64)
+    The images are range-checked once, as a stack, and image ``i`` comes out
+    as :func:`corrupt` gives it with ``rng_seed=[seed, i]``.
+    :func:`error_matrix` makes these same bytes for all five severities of a
+    kind from one set of draws: what does not depend on the severity (the
+    gaussian standard normals, the impulse uniforms) is drawn once per image
+    and kind and held as one float64 copy of the images, and since
+    ``Generator.normal(0, s)`` is ``0.0 + s * z`` on the same stream, no
+    byte differs from a fresh draw per severity.
+    """
+    x = np.asarray(dataset.images, dtype=np.float64)
+    images = next(_corrupted(x, kind, (severity,), _dataset_seeds(seed, len(x))))
     return Dataset(images, dataset.labels)
 
 
@@ -94,6 +135,14 @@ def _row(name: str, rates) -> str:
     return name + "," + ",".join(repr(float(v)) for v in rates)
 
 
+def _check_names(corruptions: tuple) -> None:
+    """InvalidConfig unless the corruption names are some and distinct."""
+    if not corruptions:
+        raise InvalidConfig("an error matrix needs at least one corruption")
+    if len(set(corruptions)) != len(corruptions):
+        raise InvalidConfig(f"repeated corruption names in {corruptions}")
+
+
 @dataclass(frozen=True)
 class ErrorMatrix:
     """Top-1 error rate per (corruption, severity 1..5) for one model."""
@@ -103,10 +152,7 @@ class ErrorMatrix:
     errors: np.ndarray  # shape (len(corruptions), 5), entries in [0, 1]
 
     def __post_init__(self):
-        if not self.corruptions:
-            raise InvalidConfig("an error matrix needs at least one corruption")
-        if len(set(self.corruptions)) != len(self.corruptions):
-            raise InvalidConfig(f"repeated corruption names in {self.corruptions}")
+        _check_names(self.corruptions)
         e = np.asarray(self.errors, dtype=np.float64)
         if e.shape != (len(self.corruptions), 5):
             raise ShapeMismatch(
@@ -178,17 +224,29 @@ def error_matrix(model, dataset, kinds=NOISE_CORRUPTIONS, seed: int = 0,
                  model_id: str = "") -> ErrorMatrix:
     """Measure a model's corrupted top-1 error over all kinds and severities.
 
-    The images are corrupted on the calling thread (:func:`corrupt_dataset`);
-    the forwards use every usable CPU (``Model.predict_logits``).  Raises
-    InvalidConfig (from ``evaluate``) on a dataset without images.
+    Each severity scores the stack :func:`corrupt_dataset` returns, byte
+    for byte, but the draws of an image that do not depend on the severity
+    are made once per kind (see :func:`_corrupted`): one float64 copy of
+    the draws is held per kind, beside the one corrupted stack that each
+    severity overwrites.  Only shot, whose Poisson rate is the severity's,
+    draws afresh for each severity.  The images are corrupted on the
+    calling thread; the forwards use every usable CPU
+    (``Model.predict_logits``).  Raises InvalidConfig, before any work, on
+    an empty, repeated or unknown kind, and (from ``evaluate``) on a dataset
+    without images.
     """
+    kinds = tuple(kinds)
+    _check_names(kinds)
+    for kind in kinds:
+        _severity_param(kind, 1)
+    x = np.asarray(dataset.images, dtype=np.float64)
+    seeds = _dataset_seeds(seed, len(x))
     grid = np.empty((len(kinds), 5))
     for i, kind in enumerate(kinds):
-        for severity in range(1, 6):
-            corrupted = corrupt_dataset(dataset, kind, severity, seed=seed)
-            grid[i, severity - 1] = evaluate(model, corrupted)
+        grid[i] = [evaluate(model, Dataset(images, dataset.labels))
+                   for images in _corrupted(x, kind, range(1, 6), seeds)]
     ident = model_id or getattr(model, "checksum", lambda: "model")()[:12]
-    return ErrorMatrix(ident, tuple(kinds), grid)
+    return ErrorMatrix(ident, kinds, grid)
 
 
 # --- corruption-error metrics ---

@@ -7,8 +7,10 @@ central finite differences (:func:`gradcheck`), count parameters from
 the declared shapes (:func:`parameter_count`), and read the gradients a
 backward left on a layer (:func:`grads`).  Validation is checked against
 a loop that scores each block as it forwards it (:func:`eval_loss_acc`),
-and the shift agreement against a walk over the trials one pair at a time
-(:func:`pairwise_agreement`).
+the shift agreement against a walk over the trials one pair at a time
+(:func:`pairwise_agreement`), and the corruptions against a fresh stream and
+fresh draws per image and severity (:func:`corrupt_image`,
+:func:`corrupt_stack`, :func:`error_grid`).
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wavecnn.errors import TooShort
+from wavecnn.datasets import Dataset
+from wavecnn.errors import InvalidConfig, TooShort
 from wavecnn.filterbank import WaveletSpec
 from wavecnn.layers import SoftmaxCrossEntropy
-from wavecnn.robustness import shift_image
+from wavecnn.network import evaluate
+from wavecnn.robustness import DEFAULT_SEVERITY, GAUSSIAN, SHOT, shift_image
 from wavecnn.transform import _place
 
 
@@ -153,3 +157,41 @@ def pairwise_agreement(model, images, trials, padding: str) -> float:
              for dy, dx in shifts}
     agree = sum(int((preds[a] == preds[b]).sum()) for a, b in pairs)
     return 100.0 * agree / (len(pairs) * len(images))
+
+
+def corrupt_image(image, kind: str, severity: int, rng_seed=0) -> np.ndarray:
+    """One image corrupted from a fresh ``default_rng(rng_seed)`` stream,
+    every draw made for this severity alone."""
+    param = float(DEFAULT_SEVERITY[kind][severity - 1])
+    x = np.asarray(image, dtype=np.float64)
+    # written so that NaN, which fails every comparison, fails the check too
+    if x.size and not (x.min() >= -1e-9 and x.max() <= 1 + 1e-9):
+        raise InvalidConfig("corrupt expects finite images on the [0, 1] scale")
+    rng = np.random.default_rng(rng_seed)
+    if kind == GAUSSIAN:
+        out = x + rng.normal(0.0, param, size=x.shape)
+    elif kind == SHOT:
+        out = rng.poisson(x * param).astype(np.float64) / param
+    else:  # impulse
+        replaced = rng.random(x.shape) < param
+        salt = rng.random(x.shape) < 0.5
+        out = np.where(replaced, np.where(salt, 1.0, 0.0), x)
+    return np.clip(out, 0.0, 1.0)
+
+
+def corrupt_stack(images, kind: str, severity: int, seed: int = 0) -> np.ndarray:
+    """Every image corrupted one after another, image ``i`` from the stream
+    ``[seed, i]``."""
+    return np.stack([corrupt_image(images[i], kind, severity, rng_seed=[seed, i])
+                     for i in range(len(images))])
+
+
+def error_grid(model, dataset, kinds, seed: int = 0) -> np.ndarray:
+    """The (kind, severity) error rates, each stack corrupted afresh and
+    scored with ``evaluate``."""
+    grid = np.empty((len(kinds), 5))
+    for i, kind in enumerate(kinds):
+        for severity in range(1, 6):
+            corrupted = corrupt_stack(dataset.images, kind, severity, seed)
+            grid[i, severity - 1] = evaluate(model, Dataset(corrupted, dataset.labels))
+    return grid

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from wavecnn.datasets import Dataset, synthetic_classification
 from wavecnn.network import build_model, evaluate, mini_config
+from wavecnn import robustness
 from wavecnn.errors import (BadSeverity, InvalidConfig, MissingCorruption,
                             ShapeMismatch, ShiftOutOfRange, ZeroReference)
 from wavecnn.robustness import (CATEGORY_MEMBERS, DEFAULT_SEVERITY,
@@ -17,7 +19,7 @@ from wavecnn.robustness import (CATEGORY_MEMBERS, DEFAULT_SEVERITY,
                                 shift_image)
 from wavecnn.robustness import _agreement, _draw_trials
 
-from reference import pairwise_agreement
+from reference import corrupt_image, corrupt_stack, error_grid, pairwise_agreement
 
 
 class TestCorrupt:
@@ -85,6 +87,25 @@ class TestCorrupt:
         with pytest.raises(InvalidConfig):
             corrupt(img, "gaussian", 1)
 
+    @pytest.mark.parametrize("severity", [True, False, np.True_])
+    def test_boolean_severity_rejected(self, severity):
+        """``bool`` is an ``int`` subclass, but ``True`` is no severity."""
+        ds = synthetic_classification(2, classes=2, image_hw=(4, 4), seed=0)
+        with pytest.raises(BadSeverity):
+            corrupt(np.zeros((4, 4)), "gaussian", severity)
+        with pytest.raises(BadSeverity):
+            corrupt_dataset(ds, "shot", severity)
+
+    def test_shot_maps_tolerated_negative_pixels_to_zero(self):
+        """The range check lets pixels in [-1e-9, 0) through; shot gives
+        them a Poisson rate of 0, not NumPy's bare ``lam < 0`` error."""
+        out = corrupt(np.full((4, 4), -1e-10), "shot", 1)
+        assert np.array_equal(out, np.zeros((4, 4)))
+        ds = Dataset(np.full((2, 1, 4, 4), -1e-9), np.zeros(2, dtype=np.int64))
+        assert not corrupt_dataset(ds, "shot", 5).images.any()
+        with pytest.raises(InvalidConfig):
+            corrupt(np.full((4, 4), -2e-9), "shot", 1)
+
 
 class TestCorruptDataset:
     def _ds(self, n=6):
@@ -100,6 +121,89 @@ class TestCorruptDataset:
         ds = self._ds()
         out = corrupt_dataset(ds, "impulse", 1, seed=2)
         assert np.array_equal(out.labels, ds.labels)
+
+
+def _planted(n=7, seed=0):
+    """Synthetic 9x11 images with 0.0, -0.0, 1.0 and 1 + 1e-10 planted in
+    two of them: the pixels where clipping and signed zeros could differ."""
+    ds = synthetic_classification(n, classes=3, image_hw=(9, 11), seed=seed)
+    images = ds.images.copy()
+    images[0, 0, 0, :4] = images[n - 1, 0, 8, -4:] = [0.0, -0.0, 1.0, 1 + 1e-10]
+    return Dataset(images, ds.labels)
+
+
+class _Recorder:
+    """Constant predictions; keeps a copy of every stack it is shown."""
+
+    dtype = np.float64
+
+    def __init__(self):
+        self.seen = []
+
+    def predict(self, images):
+        self.seen.append(np.array(images))
+        return np.zeros(len(images), dtype=np.int64)
+
+
+class TestDrawOnce:
+    """Drawing an image's severity-free noise once per kind leaves every
+    byte as a fresh stream and fresh draws per image and severity give."""
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    @pytest.mark.parametrize("kind", NOISE_CORRUPTIONS)
+    def test_corrupt_and_corrupt_dataset_match_the_reference(self, kind, seed):
+        ds = _planted()
+        for severity in range(1, 6):
+            stack = corrupt_stack(ds.images, kind, severity, seed)
+            got = corrupt_dataset(ds, kind, severity, seed=seed).images
+            assert got.tobytes() == stack.tobytes()
+            for i in (0, len(ds) - 1):
+                one = corrupt(ds.images[i], kind, severity, rng_seed=[seed, i])
+                assert one.tobytes() == corrupt_image(
+                    ds.images[i], kind, severity, rng_seed=[seed, i]).tobytes()
+                assert one.tobytes() == stack[i].tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_error_matrix_scores_the_reference_stacks(self, seed):
+        ds = _planted()
+        model = _Recorder()
+        error_matrix(model, ds, seed=seed)
+        expected = [corrupt_stack(ds.images, kind, severity, seed)
+                    for kind in NOISE_CORRUPTIONS for severity in range(1, 6)]
+        assert len(model.seen) == len(expected) == 15
+        for got, want in zip(model.seen, expected):
+            assert got.tobytes() == want.tobytes()
+
+    def test_error_matrix_grid_matches_the_per_severity_loop(self):
+        ds = synthetic_classification(48, seed=3, noise=0.10, amplitude=0.12)
+        model = build_model(mini_config("max_pool"))
+        kinds = ("impulse", "gaussian", "shot")
+        got = error_matrix(model, ds, kinds=kinds, seed=4).errors
+        assert got.tobytes() == error_grid(model, ds, kinds, seed=4).tobytes()
+
+    @pytest.mark.parametrize("kinds", [(), [], ("gaussian", "shot", "gaussian"),
+                                       ("gaussian", "speckle"), "gaussian"])
+    def test_bad_kinds_refused_before_any_work(self, kinds, monkeypatch):
+        def no_corruption(*_):
+            raise AssertionError("corrupted before the kinds were checked")
+        monkeypatch.setattr(robustness, "_corrupted", no_corruption)
+        model = _Recorder()
+        with pytest.raises(InvalidConfig):
+            error_matrix(model, _planted(), kinds=kinds)
+        assert model.seen == []
+
+    def test_error_matrix_holds_few_copies_of_the_images(self):
+        """2,000 28x28 float64 images, each kind's draws held once: about
+        2.3 stack copies at the peak, 3.1 while each severity drew afresh
+        and stacked a list of planes."""
+        ds = synthetic_classification(2000, seed=5)
+        tracemalloc.start()
+        try:
+            error_matrix(_ConstantModel(), ds, model_id="constant")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * ds.images.nbytes
 
 
 class TestCorruptionError:

@@ -1,4 +1,5 @@
-"""Print the tracemalloc peak of training, per down-sampling mode.
+"""Print the tracemalloc peak of training, per down-sampling mode, and of
+one robustness error matrix.
 
 For each of the six ``mini_config`` modes, in float32, two numbers:
 
@@ -8,13 +9,18 @@ For each of the six ``mini_config`` modes, in float32, two numbers:
   synthetic 28x28 gratings, validated on 400 more (noise 0.10, amplitude
   0.12, the criterion-7 recipe).
 
+Then one ``error_matrix`` row: ``robustness.error_matrix`` of a float32
+``max_pool`` model over those 400 validation images, every noise kind at
+every severity.
+
 Only memory that Python allocators hand out is traced, NumPy arrays
 included; BLAS work buffers and the interpreter are not, so the numbers do
 not depend on the C library's malloc settings.  Run from anywhere:
 
     python tools/step_peak.py
 
-It prints one ``mode step_MiB epoch_MiB`` row per mode.
+It prints one ``mode step_MiB epoch_MiB`` row per mode, then a
+``path MiB`` header and the ``error_matrix`` row.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from wavecnn import network as nw
+from wavecnn import network as nw, robustness
 from wavecnn.datasets import synthetic_classification
 
 MODES = (("max_pool", ""), ("avg_pool", ""), ("strided_conv", ""),
@@ -63,6 +69,10 @@ def main() -> int:
         epoch_peak = traced_peak(
             lambda: nw.train(fresh, train_ds, nw.TrainConfig(epochs=1), val=val_ds))
         print(f"{mode} {step_peak / 2**20:.1f} {epoch_peak / 2**20:.1f}")
+    model = nw.build_model(nw.mini_config("max_pool"), dtype=np.float32)
+    matrix_peak = traced_peak(lambda: robustness.error_matrix(model, val_ds))
+    print("path MiB")
+    print(f"error_matrix {matrix_peak / 2**20:.1f}")
     return 0
 
 
