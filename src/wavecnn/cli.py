@@ -398,8 +398,7 @@ def _build_parser() -> _Parser:
     _add_model_and_data(p)
     p.add_argument("--range", type=int, default=8, help="max shift in pixels")
     p.add_argument("--pairs", type=int, default=64, help="random shift pairs")
-    p.add_argument("--padding", choices=("reflect", "edge", "constant"),
-                   default="reflect")
+    p.add_argument("--padding", choices=robustness.SHIFT_PADDINGS, default="reflect")
     p.add_argument("--seed", type=_seed, default=0, help="shift-pair seed, at least 0")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_shift, parser=p)

@@ -20,7 +20,7 @@ tile still multiplies the zeros inside its band.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .errors import InvalidConfig, NonPositive, ShapeMismatch, OddSpatial
 from .layers import Conv2d, Dense, WaveletDown
@@ -88,6 +88,9 @@ class LayerMadds:
     banded: int = 0
 
 
+# how a CSV cell is written: a shape as CxHxW, a flag as 0/1, anything else by str
+_CELL = {tuple: lambda dims: "x".join(str(d) for d in dims), bool: lambda flag: str(int(flag))}
+
 # the report's closing values, in the order both formats give them
 _SUBTOTALS = ("wavelet_subtotal", "other_subtotal", "total", "ratio_percent",
               "wavelet_ll_only_subtotal", "wavelet_banded_subtotal")
@@ -132,20 +135,18 @@ class MaddsReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "layers": [{**asdict(r), "in_shape": list(r.in_shape),
-                        "out_shape": list(r.out_shape)} for r in self.rows],
+            "layers": [asdict(r) for r in self.rows],  # json writes a shape tuple as a list
             **{name: getattr(self, name) for name in _SUBTOTALS},
         }
 
     def to_csv(self) -> str:
-        lines = [",".join(f.name for f in fields(LayerMadds))]
-        for r in self.rows:
-            in_s = "x".join(str(d) for d in r.in_shape)
-            out_s = "x".join(str(d) for d in r.out_shape)
-            lines.append(f"{r.index},{r.kind},{in_s},{out_s},{r.madds},"
-                         f"{int(r.wavelet)},{r.ll_only},{r.banded}")
-        lines += [f"{name},{getattr(self, name)!r},,,,,," for name in _SUBTOTALS]
-        return "\n".join(lines) + "\n"
+        """One row per layer in ``LayerMadds`` field order, then one per
+        subtotal, padded to the field count."""
+        names = [f.name for f in fields(LayerMadds)]
+        rows = [[_CELL.get(type(v), str)(v) for v in astuple(r)] for r in self.rows]
+        rows += [[name, repr(getattr(self, name))] + [""] * (len(names) - 2)
+                 for name in _SUBTOTALS]
+        return "".join(",".join(cells) + "\n" for cells in [names, *rows])
 
 
 def model_madds(model, input_shape) -> MaddsReport:

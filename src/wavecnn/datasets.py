@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfig, ShapeMismatch
+from .errors import FormatError, InvalidConfig, ShapeMismatch, _check_seed
 from .fileio import read_idx, write_idx
 
 
@@ -89,6 +89,7 @@ def synthetic_classification(n: int, classes: int = 10, image_hw=(28, 28),
     Lowering ``amplitude`` toward the noise floor makes the task harder
     without changing its structure.
     """
+    _check_seed(seed, "data seed")
     if n < 1:
         raise InvalidConfig("need at least one sample")
     if not 2 <= classes <= len(_CLASS_WAVES):

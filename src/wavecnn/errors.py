@@ -2,7 +2,8 @@
 
 Everything derives from :class:`WaveError` so callers (and the CLI) can treat
 any toolkit failure uniformly; most types also subclass ``ValueError`` because
-they signal bad arguments rather than broken state.
+they signal bad arguments rather than broken state.  The one seed rule,
+shared by every entry point that takes a seed, lives here too.
 """
 
 
@@ -39,6 +40,13 @@ class OddSpatial(WaveError, ValueError):
 
 class InvalidConfig(WaveError, ValueError):
     """Model or run configuration is inconsistent."""
+
+
+def _check_seed(seed: int, label: str) -> None:
+    """InvalidConfig, naming the seed as ``label``, on a negative seed:
+    ``np.random.default_rng`` refuses one with a bare ``ValueError``."""
+    if seed < 0:
+        raise InvalidConfig(f"{label} must be >= 0, got {seed}")
 
 
 class DivergedLoss(WaveError, RuntimeError):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fileio
 from .errors import (DivergedLoss, FormatError, InvalidConfig, OddSpatial, ShapeMismatch,
-                     UnknownWavelet)
+                     UnknownWavelet, _check_seed)
 from .filterbank import get_wavelet
 from .layers import (AvgPool2, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2,
                      PadToEven, ReLU, SoftmaxCrossEntropy, WaveletDown)
@@ -132,8 +132,7 @@ class ModelConfig:
     wavelet_rewrite: str = ""
 
     def __post_init__(self):
-        if self.seed < 0:  # np.random.default_rng refuses it
-            raise InvalidConfig(f"model seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed, "model seed")
 
     def to_dict(self) -> dict:
         return {
@@ -216,6 +215,15 @@ def _chain(specs, shape: tuple, rewrite: str = "") -> tuple:
             raise InvalidConfig(f"layer {i}: {exc}") from exc
         layers.extend(produced)
     return layers, shape
+
+
+# Images per inference forward, sized to the cache: at 32 images the largest
+# ``mini_config`` activation (16 x 28 x 28 per image, 1.5 MiB in float32) fits
+# in a 2 MiB L2, so each layer reads its input from L2.  Measured on a 2-vCPU
+# Xeon with one BLAS thread (400 images, float32, ms per image for max_pool /
+# dwt_ll): 0.161 / 0.180 at 16, 0.155 / 0.172 at 32, 0.159 / 0.181 at 64 and
+# 0.174 / 0.217 at 256.
+PREDICT_BLOCK = 32
 
 
 def _usable_cpus() -> int:
@@ -305,16 +313,9 @@ class Model:
                 chunks = list(pool.map(block, starts))
         return np.concatenate(chunks, axis=0)
 
-    def predict_logits(self, images: np.ndarray, batch: int = 32) -> np.ndarray:
-        """Logits of ``images``, one inference forward per block of ``batch``.
-
-        The default block is sized to the cache: at 32 images the largest
-        ``mini_config`` activation (16 x 28 x 28 per image, 1.5 MiB in
-        float32) fits in a 2 MiB L2, so each layer reads its input from L2.
-        Measured on a 2-vCPU Xeon with one BLAS thread (400 images,
-        float32, ms per image for max_pool / dwt_ll): 0.161 / 0.180 at 16,
-        0.155 / 0.172 at 32, 0.159 / 0.181 at 64 and 0.174 / 0.217 at 256.
-        Zero images give a ``(0, classes)`` array.
+    def predict_logits(self, images: np.ndarray) -> np.ndarray:
+        """Logits of ``images``, one inference forward per block of
+        ``PREDICT_BLOCK`` images.  Zero images give a ``(0, classes)`` array.
 
         The blocks run on every usable CPU: a pool of ``k`` threads, ``k``
         the smaller of the usable CPU count (read on each call) and the
@@ -335,10 +336,16 @@ class Model:
         109.1-111.9 MiB (2 runs each, 2-vCPU Xeon) for no resolved
         speed-up.
         """
-        return self._logits(images, batch, _usable_cpus())
+        return self._logits(images, PREDICT_BLOCK, _usable_cpus())
 
     def predict(self, images: np.ndarray) -> np.ndarray:
-        # argmax takes the first maximum, so ties resolve to the lowest class
+        """One label per image, the class of its largest logit (ties resolve
+        to the lowest class).  A model whose output per image is not one
+        flat logit vector has no such label: it raises ShapeMismatch before
+        any forward."""
+        if len(self.out_shape) != 1:
+            raise ShapeMismatch(f"the model's layers give each image the output shape "
+                                f"{self.out_shape}, not one label per image")
         return self.predict_logits(images).argmax(axis=1)
 
 
@@ -529,7 +536,9 @@ def evaluate(model: Model, dataset) -> float:
 
     Raises InvalidConfig on a dataset without images, which has no error
     rate, and if an image holds NaN or an infinity at the model's precision,
-    since such an image would be classified as garbage silently.
+    since such an image would be classified as garbage silently;
+    ShapeMismatch (from :meth:`Model.predict`) unless the model gives one
+    label per image, and unless there is one label per image.
     """
     preds = model.predict(_checked_images(model, dataset, "evaluate"))
     labels = np.asarray(dataset.labels)

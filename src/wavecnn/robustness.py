@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import (BadSeverity, InvalidConfig, MissingCorruption,
-                     ShapeMismatch, ShiftOutOfRange, ZeroReference)
+                     ShapeMismatch, ShiftOutOfRange, ZeroReference, _check_seed)
 from .network import _checked_images, evaluate
 
 GAUSSIAN = "gaussian"
@@ -103,7 +103,9 @@ def corrupt(image: np.ndarray, kind: str, severity: int, rng_seed=0) -> np.ndarr
 
 
 def _dataset_seeds(seed: int, n: int) -> list:
-    """The per-image stream seeds of a data set: ``[seed, i]`` for image i."""
+    """The per-image stream seeds of a data set: ``[seed, i]`` for image i;
+    InvalidConfig on a negative ``seed``."""
+    _check_seed(seed, "corruption seed")
     return [[seed, i] for i in range(n)]
 
 
@@ -330,6 +332,9 @@ def robustness_report(measured: ErrorMatrix,
 # (tracemalloc, 2-vCPU Xeon); 10**12 pairs would ask for a 29 TiB array.
 MAX_SHIFT_PAIRS = 2 ** 20
 
+# The rules for the pixels a shift vacates, as ``np.pad`` modes.
+SHIFT_PADDINGS = ("reflect", "edge", "constant")
+
 
 @dataclass(frozen=True)
 class ShiftTrialConfig:
@@ -348,8 +353,19 @@ class ShiftTrialConfig:
         if self.pairs > MAX_SHIFT_PAIRS:
             raise InvalidConfig(f"{self.pairs} shift pairs are more than the "
                                 f"{MAX_SHIFT_PAIRS} a shift test may draw")
-        if self.padding not in ("reflect", "edge", "constant"):
-            raise InvalidConfig(f"unknown padding rule {self.padding!r}")
+        _check_seed(self.seed, "shift seed")
+        _check_shift(self.padding)
+
+
+def _check_shift(padding: str, shift: int = 0, shape=None, label: str = "shift") -> None:
+    """InvalidConfig unless ``padding`` is one of ``SHIFT_PADDINGS``; given
+    the ``shape`` of the images, ShiftOutOfRange on a ``shift`` past
+    ``min(h, w) - 1``, the message naming it as ``label``."""
+    if padding not in SHIFT_PADDINGS:
+        raise InvalidConfig(f"unknown padding rule {padding!r}")
+    if shape is not None and shift > min(shape[-2:]) - 1:
+        raise ShiftOutOfRange(f"{label} {shift} exceeds the limit {min(shape[-2:]) - 1} "
+                              f"for {shape[-2]}x{shape[-1]} images")
 
 
 def shift_image(images: np.ndarray, dy: int, dx: int,
@@ -357,18 +373,15 @@ def shift_image(images: np.ndarray, dy: int, dx: int,
     """Translate content of NCHW (or CHW/HW) images by whole pixels.
 
     Positive shifts move content down/right; vacated pixels follow the
-    padding rule.  A shift past ``min(h, w) - 1`` raises ShiftOutOfRange
+    padding rule, one of ``SHIFT_PADDINGS``; any other raises
+    InvalidConfig.  A shift past ``min(h, w) - 1`` raises ShiftOutOfRange
     under every rule: reflect padding reaches no further, and under edge or
     constant padding it would leave no pixel of the image.
     """
     x = np.asarray(images)
-    h, w = x.shape[-2], x.shape[-1]
     p = max(abs(dy), abs(dx))
-    if p == 0:
-        return x.copy()
-    if p > min(h, w) - 1:
-        raise ShiftOutOfRange(f"shift {p} exceeds the limit {min(h, w) - 1} "
-                              f"for {h}x{w} images")
+    _check_shift(padding, p, x.shape)
+    h, w = x.shape[-2], x.shape[-1]
     pad = [(0, 0)] * (x.ndim - 2) + [(p, p), (p, p)]
     padded = np.pad(x, pad, mode=padding)
     return padded[..., p - dy:p - dy + h, p - dx:p - dx + w]
@@ -382,14 +395,13 @@ def shift_consistency(model, dataset, cfg: ShiftTrialConfig = ShiftTrialConfig()
     those of casting after the shift.  Raises InvalidConfig on a dataset
     without images or, as :func:`evaluate` does, with an image that holds
     NaN or an infinity at that precision (no padding rule makes one, so the
-    images are checked once, unshifted), and ShiftOutOfRange on a
-    ``cfg.max_shift`` that :func:`shift_image` would refuse.
+    images are checked once, unshifted), ShiftOutOfRange on a
+    ``cfg.max_shift`` that :func:`shift_image` would refuse, and (from
+    ``Model.predict``) ShapeMismatch, before any agreement is counted,
+    unless the model gives one label per image.
     """
     images = _checked_images(model, dataset, "shift consistency")
-    h, w = images.shape[-2], images.shape[-1]
-    if cfg.max_shift > min(h, w) - 1:
-        raise ShiftOutOfRange(f"shift range {cfg.max_shift} exceeds the limit "
-                              f"{min(h, w) - 1} for {h}x{w} images")
+    _check_shift(cfg.padding, cfg.max_shift, images.shape, "shift range")
     return _agreement(model, images, _draw_trials(cfg), cfg.padding)
 
 

@@ -12,7 +12,8 @@ import pytest
 from wavecnn.cli import _RUN_KEYS, _build_parser, main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
 from wavecnn.denoise import DenoiseConfig, denoise_image
-from wavecnn.network import _KINDS, _TRAIN_KEYS, build_model, load_model, mini_config, save_model
+from wavecnn.network import (_KINDS, _TRAIN_KEYS, ModelConfig, build_model, load_model,
+                              mini_config, save_model)
 from wavecnn.fileio import read_pgm, read_tensor, write_pgm, write_tensor
 
 
@@ -76,6 +77,33 @@ class TestExitCodes:
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["shift", "--model", "m.wcn", "--images", "i.idx", "--labels", "l.idx",
+          "--seed", "abc"], "expected a non-negative int, got 'abc'"),
+        (["filters"], "one of --wavelet or --list is required")])
+    def test_usage_errors_exit_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage: wavecnn {argv[0]} ") and message in err
+
+    def test_transform_of_a_3d_tensor_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "stack.wtn"
+        write_tensor(path, np.zeros((2, 4, 4)))
+        code, out, err = run_cli(capsys, "transform", "--wavelet", "haar", "--in", str(path),
+                                 "--out-prefix", str(tmp_path / "x"))
+        assert code == 2 and out == ""
+        assert "wavecnn transform: error: FormatError:" in err
+        assert "expected a 2-D tensor, got rank 3" in err
+
+    def test_a_closed_stdout_exits_0(self, capsys, monkeypatch):
+        """A reader that stops early, as ``wavecnn filters --list | head -1`` does."""
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["filters", "--list"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_runtime_error_names_the_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.wtn"
@@ -389,6 +417,19 @@ class TestEmptyDataset:
         assert code == 2 and out == ""
         assert f"wavecnn {command}: error: InvalidConfig:" in err
         assert "at least one image" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "robustness", "shift"])
+def test_a_model_without_one_label_per_image_exits_2(capsys, tmp_path, idx_pair, command):
+    """Only ``train`` refuses such a model when it is built; ``shift`` once
+    scored its per-pixel argmaps and printed 78400.0."""
+    model = tmp_path / "m.wcn"
+    save_model(build_model(ModelConfig(layers=())), model)
+    code, out, err = run_cli(capsys, command, "--model", str(model), "--images", idx_pair[0],
+                             "--labels", idx_pair[1])
+    assert code == 2 and out == ""
+    assert f"wavecnn {command}: error: ShapeMismatch:" in err
+    assert "not one label per image" in err
 
 
 class TestOversizedHeaders:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from wavecnn import network as nw
-from wavecnn.complexity import (dwt2d_banded_madds, dwt2d_madds, idwt2d_madds,
-                                model_madds)
+from wavecnn.complexity import (MaddsReport, dwt2d_banded_madds, dwt2d_madds,
+                                idwt2d_madds, model_madds)
 from wavecnn.errors import InvalidConfig, NonPositive
 
 
@@ -74,6 +74,12 @@ class TestModelReport:
                 assert 0 < r.banded < r.madds
             else:
                 assert r.ll_only == 0 and r.banded == 0
+
+    def test_no_layer_has_zero_ratio(self):
+        """No multiply-add at all: the ratio is 0, not a division by zero."""
+        report = MaddsReport(())
+        assert report.total == 0 and report.ratio_percent == 0.0
+        assert "\nratio_percent,0.0,,,,,,\n" in report.to_csv()
 
     def test_pooling_model_has_zero_ratio(self):
         model = nw.build_model(nw.mini_config("max_pool"))

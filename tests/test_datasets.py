@@ -34,6 +34,11 @@ class TestIdx:
         with pytest.raises(FormatError):
             read_idx(path)
 
+    def test_rank_2_array_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="rank 1 or 3, got 2"):
+            write_idx(tmp_path / "x.idx", np.zeros((2, 3), dtype=np.uint8))
+        assert not (tmp_path / "x.idx").exists()
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.idx"
         good = tmp_path / "good.idx"
@@ -85,6 +90,22 @@ class TestLoadDataset:
         with pytest.raises(ShapeMismatch):
             load_dataset(tmp_path / "i.idx", tmp_path / "l.idx")
 
+    @pytest.mark.parametrize("images,labels", [
+        (np.zeros(3, dtype=np.uint8), np.zeros(3, dtype=np.uint8)),
+        (np.zeros((3, 4, 4), dtype=np.uint8), np.zeros((3, 1, 1), dtype=np.uint8))],
+        ids=["rank-1 images", "rank-3 labels"])
+    def test_wrong_rank_rejected(self, tmp_path, images, labels):
+        write_idx(tmp_path / "i.idx", images)
+        write_idx(tmp_path / "l.idx", labels)
+        with pytest.raises(FormatError, match="expected"):
+            load_dataset(tmp_path / "i.idx", tmp_path / "l.idx")
+
+    def test_save_refuses_more_than_one_channel(self, tmp_path):
+        ds = Dataset(np.zeros((2, 3, 4, 4)), np.array([0, 1]))
+        with pytest.raises(ShapeMismatch, match="single-channel"):
+            save_dataset(ds, tmp_path / "i.idx", tmp_path / "l.idx")
+        assert not (tmp_path / "i.idx").exists()
+
     def test_save_then_load_quantizes_once(self, tmp_path):
         ds = synthetic_classification(12, classes=3, image_hw=(8, 8), seed=5)
         save_dataset(ds, tmp_path / "i.idx", tmp_path / "l.idx")
@@ -127,6 +148,11 @@ class TestSynthetic:
             synthetic_classification(0)
         with pytest.raises(InvalidConfig):
             synthetic_classification(10, classes=1)
+
+    def test_negative_seed_rejected(self):
+        """NumPy's own refusal is a bare ValueError."""
+        with pytest.raises(InvalidConfig, match="data seed must be >= 0, got -1"):
+            synthetic_classification(4, seed=-1)
 
 
 class TestDatasetContainer:

@@ -15,6 +15,11 @@ class TestSoftShrink:
         expected = np.where(x > t, x - t, np.where(x < -t, x + t, 0.0))
         assert np.array_equal(soft_shrink(x, t), expected)
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.bool_])
+    def test_integers_shrink_in_double(self, dtype):
+        got = soft_shrink(np.array([0, 1, 1], dtype=dtype), 0.25)
+        assert got.dtype == np.float64 and got.tolist() == [0.0, 0.75, 0.75]
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bit_identical_to_piecewise_form(self, dtype):
         rng = np.random.default_rng(5)

@@ -301,7 +301,7 @@ class TestPredictBlocks:
         ds = synthetic_classification(70, classes=10, seed=2)
         model = nw.build_model(nw.mini_config(mode, wavelet, seed=3), dtype=dtype)
         small = model.predict_logits(ds.images)
-        whole = model.predict_logits(ds.images, batch=256)
+        whole = model._logits(ds.images, 256, nw._usable_cpus())
         tol = 1e-5 if dtype == np.float32 else 1e-12
         assert small.shape == whole.shape == (70, 10) and small.dtype == whole.dtype
         assert np.max(np.abs(small - whole)) <= tol * max(1.0, float(np.max(np.abs(whole))))

@@ -195,6 +195,11 @@ class TestLoss:
         value = loss.forward(logits, np.array([0, 1]))
         assert np.isfinite(value) and value < 1e-6
 
+    @pytest.mark.parametrize("labels", [np.zeros(2, dtype=int), np.zeros((3, 1), dtype=int)])
+    def test_labels_not_one_per_row_rejected(self, labels):
+        with pytest.raises(ShapeMismatch, match="loss expects"):
+            L.SoftmaxCrossEntropy().forward(np.zeros((3, 5)), labels)
+
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_labels_outside_the_classes_rejected(self, bad):
         # -1 would read the last class, 5 would index past the logits

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import inspect
 import json
 import functools
 import math
@@ -95,6 +96,16 @@ class TestModelConfig:
     def test_fields_outside_the_kind_are_rejected(self, entry):
         with pytest.raises(InvalidConfig, match="layer 0"):
             nw.ModelConfig.from_dict({"layers": [entry]})
+
+    @pytest.mark.parametrize("spec,message", [
+        (nw.conv(3, 1, 2, stride=3), "stride must be 1 or 2, got 3"),
+        (nw.downsample("strided_conv"), "strided_conv downsample needs c_in"),
+        (nw.downsample("bogus"), "unknown downsample mode 'bogus'"),
+        (nw.LayerSpec("bogus"), "unknown layer kind 'bogus'")])
+    def test_layers_that_cannot_be_built_are_rejected(self, spec, message):
+        """These specs pass ``from_dict``'s type checks or skip them."""
+        with pytest.raises(InvalidConfig, match=f"^layer 0: {message}$"):
+            nw.Model(nw.ModelConfig(layers=(spec,)))
 
     @pytest.mark.parametrize("d", [[], "layers", None, {"layers": "conv"},
                                    {"layers": [], "loss": 1}])
@@ -568,6 +579,23 @@ class TestPredictEvaluate:
         model = nw.build_model(nw.mini_config(mode, wavelet))
         assert model.predict_logits(np.zeros((0, 1, 28, 28))).shape == (0, 10)
 
+    def test_logits_come_in_blocks_of_32(self, monkeypatch):
+        """``predict_logits`` takes the images alone; no setting governs
+        its blocks."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        model = _tiny_model()
+        sizes = []
+        forward = model.forward
+
+        def recording(x, training=False):
+            sizes.append(len(x))
+            return forward(x, training)
+        model.forward = recording
+        assert nw.PREDICT_BLOCK == 32
+        assert list(inspect.signature(model.predict_logits).parameters) == ["images"]
+        assert model.predict_logits(np.zeros((70, 1, 8, 8))).shape == (70, 2)
+        assert sizes == [32, 32, 6]
+
     def test_argmax_tie_resolves_to_lowest_class(self):
         model = _tiny_model()
         model.layers[1].weight[...] = 0.0
@@ -928,7 +956,7 @@ class TestValidationLoop:
     def test_validation_starts_no_thread(self, monkeypatch):
         """Even where four CPUs are usable: a pool thread's malloc arena
         cannot reuse what the training step freed.  The same patch sees
-        ``predict_logits`` open its pool."""
+        the block loop open its pool on the usable CPUs."""
         pools = []
 
         def recording(threads):
@@ -940,7 +968,7 @@ class TestValidationLoop:
         model = _tiny_model()
         nw.train(model, ds, nw.TrainConfig(epochs=2, batch=8))
         assert pools == []
-        model.predict_logits(ds.images, batch=8)
+        model._logits(ds.images, 8, nw._usable_cpus())
         assert pools == [4]
 
     @pytest.mark.parametrize("batch", [16, 7])
@@ -996,7 +1024,7 @@ class TestParallelPredict:
     @pytest.mark.parametrize("mode,wavelet", MODES)
     def test_bytes_match_the_serial_block_loop(self, usable_cpus, mode, wavelet, dtype, batch):
         model = _parallel_model(mode, wavelet, dtype)
-        got = model.predict_logits(_IMAGES.astype(dtype), batch=batch)
+        got = model._logits(_IMAGES.astype(dtype), batch, nw._usable_cpus())
         want = _serial_logits(mode, wavelet, dtype, batch)
         assert got.dtype == want.dtype and got.shape == want.shape == (len(_IMAGES), 10)
         assert got.tobytes() == want.tobytes()
@@ -1033,7 +1061,7 @@ class TestParallelPredict:
                 running.pop()
         model.forward = failing
         with pytest.raises(ValueError, match="^block 2$"):
-            model.predict_logits(images, batch=2)
+            model._logits(images, 2, nw._usable_cpus())
         assert running == []
 
     def test_concurrent_callers_under_fast_thread_switching(self, monkeypatch):
@@ -1047,7 +1075,7 @@ class TestParallelPredict:
 
         def call():
             for _ in range(3):
-                results.append(model.predict_logits(_IMAGES.astype(np.float32), batch=1)
+                results.append(model._logits(_IMAGES.astype(np.float32), 1, nw._usable_cpus())
                                .tobytes() == want)
         callers = [threading.Thread(target=call) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -1078,13 +1106,13 @@ class TestParallelPredict:
     def test_forked_child_gets_the_same_logits(self, monkeypatch):
         _use_cpus(monkeypatch, 2)
         model = _parallel_model("dwt_ll", "haar", np.float32)
-        want = model.predict_logits(_IMAGES, batch=7)  # threads ran before the fork
+        want = model._logits(_IMAGES, 7, nw._usable_cpus())  # threads ran before the fork
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:  # the child: answer with its logits
             try:
                 os.close(read)
-                os.write(write, model.predict_logits(_IMAGES, batch=7).tobytes())
+                os.write(write, model._logits(_IMAGES, 7, nw._usable_cpus()).tobytes())
             finally:
                 os._exit(0)
         os.close(write)

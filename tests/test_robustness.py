@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wavecnn.datasets import Dataset, synthetic_classification
-from wavecnn.network import build_model, evaluate, mini_config
+from wavecnn.network import ModelConfig, build_model, evaluate, mini_config
 from wavecnn import robustness
 from wavecnn.errors import (BadSeverity, InvalidConfig, MissingCorruption,
                             ShapeMismatch, ShiftOutOfRange, ZeroReference)
@@ -318,6 +318,15 @@ class TestErrorMatrix:
         with pytest.raises(InvalidConfig):
             ErrorMatrix.from_csv(text)
 
+    def test_csv_row_of_three_cells_rejected(self):
+        with pytest.raises(InvalidConfig, match="bad error-matrix row: 'gaussian,0.1,0.2'"):
+            ErrorMatrix.from_csv("corruption,s1,s2,s3,s4,s5\ngaussian,0.1,0.2\n")
+
+    def test_csv_comment_without_a_model_is_skipped(self):
+        m = ErrorMatrix.from_csv("# measured on a noisy day\ngaussian,0.1,0.2,0.3,0.4,0.5\n")
+        assert m.model_id == "" and m.corruptions == ("gaussian",)
+        assert m.errors.tolist() == [[0.1, 0.2, 0.3, 0.4, 0.5]]
+
 
 class TestRobustnessReport:
     def _pair(self):
@@ -419,6 +428,23 @@ class TestShift:
     def test_zero_shift_is_identity(self):
         x = np.random.default_rng(0).random((2, 1, 6, 6))
         assert np.array_equal(shift_image(x, 0, 0), x)
+
+    def test_zero_shift_is_a_copy(self):
+        x = np.random.default_rng(0).random((2, 1, 6, 6)).astype(np.float32)
+        out = shift_image(x, 0, 0, "edge")
+        assert out.dtype == x.dtype and out.tobytes() == x.tobytes()
+        assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("padding", ["wrap", "symmetric", "empty", "bogus"])
+    def test_other_paddings_rejected(self, padding):
+        """``np.pad`` takes the first three (``"empty"`` would leave the
+        vacated border uninitialised) and refuses the last with a bare
+        ValueError."""
+        x = np.random.default_rng(0).random((1, 1, 5, 5))
+        with pytest.raises(InvalidConfig, match=f"unknown padding rule '{padding}'"):
+            shift_image(x, 1, 1, padding)
+        with pytest.raises(InvalidConfig):
+            ShiftTrialConfig(padding=padding)
 
     def test_reflect_padding_limit(self):
         x = np.zeros((1, 1, 4, 4))
@@ -540,6 +566,20 @@ class TestShift:
         with pytest.raises(InvalidConfig):
             ShiftTrialConfig(padding="wrap")
 
+    def test_model_without_one_label_per_image_rejected_before_any_forward(self):
+        """A model with no layers gives each image a 1x8x8 map; counting
+        its per-pixel argmaps as labels once scored 6400 %."""
+        ds = synthetic_classification(4, classes=2, image_hw=(8, 8), seed=0)
+        model = build_model(ModelConfig(layers=()))
+        calls = []
+        model.forward = lambda x, training=False: calls.append(x)
+        for measure in (lambda: shift_consistency(model, ds, ShiftTrialConfig(max_shift=2)),
+                        lambda: evaluate(model, ds)):
+            with pytest.raises(ShapeMismatch, match=r"output shape \(None, None, None\), "
+                                                    "not one label per image"):
+                measure()
+        assert calls == []
+
     def test_pairs_capped(self):
         assert ShiftTrialConfig(pairs=MAX_SHIFT_PAIRS).pairs == MAX_SHIFT_PAIRS
         with pytest.raises(InvalidConfig, match="shift pairs are more than"):
@@ -575,6 +615,25 @@ class TestErrorMatrixMeasurement:
         model = build_model(mini_config("max_pool", image_hw=(8, 8), classes=2))
         with pytest.raises(InvalidConfig):
             error_matrix(model, Dataset(images, ds.labels), seed=0)
+
+
+class TestNegativeSeed:
+    """Each entry point refuses a negative seed with InvalidConfig before
+    any work; NumPy's own refusal is a bare ValueError."""
+
+    def test_corrupt_dataset(self):
+        with pytest.raises(InvalidConfig, match="corruption seed must be >= 0, got -1"):
+            corrupt_dataset(_planted(), "gaussian", 1, seed=-1)
+
+    def test_error_matrix(self):
+        model = _Recorder()
+        with pytest.raises(InvalidConfig, match="corruption seed must be >= 0, got -1"):
+            error_matrix(model, _planted(), seed=-1)
+        assert model.seen == []
+
+    def test_shift_consistency(self):
+        with pytest.raises(InvalidConfig, match="shift seed must be >= 0, got -1"):
+            shift_consistency(_ConstantModel(), _planted(), ShiftTrialConfig(seed=-1))
 
 
 class TestParallelInference:

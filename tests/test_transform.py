@@ -93,6 +93,12 @@ class TestDwt1d:
         assert np.allclose(low, [3 * c, 7 * c])
         assert np.allclose(high, [-c, -c])
 
+    def test_synthesis_to_length_one_rejected(self):
+        """The bands of a length-1 signal are empty, so they pass the band
+        check; the length check refuses it."""
+        with pytest.raises(TooShort, match="length must be >= 2, got 1"):
+            idwt1d(np.zeros(0), np.zeros(0), HAAR, 1)
+
     def test_round_trip_even_haar(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(32)

@@ -15,9 +15,10 @@ exit code is part of the name) and every file a run writes.  It covers
 ``idwt`` and ``denoise`` between PGM and tensor files, a small ``train`` in
 every mode and with a validation split that no ``--batch`` divides,
 ``eval``, ``robustness``, ``shift`` (also on a draw that repeats most of
-its pairs), ``flops``, the ``--out`` file of each subcommand that has one,
-and the messages for a set of malformed inputs, among them checkpoints
-altered behind a fresh digest.  A run that exits with a code other than
+its pairs, and under each padding), ``flops``, the ``--out`` file of each
+subcommand that has one, and the messages for a set of malformed inputs,
+among them checkpoints altered behind a fresh digest and one of a model
+that gives no label per image.  A run that exits with a code other than
 the one expected of it is reported on stderr and makes the tool exit 1.
 """
 
@@ -107,6 +108,8 @@ def transforms() -> None:
                 files=[f"{tag}.dn.wtn"])
         run(f"denoise {bank} pgm", "denoise", "--wavelet", bank, "--in", "img.pgm",
             "--out", f"{bank}.dn.pgm", files=[f"{bank}.dn.pgm"])
+        run(f"denoise {bank} pgm to tensor", "denoise", "--wavelet", bank, "--in", "img.pgm",
+            "--out", f"{bank}.pgm.dn.wtn", files=[f"{bank}.pgm.dn.wtn"])
         run(f"idwt {bank} to pgm", "idwt", "--wavelet", bank, "--in-prefix", f"{bank}.f64",
             "--shape", "24x28", "--out", f"{bank}.idwt.pgm", files=[f"{bank}.idwt.pgm"])
         run(f"denoise {bank} tensor to pgm", "denoise", "--wavelet", bank, "--in", "unit.wtn",
@@ -140,6 +143,9 @@ def models() -> None:
     run("shift --out", "shift", *given, "--range", "2", "--pairs", "4", "--out", "shift.csv",
         files=["shift.csv"])
     run("shift repeated pairs", "shift", *given, "--range", "1", "--pairs", "300")
+    for padding in ("edge", "constant"):  # on a model whose score each padding moves
+        run(f"shift --padding {padding}", "shift", "--model", "max_pool.wcn", *data,
+            "--range", "7", "--pairs", "6", "--padding", padding)
     run("robustness", "robustness", *given, "--seed", "2")
     run("robustness prefix", "robustness", *given, "--out-prefix", "ref",
         files=["ref.csv", "ref.json"])
@@ -211,6 +217,13 @@ def malformed() -> None:
     run("robustness latin1.csv", "robustness", "--model", "max_pool.wcn", *data,
         "--reference", "latin1.csv", expect=2)
     run("eval no flags", "eval", expect=1)
+    # a model with no layers gives each image its own 1x16x16 map, not a label
+    cfg = json.dumps({"layers": [], "seed": 0, "wavelet_rewrite": ""}).encode()
+    body = (Path("max_pool.wcn").read_bytes()[:5] + struct.pack("<I", len(cfg)) + cfg
+            + struct.pack("<I", 0))
+    Path("nolayers.wcn").write_bytes(body + hashlib.sha256(body).digest())
+    for command in ("eval", "robustness", "shift"):
+        run(f"{command} nolayers.wcn", command, "--model", "nolayers.wcn", *data, expect=2)
 
 
 def main() -> int:
