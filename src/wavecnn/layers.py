@@ -23,8 +23,10 @@ itself for error messages in ``who``.  The states:
   output column, image): the batch is the fastest axis, so a chunk is one
   copy of a window view on the padded input, in runs of ``Wo*N`` samples
   at stride 1 and of ``N`` at stride 2, and a chunk's gradient columns are
-  one contiguous column range.  The output and the input gradient still
-  leave the layer as NCHW views of channel-major ``(C, N, H, W)`` buffers.
+  one contiguous column range.  A training output and the input gradient
+  leave the layer as NCHW views of channel-major ``(C, N, H, W)`` buffers;
+  an inference forward writes each chunk's product straight into a
+  batch-last ``(C_out, Ho, Wo, N)`` buffer and returns its NCHW view.
 - ``BatchNorm2d``: the normalized input ``xhat`` and ``1/sqrt(var + eps)``
   per channel.
 - ``ReLU``: the boolean mask ``x > 0``.
@@ -40,10 +42,21 @@ inference forward computes its output and nothing else: it builds no mask
 and keeps no padded input or ``xhat``.  Its output keeps its bits:
 BatchNorm applies the running statistics with the same operations in the
 same order, and max pooling runs the same knockout.  An inference
-``Conv2d`` holds its padded input, its output and one chunk of columns and
-products, and frees the padded input on return.  This keeps an inference
-forward's peak near one block's activations, which matters because
+``Conv2d`` holds its padded input, its output and one chunk of columns, and
+frees the padded input on return.  This keeps an inference forward's peak
+near one block's activations, which matters because
 ``Model.predict_logits`` runs one block per usable CPU.
+
+An inference pass keeps the conv's batch-last layout: each layer after a
+conv follows its input's memory order.  BatchNorm, ReLU and max pooling
+allocate their outputs in the input's order, ``PadToEven`` pads into a
+buffer of that order, and the low-pass layers and ``WaveletDown("cat")``
+run both passes along axis -2 of the batch-last memory, where every tile
+is a BLAS GEMM (:func:`wavecnn.transform.analysis2d_in_order`, the one
+place that rule is written).  ``Flatten`` copies to C order for ``Dense``.
+Each layer keeps the bits it gives a C-contiguous input, except a float64
+low-pass or cat on a 28 px map, where OpenBLAS multiplies one plane with
+another kernel than a whole batch and the two agree to rounding.
 
 ``AvgPool2``, ``WaveletDown("ll")`` and ``WaveletDown("avg")`` share one
 ``_forward`` and ``_backward``, a separable low-pass filter and stride-2
@@ -87,7 +100,8 @@ import numpy as np
 
 from .errors import InvalidConfig, OddSpatial, ShapeMismatch
 from .filterbank import get_wavelet
-from .transform import Decomposition2D, dwt2d, dwt2d_vjp, lowpass2d, lowpass2d_vjp
+from .transform import (_QUADRANTS, Decomposition2D, analysis2d_in_order, dwt2d_vjp,
+                        lowpass2d_vjp)
 
 
 class Layer:
@@ -245,13 +259,37 @@ class Conv2d(Layer):
             np.copyto(cols, part)
             yield r0, r1, cols.reshape(self.c_in * self.kernel ** 2, -1)
 
-    def _forward(self, x, training):
-        _, ho, wo = self.output_shape(x.shape[1:])
+    def _padded(self, x):
+        """``x`` zero-padded batch-last, ``(C_in, H+2p, W+2p, N)``, so a
+        stride-1 tap copies runs of ``Wo*N`` samples."""
         n, _, h, w = x.shape
         p = self.kernel // 2
-        # pad batch-last, so a stride-1 tap copies runs of wo*n samples
         xp = np.zeros((self.c_in, h + 2 * p, w + 2 * p, n), dtype=x.dtype)
         xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
+        return xp
+
+    def infer(self, x, weight, bias):
+        """The inference output for ``x`` of this conv with ``weight`` and
+        ``bias`` in place of its own: an NCHW view of a batch-last ``(C_out,
+        Ho, Wo, N)`` buffer.  Each chunk's product is written straight into
+        its columns of that buffer and takes the bias there."""
+        _, ho, wo = self.output_shape(x.shape[1:])
+        n = x.shape[0]
+        m = wo * n  # columns per output row
+        y = np.empty((self.c_out, ho * m), dtype=np.result_type(weight, x))
+        weight = weight.reshape(self.c_out, -1)
+        for r0, r1, cols in self._cols(self._padded(x), ho, wo):
+            out = y[:, r0 * m:r1 * m]
+            np.matmul(weight, cols, out=out)
+            out += bias[:, None]
+        return y.reshape(self.c_out, ho, wo, n).transpose(3, 0, 1, 2)
+
+    def _forward(self, x, training):
+        if not training:
+            return self.infer(x, self.weight, self.bias), None
+        _, ho, wo = self.output_shape(x.shape[1:])
+        n = x.shape[0]
+        xp = self._padded(x)
         weight = self.weight.reshape(self.c_out, -1)
         bias = self.bias[:, None, None, None]
         # channel-major (C_out, N, Ho, Wo): each chunk's product takes the
@@ -262,7 +300,7 @@ class Conv2d(Layer):
             out = (weight @ cols).reshape(self.c_out, r1 - r0, wo, n)
             out += bias
             y[:, :, r0:r1] = out.transpose(0, 3, 1, 2)
-        return y.transpose(1, 0, 2, 3), ((xp, x.shape) if training else None)
+        return y.transpose(1, 0, 2, 3), (xp, x.shape)
 
     def _param_backward(self, grad):
         """Fill ``grad_weight``/``grad_bias``; returns the batch-last gradient
@@ -449,7 +487,7 @@ class _LowPassDown(Layer):
         self.taps = tuple(taps)
 
     def _forward(self, x, training):
-        return lowpass2d(x, self.taps), x.shape[2:]
+        return analysis2d_in_order(x, (self.taps,)), x.shape[2:]
 
     def _backward(self, grad, hw):
         return lowpass2d_vjp(grad, self.taps, hw)
@@ -492,7 +530,12 @@ class WaveletDown(_LowPassDown):
     def _forward(self, x, training):
         if self.kind != "cat":
             return super()._forward(x, training)
-        return np.concatenate(dwt2d(x, self.spec).subbands(), axis=1), x.shape[2:]
+        z = analysis2d_in_order(x, (self.spec.analysis_low, self.spec.analysis_high))
+        n, c, h, w = z.shape
+        out = np.empty_like(z, shape=(n, 4 * c, h // 2, w // 2))  # in z's memory order
+        for k, (r, s) in enumerate(_QUADRANTS):  # ll, lh, hl, hh
+            out[:, k * c:(k + 1) * c] = z[..., r::2, s::2]
+        return out, x.shape[2:]
 
     def _backward(self, grad, hw):
         if self.kind != "cat":
@@ -519,7 +562,7 @@ class PadToEven(Layer):
         h, w = x.shape[2:]
         if (hp, wp) == (h, w):
             return x, (h, w)
-        out = np.zeros(x.shape[:2] + (hp, wp), dtype=x.dtype)
+        out = np.zeros_like(x, shape=x.shape[:2] + (hp, wp))  # in x's memory order
         out[:, :, :h, :w] = x
         return out, (h, w)
 
@@ -535,7 +578,11 @@ class Flatten(Layer):
     who = "flatten"
 
     def _forward(self, x, training):
-        return x.reshape(x.shape[0], int(np.prod(x.shape[1:]))), x.shape  # also for N = 0
+        # C-contiguous in any input order: on a batch-last input a reshape
+        # alone gives a transposed view, which Dense's product would run
+        # through another BLAS kernel, rounding float64 differently
+        x2 = np.ascontiguousarray(x).reshape(x.shape[0], int(np.prod(x.shape[1:])))  # also for N = 0
+        return x2, x.shape
 
     def _backward(self, grad, shape):
         return grad.reshape(shape)

@@ -7,6 +7,8 @@ central finite differences (:func:`gradcheck`), count parameters from
 the declared shapes (:func:`parameter_count`), and read the gradients a
 backward left on a layer (:func:`grads`).  Validation is checked against
 a loop that scores each block as it forwards it (:func:`eval_loss_acc`),
+the model's inference pass against a layer-by-layer loop in the
+channel-major layout (:func:`layer_logits`),
 the shift agreement against a walk over the trials one pair at a time
 (:func:`pairwise_agreement`), and the corruptions against a fresh stream and
 fresh draws per image and severity (:func:`corrupt_image`,
@@ -145,6 +147,24 @@ def eval_loss_acc(model, images, labels, batch: int) -> tuple:
         correct += int((logits.argmax(axis=1) == yb).sum())
     n = len(images)
     return total_loss / n, correct / n
+
+
+def layer_logits(model, images, batch: int = 32) -> np.ndarray:
+    """The inference output of ``model``, one block of ``batch`` images at a
+    time, layer by layer: each layer's own ``forward`` with
+    ``training=False``, its output copied into a channel-major ``(C, N, H,
+    W)`` buffer before the next layer reads it.  That is the layout every
+    conv output had before inference kept the conv's batch-last layout, and
+    no BatchNorm is folded into a conv."""
+    blocks = []
+    for i in range(0, len(images), batch):
+        out = np.asarray(images[i:i + batch], dtype=model.dtype)
+        for layer in model.layers:
+            out = layer.forward(out, training=False)
+            if out.ndim == 4:
+                out = np.ascontiguousarray(out.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        blocks.append(out)
+    return np.concatenate(blocks, axis=0)
 
 
 def pairwise_agreement(model, images, trials, padding: str) -> float:

@@ -1,4 +1,5 @@
-"""Inference forwards: same bits as before, no backward state kept."""
+"""Inference forwards: same bits as before, no backward state kept, and the
+batch-last layout of an inference conv's output kept through the model."""
 
 import copy
 import tracemalloc
@@ -14,7 +15,7 @@ from wavecnn.filterbank import get_wavelet, wavelet_names
 from wavecnn.robustness import ShiftTrialConfig, error_matrix, shift_consistency
 from wavecnn.transform import dwt2d, lowpass2d
 
-from reference import gradcheck
+from reference import gradcheck, layer_logits
 
 DTYPES = [np.float32, np.float64]
 MODES = [("max_pool", ""), ("avg_pool", ""), ("strided_conv", ""),
@@ -202,8 +203,16 @@ class TestConvBuffers:
     and never the whole matrix; a training conv keeps the padded input for
     backward, which rebuilds the chunks from it."""
 
-    def test_inference_forward_peak(self):
-        model = nw.build_model(nw.mini_config("max_pool"))
+    # bounds: the peaks while each inference conv copied its output into a
+    # channel-major buffer; with the batch-last output they read 3.62 MiB for
+    # the pooling and low-pass modes, 5.64 for strided_conv and 6.36 for dwt_cat
+    @pytest.mark.parametrize("mode,wavelet,bound", [
+        ("max_pool", "", 4.39), ("avg_pool", "", 4.39), ("strided_conv", "", 6.03),
+        ("dwt_ll", "haar", 4.39), ("dwt_avg", "db4", 4.39), ("dwt_cat", "ch3.3", 6.49)])
+    def test_inference_forward_peak(self, mode, wavelet, bound):
+        """One 32-image inference forward (5.89 MiB for max_pool while a
+        conv held its padded input and its whole im2col matrix to the end)."""
+        model = nw.build_model(nw.mini_config(mode, wavelet))
         x = _data((32, 1, 28, 28), np.float32, "normal")
         model.forward(x, training=False)  # warm the transform caches
         tracemalloc.start()
@@ -212,7 +221,7 @@ class TestConvBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.0 * 2**20  # 5.89 MiB while both buffers lived to the end
+        assert peak <= bound * 2**20
 
     def test_training_step_peak(self):
         """One 64-image ``dwt_cat`` step: forward, loss and ``Model.backward``."""
@@ -306,3 +315,104 @@ class TestPredictBlocks:
         assert small.shape == whole.shape == (70, 10) and small.dtype == whole.dtype
         assert np.max(np.abs(small - whole)) <= tol * max(1.0, float(np.max(np.abs(whole))))
         assert np.array_equal(small.argmax(axis=1), whole.argmax(axis=1))
+
+
+def _batch_last(x):
+    """``x`` as an NCHW view of a batch-last ``(C, H, W, N)`` copy, the
+    layout of an inference conv's output."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def _with_batchnorm_stats(model, seed=9):
+    """``model`` with every BatchNorm's parameters and running statistics
+    drawn away from their initial ones and zeros."""
+    rng = np.random.default_rng(seed)
+    for layer in model.layers:
+        if isinstance(layer, L.BatchNorm2d):
+            c = layer.channels
+            layer.gamma[...] = rng.uniform(0.5, 2.0, c)
+            layer.beta[...] = rng.standard_normal(c)
+            layer.running_mean[...] = 0.1 * rng.standard_normal(c)
+            layer.running_var[...] = rng.uniform(0.5, 2.0, c)
+    return model
+
+
+def _assert_close(out, ref):
+    tol = 1e-5 if out.dtype == np.float32 else 1e-12
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert np.max(np.abs(out - ref)) <= tol * max(1.0, float(np.max(np.abs(ref))))
+
+
+class TestBatchLastLayout:
+    """Each layer after an inference conv runs in the conv's batch-last
+    memory and returns its output in that memory."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("hw", [28, 14, 8, 70])
+    @pytest.mark.parametrize("kind,wavelet", [("avg_pool", ""), ("ll", "haar"), ("ll", "db4"),
+                                              ("avg", "db4"), ("cat", "haar"), ("cat", "ch3.3")])
+    def test_down_on_a_batch_last_view(self, kind, wavelet, hw, dtype):
+        """Low-pass and cat run the height and the width pass along axis -2
+        of the batch-last memory.  At 14 and 8 px the bits are those of a
+        C-contiguous input.  At 70 px a side takes the tiled path, and at
+        28 px in float64 OpenBLAS multiplies one plane's 28 columns with
+        another kernel than a whole batch's, so there the two agree to
+        rounding."""
+        layer = L.AvgPool2() if kind == "avg_pool" else L.WaveletDown(kind, wavelet)
+        x = _data((5, 3, hw, hw), dtype, "normal", seed=hw)
+        ref = layer.forward(x, training=False)
+        out = layer.forward(_batch_last(x), training=False)
+        assert out.transpose(1, 2, 3, 0).flags.c_contiguous
+        if hw == 70 or (hw == 28 and dtype == np.float64):
+            _assert_close(out, ref)
+        else:
+            assert _same_bits(out, ref)
+
+    @pytest.mark.parametrize("kind", ["batchnorm", "relu", "max_pool", "pad"])
+    def test_elementwise_layers_keep_the_order(self, kind):
+        layer = _layer(kind, np.float32)
+        x = _data((4, 3, 7, 9) if kind == "pad" else (4, 3, 6, 10), np.float32, "ties")
+        out = layer.forward(_batch_last(x), training=False)
+        assert out.transpose(1, 2, 3, 0).flags.c_contiguous
+        assert _same_bits(out, layer.forward(x, training=False))
+
+    def test_flatten_gives_c_order(self):
+        x = _data((4, 3, 6, 10), np.float64, "normal")
+        out = L.Flatten().forward(_batch_last(x), training=False)
+        assert out.flags.c_contiguous and _same_bits(out, x.reshape(4, -1))
+
+
+class TestModelPass:
+    """``Model.forward(training=False)`` against the layer-by-layer
+    reference, which copies every output into the channel-major layout."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("mode,wavelet", MODES)
+    def test_matches_the_channel_major_reference(self, mode, wavelet, dtype):
+        """The same bytes, except where a float64 low-pass or cat reads a
+        28 px map (see ``test_down_on_a_batch_last_view``)."""
+        ds = synthetic_classification(70, classes=10, seed=4)
+        model = _with_batchnorm_stats(nw.build_model(nw.mini_config(mode, wavelet, seed=3),
+                                                     dtype=dtype))
+        out = model.predict_logits(ds.images)
+        ref = layer_logits(model, ds.images)
+        if dtype == np.float64 and mode.startswith("dwt"):
+            _assert_close(out, ref)
+            assert np.array_equal(out.argmax(axis=1), ref.argmax(axis=1))
+        else:
+            assert _same_bits(out, ref)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_logits_follow_changed_batchnorm(self, dtype):
+        """No pass keeps anything of the parameters for the next."""
+        ds = synthetic_classification(40, classes=10, seed=6)
+        model = _with_batchnorm_stats(nw.build_model(nw.mini_config("dwt_ll", "haar", seed=2),
+                                                     dtype=dtype))
+        first = model.predict_logits(ds.images)
+        for layer in model.layers:
+            if isinstance(layer, L.BatchNorm2d):
+                layer.gamma *= np.linspace(0.5, 1.5, layer.channels, dtype=dtype)
+                layer.running_var *= 2.0
+        second = model.predict_logits(ds.images)
+        assert np.max(np.abs(second - first)) > 1e-3
+        _assert_close(second, layer_logits(model, ds.images))

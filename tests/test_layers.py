@@ -454,10 +454,12 @@ class TestMatchesReplacedFormulation:
         conv = _init(L.Conv2d(kernel, c_in, c_out, stride=stride), seed=5, dtype=dtype)
         x = rng.standard_normal((batch, c_in) + hw).astype(dtype)
         y = conv.forward(_channel_major(x), training=training)
-        # both input layouts give the same bits, and the output is a view of a
-        # channel-major (C_out, N, Ho, Wo) buffer, as before the batch-last im2col
+        # both input layouts give the same bits; a training output is a view of
+        # a channel-major (C_out, N, Ho, Wo) buffer, as before the batch-last
+        # im2col, and an inference output one of the batch-last (C_out, Ho, Wo,
+        # N) buffer the GEMM writes
         assert _same_bits(conv.forward(x, training=training), y)
-        assert y.transpose(1, 0, 2, 3).flags.c_contiguous
+        assert y.transpose((1, 0, 2, 3) if training else (1, 2, 3, 0)).flags.c_contiguous
         g = rng.standard_normal(y.shape).astype(dtype)
         y_ref, gx_ref, gw_ref, gb_ref = ref_conv(x, g, conv.weight, conv.bias, stride)
         _close(y, y_ref, dtype)
