@@ -47,16 +47,23 @@ frees the padded input on return.  This keeps an inference forward's peak
 near one block's activations, which matters because
 ``Model.predict_logits`` runs one block per usable CPU.
 
-An inference pass keeps the conv's batch-last layout: each layer after a
-conv follows its input's memory order.  BatchNorm, ReLU and max pooling
+An inference forward keeps the conv's batch-last layout: each layer after
+a conv follows its input's memory order.  BatchNorm, ReLU and max pooling
 allocate their outputs in the input's order, ``PadToEven`` pads into a
 buffer of that order, and the low-pass layers and ``WaveletDown("cat")``
 run both passes along axis -2 of the batch-last memory, where every tile
-is a BLAS GEMM (:func:`wavecnn.transform.analysis2d_in_order`, the one
-place that rule is written).  ``Flatten`` copies to C order for ``Dense``.
-Each layer keeps the bits it gives a C-contiguous input, except a float64
-low-pass or cat on a 28 px map, where OpenBLAS multiplies one plane with
-another kernel than a whole batch and the two agree to rounding.
+is a BLAS GEMM (``transform._analysis2d`` states that rule once).
+``Flatten`` copies to C order for ``Dense``.  Each layer gives the bits it
+gives a C-contiguous input, except where OpenBLAS multiplies one plane's
+columns with another kernel than a whole batch's: a float64 low-pass or
+cat on a 28 px map agrees to rounding.
+
+The model's inference pass (``Model.forward(training=False)``) runs no
+BatchNorm on its own: :func:`folded_forward`, here, runs each conv with
+the BatchNorm after it folded into its weight and bias, rebuilt from the
+live parameters on every call, and the ReLU after them in place.  That
+rounds differently from the layers one by one, which
+``BatchNorm2d.forward`` still runs bit for bit as above.
 
 ``AvgPool2``, ``WaveletDown("ll")`` and ``WaveletDown("avg")`` share one
 ``_forward`` and ``_backward``, a separable low-pass filter and stride-2
@@ -100,8 +107,8 @@ import numpy as np
 
 from .errors import InvalidConfig, OddSpatial, ShapeMismatch
 from .filterbank import get_wavelet
-from .transform import (_QUADRANTS, Decomposition2D, analysis2d_in_order, dwt2d_vjp,
-                        lowpass2d_vjp)
+from .transform import (_QUADRANTS, Decomposition2D, dwt2d_interleaved, dwt2d_vjp,
+                        lowpass2d, lowpass2d_vjp)
 
 
 class Layer:
@@ -403,6 +410,25 @@ class BatchNorm2d(Layer):
         return (self.channels, *_require_chw(in_shape, self.who, self.channels)[1:])
 
 
+def folded_forward(x, conv: Conv2d, bn: BatchNorm2d, relu: "ReLU | None" = None):
+    """The inference output of ``conv``, then ``bn``, then ``relu`` if one is
+    given, run as one conv: ``bn``'s running statistics fold into the
+    conv's weight and bias (Jacob et al., arXiv 1712.05877, section 3.2),
+    ``W' = W*s`` and ``b' = (b - mean)*s + beta`` with ``s = gamma /
+    sqrt(var + eps)``.  They are rebuilt from the live arrays on every
+    call, and the ReLU runs in place on the conv's fresh output.  Each of
+    the layers drops its backward state, as ``Layer.forward`` does.  The
+    output is that of the layers run one by one up to rounding."""
+    bn.output_shape(conv.output_shape(x.shape[1:]))
+    for layer in (conv, bn, relu):
+        if layer is not None:
+            layer._state = None
+    scale = bn.gamma * (1.0 / np.sqrt(bn.running_var + bn.EPS))
+    y = conv.infer(x, conv.weight * scale[:, None, None, None],
+                   (conv.bias - bn.running_mean) * scale + bn.beta)
+    return y if relu is None else np.maximum(y, 0, out=y)
+
+
 def _bits(a):
     """``a`` viewed as unsigned words of its item size."""
     return a.view(f"u{a.dtype.itemsize}")
@@ -487,7 +513,7 @@ class _LowPassDown(Layer):
         self.taps = tuple(taps)
 
     def _forward(self, x, training):
-        return analysis2d_in_order(x, (self.taps,)), x.shape[2:]
+        return lowpass2d(x, self.taps), x.shape[2:]
 
     def _backward(self, grad, hw):
         return lowpass2d_vjp(grad, self.taps, hw)
@@ -530,7 +556,7 @@ class WaveletDown(_LowPassDown):
     def _forward(self, x, training):
         if self.kind != "cat":
             return super()._forward(x, training)
-        z = analysis2d_in_order(x, (self.spec.analysis_low, self.spec.analysis_high))
+        z = dwt2d_interleaved(x, self.spec)
         n, c, h, w = z.shape
         out = np.empty_like(z, shape=(n, 4 * c, h // 2, w // 2))  # in z's memory order
         for k, (r, s) in enumerate(_QUADRANTS):  # ll, lh, hl, hh
@@ -581,8 +607,8 @@ class Flatten(Layer):
         # C-contiguous in any input order: on a batch-last input a reshape
         # alone gives a transposed view, which Dense's product would run
         # through another BLAS kernel, rounding float64 differently
-        x2 = np.ascontiguousarray(x).reshape(x.shape[0], int(np.prod(x.shape[1:])))  # also for N = 0
-        return x2, x.shape
+        flat = np.ascontiguousarray(x).reshape(x.shape[0], int(np.prod(x.shape[1:])))
+        return flat, x.shape  # also for N = 0
 
     def _backward(self, grad, shape):
         return grad.reshape(shape)

@@ -32,7 +32,7 @@ from .errors import (DivergedLoss, FormatError, InvalidConfig, OddSpatial, Shape
                      UnknownWavelet, _check_seed)
 from .filterbank import get_wavelet
 from .layers import (AvgPool2, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2,
-                     PadToEven, ReLU, SoftmaxCrossEntropy, WaveletDown)
+                     PadToEven, ReLU, SoftmaxCrossEntropy, WaveletDown, folded_forward)
 
 _WAVELET_KINDS = {"dwt_ll": "ll", "dwt_avg": "avg", "dwt_cat": "cat"}
 
@@ -234,6 +234,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _folded_run(layers, i: int) -> int:
+    """How many layers from ``layers[i]`` an inference pass runs as one
+    folded conv: 3 for conv, batchnorm and ReLU, 2 for conv and batchnorm,
+    0 where no conv and batchnorm start."""
+    run = layers[i:i + 3]
+    if len(run) < 2 or not (isinstance(run[0], Conv2d) and isinstance(run[1], BatchNorm2d)):
+        return 0
+    return 3 if len(run) == 3 and isinstance(run[2], ReLU) else 2
+
+
 class Model:
     """A network built from its config.
 
@@ -257,9 +267,28 @@ class Model:
         self.loss = SoftmaxCrossEntropy()
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """The output of every layer in turn, for ``x`` cast to the model's
+        dtype.
+
+        A training forward runs each layer's ``forward``.  An inference
+        forward (``training=False``, which ``predict_logits`` and ``train``'s
+        validation run) runs each ``Conv2d`` followed by a ``BatchNorm2d``,
+        and a ``ReLU`` right after them, as one conv with the BatchNorm
+        folded into its weight and bias (:func:`wavecnn.layers.folded_forward`,
+        rebuilt from the live parameters on every pass), and every other
+        layer through its ``forward``.  It keeps the conv's batch-last
+        layout up to ``Flatten``.  Its logits match those of the layers run
+        one by one to rounding, as the fold multiplies in another order.
+        """
         out = np.asarray(x, dtype=self.dtype)
-        for layer in self.layers:
-            out = layer.forward(out, training)
+        i = 0
+        while i < len(self.layers):
+            run = 0 if training else _folded_run(self.layers, i)
+            if run:
+                out = folded_forward(out, *self.layers[i:i + run])
+            else:
+                out = self.layers[i].forward(out, training)
+            i += run or 1
         return out
 
     def backward(self, grad: np.ndarray) -> None:

@@ -47,9 +47,10 @@ No dense operator is ever built; the tests hold the dense matrices as the
 reference definition and check the core against them.
 
 Every array a transform returns shares no memory with its inputs, so
-callers may write into it, and is C-contiguous, so they may reshape it;
-only :func:`analysis2d_in_order` returns a view of a batch-last buffer
-when its input is one.
+callers may write into it.  It is C-contiguous, so they may reshape it,
+with one exception: given an NCHW view of a batch-last ``(C, H, W, N)``
+buffer, :func:`lowpass2d` and :func:`dwt2d_interleaved` run in that memory
+and return such a view (:func:`_analysis2d` holds that rule).
 """
 
 from __future__ import annotations
@@ -228,32 +229,23 @@ _QUADRANTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 def _analysis2d(x, filters: tuple) -> np.ndarray:
     """The operator of the bank ``filters`` over the last two axes, rows
-    first: each plane becomes one array of interleaved coefficients."""
-    X = _input(x)
-    bank = _tiles(filters, X.dtype.char)
-    return _analyze(_analyze(X, bank, -2), bank, -1)
+    first: each plane becomes one array of interleaved coefficients.
 
-
-def analysis2d_in_order(x, filters: tuple) -> np.ndarray:
-    """The interleaved coefficients of the bank ``filters`` over the planes
-    of the NCHW ``x``, in ``x``'s memory order: the one rule by which the
-    down-sampling layers follow their input's layout.
-
-    When ``x`` is a view of a batch-last ``(C, H, W, N)`` buffer and not
-    also C-contiguous, as an inference conv's output is, both passes run
-    along axis -2 of that memory, the height pass on ``(C, H, W*N)`` and
-    the width pass on ``(C, H', W, N)``, so every tile is a BLAS GEMM with
-    the batch in its columns; the result is an NCHW view of a batch-last
-    buffer.  Any other ``x`` gives the C-contiguous result of the 2D
-    analysis.  Both run the same products per coefficient; on a side of at
-    most ``2 * _TILE`` samples the two give the same bits.
+    The one place where a transform follows its input's memory order.  An
+    NCHW ``x`` that views a batch-last ``(C, H, W, N)`` buffer and is not
+    also C-contiguous, as an inference conv's output does, is transformed
+    in that memory: both passes run along axis -2, the height pass on
+    ``(C, H, W*N)`` and the width pass on ``(C, H', W, N)``, so every tile
+    is a BLAS GEMM with the batch in its columns, and the result is an
+    NCHW view of a batch-last buffer.
     """
     X = _input(x)
-    xb = X.transpose(1, 2, 3, 0) if X.ndim == 4 else X
-    if X.ndim != 4 or X.flags.c_contiguous or not xb.flags.c_contiguous:
-        return _analysis2d(X, filters)
-    c, h, w, n = xb.shape
     bank = _tiles(filters, X.dtype.char)
+    xb = X.transpose(1, 2, 3, 0) if X.ndim == 4 else X
+    if (X.ndim != 4 or X.flags.c_contiguous or not xb.flags.c_contiguous
+            or min(X.shape[2:]) < 2):  # a short side raises on the NCHW shape
+        return _analyze(_analyze(X, bank, -2), bank, -1)
+    c, h, w, n = xb.shape
     z = _analyze(xb.reshape(c, h, w * n), bank, -2)
     return _analyze(z.reshape(c, -1, w, n), bank, -2).transpose(3, 0, 1, 2)
 
