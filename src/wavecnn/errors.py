@@ -2,9 +2,12 @@
 
 Everything derives from :class:`WaveError` so callers (and the CLI) can treat
 any toolkit failure uniformly; most types also subclass ``ValueError`` because
-they signal bad arguments rather than broken state.  The one seed rule,
-shared by every entry point that takes a seed, lives here too.
+they signal bad arguments rather than broken state.  The one integer rule
+and the seed rule built on it, shared by every entry point that takes a
+seed, a shift range or a pair count, live here too.
 """
+
+import numbers
 
 
 class WaveError(Exception):
@@ -42,9 +45,18 @@ class InvalidConfig(WaveError, ValueError):
     """Model or run configuration is inconsistent."""
 
 
+def _check_int(value, label: str) -> None:
+    """InvalidConfig, naming ``value`` as ``label``, unless it is an integer;
+    a bool is none, though Python counts it as one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidConfig(f"{label} must be an integer, got {value!r}")
+
+
 def _check_seed(seed: int, label: str) -> None:
-    """InvalidConfig, naming the seed as ``label``, on a negative seed:
-    ``np.random.default_rng`` refuses one with a bare ``ValueError``."""
+    """InvalidConfig, naming the seed as ``label``, unless ``seed`` is an
+    integer >= 0: ``np.random.default_rng`` refuses a negative one with a
+    bare ``ValueError`` and a fractional one with a bare ``TypeError``."""
+    _check_int(seed, label)
     if seed < 0:
         raise InvalidConfig(f"{label} must be >= 0, got {seed}")
 

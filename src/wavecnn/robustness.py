@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .errors import (BadSeverity, InvalidConfig, MissingCorruption,
-                     ShapeMismatch, ShiftOutOfRange, ZeroReference, _check_seed)
+from .errors import (BadSeverity, InvalidConfig, MissingCorruption, ShapeMismatch,
+                     ShiftOutOfRange, ZeroReference, _check_int, _check_seed)
 from .network import _checked_images, evaluate
 
 GAUSSIAN = "gaussian"
@@ -346,6 +346,8 @@ class ShiftTrialConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_int(self.max_shift, "shift range")
+        _check_int(self.pairs, "shift pair count")
         if self.max_shift < 1:
             raise InvalidConfig("shift range must be >= 1 pixel")
         if self.pairs < 1:

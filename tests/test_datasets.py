@@ -154,6 +154,12 @@ class TestSynthetic:
         with pytest.raises(InvalidConfig, match="data seed must be >= 0, got -1"):
             synthetic_classification(4, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_integer_seed_rejected(self, seed):
+        """NumPy refuses 1.5 with a bare TypeError and takes True as 1."""
+        with pytest.raises(InvalidConfig, match="data seed must be an integer"):
+            synthetic_classification(4, seed=seed)
+
 
 class TestDatasetContainer:
     def test_shape_validation(self):

@@ -81,6 +81,11 @@ class TestModelConfig:
         with pytest.raises(InvalidConfig, match="seed must be >= 0"):
             nw.ModelConfig.from_dict(dict(nw.mini_config("max_pool").to_dict(), seed=-1))
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InvalidConfig, match="model seed must be an integer"):
+            nw.ModelConfig(layers=nw.mini_config("max_pool").layers, seed=seed)
+
     def test_every_layer_kind_round_trips(self):
         specs = (nw.conv(5, 2, 3, stride=2), nw.batchnorm(3), nw.relu(),
                  nw.downsample("dwt_cat", "db2", pad_odd=True, c_in=3, c_out=4),

@@ -636,6 +636,35 @@ class TestNegativeSeed:
             shift_consistency(_ConstantModel(), _planted(), ShiftTrialConfig(seed=-1))
 
 
+class TestNonIntegerSetting:
+    """A fractional or bool seed, shift range or pair count is refused with
+    InvalidConfig before any work.  NumPy refused a fractional seed with a
+    bare TypeError, took True as 1, and a range of 2.5 was scored."""
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "1"])
+    def test_corrupt_dataset(self, seed):
+        with pytest.raises(InvalidConfig, match="corruption seed must be an integer"):
+            corrupt_dataset(_planted(), "gaussian", 1, seed=seed)
+
+    def test_error_matrix(self):
+        model = _Recorder()
+        with pytest.raises(InvalidConfig, match="corruption seed must be an integer"):
+            error_matrix(model, _planted(), seed=1.5)
+        assert model.seen == []
+
+    @pytest.mark.parametrize("field,label", [("seed", "shift seed"), ("max_shift", "shift range"),
+                                             ("pairs", "shift pair count")])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_shift_trial_config(self, field, label, value):
+        with pytest.raises(InvalidConfig, match=f"{label} must be an integer, got {value!r}"):
+            ShiftTrialConfig(**{field: value})
+
+    def test_numpy_integers_pass(self):
+        cfg = ShiftTrialConfig(max_shift=np.int64(2), pairs=np.int32(3), seed=np.uint8(4))
+        assert shift_consistency(_ConstantModel(), _planted(), cfg) == 100.0
+        assert len(corrupt_dataset(_planted(), "gaussian", 1, seed=np.int64(1))) == len(_planted())
+
+
 class TestParallelInference:
     """The metrics forward their blocks on every usable CPU; the values do
     not depend on how many there are."""
