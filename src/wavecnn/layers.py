@@ -275,7 +275,7 @@ class Conv2d(Layer):
         xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
         return xp
 
-    def infer(self, x, weight, bias):
+    def _infer(self, x, weight, bias):
         """The inference output for ``x`` of this conv with ``weight`` and
         ``bias`` in place of its own: an NCHW view of a batch-last ``(C_out,
         Ho, Wo, N)`` buffer.  Each chunk's product is written straight into
@@ -293,7 +293,7 @@ class Conv2d(Layer):
 
     def _forward(self, x, training):
         if not training:
-            return self.infer(x, self.weight, self.bias), None
+            return self._infer(x, self.weight, self.bias), None
         _, ho, wo = self.output_shape(x.shape[1:])
         n = x.shape[0]
         xp = self._padded(x)
@@ -424,7 +424,7 @@ def folded_forward(x, conv: Conv2d, bn: BatchNorm2d, relu: "ReLU | None" = None)
         if layer is not None:
             layer._state = None
     scale = bn.gamma * (1.0 / np.sqrt(bn.running_var + bn.EPS))
-    y = conv.infer(x, conv.weight * scale[:, None, None, None],
+    y = conv._infer(x, conv.weight * scale[:, None, None, None],
                    (conv.bias - bn.running_mean) * scale + bn.beta)
     return y if relu is None else np.maximum(y, 0, out=y)
 
