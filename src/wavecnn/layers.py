@@ -410,7 +410,7 @@ class BatchNorm2d(Layer):
         return (self.channels, *_require_chw(in_shape, self.who, self.channels)[1:])
 
 
-def folded_forward(x, conv: Conv2d, bn: BatchNorm2d, relu: "ReLU | None" = None):
+def folded_forward(x, conv: Conv2d, bn: BatchNorm2d, relu: ReLU | None = None):
     """The inference output of ``conv``, then ``bn``, then ``relu`` if one is
     given, run as one conv: ``bn``'s running statistics fold into the
     conv's weight and bias (Jacob et al., arXiv 1712.05877, section 3.2),
