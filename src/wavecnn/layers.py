@@ -61,9 +61,9 @@ cat on a 28 px map agrees to rounding.
 The model's inference pass (``Model.forward(training=False)``) runs no
 BatchNorm on its own: :func:`folded_forward`, here, runs each conv with
 the BatchNorm after it folded into its weight and bias, rebuilt from the
-live parameters on every call, and the ReLU after them in place.  That
-rounds differently from the layers one by one, which
-``BatchNorm2d.forward`` still runs bit for bit as above.
+live parameters on every call, and the ReLU after them in place.  Its
+output rounds differently from the layers' own forwards, which keep their
+bits as above.
 
 ``AvgPool2``, ``WaveletDown("ll")`` and ``WaveletDown("avg")`` share one
 ``_forward`` and ``_backward``, a separable low-pass filter and stride-2
