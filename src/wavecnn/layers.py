@@ -23,17 +23,17 @@ itself for error messages in ``who``.  The states:
   output column, image): the batch is the fastest axis, so a chunk is one
   copy of a window view on the padded input, in runs of ``Wo*N`` samples
   at stride 1 and of ``N`` at stride 2, and a chunk's gradient columns are
-  one contiguous column range.  A training output and the input gradient
-  leave the layer as NCHW views of channel-major ``(C, N, H, W)`` buffers;
-  an inference forward writes each chunk's product straight into a
-  batch-last ``(C_out, Ho, Wo, N)`` buffer and returns its NCHW view.
+  one contiguous column range.  Forward writes each chunk's product
+  straight into a batch-last ``(C_out, Ho, Wo, N)`` buffer and returns
+  its NCHW view; backward returns the input gradient as a view of a
+  batch-last ``(C_in, H, W, N)`` buffer.
 - ``BatchNorm2d``: the normalized input ``xhat`` and ``1/sqrt(var + eps)``
   per channel.
 - ``ReLU``: the boolean mask ``x > 0``.
 - ``MaxPool2``: three boolean masks per output (a beats b, c beats d, the
   top pair beats the bottom pair of each 2x2 window) and the input shape.
-- ``AvgPool2``, ``PadToEven``, ``Flatten``, ``WaveletDown``: shapes only;
-  ``Dense``: its input.
+- ``AvgPool2``, ``PadToEven``, ``WaveletDown``: shapes only; ``Flatten``:
+  its input's shape and memory order; ``Dense``: its input.
 
 A forward drops the state of an earlier forward before it computes, so an
 evaluated model holds no activations; ``Model.backward`` also drops each
@@ -47,16 +47,22 @@ frees the padded input on return.  This keeps an inference forward's peak
 near one block's activations, which matters because
 ``Model.predict_logits`` runs one block per usable CPU.
 
-An inference forward keeps the conv's batch-last layout: each layer after
-a conv follows its input's memory order.  BatchNorm, ReLU and max pooling
-allocate their outputs in the input's order, ``PadToEven`` pads into a
-buffer of that order, and the low-pass layers and ``WaveletDown("cat")``
-run both passes along axis -2 of the batch-last memory, where every tile
-is a BLAS GEMM (``transform._analysis2d`` states that rule once).
-``Flatten`` copies to C order for ``Dense``.  Each layer gives the bits it
-gives a C-contiguous input, except where OpenBLAS multiplies one plane's
-columns with another kernel than a whole batch's: a float64 low-pass or
-cat on a 28 px map agrees to rounding.
+Both passes keep the conv's batch-last layout: every activation and every
+gradient from the first conv to ``Flatten`` is an NCHW view of a batch-last
+buffer.  The rule: every backward returns its gradient in the memory order
+of its forward's input, and every forward after a conv follows its input's
+order.  BatchNorm, ReLU and max pooling allocate in their input's order,
+``PadToEven`` pads into a buffer of that order and crops a view, and the
+low-pass layers and ``WaveletDown("cat")`` run both directions along axis
+-2 of the batch-last memory, where every tile is a BLAS GEMM
+(``transform._batch_last`` states that rule once).  ``Flatten`` copies to
+C order for ``Dense`` and copies the gradient back into its input's order.
+The one exception is ``Conv2d``, whose backward always returns batch-last:
+only the first layer of a model sees C-contiguous images, and training
+never computes that layer's input gradient.  Each layer's forward and
+backward give the bits they give on C-contiguous arrays, except where
+OpenBLAS multiplies one plane's columns with another kernel than a whole
+batch's: a float64 low-pass or cat on a 28 px map agrees to rounding.
 
 The model's inference pass (``Model.forward(training=False)``) runs no
 BatchNorm on its own: :func:`folded_forward`, here, runs each conv with
@@ -275,39 +281,27 @@ class Conv2d(Layer):
         xp[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
         return xp
 
-    def _infer(self, x, weight, bias):
-        """The inference output for ``x`` of this conv with ``weight`` and
-        ``bias`` in place of its own: an NCHW view of a batch-last ``(C_out,
-        Ho, Wo, N)`` buffer.  Each chunk's product is written straight into
-        its columns of that buffer and takes the bias there."""
+    def _product(self, x, weight, bias):
+        """``(y, xp)``: the output for ``x`` of this conv with ``weight`` and
+        ``bias`` in place of its own, an NCHW view of a batch-last ``(C_out,
+        Ho, Wo, N)`` buffer, and the padded input it was computed from.  Each
+        chunk's product is written straight into its columns of that buffer
+        and takes the bias there."""
         _, ho, wo = self.output_shape(x.shape[1:])
         n = x.shape[0]
         m = wo * n  # columns per output row
+        xp = self._padded(x)
         y = np.empty((self.c_out, ho * m), dtype=np.result_type(weight, x))
         weight = weight.reshape(self.c_out, -1)
-        for r0, r1, cols in self._cols(self._padded(x), ho, wo):
+        for r0, r1, cols in self._cols(xp, ho, wo):
             out = y[:, r0 * m:r1 * m]
             np.matmul(weight, cols, out=out)
             out += bias[:, None]
-        return y.reshape(self.c_out, ho, wo, n).transpose(3, 0, 1, 2)
+        return y.reshape(self.c_out, ho, wo, n).transpose(3, 0, 1, 2), xp
 
     def _forward(self, x, training):
-        if not training:
-            return self._infer(x, self.weight, self.bias), None
-        _, ho, wo = self.output_shape(x.shape[1:])
-        n = x.shape[0]
-        xp = self._padded(x)
-        weight = self.weight.reshape(self.c_out, -1)
-        bias = self.bias[:, None, None, None]
-        # channel-major (C_out, N, Ho, Wo): each chunk's product takes the
-        # bias in place and is copied in while it is still in cache (a copy
-        # runs ~30 % faster into these row slices than an add with out=)
-        y = np.empty((self.c_out, n, ho, wo), dtype=np.result_type(weight, x))
-        for r0, r1, cols in self._cols(xp, ho, wo):
-            out = (weight @ cols).reshape(self.c_out, r1 - r0, wo, n)
-            out += bias
-            y[:, :, r0:r1] = out.transpose(0, 3, 1, 2)
-        return y.transpose(1, 0, 2, 3), (xp, x.shape)
+        y, xp = self._product(x, self.weight, self.bias)
+        return y, (xp, x.shape)
 
     def _param_backward(self, grad):
         """Fill ``grad_weight``/``grad_bias``; returns the batch-last gradient
@@ -315,7 +309,7 @@ class Conv2d(Layer):
         xp, _ = self._saved()
         ho, wo = grad.shape[2:]
         m = wo * grad.shape[0]  # columns per output row
-        g = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(self.c_out, ho * m)
+        g = grad.transpose(1, 2, 3, 0).reshape(self.c_out, ho * m)  # a view if batch-last
         self.grad_bias = g.sum(axis=1)
         # the columns are rebuilt chunk by chunk, and each chunk's product added
         gw = np.zeros((self.weight[0].size, self.c_out), dtype=np.result_type(xp, g))
@@ -341,9 +335,7 @@ class Conv2d(Layer):
                 for kj in range(k):
                     win[:, ki, kj, r0:r1] += gcols[:, ki, kj]
             del gcols  # before the next chunk's product is allocated
-        # one copy back to channel-major (C_in, N, H, W)
-        gx = np.ascontiguousarray(gxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2))
-        return gx.transpose(1, 0, 2, 3)
+        return np.ascontiguousarray(gxp[:, p:p + h, p:p + w]).transpose(3, 0, 1, 2)
 
     def output_shape(self, in_shape):
         _, h, w = _require_chw(in_shape, self.who, self.c_in)
@@ -424,8 +416,8 @@ def folded_forward(x, conv: Conv2d, bn: BatchNorm2d, relu: ReLU | None = None):
         if layer is not None:
             layer._state = None
     scale = bn.gamma * (1.0 / np.sqrt(bn.running_var + bn.EPS))
-    y = conv._infer(x, conv.weight * scale[:, None, None, None],
-                   (conv.bias - bn.running_mean) * scale + bn.beta)
+    y, _ = conv._product(x, conv.weight * scale[:, None, None, None],
+                         (conv.bias - bn.running_mean) * scale + bn.beta)
     return y if relu is None else np.maximum(y, 0, out=y)
 
 
@@ -607,11 +599,15 @@ class Flatten(Layer):
         # C-contiguous in any input order: on a batch-last input a reshape
         # alone gives a transposed view, which Dense's product would run
         # through another BLAS kernel, rounding float64 differently
-        flat = np.ascontiguousarray(x).reshape(x.shape[0], int(np.prod(x.shape[1:])))
-        return flat, x.shape  # also for N = 0
+        flat = np.ascontiguousarray(x).reshape(x.shape[0], int(np.prod(x.shape[1:])))  # N = 0 too
+        # backward needs x's axes from its outermost in memory to its innermost
+        return flat, (x.shape, np.argsort(x.strides, kind="stable")[::-1])
 
-    def _backward(self, grad, shape):
-        return grad.reshape(shape)
+    def _backward(self, grad, state):
+        shape, axes = state
+        gx = np.empty([shape[a] for a in axes], grad.dtype).transpose(np.argsort(axes))
+        gx[...] = grad.reshape(shape)  # in x's memory order
+        return gx
 
     def output_shape(self, in_shape):
         return (None,) if None in in_shape else (math.prod(in_shape),)

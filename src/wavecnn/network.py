@@ -276,9 +276,10 @@ class Model:
         and a ``ReLU`` right after them, as one conv with the BatchNorm
         folded into its weight and bias (:func:`wavecnn.layers.folded_forward`,
         rebuilt from the live parameters on every pass), and every other
-        layer through its ``forward``.  It keeps the conv's batch-last
-        layout up to ``Flatten``.  Its logits match those of the layers run
-        one by one to rounding, as the fold multiplies in another order.
+        layer through its ``forward``.  Its logits match those of the layers
+        run one by one to rounding, as the fold multiplies in another order.
+        Both passes, and :meth:`backward` after a training forward, keep the
+        conv's batch-last layout up to ``Flatten`` (:mod:`wavecnn.layers`).
         """
         out = np.asarray(x, dtype=self.dtype)
         i = 0

@@ -235,7 +235,9 @@ def error_matrix(model, dataset, kinds=NOISE_CORRUPTIONS, seed: int = 0,
     calling thread; the forwards use every usable CPU
     (``Model.predict_logits``).  Raises InvalidConfig, before any work, on
     an empty, repeated or unknown kind, and (from ``evaluate``) on a dataset
-    without images.
+    without images.  The model predicts zero images before any corruption,
+    so one that gives no label per image (``Model.predict``) is refused
+    first.
     """
     kinds = tuple(kinds)
     _check_names(kinds)
@@ -243,6 +245,7 @@ def error_matrix(model, dataset, kinds=NOISE_CORRUPTIONS, seed: int = 0,
         _severity_param(kind, 1)
     x = np.asarray(dataset.images, dtype=np.float64)
     seeds = _dataset_seeds(seed, len(x))
+    model.predict(x[:0])
     grid = np.empty((len(kinds), 5))
     for i, kind in enumerate(kinds):
         grid[i] = [evaluate(model, Dataset(images, dataset.labels))

@@ -49,8 +49,12 @@ reference definition and check the core against them.
 Every array a transform returns shares no memory with its inputs, so
 callers may write into it.  It is C-contiguous, so they may reshape it,
 with one exception: given an NCHW view of a batch-last ``(C, H, W, N)``
-buffer, :func:`lowpass2d` and :func:`dwt2d_interleaved` run in that memory
-and return such a view (:func:`_analysis2d` holds that rule).
+buffer, or subbands that each view one, the 2D analysis and synthesis run
+in that memory (:func:`_batch_last` holds that rule), and
+:func:`lowpass2d`, :func:`dwt2d_interleaved`, :func:`lowpass2d_vjp`,
+:func:`dwt2d_vjp`, :func:`idwt2d` and :func:`idwt2d_interleaved` return
+such a view; :func:`dwt2d` and :func:`idwt2d_vjp` still split into
+C-contiguous bands.
 """
 
 from __future__ import annotations
@@ -227,23 +231,29 @@ def _synthesize(coeffs: np.ndarray, bank: _Bank, axis: int, n: int) -> np.ndarra
 _QUADRANTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
+def _batch_last(x: np.ndarray):
+    """The batch-last ``(C, H, W, N)`` view of the NCHW ``x``, or ``None``.
+
+    The one memory-order rule of the 2D analysis and synthesis.  An NCHW
+    ``x`` that views a batch-last buffer and is not also C-contiguous, as a
+    conv's output and the gradients behind it do, is transformed in that
+    memory: both passes run along axis -2, the height pass on ``(C, H,
+    W*N)`` and the width pass on ``(C, H, W, N)``, so every tile is a BLAS
+    GEMM with the batch in its columns, and the result is an NCHW view of a
+    batch-last buffer.
+    """
+    xb = x.transpose(1, 2, 3, 0) if x.ndim == 4 and not x.flags.c_contiguous else None
+    return xb if xb is not None and xb.flags.c_contiguous else None
+
+
 def _analysis2d(x, filters: tuple) -> np.ndarray:
     """The operator of the bank ``filters`` over the last two axes, rows
-    first: each plane becomes one array of interleaved coefficients.
-
-    The one place where a transform follows its input's memory order.  An
-    NCHW ``x`` that views a batch-last ``(C, H, W, N)`` buffer and is not
-    also C-contiguous, as an inference conv's output does, is transformed
-    in that memory: both passes run along axis -2, the height pass on
-    ``(C, H, W*N)`` and the width pass on ``(C, H', W, N)``, so every tile
-    is a BLAS GEMM with the batch in its columns, and the result is an
-    NCHW view of a batch-last buffer.
-    """
+    first: each plane becomes one array of interleaved coefficients, in
+    ``x``'s memory order (:func:`_batch_last`)."""
     X = _input(x)
     bank = _tiles(filters, X.dtype.char)
-    xb = X.transpose(1, 2, 3, 0) if X.ndim == 4 else X
-    if (X.ndim != 4 or X.flags.c_contiguous or not xb.flags.c_contiguous
-            or min(X.shape[2:]) < 2):  # a short side raises on the NCHW shape
+    xb = _batch_last(X)
+    if xb is None or min(X.shape[2:]) < 2:  # a short side raises on the NCHW shape
         return _analyze(_analyze(X, bank, -2), bank, -1)
     c, h, w, n = xb.shape
     z = _analyze(xb.reshape(c, h, w * n), bank, -2)
@@ -251,10 +261,16 @@ def _analysis2d(x, filters: tuple) -> np.ndarray:
 
 
 def _synthesis2d(z: np.ndarray, filters: tuple, shape_hw) -> np.ndarray:
-    """Transpose of :func:`_analysis2d`, onto spatial shape ``shape_hw``."""
+    """Transpose of :func:`_analysis2d`, onto spatial shape ``shape_hw``,
+    width pass first, in ``z``'s memory order."""
     m, n = shape_hw
     bank = _tiles(filters, z.dtype.char)
-    return _synthesize(_synthesize(z, bank, -1, n), bank, -2, m)
+    zb = _batch_last(z)
+    if zb is None:
+        return _synthesize(_synthesize(z, bank, -1, n), bank, -2, m)
+    c, _, _, k = zb.shape  # the width pass on (C, H', W', N), then the height pass
+    x = _synthesize(_synthesize(zb, bank, -2, n).reshape(c, -1, n * k), bank, -2, m)
+    return x.reshape(c, m, n, k).transpose(3, 0, 1, 2)
 
 
 def _split(z: np.ndarray):
@@ -263,9 +279,10 @@ def _split(z: np.ndarray):
 
 
 def _merge(bands) -> np.ndarray:
-    """The interleaved coefficients of four equal subbands."""
+    """The interleaved coefficients of four equal subbands, in the memory
+    order of the first."""
     ll = bands[0]
-    z = np.empty(ll.shape[:-2] + (2 * ll.shape[-2], 2 * ll.shape[-1]), ll.dtype)
+    z = np.empty_like(ll, shape=ll.shape[:-2] + (2 * ll.shape[-2], 2 * ll.shape[-1]))
     for (r, c), band in zip(_QUADRANTS, bands):
         z[..., r::2, c::2] = band
     return z

@@ -1,5 +1,6 @@
 """Inference forwards: same bits as before, no backward state kept, and the
-batch-last layout of an inference conv's output kept through the model."""
+batch-last layout of a conv's output kept through the model, in inference
+and in training."""
 
 import copy
 import tracemalloc
@@ -13,7 +14,7 @@ from wavecnn.datasets import synthetic_classification
 from wavecnn.errors import InvalidConfig
 from wavecnn.filterbank import get_wavelet, wavelet_names
 from wavecnn.robustness import ShiftTrialConfig, error_matrix, shift_consistency
-from wavecnn.transform import dwt2d, lowpass2d
+from wavecnn.transform import Decomposition2D, dwt2d, dwt2d_vjp, idwt2d, lowpass2d, lowpass2d_vjp
 
 from reference import gradcheck, layer_logits
 
@@ -369,6 +370,27 @@ class TestBatchLastLayout:
         else:
             assert _same_bits(out, ref)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("hw", [28, 14, 8, 70])
+    @pytest.mark.parametrize("wavelet", ["haar", "db4", "ch3.3"])
+    def test_synthesis_on_batch_last_views(self, wavelet, hw, dtype):
+        """The backwards of the low-pass and cat layers and ``idwt2d`` run the
+        width and the height pass along axis -2 of the batch-last memory,
+        with the bits of C-contiguous subbands where the analysis above has
+        them, and to rounding where it does not."""
+        spec = get_wavelet(wavelet)
+        d = dwt2d(_data((5, 3, hw, hw), dtype, "normal", seed=hw), spec)
+        views = Decomposition2D(*map(_batch_last, d.subbands()), d.original_shape)
+        pairs = [(f(views, spec), f(d, spec)) for f in (dwt2d_vjp, idwt2d)]
+        pairs += [(lowpass2d_vjp(views.ll, taps, (hw, hw)), lowpass2d_vjp(d.ll, taps, (hw, hw)))
+                  for taps in ((0.5, 0.5), spec.analysis_low)]
+        for out, ref in pairs:
+            assert out.transpose(1, 2, 3, 0).flags.c_contiguous
+            if hw == 70 or (hw == 28 and dtype == np.float64):
+                _assert_close(out, ref)
+            else:
+                assert _same_bits(out, ref)
+
     @pytest.mark.parametrize("kind", ["batchnorm", "relu", "max_pool", "pad"])
     def test_elementwise_layers_keep_the_order(self, kind):
         layer = _layer(kind, np.float32)
@@ -381,6 +403,41 @@ class TestBatchLastLayout:
         x = _data((4, 3, 6, 10), np.float64, "normal")
         out = L.Flatten().forward(_batch_last(x), training=False)
         assert out.flags.c_contiguous and _same_bits(out, x.reshape(4, -1))
+
+
+def _memory_order(a):
+    """The axes of ``a`` longer than one, from its outermost in memory to its
+    innermost."""
+    return sorted((ax for ax in range(a.ndim) if a.shape[ax] > 1), key=lambda ax: -a.strides[ax])
+
+
+class TestTrainingLayout:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("mode,wavelet", MODES)
+    def test_each_backward_keeps_its_forward_input_order(self, mode, wavelet, dtype):
+        """In one training step every backward that ``Model.backward`` runs
+        returns its gradient in the memory order of its forward's input,
+        which is batch-last from the first conv's output to ``Flatten``."""
+        ds = synthetic_classification(16, classes=10, seed=5)
+        model = nw.build_model(nw.mini_config(mode, wavelet, seed=3), dtype=dtype)
+        inputs, grads = {}, {}
+        for layer in model.layers:
+            def forward(x, training=False, layer=layer, run=layer.forward):
+                inputs[layer] = x
+                return run(x, training)
+
+            def backward(g, layer=layer, run=layer.backward):
+                grads[layer] = run(g)
+                return grads[layer]
+            layer.forward, layer.backward = forward, backward
+        model.loss.forward(model.forward(ds.images, training=True), ds.labels)
+        model.backward(model.loss.backward())
+        assert list(grads) == model.layers[:0:-1]
+        for layer, g in grads.items():
+            x = inputs[layer]
+            assert g.shape == x.shape and g.dtype == x.dtype
+            assert _memory_order(g) == _memory_order(x), layer.who
+            assert _memory_order(x) == ([1, 2, 3, 0] if x.ndim == 4 else [0, 1])
 
 
 class TestModelPass:

@@ -454,12 +454,10 @@ class TestMatchesReplacedFormulation:
         conv = _init(L.Conv2d(kernel, c_in, c_out, stride=stride), seed=5, dtype=dtype)
         x = rng.standard_normal((batch, c_in) + hw).astype(dtype)
         y = conv.forward(_channel_major(x), training=training)
-        # both input layouts give the same bits; a training output is a view of
-        # a channel-major (C_out, N, Ho, Wo) buffer, as before the batch-last
-        # im2col, and an inference output one of the batch-last (C_out, Ho, Wo,
-        # N) buffer the GEMM writes
+        # both input layouts give the same bits, and either pass's output is a
+        # view of the batch-last (C_out, Ho, Wo, N) buffer the GEMM writes
         assert _same_bits(conv.forward(x, training=training), y)
-        assert y.transpose((1, 0, 2, 3) if training else (1, 2, 3, 0)).flags.c_contiguous
+        assert y.transpose(1, 2, 3, 0).flags.c_contiguous
         g = rng.standard_normal(y.shape).astype(dtype)
         y_ref, gx_ref, gw_ref, gb_ref = ref_conv(x, g, conv.weight, conv.bias, stride)
         _close(y, y_ref, dtype)
@@ -472,7 +470,7 @@ class TestMatchesReplacedFormulation:
         _close(gx, gx_ref, dtype)
         _close(gw, gw_ref, dtype)
         _close(gb, gb_ref, dtype)
-        assert gx.transpose(1, 0, 2, 3).flags.c_contiguous
+        assert gx.transpose(1, 2, 3, 0).flags.c_contiguous
         # an NCHW-contiguous gradient gives the same bits
         assert _same_bits(conv.backward(g), gx)
         assert _same_bits(conv.grad_weight, gw) and _same_bits(conv.grad_bias, gb)

@@ -170,8 +170,11 @@ class TestDrawOnce:
         error_matrix(model, ds, seed=seed)
         expected = [corrupt_stack(ds.images, kind, severity, seed)
                     for kind in NOISE_CORRUPTIONS for severity in range(1, 6)]
-        assert len(model.seen) == len(expected) == 15
-        for got, want in zip(model.seen, expected):
+        # the first predict is the zero-image probe that comes before any corruption
+        probe, *seen = model.seen
+        assert probe.shape == (0,) + ds.images.shape[1:]
+        assert len(seen) == len(expected) == 15
+        for got, want in zip(seen, expected):
             assert got.tobytes() == want.tobytes()
 
     def test_error_matrix_grid_matches_the_per_severity_loop(self):
@@ -578,6 +581,17 @@ class TestShift:
             with pytest.raises(ShapeMismatch, match=r"output shape \(None, None, None\), "
                                                     "not one label per image"):
                 measure()
+        assert calls == []
+
+    def test_error_matrix_refuses_such_a_model_before_any_corruption(self, monkeypatch):
+        """``error_matrix`` may be handed any object with ``predict``, so it
+        asks the model for zero labels first; it used to corrupt the first
+        kind's five severities before ``evaluate`` refused the model."""
+        ds = synthetic_classification(4, classes=2, image_hw=(8, 8), seed=0)
+        calls = []
+        monkeypatch.setattr(robustness, "_corrupted", lambda *a: calls.append(a))
+        with pytest.raises(ShapeMismatch, match="not one label per image"):
+            error_matrix(build_model(ModelConfig(layers=())), ds)
         assert calls == []
 
     def test_pairs_capped(self):
