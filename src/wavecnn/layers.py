@@ -14,19 +14,19 @@ layer implements ``output_shape``, ``_forward`` and ``_backward``, and names
 itself for error messages in ``who``.  The states:
 
 - ``Conv2d``: its zero-padded batch-last input ``(C_in, H+2p, W+2p, N)``
-  and the input shape.  No pass builds the whole im2col matrix
-  ``(C_in*k*k, Ho*Wo*N)``, k*k times the input: forward, the weight
-  gradient and the input gradient each walk the output rows in chunks of
-  at most ``_SCRATCH`` bytes of columns (at least one row), and use each
+  only; backward reads H, W and N from its shape.  No pass builds the whole
+  im2col matrix ``(C_in*k*k, Ho*Wo*N)``, k*k times the input: forward, the
+  weight gradient and the input gradient each walk the output rows in chunks
+  of at most ``_SCRATCH`` bytes of columns (at least one row), and use each
   chunk while it is still in cache.  The matrix's rows run over (input
   channel, kernel row, kernel column) and its columns over (output row,
   output column, image): the batch is the fastest axis, so a chunk is one
-  copy of a window view on the padded input, in runs of ``Wo*N`` samples
-  at stride 1 and of ``N`` at stride 2, and a chunk's gradient columns are
-  one contiguous column range.  Forward writes each chunk's product
-  straight into a batch-last ``(C_out, Ho, Wo, N)`` buffer and returns
-  its NCHW view; backward returns the input gradient as a view of a
-  batch-last ``(C_in, H, W, N)`` buffer.
+  copy of a window view on the padded input, in runs of ``Wo*N`` samples at
+  stride 1 and of ``N`` at stride 2, and a chunk's gradient columns are one
+  contiguous column range.  Forward writes each chunk's product straight
+  into a batch-last ``(C_out, Ho, Wo, N)`` buffer and returns its NCHW view;
+  backward returns the input gradient as a view of a batch-last ``(C_in, H,
+  W, N)`` buffer.
 - ``BatchNorm2d``: the normalized input ``xhat`` and ``1/sqrt(var + eps)``
   per channel.
 - ``ReLU``: the boolean mask ``x > 0``.
@@ -37,15 +37,18 @@ itself for error messages in ``who``.  The states:
 
 A forward drops the state of an earlier forward before it computes, so an
 evaluated model holds no activations; ``Model.backward`` also drops each
-layer's state once its backward has read it.  The ``_forward`` of an
-inference forward computes its output and nothing else: it builds no mask
-and keeps no padded input or ``xhat``.  Its output keeps its bits:
-BatchNorm applies the running statistics with the same operations in the
-same order, and max pooling runs the same knockout.  An inference
-``Conv2d`` holds its padded input, its output and one chunk of columns, and
-frees the padded input on return.  This keeps an inference forward's peak
-near one block's activations, which matters because
-``Model.predict_logits`` runs one block per usable CPU.
+layer's state once its backward has read it.  Each layer has one forward
+body, and its training run only adds what backward keeps: ``ReLU`` and
+``MaxPool2`` build their masks before the one output is written, and
+``BatchNorm2d`` takes the batch mean and variance, and updates its running
+statistics, where inference takes the running statistics; both then
+normalize, scale and shift with the same operations in the same order, in
+place in one buffer at inference.  So an inference forward builds no mask
+and keeps no padded input or ``xhat``.  An inference ``Conv2d`` holds its
+padded input, its output and one chunk of columns, and frees the padded
+input on return.  This keeps an inference forward's peak near one block's
+activations, which matters because ``Model.predict_logits`` runs one block
+per usable CPU.
 
 Both passes keep the conv's batch-last layout: every activation and every
 gradient from the first conv to ``Flatten`` is an NCHW view of a batch-last
@@ -300,13 +303,12 @@ class Conv2d(Layer):
         return y.reshape(self.c_out, ho, wo, n).transpose(3, 0, 1, 2), xp
 
     def _forward(self, x, training):
-        y, xp = self._product(x, self.weight, self.bias)
-        return y, (xp, x.shape)
+        return self._product(x, self.weight, self.bias)
 
     def _param_backward(self, grad):
         """Fill ``grad_weight``/``grad_bias``; returns the batch-last gradient
         ``(C_out, Ho*Wo*N)`` that the input gradient is built from."""
-        xp, _ = self._saved()
+        xp = self._saved()
         ho, wo = grad.shape[2:]
         m = wo * grad.shape[0]  # columns per output row
         g = grad.transpose(1, 2, 3, 0).reshape(self.c_out, ho * m)  # a view if batch-last
@@ -318,13 +320,13 @@ class Conv2d(Layer):
         self.grad_weight = gw.T.reshape(self.weight.shape)
         return g
 
-    def _backward(self, grad, state):
+    def _backward(self, grad, xp):
         g = self._param_backward(grad)
-        n, _, h, w = state[1]
+        _, hp, wp, n = xp.shape
         ho, wo = grad.shape[2:]
         k, p, m = self.kernel, self.kernel // 2, wo * n
         weight = self.weight.reshape(self.c_out, -1)
-        gxp = np.zeros((self.c_in, h + 2 * p, w + 2 * p, n), dtype=g.dtype)
+        gxp = np.zeros(xp.shape, dtype=g.dtype)
         win = self._windows(gxp, ho, wo)
         # col2im, last chunk first: padded row s*i + ki takes tap row ki from
         # output row i, so its lower tap rows come from later chunks, and each
@@ -335,7 +337,7 @@ class Conv2d(Layer):
                 for kj in range(k):
                     win[:, ki, kj, r0:r1] += gcols[:, ki, kj]
             del gcols  # before the next chunk's product is allocated
-        return np.ascontiguousarray(gxp[:, p:p + h, p:p + w]).transpose(3, 0, 1, 2)
+        return np.ascontiguousarray(gxp[:, p:hp - p, p:wp - p]).transpose(3, 0, 1, 2)
 
     def output_shape(self, in_shape):
         _, h, w = _require_chw(in_shape, self.who, self.c_in)
@@ -365,23 +367,20 @@ class BatchNorm2d(Layer):
         return np.ones(shape) if name in ("gamma", "running_var") else np.zeros(shape)
 
     def _forward(self, x, training):
-        if not training:
-            # the training formula with the running statistics, in one buffer
-            out = x - self.running_mean[:, None, None]
-            out *= (1.0 / np.sqrt(self.running_var + self.EPS))[:, None, None]
-            out *= self.gamma[:, None, None]
-            out += self.beta[:, None, None]
-            return out, None
-        mean = x.mean(axis=(0, 2, 3))
-        xhat = x - mean[:, None, None]
-        m = x.shape[0] * x.shape[2] * x.shape[3]
-        var = np.einsum("nchw,nchw->c", xhat, xhat) / m
-        mo = self.MOMENTUM
-        self.running_mean = ((1 - mo) * self.running_mean + mo * mean).astype(x.dtype)
-        self.running_var = ((1 - mo) * self.running_var + mo * var).astype(x.dtype)
+        if training:
+            mean = x.mean(axis=(0, 2, 3))
+            xhat = x - mean[:, None, None]
+            var = np.einsum("nchw,nchw->c", xhat, xhat) / (x.shape[0] * x.shape[2] * x.shape[3])
+            mo = self.MOMENTUM
+            self.running_mean = ((1 - mo) * self.running_mean + mo * mean).astype(x.dtype)
+            self.running_var = ((1 - mo) * self.running_var + mo * var).astype(x.dtype)
+        else:
+            xhat = x - self.running_mean[:, None, None]
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat *= inv_std[:, None, None]
-        out = xhat * self.gamma[:, None, None]
+        # training keeps xhat for backward; inference scales its one buffer
+        out = np.multiply(xhat, self.gamma[:, None, None], out=None if training else xhat)
         out += self.beta[:, None, None]
         return out, (xhat, inv_std)
 
@@ -473,9 +472,8 @@ class MaxPool2(Layer):
         # first winner's sign of zero (the bit-identity tests pin it).
         top = np.maximum(b, a)
         bottom = np.maximum(d, c)
-        if not training:
-            return np.maximum(bottom, top, out=top), None
-        return np.maximum(bottom, top), ((a >= b, c >= d, top >= bottom), x.shape)
+        wins = (a >= b, c >= d, top >= bottom) if training else None
+        return np.maximum(bottom, top, out=top), (wins, x.shape)
 
     def _backward(self, grad, state):
         wins, shape = state
@@ -570,17 +568,16 @@ class PadToEven(Layer):
     """Zero-pad the bottom/right edge so spatial dims become even.
 
     Glue inserted ahead of a downsample layer when the model config allows odd
-    inputs there; identity on already-even maps.
+    inputs there.  It always returns a padded copy, with nothing added to an
+    already-even map.
     """
 
     who = "pad"
 
     def _forward(self, x, training):
-        _, hp, wp = self.output_shape(x.shape[1:])
         h, w = x.shape[2:]
-        if (hp, wp) == (h, w):
-            return x, (h, w)
-        out = np.zeros_like(x, shape=x.shape[:2] + (hp, wp))  # in x's memory order
+        # in x's memory order, also when the map is even already
+        out = np.zeros_like(x, shape=(len(x), *self.output_shape(x.shape[1:])))
         out[:, :, :h, :w] = x
         return out, (h, w)
 

@@ -295,18 +295,17 @@ class Model:
     def backward(self, grad: np.ndarray) -> None:
         """Fill every layer's parameter gradients from the loss gradient ``grad``.
 
-        The first layer's input gradient is not computed: training discards
-        it, and a caller that needs it runs each layer's ``backward``.  Each
-        layer's training state is freed as soon as its backward has read it,
-        so the pass holds only the state still ahead of it and leaves the
-        model holding none; a second call needs a new training forward.
+        One loop runs the layers last to first, each through its
+        ``backward`` but the first, whose ``_param_backward`` does not
+        compute its input gradient: training discards it, and a caller that
+        needs it runs each layer's ``backward``.  Each layer's training
+        state is freed as soon as its backward has read it, so the pass
+        holds only the state still ahead of it and leaves the model holding
+        none; a second call needs a new training forward.
         """
-        for layer in reversed(self.layers[1:]):
-            grad = layer.backward(grad)
+        for i, layer in reversed(list(enumerate(self.layers))):
+            grad = layer.backward(grad) if i else layer._param_backward(grad)
             layer._state = None
-        if self.layers:
-            self.layers[0]._param_backward(grad)
-            self.layers[0]._state = None
 
     def named_params(self):
         for i, layer in enumerate(self.layers):
@@ -328,10 +327,9 @@ class Model:
     def _logits(self, images: np.ndarray, batch: int, cpus: int) -> np.ndarray:
         """The one inference block loop: one ``training=False`` forward per
         block of ``batch`` images, on up to ``cpus`` threads, the logits
-        joined in block order (see :meth:`predict_logits`)."""
-        if len(images) == 0:
-            return self.forward(images, training=False)
-        starts = range(0, len(images), batch)
+        joined in block order (see :meth:`predict_logits`).  Zero images
+        are one empty block, which gives ``(0, classes)`` logits."""
+        starts = range(0, len(images) or 1, batch)
         threads = min(cpus, len(starts))
 
         def block(i):
