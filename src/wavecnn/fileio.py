@@ -201,11 +201,17 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """uint8 (or clippable float) 2-D array -> binary PGM with maxval 255."""
+    """uint8 (or clippable float) 2-D array -> binary PGM with maxval 255.
+
+    Float pixels are rounded and clipped, so -inf writes 0 and inf 255; a
+    NaN pixel, which has no value to write, raises FormatError before
+    anything is written."""
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise FormatError(f"PGM images are 2-D, got shape {arr.shape}")
     if arr.dtype != np.uint8:
+        if np.isnan(arr).any():
+            raise FormatError("PGM pixels must not be NaN")
         arr = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
     h, w = arr.shape
     _write(path, f"P5\n{w} {h}\n255\n".encode(), np.ascontiguousarray(arr))

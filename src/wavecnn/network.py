@@ -486,9 +486,10 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
     ``dataset``/``val`` carry ``images`` (NCHW float) and ``labels`` (int
     vector); when ``val`` is omitted the training split doubles as the
     validation split.  A model whose output per image is not one flat
-    logit vector, an empty training or validation split, or a split with
-    an image that holds NaN or an infinity at the model's precision,
-    raises InvalidConfig before the first step.  A non-finite step or
+    logit vector, an empty training or validation split, a split with an
+    image that holds NaN or an infinity at the model's precision, or a
+    split whose images do not fit the model's layers raises InvalidConfig,
+    naming the split, before the first step.  A non-finite step or
     validation loss aborts with DivergedLoss carrying the partial report;
     NumPy's overflow and invalid-value warnings on the way there are
     silenced, as that check is the divergence signal.
@@ -505,6 +506,11 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
     labels = np.asarray(dataset.labels)
     val_images = images if val is dataset else _checked_images(model, val, "validation split")
     val_labels = np.asarray(val.labels)
+    for split, x in (("training split", images), ("validation split", val_images)):
+        try:  # a zero-image inference forward, the probe error_matrix makes
+            model.forward(x[:0])
+        except (ShapeMismatch, OddSpatial) as exc:
+            raise InvalidConfig(f"{split} does not fit the model: {exc}") from exc
 
     rng = np.random.default_rng([model.config.seed, 0x5eed])
     # one momentum buffer per parameter, in layer order

@@ -97,6 +97,19 @@ class TestPgm:
         write_pgm(path, np.array([[-0.4, 99.5, 300.0]]))
         assert list(read_pgm(path)[0]) == [0, 100, 255]
 
+    def test_nan_pixel_refused_before_anything_is_written(self, tmp_path):
+        """Infinities still clip to 0 and 255; a NaN has no pixel value, and
+        neither an old file nor a new path is touched."""
+        path = tmp_path / "old.pgm"
+        write_pgm(path, np.array([[-np.inf, np.inf]]))
+        assert list(read_pgm(path)[0]) == [0, 255]
+        before = path.read_bytes()
+        for dest in (path, tmp_path / "new.pgm"):
+            with pytest.raises(FormatError, match="NaN"):
+                write_pgm(dest, np.array([[0.0, np.nan]], dtype=np.float32))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["old.pgm"]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "p6.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)

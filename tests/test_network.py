@@ -478,6 +478,25 @@ class TestTraining:
                      val=Dataset(images, ds.labels))
         assert model.checksum() == before
 
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_a_split_that_does_not_fit_the_model_is_refused_before_any_step(
+            self, split, monkeypatch):
+        """6x6 images for a model whose dense layer takes 8x8 ones: refused
+        by a zero-image forward, not after an epoch of steps."""
+        ds = _separable_2class(16)
+        small = Dataset(ds.images[:, :, :6, :6], ds.labels)
+        model = _tiny_model()
+        before = model.checksum()
+
+        def no_step(grad):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(model, "backward", no_step)
+        train_ds, val = (small, ds) if split == "training" else (ds, small)
+        with pytest.raises(InvalidConfig, match=rf"^{split} split does not fit the model: "
+                           r"dense declared n_in=64 but input shape is \(36,\)$"):
+            nw.train(model, train_ds, nw.TrainConfig(epochs=1, batch=8), val=val)
+        assert model.checksum() == before
+
     def test_an_overflowing_momentum_diverges_without_a_warning(self):
         """``pyproject.toml`` makes a RuntimeWarning an error, so a NumPy
         overflow warning escaping the loop fails this test."""
