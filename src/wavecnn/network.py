@@ -485,32 +485,27 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
 
     ``dataset``/``val`` carry ``images`` (NCHW float) and ``labels`` (int
     vector); when ``val`` is omitted the training split doubles as the
-    validation split.  A model whose output per image is not one flat
-    logit vector, an empty training or validation split, a split with an
-    image that holds NaN or an infinity at the model's precision, or a
-    split whose images do not fit the model's layers raises InvalidConfig,
-    naming the split, before the first step.  A non-finite step or
-    validation loss aborts with DivergedLoss carrying the partial report;
-    NumPy's overflow and invalid-value warnings on the way there are
-    silenced, as that check is the divergence signal.
+    validation split.  Before the first step, InvalidConfig is raised on a
+    model whose output per image is not one flat logit vector and, naming
+    the split, on a training or validation split that
+    :func:`_checked_split` refuses, whose images do not fit the model's
+    layers, or with a label that is not one of the model's classes.  A
+    non-finite step or validation loss aborts with DivergedLoss carrying
+    the partial report; NumPy's overflow and invalid-value warnings on the
+    way there are silenced, as that check is the divergence signal.
     """
     if len(model.out_shape) != 1:
         raise InvalidConfig(f"model config: its layers give each image the output shape "
                             f"{model.out_shape}, but training needs a flat (classes,) vector")
-    if len(dataset.images) == 0:
-        raise InvalidConfig("empty training dataset")
     val = val if val is not None else dataset
-    if len(val.images) == 0:
-        raise InvalidConfig("empty validation dataset")
-    images = _checked_images(model, dataset, "training split")
-    labels = np.asarray(dataset.labels)
-    val_images = images if val is dataset else _checked_images(model, val, "validation split")
-    val_labels = np.asarray(val.labels)
-    for split, x in (("training split", images), ("validation split", val_images)):
+    train_split = _checked_split(model, dataset, "training split")
+    val_split = train_split if val is dataset else _checked_split(model, val, "validation split")
+    for split, (x, y) in (("training split", train_split), ("validation split", val_split)):
         try:  # a zero-image inference forward, the probe error_matrix makes
             model.forward(x[:0])
         except (ShapeMismatch, OddSpatial) as exc:
             raise InvalidConfig(f"{split} does not fit the model: {exc}") from exc
+    (images, labels), (val_images, val_labels) = train_split, val_split
 
     rng = np.random.default_rng([model.config.seed, 0x5eed])
     # one momentum buffer per parameter, in layer order
@@ -553,33 +548,35 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
     return partial_report()
 
 
-def _checked_images(model: Model, dataset, caller: str) -> np.ndarray:
-    """``dataset.images`` cast to ``model.dtype``; InvalidConfig, naming
-    ``caller``, if there is no image or one holds NaN or an infinity at
-    that precision."""
+def _checked_split(model: Model, dataset, caller: str) -> tuple:
+    """The one admission rule for a split a model reads: its images cast to
+    ``model.dtype`` and its labels.  InvalidConfig, naming ``caller``,
+    unless there is at least one image, every pixel is finite at that
+    precision, and there is one integer label per image."""
     images = np.asarray(dataset.images, dtype=model.dtype)
     if len(images) == 0:
         raise InvalidConfig(f"{caller} needs at least one image")
     if not np.isfinite(images).all():
         raise InvalidConfig(f"{caller} needs finite image values")
-    return images
+    labels = np.asarray(dataset.labels)
+    if labels.shape != images.shape[:1] or labels.dtype.kind not in "iu":
+        raise InvalidConfig(f"{caller} needs one integer label per image, got {labels.dtype} "
+                            f"labels of shape {labels.shape} for {len(images)} images")
+    return images, labels
 
 
 def evaluate(model: Model, dataset) -> float:
     """Top-1 error rate on a dataset, in [0, 1].
 
-    Raises InvalidConfig on a dataset without images, which has no error
-    rate, and if an image holds NaN or an infinity at the model's precision,
-    since such an image would be classified as garbage silently;
-    ShapeMismatch (from :meth:`Model.predict`) unless the model gives one
-    label per image, and unless there is one label per image.
+    Raises InvalidConfig, before any forward, on a dataset that
+    :func:`_checked_split` refuses: one without images, which has no error
+    rate; one with an image that holds NaN or an infinity at the model's
+    precision, since such an image would be classified as garbage silently;
+    and one without one integer label per image.  Raises ShapeMismatch
+    (from :meth:`Model.predict`) unless the model gives one label per image.
     """
-    preds = model.predict(_checked_images(model, dataset, "evaluate"))
-    labels = np.asarray(dataset.labels)
-    if preds.shape != labels.shape:
-        raise ShapeMismatch(
-            f"prediction/label shapes differ: {preds.shape} vs {labels.shape}")
-    return float((preds != labels).mean())
+    images, labels = _checked_split(model, dataset, "evaluate")
+    return float((model.predict(images) != labels).mean())
 
 
 # --- checkpoints ---

@@ -18,7 +18,7 @@ import numpy as np
 from .datasets import Dataset
 from .errors import (BadSeverity, InvalidConfig, MissingCorruption, ShapeMismatch,
                      ShiftOutOfRange, ZeroReference, _check_int, _check_seed)
-from .network import _checked_images, evaluate
+from .network import _checked_split, evaluate
 
 GAUSSIAN = "gaussian"
 SHOT = "shot"
@@ -397,15 +397,17 @@ def shift_consistency(model, dataset, cfg: ShiftTrialConfig = ShiftTrialConfig()
 
     The images are cast to the model's precision (``model.dtype``) before
     they are shifted; a shift only copies pixels, so the predictions are
-    those of casting after the shift.  Raises InvalidConfig on a dataset
-    without images or, as :func:`evaluate` does, with an image that holds
-    NaN or an infinity at that precision (no padding rule makes one, so the
-    images are checked once, unshifted), ShiftOutOfRange on a
+    those of casting after the shift.  The dataset passes the admission
+    rule of :func:`evaluate` (``network._checked_split``) and only its
+    images are used: InvalidConfig is raised on a dataset without images,
+    with an image that holds NaN or an infinity at that precision (no
+    padding rule makes one, so the images are checked once, unshifted), or
+    without one integer label per image.  ShiftOutOfRange is raised on a
     ``cfg.max_shift`` that :func:`shift_image` would refuse, and (from
     ``Model.predict``) ShapeMismatch, before any agreement is counted,
     unless the model gives one label per image.
     """
-    images = _checked_images(model, dataset, "shift consistency")
+    images, _ = _checked_split(model, dataset, "shift consistency")
     _check_shift(cfg.padding, cfg.max_shift, images.shape, "shift range")
     return _agreement(model, images, _draw_trials(cfg), cfg.padding)
 

@@ -772,7 +772,7 @@ def test_train_on_an_empty_idx_pair_exits_2(capsys, tmp_path):
     save_dataset(Dataset(np.zeros((0, 1, 28, 28)), np.zeros(0, dtype=np.int64)), imgs, labs)
     code, out, err = run_cli(capsys, "train", "--images", str(imgs), "--labels", str(labs))
     assert code == 2 and out == ""
-    assert "wavecnn train: error: InvalidConfig: empty training dataset" in err
+    assert "wavecnn train: error: InvalidConfig: training split needs at least one image" in err
 
 
 def test_train_on_an_empty_validation_pair_exits_2(capsys, tmp_path, idx_pair):
@@ -781,7 +781,7 @@ def test_train_on_an_empty_validation_pair_exits_2(capsys, tmp_path, idx_pair):
     code, out, err = run_cli(capsys, "train", "--images", idx_pair[0], "--labels", idx_pair[1],
                              "--val-images", str(imgs), "--val-labels", str(labs))
     assert code == 2 and out == ""
-    assert "wavecnn train: error: InvalidConfig: empty validation dataset" in err
+    assert "wavecnn train: error: InvalidConfig: validation split needs at least one image" in err
 
 
 def _labelled_pair(tmp_path, name, classes):

@@ -445,7 +445,7 @@ class TestTraining:
         model = _tiny_model()
         before = model.checksum()
         empty = Dataset(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=np.int64))
-        with pytest.raises(InvalidConfig, match="empty validation dataset"):
+        with pytest.raises(InvalidConfig, match="^validation split needs at least one image$"):
             nw.train(model, ds, nw.TrainConfig(epochs=1, batch=8), val=empty)
         assert model.checksum() == before
 
