@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fileio
 from .errors import (DivergedLoss, FormatError, InvalidConfig, OddSpatial, ShapeMismatch,
-                     UnknownWavelet, _check_seed)
+                     UnknownWavelet, _check_int, _check_seed)
 from .filterbank import get_wavelet
 from .layers import (AvgPool2, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2,
                      PadToEven, ReLU, SoftmaxCrossEntropy, WaveletDown, folded_forward)
@@ -419,10 +419,10 @@ class TrainConfig:
     epochs: int = 10
 
     def __post_init__(self):
-        if self.batch < 1:
-            raise InvalidConfig(f"training batch must be >= 1, got {self.batch}")
-        if self.epochs < 1:
-            raise InvalidConfig(f"training epochs must be >= 1, got {self.epochs}")
+        for name in ("batch", "epochs"):
+            _check_int(getattr(self, name), f"training {name}")
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"training {name} must be >= 1, got {getattr(self, name)}")
         for name in ("lr", "momentum", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"training {name} must be finite, "
@@ -505,6 +505,10 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
             model.forward(x[:0])
         except (ShapeMismatch, OddSpatial) as exc:
             raise InvalidConfig(f"{split} does not fit the model: {exc}") from exc
+        classes = model.out_shape[0]
+        if classes is not None and not 0 <= y.min() <= y.max() < classes:
+            raise InvalidConfig(f"labels must lie in 0..{classes - 1} for {classes} classes, "
+                                f"got {y.min()}..{y.max()} in the {split}")
     (images, labels), (val_images, val_labels) = train_split, val_split
 
     rng = np.random.default_rng([model.config.seed, 0x5eed])

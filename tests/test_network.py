@@ -14,6 +14,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -153,6 +154,15 @@ class TestTrainConfig:
             nw.TrainConfig(batch=batch)
         with pytest.raises(InvalidConfig, match="batch"):
             nw.TrainConfig.from_dict({"batch": batch})
+
+    @pytest.mark.parametrize("name", ["batch", "epochs"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "8"])
+    def test_a_batch_or_epoch_count_that_is_no_integer_is_refused(self, name, value):
+        """As the JSON path refuses it; ``batch=2.5`` used to reach ``train``
+        as a bare TypeError and ``epochs=True`` to run one epoch."""
+        with pytest.raises(InvalidConfig,
+                           match=rf"^training {name} must be an integer, got {value!r}$"):
+            nw.TrainConfig(**{name: value})
 
 
 _MINI_CASES = (("max_pool", ""), ("avg_pool", ""), ("strided_conv", ""),
@@ -497,6 +507,53 @@ class TestTraining:
             nw.train(model, train_ds, nw.TrainConfig(epochs=1, batch=8), val=val)
         assert model.checksum() == before
 
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    @pytest.mark.parametrize("bad", ["short", "float", "bool", "2-D"])
+    def test_labels_that_are_not_one_integer_per_image_are_refused_before_any_step(
+            self, split, bad, monkeypatch):
+        """A duck-typed split, which ``Dataset`` would not build: 10 labels
+        for 16 images used to die in the first step with a bare IndexError."""
+        ds = _separable_2class(16)
+        labels = {"short": ds.labels[:10], "float": ds.labels.astype(np.float64),
+                  "bool": ds.labels.astype(bool), "2-D": ds.labels[:, None]}[bad]
+        model = _tiny_model()
+        before = model.checksum()
+
+        def no_step(grad):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(model, "backward", no_step)
+        odd = SimpleNamespace(images=ds.images, labels=labels)
+        train_ds, val = (odd, ds) if split == "training" else (ds, odd)
+        with pytest.raises(InvalidConfig) as info:
+            nw.train(model, train_ds, nw.TrainConfig(epochs=1, batch=8), val=val)
+        assert str(info.value) == (f"{split} split needs one integer label per image, got "
+                                   f"{labels.dtype} labels of shape {labels.shape} for 16 images")
+        assert model.checksum() == before
+
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    @pytest.mark.parametrize("label", [-1, 2, 12])
+    def test_a_label_that_is_no_class_of_the_model_is_refused_before_any_step(
+            self, split, label, monkeypatch):
+        """The 2-class head has no class ``label``: a validation split used to
+        find it after an epoch of steps, a training split in its first
+        training forward."""
+        ds = _separable_2class(16)
+        labels = ds.labels.copy()
+        labels[5] = label
+        model = _tiny_model()
+        forward = model.forward
+
+        def no_training_forward(x, training=False):
+            assert not training, "a training forward ran"
+            return forward(x, training)
+        monkeypatch.setattr(model, "forward", no_training_forward)
+        odd = Dataset(ds.images, labels)
+        train_ds, val = (odd, ds) if split == "training" else (ds, odd)
+        lo, hi = min(label, 0), max(label, 1)
+        with pytest.raises(InvalidConfig, match=rf"^labels must lie in 0..1 for 2 classes, "
+                           rf"got {lo}..{hi} in the {split} split$"):
+            nw.train(model, train_ds, nw.TrainConfig(epochs=1, batch=8), val=val)
+
     def test_an_overflowing_momentum_diverges_without_a_warning(self):
         """``pyproject.toml`` makes a RuntimeWarning an error, so a NumPy
         overflow warning escaping the loop fails this test."""
@@ -588,6 +645,27 @@ class TestPredictEvaluate:
         with pytest.raises(InvalidConfig) as info:
             run(_tiny_model(), Dataset(images, labels))
         assert str(info.value) == f"{caller} needs {need}"
+
+    @pytest.mark.parametrize("caller,run", [
+        ("evaluate", nw.evaluate),
+        ("shift consistency",
+         lambda model, ds: shift_consistency(model, ds, ShiftTrialConfig(max_shift=2, pairs=2)))])
+    @pytest.mark.parametrize("labels", [np.zeros(3, dtype=np.int64), np.zeros(4),
+                                        np.zeros(4, dtype=bool), np.zeros((4, 1), dtype=np.int64)],
+                             ids=["short", "float", "bool", "2-D"])
+    def test_labels_that_are_not_one_integer_per_image_are_refused_before_any_forward(
+            self, caller, run, labels, monkeypatch):
+        """Before ``predict``, which ``evaluate`` used to run in full before
+        it compared the label shape."""
+        model = _tiny_model()
+
+        def no_predict(images):
+            raise AssertionError("predict ran")
+        monkeypatch.setattr(model, "predict", no_predict)
+        with pytest.raises(InvalidConfig) as info:
+            run(model, SimpleNamespace(images=np.zeros((4, 1, 8, 8)), labels=labels))
+        assert str(info.value) == (f"{caller} needs one integer label per image, got "
+                                   f"{labels.dtype} labels of shape {labels.shape} for 4 images")
 
     def test_empty_dataset(self):
         model = _tiny_model()

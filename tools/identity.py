@@ -90,6 +90,8 @@ def write_inputs() -> None:
     hyper = {"epochs": 2, "batch": 16, "lr": 0.01}
     Path("run.json").write_text(json.dumps({"arch": "mini", "train": hyper}))
     Path("resnet.json").write_text(json.dumps({"arch": "resnet"}))
+    two_class = [{"kind": "flatten"}, {"kind": "dense", "n_in": 256, "n_out": 2}]
+    Path("two_class.json").write_text(json.dumps({"layers": two_class}))
     Path("repeated.json").write_text('{"seed": 1, "seed": 2}')
     Path("latin1.csv").write_bytes(b"corruption,severity,error\ngau\xdf,1,0.5\n")
 
@@ -212,7 +214,7 @@ def malformed() -> None:
         "haar.f64", "--shape", "24x28", "--out", "absent/x.wtn", expect=2)
     run("filters into a missing directory", "filters", "--list", "--out", "absent/x.txt",
         expect=2)
-    for cfg in ("resnet.json", "repeated.json"):
+    for cfg in ("resnet.json", "repeated.json", "two_class.json"):  # the last: labels 0..3
         run(f"train {cfg}", "train", "--config", cfg, *data, expect=2)
     run("robustness latin1.csv", "robustness", "--model", "max_pool.wcn", *data,
         "--reference", "latin1.csv", expect=2)
