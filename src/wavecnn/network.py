@@ -487,12 +487,14 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
     vector); when ``val`` is omitted the training split doubles as the
     validation split.  Before the first step, InvalidConfig is raised on a
     model whose output per image is not one flat logit vector and, naming
-    the split, on a training or validation split that
-    :func:`_checked_split` refuses, whose images do not fit the model's
-    layers, or with a label that is not one of the model's classes.  A
-    non-finite step or validation loss aborts with DivergedLoss carrying
-    the partial report; NumPy's overflow and invalid-value warnings on the
-    way there are silenced, as that check is the divergence signal.
+    the split, on a training or validation split that :func:`evaluate`
+    would refuse (no image, a pixel that is NaN or infinite at the model's
+    precision, or not one integer label per image), whose images do not
+    fit the model's layers, or with a label that is not one of the model's
+    classes.  A non-finite step or validation loss aborts with DivergedLoss
+    carrying the partial report; NumPy's overflow and invalid-value
+    warnings on the way there are silenced, as that check is the
+    divergence signal.
     """
     if len(model.out_shape) != 1:
         raise InvalidConfig(f"model config: its layers give each image the output shape "
@@ -500,12 +502,12 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
     val = val if val is not None else dataset
     train_split = _checked_split(model, dataset, "training split")
     val_split = train_split if val is dataset else _checked_split(model, val, "validation split")
+    classes = model.out_shape[0]
     for split, (x, y) in (("training split", train_split), ("validation split", val_split)):
         try:  # a zero-image inference forward, the probe error_matrix makes
             model.forward(x[:0])
         except (ShapeMismatch, OddSpatial) as exc:
             raise InvalidConfig(f"{split} does not fit the model: {exc}") from exc
-        classes = model.out_shape[0]
         if classes is not None and not 0 <= y.min() <= y.max() < classes:
             raise InvalidConfig(f"labels must lie in 0..{classes - 1} for {classes} classes, "
                                 f"got {y.min()}..{y.max()} in the {split}")
