@@ -511,8 +511,9 @@ class TestTraining:
     @pytest.mark.parametrize("bad", ["short", "float", "bool", "2-D"])
     def test_labels_that_are_not_one_integer_per_image_are_refused_before_any_step(
             self, split, bad, monkeypatch):
-        """A duck-typed split, which ``Dataset`` would not build: 10 labels
-        for 16 images used to die in the first step with a bare IndexError."""
+        """A duck-typed split, as ``Dataset`` itself refuses short and 2-D
+        labels: 10 labels for 16 images used to die in the first step with a
+        bare IndexError."""
         ds = _separable_2class(16)
         labels = {"short": ds.labels[:10], "float": ds.labels.astype(np.float64),
                   "bool": ds.labels.astype(bool), "2-D": ds.labels[:, None]}[bad]
