@@ -485,33 +485,24 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
 
     ``dataset``/``val`` carry ``images`` (NCHW float) and ``labels`` (int
     vector); when ``val`` is omitted the training split doubles as the
-    validation split.  Before the first step, InvalidConfig is raised on a
-    model whose output per image is not one flat logit vector and, naming
-    the split, on a training or validation split that :func:`evaluate`
-    would refuse (no image, a pixel that is NaN or infinite at the model's
-    precision, or not one integer label per image), whose images do not
-    fit the model's layers, or with a label that is not one of the model's
-    classes.  A non-finite step or validation loss aborts with DivergedLoss
-    carrying the partial report; NumPy's overflow and invalid-value
-    warnings on the way there are silenced, as that check is the
-    divergence signal.
+    validation split.  Before the first step, each split passes the one
+    admission rule, :func:`_checked_split`, named ``training split`` or
+    ``validation split``; it also refuses a model that gives no label per
+    image.  Then InvalidConfig is raised, naming the split, on a label that
+    is not one of the model's classes, which only the loss needs.  A
+    non-finite step or validation loss aborts with DivergedLoss carrying
+    the partial report; NumPy's overflow and invalid-value warnings on the
+    way there are silenced, as that check is the divergence signal.
     """
-    if len(model.out_shape) != 1:
-        raise InvalidConfig(f"model config: its layers give each image the output shape "
-                            f"{model.out_shape}, but training needs a flat (classes,) vector")
     val = val if val is not None else dataset
     train_split = _checked_split(model, dataset, "training split")
     val_split = train_split if val is dataset else _checked_split(model, val, "validation split")
+    (images, labels), (val_images, val_labels) = train_split, val_split
     classes = model.out_shape[0]
-    for split, (x, y) in (("training split", train_split), ("validation split", val_split)):
-        try:  # a zero-image inference forward, the probe error_matrix makes
-            model.forward(x[:0])
-        except (ShapeMismatch, OddSpatial) as exc:
-            raise InvalidConfig(f"{split} does not fit the model: {exc}") from exc
+    for split, y in (("training split", labels), ("validation split", val_labels)):
         if classes is not None and not 0 <= y.min() <= y.max() < classes:
             raise InvalidConfig(f"labels must lie in 0..{classes - 1} for {classes} classes, "
                                 f"got {y.min()}..{y.max()} in the {split}")
-    (images, labels), (val_images, val_labels) = train_split, val_split
 
     rng = np.random.default_rng([model.config.seed, 0x5eed])
     # one momentum buffer per parameter, in layer order
@@ -555,10 +546,13 @@ def train(model: Model, dataset, hyper: TrainConfig = TrainConfig(),
 
 
 def _checked_split(model: Model, dataset, caller: str) -> tuple:
-    """The one admission rule for a split a model reads: its images cast to
-    ``model.dtype`` and its labels.  InvalidConfig, naming ``caller``,
-    unless there is at least one image, every pixel is finite at that
-    precision, and there is one integer label per image."""
+    """The one admission rule for a split a model reads, which every scorer
+    applies before any work: its images cast to ``model.dtype`` and its
+    labels.  InvalidConfig, naming ``caller``, unless there is at least one
+    image, every pixel is finite at that precision, there is one integer
+    label per image, and the model predicts zero of the images: that probe
+    refuses, as ``{caller} does not fit the model``, images the layers
+    cannot take and a model that gives no label per image."""
     images = np.asarray(dataset.images, dtype=model.dtype)
     if len(images) == 0:
         raise InvalidConfig(f"{caller} needs at least one image")
@@ -568,18 +562,23 @@ def _checked_split(model: Model, dataset, caller: str) -> tuple:
     if labels.shape != images.shape[:1] or labels.dtype.kind not in "iu":
         raise InvalidConfig(f"{caller} needs one integer label per image, got {labels.dtype} "
                             f"labels of shape {labels.shape} for {len(images)} images")
+    try:
+        model.predict(images[:0])
+    except (ShapeMismatch, OddSpatial) as exc:
+        raise InvalidConfig(f"{caller} does not fit the model: {exc}") from exc
     return images, labels
 
 
 def evaluate(model: Model, dataset) -> float:
     """Top-1 error rate on a dataset, in [0, 1].
 
-    Raises InvalidConfig, before any forward, on a dataset that
-    :func:`_checked_split` refuses: one without images, which has no error
-    rate; one with an image that holds NaN or an infinity at the model's
-    precision, since such an image would be classified as garbage silently;
-    and one without one integer label per image.  Raises ShapeMismatch
-    (from :meth:`Model.predict`) unless the model gives one label per image.
+    Raises InvalidConfig, before any forward on its images, on a dataset
+    that :func:`_checked_split` refuses: one without images, which has no
+    error rate; one with an image that holds NaN or an infinity at the
+    model's precision, since such an image would be classified as garbage
+    silently; one without one integer label per image; and one the model
+    cannot score, because its layers do not take the images or give no
+    label per image.
     """
     images, labels = _checked_split(model, dataset, "evaluate")
     return float((model.predict(images) != labels).mean())

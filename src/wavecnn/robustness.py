@@ -18,7 +18,7 @@ import numpy as np
 from .datasets import Dataset
 from .errors import (BadSeverity, InvalidConfig, MissingCorruption, ShapeMismatch,
                      ShiftOutOfRange, ZeroReference, _check_int, _check_seed)
-from .network import _checked_split, evaluate
+from .network import _checked_split
 
 GAUSSIAN = "gaussian"
 SHOT = "shot"
@@ -233,11 +233,11 @@ def error_matrix(model, dataset, kinds=NOISE_CORRUPTIONS, seed: int = 0,
     severity overwrites.  Only shot, whose Poisson rate is the severity's,
     draws afresh for each severity.  The images are corrupted on the
     calling thread; the forwards use every usable CPU
-    (``Model.predict_logits``).  Raises InvalidConfig, before any work, on
-    an empty, repeated or unknown kind, and (from ``evaluate``) on a dataset
-    without images.  The model predicts zero images before any corruption,
-    so one that gives no label per image (``Model.predict``) is refused
-    first.
+    (``Model.predict_logits``).  Raises InvalidConfig, before any
+    corruption, on an empty, repeated or unknown kind, and on a dataset
+    that the admission rule (``network._checked_split``, named ``error
+    matrix``) refuses; it is admitted once, and each severity is scored
+    against its labels.
     """
     kinds = tuple(kinds)
     _check_names(kinds)
@@ -245,10 +245,10 @@ def error_matrix(model, dataset, kinds=NOISE_CORRUPTIONS, seed: int = 0,
         _severity_param(kind, 1)
     x = np.asarray(dataset.images, dtype=np.float64)
     seeds = _dataset_seeds(seed, len(x))
-    model.predict(x[:0])
+    _, labels = _checked_split(model, dataset, "error matrix")
     grid = np.empty((len(kinds), 5))
     for i, kind in enumerate(kinds):
-        grid[i] = [evaluate(model, Dataset(images, dataset.labels))
+        grid[i] = [(model.predict(images) != labels).mean()
                    for images in _corrupted(x, kind, range(1, 6), seeds)]
     ident = model_id or getattr(model, "checksum", lambda: "model")()[:12]
     return ErrorMatrix(ident, kinds, grid)
@@ -398,14 +398,14 @@ def shift_consistency(model, dataset, cfg: ShiftTrialConfig = ShiftTrialConfig()
     The images are cast to the model's precision (``model.dtype``) before
     they are shifted; a shift only copies pixels, so the predictions are
     those of casting after the shift.  The dataset passes the admission
-    rule of :func:`evaluate` (``network._checked_split``) and only its
+    rule (``network._checked_split``) before any shift, and only its
     images are used: InvalidConfig is raised on a dataset without images,
     with an image that holds NaN or an infinity at that precision (no
-    padding rule makes one, so the images are checked once, unshifted), or
-    without one integer label per image.  ShiftOutOfRange is raised on a
-    ``cfg.max_shift`` that :func:`shift_image` would refuse, and (from
-    ``Model.predict``) ShapeMismatch, before any agreement is counted,
-    unless the model gives one label per image.
+    padding rule makes one, so the images are checked once, unshifted),
+    without one integer label per image, whose images the model's layers
+    do not take, or for a model that gives no label per image.
+    ShiftOutOfRange is raised on a ``cfg.max_shift`` that
+    :func:`shift_image` would refuse.
     """
     images, _ = _checked_split(model, dataset, "shift consistency")
     _check_shift(cfg.padding, cfg.max_shift, images.shape, "shift range")

@@ -419,16 +419,18 @@ class TestEmptyDataset:
         assert "at least one image" in err
 
 
-@pytest.mark.parametrize("command", ["eval", "robustness", "shift"])
-def test_a_model_without_one_label_per_image_exits_2(capsys, tmp_path, idx_pair, command):
-    """Only ``train`` refuses such a model when it is built; ``shift`` once
+@pytest.mark.parametrize("command,caller", [("eval", "evaluate"), ("robustness", "error matrix"),
+                                            ("shift", "shift consistency")])
+def test_a_model_without_one_label_per_image_exits_2(capsys, tmp_path, idx_pair, command,
+                                                      caller):
+    """The admission rule's probe refuses such a model; ``shift`` once
     scored its per-pixel argmaps and printed 78400.0."""
     model = tmp_path / "m.wcn"
     save_model(build_model(ModelConfig(layers=())), model)
     code, out, err = run_cli(capsys, command, "--model", str(model), "--images", idx_pair[0],
                              "--labels", idx_pair[1])
     assert code == 2 and out == ""
-    assert f"wavecnn {command}: error: ShapeMismatch:" in err
+    assert f"wavecnn {command}: error: InvalidConfig: {caller} does not fit the model:" in err
     assert "not one label per image" in err
 
 

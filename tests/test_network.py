@@ -22,12 +22,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavecnn import fileio, network as nw
+from wavecnn import fileio, network as nw, robustness
 from wavecnn.cli import main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
 from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismatch
 from wavecnn.layers import Conv2d, Dense, Flatten, PadToEven, WaveletDown
-from wavecnn.robustness import ShiftTrialConfig, shift_consistency
+from wavecnn.robustness import ShiftTrialConfig, error_matrix, shift_consistency
 
 from reference import eval_loss_acc, gradcheck, grads, parameter_count
 
@@ -445,92 +445,6 @@ class TestTraining:
             np.testing.assert_allclose(got, p, rtol=1e-6, atol=1e-7)
             assert not np.allclose(got, without_decay[name], rtol=1e-6, atol=1e-7)
 
-    def test_empty_dataset_rejected(self):
-        empty = Dataset(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=np.int64))
-        with pytest.raises(InvalidConfig):
-            nw.train(_tiny_model(), empty)
-
-    def test_empty_validation_split_rejected_before_any_step(self):
-        ds = _separable_2class(16)
-        model = _tiny_model()
-        before = model.checksum()
-        empty = Dataset(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=np.int64))
-        with pytest.raises(InvalidConfig, match="^validation split needs at least one image$"):
-            nw.train(model, ds, nw.TrainConfig(epochs=1, batch=8), val=empty)
-        assert model.checksum() == before
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
-    def test_non_finite_training_pixel_rejected_before_any_step(self, bad):
-        """As ``evaluate`` does, at the model's precision (1e300 is infinite
-        in float32), and before any step changes the model."""
-        ds = _separable_2class(16)
-        images = ds.images.copy()
-        images[3, 0, 2, 5] = bad
-        model = _tiny_model()
-        before = model.checksum()
-        with pytest.raises(InvalidConfig, match="^training split needs finite image values$"):
-            nw.train(model, Dataset(images, ds.labels), nw.TrainConfig(epochs=1, batch=8))
-        assert model.checksum() == before
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
-    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e300])
-    def test_non_finite_validation_pixel_rejected_before_any_step(self, bad):
-        """Before any step: no epoch is trained for a split that cannot be
-        scored."""
-        ds = _separable_2class(16)
-        images = ds.images.copy()
-        images[0, 0, 7, 0] = bad
-        model = _tiny_model()
-        before = model.checksum()
-        with pytest.raises(InvalidConfig, match="^validation split needs finite image values$"):
-            nw.train(model, ds, nw.TrainConfig(epochs=1, batch=8),
-                     val=Dataset(images, ds.labels))
-        assert model.checksum() == before
-
-    @pytest.mark.parametrize("split", ["training", "validation"])
-    def test_a_split_that_does_not_fit_the_model_is_refused_before_any_step(
-            self, split, monkeypatch):
-        """6x6 images for a model whose dense layer takes 8x8 ones: refused
-        by a zero-image forward, not after an epoch of steps."""
-        ds = _separable_2class(16)
-        small = Dataset(ds.images[:, :, :6, :6], ds.labels)
-        model = _tiny_model()
-        before = model.checksum()
-
-        def no_step(grad):
-            raise AssertionError("a training step ran")
-        monkeypatch.setattr(model, "backward", no_step)
-        train_ds, val = (small, ds) if split == "training" else (ds, small)
-        with pytest.raises(InvalidConfig, match=rf"^{split} split does not fit the model: "
-                           r"dense declared n_in=64 but input shape is \(36,\)$"):
-            nw.train(model, train_ds, nw.TrainConfig(epochs=1, batch=8), val=val)
-        assert model.checksum() == before
-
-    @pytest.mark.parametrize("split", ["training", "validation"])
-    @pytest.mark.parametrize("bad", ["short", "float", "bool", "2-D"])
-    def test_labels_that_are_not_one_integer_per_image_are_refused_before_any_step(
-            self, split, bad, monkeypatch):
-        """A duck-typed split, as ``Dataset`` itself refuses short and 2-D
-        labels: 10 labels for 16 images used to die in the first step with a
-        bare IndexError."""
-        ds = _separable_2class(16)
-        labels = {"short": ds.labels[:10], "float": ds.labels.astype(np.float64),
-                  "bool": ds.labels.astype(bool), "2-D": ds.labels[:, None]}[bad]
-        model = _tiny_model()
-        before = model.checksum()
-
-        def no_step(grad):
-            raise AssertionError("a training step ran")
-        monkeypatch.setattr(model, "backward", no_step)
-        odd = SimpleNamespace(images=ds.images, labels=labels)
-        train_ds, val = (odd, ds) if split == "training" else (ds, odd)
-        with pytest.raises(InvalidConfig) as info:
-            nw.train(model, train_ds, nw.TrainConfig(epochs=1, batch=8), val=val)
-        assert str(info.value) == (f"{split} split needs one integer label per image, got "
-                                   f"{labels.dtype} labels of shape {labels.shape} for 16 images")
-        assert model.checksum() == before
-
     @pytest.mark.parametrize("split", ["training", "validation"])
     @pytest.mark.parametrize("label", [-1, 2, 12])
     def test_a_label_that_is_no_class_of_the_model_is_refused_before_any_step(
@@ -567,7 +481,9 @@ class TestTraining:
         ds = _separable_2class(16)
         model = nw.build_model(nw.ModelConfig(layers=tuple(layers)))
         before = model.checksum()
-        with pytest.raises(InvalidConfig, match=r"model config: .* shape \("):
+        with pytest.raises(InvalidConfig, match=r"^training split does not fit the model: the "
+                           r"model's layers give each image the output shape \(.+\), "
+                           r"not one label per image$"):
             nw.train(model, ds, nw.TrainConfig(epochs=1, batch=8))
         assert model.checksum() == before
 
@@ -600,73 +516,20 @@ class TestPredictEvaluate:
         assert nw.evaluate(model, all1) == 1.0
         assert np.array_equal(model.predict(images), np.zeros(10))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_images_rejected(self, bad):
-        model = _tiny_model()
-        images = np.zeros((4, 1, 8, 8))
-        images[2, 0, 3, 5] = bad
-        with pytest.raises(InvalidConfig):
-            nw.evaluate(model, Dataset(images, np.zeros(4, dtype=np.int64)))
-
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
-    @pytest.mark.parametrize("where", ["one pixel", "every pixel"])
-    def test_shift_consistency_rejects_non_finite_images(self, bad, where):
-        """As ``evaluate`` does, at the model's precision (1e300 is infinite
-        in float32); it used to report NaN images 100 % consistent."""
-        model = _tiny_model()
-        images = np.zeros((8, 1, 8, 8))
-        if where == "every pixel":
-            images[...] = bad
-        else:
-            images[2, 0, 3, 5] = bad
-        with pytest.raises(InvalidConfig, match="finite"):
-            shift_consistency(model, Dataset(images, np.zeros(8, dtype=np.int64)),
-                              ShiftTrialConfig(max_shift=2, pairs=2))
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
-    def test_images_beyond_float32_range_rejected(self):
-        model = _tiny_model()
-        assert model.dtype == np.float32
-        images = np.zeros((2, 1, 8, 8))
-        images[0, 0, 0, 0] = 1e300  # finite in float64, inf at the model's precision
-        with pytest.raises(InvalidConfig):
-            nw.evaluate(model, Dataset(images, np.zeros(2, dtype=np.int64)))
-
     @pytest.mark.parametrize("caller,run", [
         ("evaluate", nw.evaluate),
         ("shift consistency",
          lambda model, ds: shift_consistency(model, ds, ShiftTrialConfig(max_shift=2, pairs=2)))])
-    @pytest.mark.parametrize("images,need", [
-        (np.zeros((0, 1, 8, 8)), "at least one image"),
-        (np.full((3, 1, 8, 8), np.nan), "finite image values")])
-    def test_input_check_messages(self, caller, run, images, need):
-        """``evaluate`` and ``shift_consistency`` share one input check."""
-        labels = np.zeros(len(images), dtype=np.int64)
+    def test_a_split_without_one_finite_pixel_is_refused(self, caller, run, bad):
+        """At the model's precision (1e300 is infinite in float32), as
+        :class:`TestAdmission` refuses one such pixel; ``shift_consistency``
+        used to report NaN images 100 % consistent."""
+        images = np.full((8, 1, 8, 8), bad)
         with pytest.raises(InvalidConfig) as info:
-            run(_tiny_model(), Dataset(images, labels))
-        assert str(info.value) == f"{caller} needs {need}"
-
-    @pytest.mark.parametrize("caller,run", [
-        ("evaluate", nw.evaluate),
-        ("shift consistency",
-         lambda model, ds: shift_consistency(model, ds, ShiftTrialConfig(max_shift=2, pairs=2)))])
-    @pytest.mark.parametrize("labels", [np.zeros(3, dtype=np.int64), np.zeros(4),
-                                        np.zeros(4, dtype=bool), np.zeros((4, 1), dtype=np.int64)],
-                             ids=["short", "float", "bool", "2-D"])
-    def test_labels_that_are_not_one_integer_per_image_are_refused_before_any_forward(
-            self, caller, run, labels, monkeypatch):
-        """Before ``predict``, which ``evaluate`` used to run in full before
-        it compared the label shape."""
-        model = _tiny_model()
-
-        def no_predict(images):
-            raise AssertionError("predict ran")
-        monkeypatch.setattr(model, "predict", no_predict)
-        with pytest.raises(InvalidConfig) as info:
-            run(model, SimpleNamespace(images=np.zeros((4, 1, 8, 8)), labels=labels))
-        assert str(info.value) == (f"{caller} needs one integer label per image, got "
-                                   f"{labels.dtype} labels of shape {labels.shape} for 4 images")
+            run(_tiny_model(), Dataset(images, np.zeros(8, dtype=np.int64)))
+        assert str(info.value) == f"{caller} needs finite image values"
 
     def test_empty_dataset(self):
         model = _tiny_model()
@@ -704,6 +567,119 @@ class TestPredictEvaluate:
         model.layers[1].weight[...] = 0.0
         model.layers[1].bias[...] = 0.0
         assert np.array_equal(model.predict(np.zeros((3, 1, 8, 8))), np.zeros(3))
+
+
+def _bad_pixel(value):
+    def make(ds):
+        images = ds.images.copy()
+        images[3, 0, 2, 5] = value
+        return _tiny_model(), SimpleNamespace(images=images, labels=ds.labels)
+    return make
+
+
+def _bad_labels(change):
+    def make(ds):
+        return _tiny_model(), SimpleNamespace(images=ds.images, labels=change(ds.labels))
+    return make
+
+
+# A zero-image predict: the admission rule's probe, as an 8x8-taking model runs it.
+_PROBE = [("predict", 0), ("forward", 0, False)]
+_FIT = "does not fit the model: "
+
+# Each malformed split: how to make the model and the split from 16 good
+# 8x8 images, the end of the message after the caller, the calls the
+# split's own admission makes before it refuses, and whether the fault is
+# the model's (train then finds it on the training split, the first it admits).
+_MALFORMED = {
+    "no image": (lambda ds: (_tiny_model(), SimpleNamespace(
+        images=np.zeros((0, 1, 8, 8)), labels=np.zeros(0, dtype=np.int64))),
+        "needs at least one image", [], False),
+    "NaN pixel": (_bad_pixel(np.nan), "needs finite image values", [], False),
+    "inf pixel": (_bad_pixel(np.inf), "needs finite image values", [], False),
+    "-inf pixel": (_bad_pixel(-np.inf), "needs finite image values", [], False),
+    "1e300 pixel": (_bad_pixel(1e300), "needs finite image values", [], False),  # inf in f32
+    "short labels": (_bad_labels(lambda y: y[:10]), "needs one integer label per image, "
+                     "got int64 labels of shape (10,) for 16 images", [], False),
+    "float labels": (_bad_labels(lambda y: y.astype(np.float64)), "needs one integer label "
+                     "per image, got float64 labels of shape (16,) for 16 images", [], False),
+    "bool labels": (_bad_labels(lambda y: y.astype(bool)), "needs one integer label per "
+                    "image, got bool labels of shape (16,) for 16 images", [], False),
+    "2-D labels": (_bad_labels(lambda y: y[:, None]), "needs one integer label per image, "
+                   "got int64 labels of shape (16, 1) for 16 images", [], False),
+    "images that do not fit": (lambda ds: (_tiny_model(), SimpleNamespace(
+        images=ds.images[:, :, :6, :6], labels=ds.labels)),
+        _FIT + "dense declared n_in=64 but input shape is (36,)", _PROBE, False),
+    "no label per image": (lambda ds: (nw.build_model(nw.ModelConfig(layers=())), ds),
+                           _FIT + "the model's layers give each image the output shape "
+                           "(None, None, None), not one label per image",
+                           [("predict", 0)], True),
+}
+
+# Each scorer: the caller its message names, how it reads the malformed
+# split beside the good one, and the calls made before that split is admitted.
+_SCORERS = {
+    "train training split": (
+        "training split",
+        lambda model, odd, ds: nw.train(model, odd, nw.TrainConfig(epochs=1, batch=8), val=ds),
+        []),
+    "train validation split": (
+        "validation split",
+        lambda model, odd, ds: nw.train(model, ds, nw.TrainConfig(epochs=1, batch=8), val=odd),
+        _PROBE),
+    "evaluate": ("evaluate", lambda model, odd, ds: nw.evaluate(model, odd), []),
+    "shift_consistency": (
+        "shift consistency",
+        lambda model, odd, ds: shift_consistency(model, odd, ShiftTrialConfig(max_shift=2,
+                                                                              pairs=2)),
+        []),
+    "error_matrix": ("error matrix", lambda model, odd, ds: error_matrix(model, odd), []),
+}
+
+
+class TestAdmission:
+    """The admission table: every scorer refuses every malformed split with
+    the one rule's InvalidConfig, naming itself, before any work.  A cell
+    records every predict and forward: only zero-image probes may run, and
+    no training step, corruption or shift."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("column", list(_MALFORMED))
+    @pytest.mark.parametrize("row", list(_SCORERS))
+    def test_refused_before_any_work(self, row, column, monkeypatch):
+        ds = _separable_2class(16)
+        make, need, probe, of_model = _MALFORMED[column]
+        caller, score, admitted_first = _SCORERS[row]
+        if of_model and row.startswith("train"):
+            caller, admitted_first = "training split", []
+        model, odd = make(ds)
+        assert model.dtype == np.float32
+        before = model.checksum()
+        seen = []
+        predict, forward = model.predict, model.forward
+
+        def recording_predict(images):
+            seen.append(("predict", len(images)))
+            return predict(images)
+
+        def recording_forward(x, training=False):
+            seen.append(("forward", len(x), training))
+            return forward(x, training)
+
+        def forbidden(what):
+            def run(*_, **__):
+                raise AssertionError(f"{what} ran")
+            return run
+        monkeypatch.setattr(model, "predict", recording_predict)
+        monkeypatch.setattr(model, "forward", recording_forward)
+        monkeypatch.setattr(model, "backward", forbidden("a training step"))
+        monkeypatch.setattr(robustness, "_corrupted", forbidden("a corruption"))
+        monkeypatch.setattr(robustness, "shift_image", forbidden("a shift"))
+        with pytest.raises(InvalidConfig) as info:
+            score(model, odd, ds)
+        assert str(info.value) == f"{caller} {need}"
+        assert seen == admitted_first + probe
+        assert model.checksum() == before
 
 
 class TestCheckpoint:
