@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfig, ShapeMismatch, _check_seed
+from .errors import FormatError, InvalidConfig, ShapeMismatch, _check_int, _check_seed
 from .fileio import read_idx, write_idx
 
 
@@ -90,6 +90,8 @@ def synthetic_classification(n: int, classes: int = 10, image_hw=(28, 28),
     without changing its structure.
     """
     _check_seed(seed, "data seed")
+    _check_int(n, "sample count")
+    _check_int(classes, "class count")
     if n < 1:
         raise InvalidConfig("need at least one sample")
     if not 2 <= classes <= len(_CLASS_WAVES):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NegativeLambda, ShapeMismatch
+from .errors import InvalidConfig, NegativeLambda, ShapeMismatch, _check_real
 from .filterbank import get_wavelet
 from .transform import detail_views, dwt2d_interleaved, idwt2d_interleaved
 
@@ -32,8 +32,15 @@ class DenoiseConfig:
     threshold: float = 0.1
 
     def __post_init__(self):
-        if not self.threshold >= 0:  # NaN fails this test too
-            raise NegativeLambda(f"threshold must be >= 0, got {self.threshold}")
+        _check_threshold(self.threshold)
+
+
+def _check_threshold(threshold) -> None:
+    """InvalidConfig unless ``threshold`` is a real number, NegativeLambda
+    unless it is >= 0."""
+    _check_real(threshold, "threshold")
+    if not threshold >= 0:  # NaN fails this test too
+        raise NegativeLambda(f"threshold must be >= 0, got {threshold}")
 
 
 def soft_shrink(x, threshold):
@@ -44,8 +51,7 @@ def soft_shrink(x, threshold):
     for bit on finite input and propagates NaN.  Accepts scalars or arrays;
     never increases magnitude and is odd in ``x``.
     """
-    if not threshold >= 0:  # NaN fails this test too
-        raise NegativeLambda(f"threshold must be >= 0, got {threshold}")
+    _check_threshold(threshold)
     arr = np.asarray(x)
     if arr.dtype.kind in "biu":  # as before: integer input shrinks in double
         arr = arr.astype(np.float64)

@@ -4,7 +4,8 @@ Everything derives from :class:`WaveError` so callers (and the CLI) can treat
 any toolkit failure uniformly; most types also subclass ``ValueError`` because
 they signal bad arguments rather than broken state.  The one integer rule
 and the seed rule built on it, shared by every entry point that takes a
-seed, a shift range or a pair count, live here too.
+seed, a shift range or a pair count, live here too, as does the one real
+number rule for learning settings and shrinkage thresholds.
 """
 
 import numbers
@@ -50,6 +51,13 @@ def _check_int(value, label: str) -> None:
     a bool is none, though Python counts it as one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidConfig(f"{label} must be an integer, got {value!r}")
+
+
+def _check_real(value, label: str) -> None:
+    """InvalidConfig, naming ``value`` as ``label``, unless it is a real
+    number; a bool is none, though Python counts it as one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"{label} must be a real number, got {value!r}")
 
 
 def _check_seed(seed: int, label: str) -> None:

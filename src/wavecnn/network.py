@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fileio
 from .errors import (DivergedLoss, FormatError, InvalidConfig, OddSpatial, ShapeMismatch,
-                     UnknownWavelet, _check_int, _check_seed)
+                     UnknownWavelet, _check_int, _check_real, _check_seed)
 from .filterbank import get_wavelet
 from .layers import (AvgPool2, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2,
                      PadToEven, ReLU, SoftmaxCrossEntropy, WaveletDown, folded_forward)
@@ -424,6 +424,7 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"training {name} must be >= 1, got {getattr(self, name)}")
         for name in ("lr", "momentum", "weight_decay"):
+            _check_real(getattr(self, name), f"training {name}")
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"training {name} must be finite, "
                                     f"got {getattr(self, name)}")

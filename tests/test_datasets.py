@@ -160,6 +160,16 @@ class TestSynthetic:
         with pytest.raises(InvalidConfig, match="data seed must be an integer"):
             synthetic_classification(4, seed=seed)
 
+    @pytest.mark.parametrize("field,label,value", [
+        ("n", "sample count", 2.5), ("n", "sample count", "3"), ("n", "sample count", True),
+        ("classes", "class count", 2.5)])
+    def test_a_count_that_is_no_integer_is_refused(self, field, label, value):
+        """Before the range checks, which raised a bare TypeError for 2.5
+        and "3" and took True as 1."""
+        args = {"n": 4, "classes": 3, field: value}
+        with pytest.raises(InvalidConfig, match=rf"^{label} must be an integer, got {value!r}$"):
+            synthetic_classification(**args)
+
 
 class TestDatasetContainer:
     def test_shape_validation(self):

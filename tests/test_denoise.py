@@ -63,6 +63,18 @@ class TestSoftShrink:
         with pytest.raises(NegativeLambda, match="nan"):
             DenoiseConfig(threshold=float("nan"))
 
+    @pytest.mark.parametrize("where", ["DenoiseConfig", "soft_shrink"])
+    @pytest.mark.parametrize("threshold", ["0.1", None, True, [0.1]])
+    def test_a_threshold_that_is_no_real_number_is_refused(self, where, threshold):
+        """``"0.1"`` and ``None`` used to raise a bare TypeError, and
+        ``True`` shrank by 1."""
+        with pytest.raises(InvalidConfig) as info:
+            if where == "DenoiseConfig":
+                DenoiseConfig(threshold=threshold)
+            else:
+                soft_shrink(np.zeros(3), threshold)
+        assert str(info.value) == f"threshold must be a real number, got {threshold!r}"
+
 
 def _smooth_image(h=64, w=64):
     ii, jj = np.mgrid[0:h, 0:w] / max(h, w)

@@ -164,6 +164,21 @@ class TestTrainConfig:
                            match=rf"^training {name} must be an integer, got {value!r}$"):
             nw.TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name,value", [
+        ("lr", "0.1"), ("lr", True), ("lr", None), ("momentum", None), ("momentum", [0.9]),
+        ("weight_decay", False), ("weight_decay", "0")])
+    def test_a_setting_that_is_no_real_number_is_refused(self, name, value):
+        """As the JSON path refuses it; ``lr="0.1"`` and ``momentum=None``
+        used to raise a bare TypeError from ``math.isfinite``, and
+        ``lr=True`` trained at a rate of 1."""
+        with pytest.raises(InvalidConfig) as info:
+            nw.TrainConfig(**{name: value})
+        assert str(info.value) == f"training {name} must be a real number, got {value!r}"
+
+    def test_numpy_reals_pass(self):
+        cfg = nw.TrainConfig(lr=np.float32(0.5), momentum=np.float64(0.0), weight_decay=np.int64(0))
+        assert cfg.lr == 0.5 and cfg.momentum == 0.0 and cfg.weight_decay == 0
+
 
 _MINI_CASES = (("max_pool", ""), ("avg_pool", ""), ("strided_conv", ""),
                ("dwt_ll", "haar"), ("dwt_avg", "db2"), ("dwt_cat", "ch3.3"))
