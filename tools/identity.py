@@ -17,8 +17,8 @@ every mode and with a validation split that no ``--batch`` divides,
 ``eval``, ``robustness``, ``shift`` (also on a draw that repeats most of
 its pairs, and under each padding), ``flops``, the ``--out`` file of each
 subcommand that has one, and the messages for a set of malformed inputs,
-among them checkpoints altered behind a fresh digest and one of a model
-that gives no label per image.  A run that exits with a code other than
+among them checkpoints altered behind a fresh digest, one of a model
+that gives no label per image, and images too large for a model.  A run that exits with a code other than
 the one expected of it is reported on stderr and makes the tool exit 1.
 """
 
@@ -226,6 +226,11 @@ def malformed() -> None:
     Path("nolayers.wcn").write_bytes(body + hashlib.sha256(body).digest())
     for command in ("eval", "robustness", "shift"):
         run(f"{command} nolayers.wcn", command, "--model", "nolayers.wcn", *data, expect=2)
+    # 24x24 images, which the 16x16 model's dense layer does not take
+    Path("big.images.idx").write_bytes(struct.pack(">I3I", 0x803, 40, 24, 24) + bytes(40 * 576))
+    for command in ("eval", "robustness", "shift"):
+        run(f"{command} 24x24 images", command, "--model", "max_pool.wcn", "--images",
+            "big.images.idx", "--labels", "tr.labels.idx", expect=2)
 
 
 def main() -> int:
