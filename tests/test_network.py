@@ -176,7 +176,8 @@ class TestTrainConfig:
         assert str(info.value) == f"training {name} must be a real number, got {value!r}"
 
     def test_numpy_reals_pass(self):
-        cfg = nw.TrainConfig(lr=np.float32(0.5), momentum=np.float64(0.0), weight_decay=np.int64(0))
+        cfg = nw.TrainConfig(lr=np.float32(0.5), momentum=np.float64(0.0),
+                             weight_decay=np.int64(0))
         assert cfg.lr == 0.5 and cfg.momentum == 0.0 and cfg.weight_decay == 0
 
 

@@ -18,8 +18,9 @@ every mode and with a validation split that no ``--batch`` divides,
 its pairs, and under each padding), ``flops``, the ``--out`` file of each
 subcommand that has one, and the messages for a set of malformed inputs,
 among them checkpoints altered behind a fresh digest, one of a model
-that gives no label per image, and images too large for a model.  A run that exits with a code other than
-the one expected of it is reported on stderr and makes the tool exit 1.
+that gives no label per image, and images too large for a model.  A run
+that exits with a code other than the one expected of it is reported on
+stderr and makes the tool exit 1.
 """
 
 from __future__ import annotations
