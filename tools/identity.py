@@ -18,7 +18,9 @@ every mode and with a validation split that no ``--batch`` divides,
 its pairs, and under each padding), ``flops``, the ``--out`` file of each
 subcommand that has one, and the messages for a set of malformed inputs,
 among them checkpoints altered behind a fresh digest, one of a model
-that gives no label per image, and images too large for a model.  A run
+that gives no label per image, images too large for a model, and run
+configs whose layer kernel, training epoch count, mode or seed has the
+wrong type.  A run
 that exits with a code other than the one expected of it is reported on
 stderr and makes the tool exit 1.
 """
@@ -94,6 +96,10 @@ def write_inputs() -> None:
     two_class = [{"kind": "flatten"}, {"kind": "dense", "n_in": 256, "n_out": 2}]
     Path("two_class.json").write_text(json.dumps({"layers": two_class}))
     Path("repeated.json").write_text('{"seed": 1, "seed": 2}')
+    conv = {"kind": "conv", "kernel": "3", "c_in": 1, "c_out": 2}
+    for name, cfg in (("str_kernel", {"layers": [conv]}), ("str_epochs", {"train": {"epochs": "2"}}),
+                      ("int_mode", {"mode": 5}), ("bool_seed", {"seed": True})):
+        Path(f"{name}.json").write_text(json.dumps(cfg))
     Path("latin1.csv").write_bytes(b"corruption,severity,error\ngau\xdf,1,0.5\n")
 
 
@@ -216,6 +222,8 @@ def malformed() -> None:
     run("filters into a missing directory", "filters", "--list", "--out", "absent/x.txt",
         expect=2)
     for cfg in ("resnet.json", "repeated.json", "two_class.json"):  # the last: labels 0..3
+        run(f"train {cfg}", "train", "--config", cfg, *data, expect=2)
+    for cfg in ("str_kernel.json", "str_epochs.json", "int_mode.json", "bool_seed.json"):
         run(f"train {cfg}", "train", "--config", cfg, *data, expect=2)
     run("robustness latin1.csv", "robustness", "--model", "max_pool.wcn", *data,
         "--reference", "latin1.csv", expect=2)
