@@ -177,7 +177,13 @@ def _cmd_denoise(args) -> int:
     return 0
 
 
-_RUN_KEYS = {**network._MODEL_KEYS, "arch": str, "mode": str, "wavelet": str, "train": dict}
+# The run-config keys.  The config class whose field takes a key checks its
+# value (:func:`wavecnn.errors._check_hints`): a model config's keys, and
+# ``mode`` and ``wavelet``, which the reference architecture's down-sampling
+# layers hold.  The loader checks the type of the two that no field takes,
+# as ``flops`` reads no training config.
+_RUN_KEYS = {**dict.fromkeys((*network._MODEL_KEYS, "mode", "wavelet")), "arch": str,
+             "train": dict}
 
 
 def _load_json(path):
@@ -201,7 +207,11 @@ def _load_json(path):
 def _load_run_config(path) -> dict:
     if not path:
         return {}
-    return network._check_fields(_load_json(path), _RUN_KEYS, f"{path}: run config")
+    cfg = network._check_fields(_load_json(path), _RUN_KEYS, f"{path}: run config")
+    for k, t in _RUN_KEYS.items():
+        if t and type(cfg.get(k, t())) is not t:
+            raise InvalidConfig(f"{path}: run config: {k} must be {t.__name__}, got {cfg[k]!r}")
+    return cfg
 
 
 # the run-config keys a flag of the same dest sets, and what a config without one means

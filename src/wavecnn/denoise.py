@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NegativeLambda, ShapeMismatch, _check_real
+from .errors import InvalidConfig, NegativeLambda, ShapeMismatch, _check_hints, _check_real
 from .filterbank import get_wavelet
 from .transform import detail_views, dwt2d_interleaved, idwt2d_interleaved
 
@@ -32,13 +32,12 @@ class DenoiseConfig:
     threshold: float = 0.1
 
     def __post_init__(self):
+        _check_hints(self)
         _check_threshold(self.threshold)
 
 
 def _check_threshold(threshold) -> None:
-    """InvalidConfig unless ``threshold`` is a real number, NegativeLambda
-    unless it is >= 0."""
-    _check_real(threshold, "threshold")
+    """NegativeLambda unless ``threshold`` is >= 0."""
     if not threshold >= 0:  # NaN fails this test too
         raise NegativeLambda(f"threshold must be >= 0, got {threshold}")
 
@@ -51,6 +50,7 @@ def soft_shrink(x, threshold):
     for bit on finite input and propagates NaN.  Accepts scalars or arrays;
     never increases magnitude and is odd in ``x``.
     """
+    _check_real(threshold, "threshold")
     _check_threshold(threshold)
     arr = np.asarray(x)
     if arr.dtype.kind in "biu":  # as before: integer input shrinks in double
@@ -65,7 +65,7 @@ def soft_shrink(x, threshold):
 def _denoise_plane(plane: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     spec = get_wavelet(cfg.wavelet)
     z = dwt2d_interleaved(plane, spec)
-    t = float(cfg.threshold)  # a NumPy scalar would set the dtype of the clip
+    t = cfg.threshold  # a Python float, which leaves the dtype of the clip to the plane
     for detail in detail_views(z):
         np.subtract(detail, np.clip(detail, -t, t), out=detail)  # soft_shrink, in place
     return idwt2d_interleaved(z, spec, plane.shape)

@@ -2,13 +2,15 @@
 
 Everything derives from :class:`WaveError` so callers (and the CLI) can treat
 any toolkit failure uniformly; most types also subclass ``ValueError`` because
-they signal bad arguments rather than broken state.  The one integer rule
-and the seed rule built on it, shared by every entry point that takes a
-seed, a shift range or a pair count, live here too, as does the one real
-number rule for learning settings and shrinkage thresholds.
+they signal bad arguments rather than broken state.  The one integer rule,
+the one real number rule and the seed rule built on the first live here
+too, as does the one field rule every config dataclass applies to itself:
+each field holds a value of its type hint.
 """
 
+import functools
 import numbers
+import typing
 
 
 class WaveError(Exception):
@@ -58,6 +60,32 @@ def _check_real(value, label: str) -> None:
     number; a bool is none, though Python counts it as one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidConfig(f"{label} must be a real number, got {value!r}")
+
+
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _check_hints(obj, prefix: str = "") -> None:
+    """InvalidConfig, naming the field as ``prefix`` and its name, unless
+    each field of the dataclass ``obj`` holds a value of its type hint: an
+    ``int`` field an integer and a ``float`` field a real number that a
+    float holds, each then stored as a Python ``int`` or ``float`` (so that
+    JSON and NumPy take a NumPy scalar or a fraction as they take those), a
+    ``str``, ``bool`` or ``tuple`` field a value of exactly that type, and a
+    ``tuple[X, ...]`` field a tuple of ``X`` only.  Range rules are each
+    class's own."""
+    for name, hint in _hints(type(obj)).items():
+        value, label = getattr(obj, name), f"{prefix} {name}".lstrip()
+        kind, items = typing.get_origin(hint) or hint, typing.get_args(hint)[:1]
+        if kind is int or kind is float:
+            (_check_int if kind is int else _check_real)(value, label)
+            try:
+                object.__setattr__(obj, name, kind(value))
+            except OverflowError:  # an int past the float range
+                raise InvalidConfig(f"{label} must be finite, got {value!r}") from None
+        elif type(value) is not kind or items and any(type(v) is not items[0] for v in value):
+            want = " of ".join(t.__name__ for t in (kind, *items))
+            raise InvalidConfig(f"{label} must be {want}, got {value!r}")
 
 
 def _check_seed(seed: int, label: str) -> None:

@@ -233,8 +233,9 @@ _DIGEST = 32  # sha256 over every byte before it
 
 def _write_checkpoint(path, dtype, config: dict, entries) -> None:
     """A WCN2 checkpoint of the JSON object ``config`` and the ``(name,
-    array)`` pairs ``entries``, each array stored as ``dtype``."""
-    tag = DTYPE_TO_TAG.get(np.dtype(dtype), 1)
+    array)`` pairs ``entries``, each array stored as ``dtype``, a key of
+    ``DTYPE_TO_TAG``."""
+    tag = DTYPE_TO_TAG[np.dtype(dtype)]
     cfg_blob = json.dumps(config, sort_keys=True).encode()
     parts = [_WCN_MAGIC, struct.pack("<BI", tag, len(cfg_blob)), cfg_blob,
              struct.pack("<I", len(entries))]

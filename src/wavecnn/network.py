@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import fileio
 from .errors import (DivergedLoss, FormatError, InvalidConfig, OddSpatial, ShapeMismatch,
-                     UnknownWavelet, _check_int, _check_real, _check_seed)
+                     UnknownWavelet, _check_hints, _check_seed, _hints)
 from .filterbank import get_wavelet
 from .layers import (AvgPool2, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2,
                      PadToEven, ReLU, SoftmaxCrossEntropy, WaveletDown, folded_forward)
@@ -45,7 +44,11 @@ MAX_STATE_VALUES = 2 ** 28
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One entry of a model architecture; unused fields stay at defaults."""
+    """One entry of a model architecture; unused fields stay at defaults.
+
+    Each config class checks its own fields against their type hints on
+    construction (:func:`wavecnn.errors._check_hints`) and then its range
+    rules; ``from_dict`` adds only that the keys are known."""
 
     kind: str
     kernel: int = 3
@@ -58,6 +61,9 @@ class LayerSpec:
     pad_odd: bool = False
     n_in: int = 0
     n_out: int = 0
+
+    def __post_init__(self):
+        _check_hints(self)
 
     def to_dict(self) -> dict:
         keys = _KINDS[self.kind][0] if self.kind in _KINDS else ()
@@ -90,26 +96,20 @@ def dense(n_in: int, n_out: int) -> LayerSpec:
     return LayerSpec(kind="dense", n_in=n_in, n_out=n_out)
 
 
-def _check_fields(d, table: dict, label: str) -> dict:
-    """Return ``d`` if it is a dict whose every key is in ``table`` and holds
-    a value of the listed type; raise InvalidConfig otherwise.
-
-    ``int``, ``bool`` and ``str`` match exactly, so ``True`` is no int; a
-    ``float`` also takes an int, but not a bool.
-    """
+def _check_fields(d, keys, label: str) -> dict:
+    """Return ``d`` if it is a dict whose every key is one of ``keys``;
+    raise InvalidConfig otherwise.  The values are the config class's to
+    check (:func:`wavecnn.errors._check_hints`)."""
     if not isinstance(d, dict):
         raise InvalidConfig(f"{label}: expected a JSON object, got {d!r}")
-    for key, value in d.items():
-        if key not in table:
-            raise InvalidConfig(f"{label}: unknown key {key!r}, expected one of {list(table)}")
-        want = table[key]
-        if type(value) is not want and not (want is float and type(value) is int):
-            raise InvalidConfig(f"{label}: {key} must be {want.__name__}, got {value!r}")
+    for key in d:
+        if key not in keys:
+            raise InvalidConfig(f"{label}: unknown key {key!r}, expected one of {list(keys)}")
     return d
 
 
 # ``loss`` is only in older configs and checkpoints, and must name softmax_ce.
-_MODEL_KEYS = {"layers": list, "seed": int, "wavelet_rewrite": str, "loss": str}
+_MODEL_KEYS = ("layers", "seed", "wavelet_rewrite", "loss")
 
 
 def _layer_spec(i: int, entry) -> LayerSpec:
@@ -117,9 +117,11 @@ def _layer_spec(i: int, entry) -> LayerSpec:
     if type(kind) is not str or kind not in _KINDS:
         raise InvalidConfig(f"layer {i}: expected an object whose 'kind' is one of "
                             f"{list(_KINDS)}, got {entry!r}")
-    types = typing.get_type_hints(LayerSpec)
-    table = {name: types[name] for name in ("kind", *_KINDS[kind][0])}
-    return LayerSpec(**_check_fields(entry, table, f"layer {i} ({kind})"))
+    label = f"layer {i} ({kind})"
+    try:
+        return LayerSpec(**_check_fields(entry, ("kind", *_KINDS[kind][0]), label))
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{label}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -127,19 +129,16 @@ class ModelConfig:
     """Layer specs, init seed and wavelet rewrite; the loss is always
     softmax cross-entropy."""
 
-    layers: tuple
+    layers: tuple[LayerSpec, ...]
     seed: int = 0
     wavelet_rewrite: str = ""
 
     def __post_init__(self):
+        _check_hints(self, "model")
         _check_seed(self.seed, "model seed")
 
     def to_dict(self) -> dict:
-        return {
-            "layers": [s.to_dict() for s in self.layers],
-            "seed": self.seed,
-            "wavelet_rewrite": self.wavelet_rewrite,
-        }
+        return {**vars(self), "layers": [s.to_dict() for s in self.layers]}
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
@@ -148,8 +147,8 @@ class ModelConfig:
         _check_fields(d, _MODEL_KEYS, "model config")
         if d.get("loss", "softmax_ce") != "softmax_ce":
             raise InvalidConfig(f"unsupported loss {d['loss']!r}")
-        if "layers" not in d:
-            raise InvalidConfig("model config needs a 'layers' list")
+        if type(d.get("layers")) is not list:  # the JSON form of the layers tuple
+            raise InvalidConfig(f"model config needs a 'layers' list, got {d.get('layers')!r}")
         return ModelConfig(layers=tuple(_layer_spec(i, e) for i, e in enumerate(d["layers"])),
                            seed=d.get("seed", 0), wavelet_rewrite=d.get("wavelet_rewrite", ""))
 
@@ -247,8 +246,10 @@ def _folded_run(layers, i: int) -> int:
 class Model:
     """A network built from its config.
 
-    The constructor checks that the config's layers chain and declare at
-    most ``MAX_STATE_VALUES`` state values, and builds them with their state
+    The constructor checks that ``dtype`` is float32 or float64, the element
+    types of ``fileio.DTYPE_TO_TAG`` and so the one precision rule (any
+    other is InvalidConfig before anything is built), that the config's
+    layers chain and declare at most ``MAX_STATE_VALUES`` state values, and builds them with their state
     declared but not allocated: :func:`build_model` draws the initial
     values and :func:`load_model` reads them from a file.  An
     unfilled model can still be counted
@@ -256,6 +257,10 @@ class Model:
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32):
+        # the one precision rule: a model computes in a checkpoint element type
+        self.dtype = next((d for d in fileio.DTYPE_TO_TAG if d == dtype), None)
+        if self.dtype is None:
+            raise InvalidConfig(f"a model computes in float32 or float64, got {dtype!r}")
         if config.wavelet_rewrite:
             get_wavelet(config.wavelet_rewrite)  # validate the name early
         # inputs are images of any size and channel count, so the per-image
@@ -263,7 +268,6 @@ class Model:
         self.layers, self.out_shape = _chain(config.layers, (None, None, None),
                                              config.wavelet_rewrite)
         self.config = config
-        self.dtype = np.dtype(dtype)
         self.loss = SoftmaxCrossEntropy()
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -419,22 +423,19 @@ class TrainConfig:
     epochs: int = 10
 
     def __post_init__(self):
-        for name in ("batch", "epochs"):
-            _check_int(getattr(self, name), f"training {name}")
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"training {name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lr", "momentum", "weight_decay"):
-            _check_real(getattr(self, name), f"training {name}")
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidConfig(f"training {name} must be finite, "
-                                    f"got {getattr(self, name)}")
+        _check_hints(self, "training")
+        for name, kind in _hints(TrainConfig).items():  # counts >= 1, rates finite
+            value = getattr(self, name)
+            if not (value >= 1 if kind is int else math.isfinite(value)):
+                rule = ">= 1" if kind is int else "finite"
+                raise InvalidConfig(f"training {name} must be {rule}, got {value}")
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
         return TrainConfig(**_check_fields(d, _TRAIN_KEYS, "training config"))
 
 
-_TRAIN_KEYS = typing.get_type_hints(TrainConfig)
+_TRAIN_KEYS = _hints(TrainConfig)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import (BadSeverity, InvalidConfig, MissingCorruption, ShapeMismatch,
-                     ShiftOutOfRange, ZeroReference, _check_int, _check_seed)
+                     ShiftOutOfRange, ZeroReference, _check_hints, _check_seed)
 from .network import _checked_split
 
 GAUSSIAN = "gaussian"
@@ -352,8 +352,7 @@ class ShiftTrialConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int(self.max_shift, "shift range")
-        _check_int(self.pairs, "shift pair count")
+        _check_hints(self, "shift")
         if self.max_shift < 1:
             raise InvalidConfig("shift range must be >= 1 pixel")
         if self.pairs < 1:

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ import pytest
 from wavecnn.cli import _RUN_KEYS, _build_parser, main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
 from wavecnn.denoise import DenoiseConfig, denoise_image
-from wavecnn.network import (_KINDS, _TRAIN_KEYS, ModelConfig, build_model, load_model,
-                              mini_config, save_model)
+from wavecnn.network import (_KINDS, _TRAIN_KEYS, LayerSpec, ModelConfig, build_model,
+                              load_model, mini_config, save_model)
 from wavecnn.fileio import read_pgm, read_tensor, write_pgm, write_tensor
 
 
@@ -832,10 +833,15 @@ def test_train_accepts_a_saved_model_config(capsys, tmp_path, idx_pair):
 
 
 def test_readme_run_config_table_matches_the_loader():
-    """The README's table of run-config keys and types is the loader's."""
+    """The README's table of run-config keys and types is the loader's: its
+    own type for ``arch`` and ``train``, and for every other key the type
+    hint of the config field that takes it.  The layers tuple is a JSON
+    array, and ``loss``, which no field takes, is the string softmax_ce."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `([\w.]+)` \| (\w+) \|", readme, flags=re.MULTILINE)
-    want = {key: t.__name__ for key, t in _RUN_KEYS.items()}
+    hints = {**get_type_hints(LayerSpec), **get_type_hints(ModelConfig), "layers": list,
+             "loss": str}
+    want = {key: (t or hints[key]).__name__ for key, t in _RUN_KEYS.items()}
     want.update((f"train.{key}", t.__name__) for key, t in _TRAIN_KEYS.items())
     assert dict(rows) == want
 

@@ -62,9 +62,15 @@ class TestModelConfig:
         ({}, {"seed": [1]}), ({}, {"seed": True}), ({}, {"seed": "1"}),
         ({}, {"wavelet_rewrite": 1})])
     def test_field_types_are_checked(self, layer, top):
+        """From JSON and through the constructors alike.  The constructors
+        used to take every one of these, and building a model from
+        ``kernel="3"``, ``kernel=True`` or ``c_out=None`` raised a bare
+        TypeError."""
         entry = dict({"kind": "conv", "kernel": 3, "c_in": 1, "c_out": 2}, **layer)
         with pytest.raises(InvalidConfig):
             nw.ModelConfig.from_dict(dict({"layers": [entry]}, **top))
+        with pytest.raises(InvalidConfig):
+            nw.ModelConfig(layers=(nw.LayerSpec(**entry),), **top)
 
     def test_loss_key_of_older_configs(self):
         d = nw.mini_config("dwt_ll", "haar", seed=2).to_dict()
@@ -126,8 +132,12 @@ class TestTrainConfig:
         {"batch": None}, {"batch": "8"}, {"lr": "0.1"}, {"lr": True}, {"lr": None},
         {"momentum": [0.9]}, {"weight_decay": False}, {"optimizer": "adam"}])
     def test_field_types_are_checked(self, fields):
+        """From JSON and through the constructor alike, where an unknown
+        keyword is Python's own TypeError."""
         with pytest.raises(InvalidConfig):
             nw.TrainConfig.from_dict(fields)
+        with pytest.raises(TypeError if "optimizer" in fields else InvalidConfig):
+            nw.TrainConfig(**fields)
 
     @pytest.mark.parametrize("d", [[], "lr", 3, None])
     def test_must_be_an_object(self, d):

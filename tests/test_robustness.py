@@ -622,8 +622,9 @@ class TestNonIntegerSetting:
             error_matrix(model, _planted(), seed=1.5)
         assert model.seen == []
 
-    @pytest.mark.parametrize("field,label", [("seed", "shift seed"), ("max_shift", "shift range"),
-                                             ("pairs", "shift pair count")])
+    @pytest.mark.parametrize("field,label", [("seed", "shift seed"),
+                                             ("max_shift", "shift max_shift"),
+                                             ("pairs", "shift pairs")])
     @pytest.mark.parametrize("value", [2.5, 2.0, True])
     def test_shift_trial_config(self, field, label, value):
         with pytest.raises(InvalidConfig, match=f"{label} must be an integer, got {value!r}"):
