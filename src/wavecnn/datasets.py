@@ -11,11 +11,13 @@ order-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfig, ShapeMismatch, _check_int, _check_seed
+from .errors import (FormatError, InvalidConfig, ShapeMismatch, _check_int, _check_real,
+                     _check_seed)
 from .fileio import read_idx, write_idx
 
 
@@ -25,6 +27,10 @@ class Dataset:
     labels: np.ndarray  # (N,) int
 
     def __post_init__(self):
+        for name in ("images", "labels"):
+            if not isinstance(getattr(self, name), np.ndarray):
+                raise InvalidConfig(f"dataset {name} must be a NumPy array, "
+                                    f"got {type(getattr(self, name)).__name__}")
         if self.images.ndim != 4:
             raise ShapeMismatch(f"images must be NCHW, got shape {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
@@ -87,7 +93,9 @@ def synthetic_classification(n: int, classes: int = 10, image_hw=(28, 28),
     prefix or reordering of the set is reproducible.  Jitter covers phase,
     amplitude, and additive Gaussian pixel noise; pixels stay in [0, 1].
     Lowering ``amplitude`` toward the noise floor makes the task harder
-    without changing its structure.
+    without changing its structure.  InvalidConfig is raised unless
+    ``noise`` and ``amplitude`` are finite real numbers >= 0 and
+    ``image_hw`` is two positive integers.
     """
     _check_seed(seed, "data seed")
     _check_int(n, "sample count")
@@ -96,6 +104,16 @@ def synthetic_classification(n: int, classes: int = 10, image_hw=(28, 28),
         raise InvalidConfig("need at least one sample")
     if not 2 <= classes <= len(_CLASS_WAVES):
         raise InvalidConfig(f"classes must be in 2..{len(_CLASS_WAVES)}")
+    for value, label in ((noise, "noise"), (amplitude, "amplitude")):
+        _check_real(value, label)
+        if not 0 <= value < math.inf:  # NaN fails this test too
+            raise InvalidConfig(f"{label} must be finite and >= 0, got {value}")
+    if not (isinstance(image_hw, (tuple, list)) and len(image_hw) == 2):
+        raise InvalidConfig(f"image_hw must be two positive integers, got {image_hw!r}")
+    for side in image_hw:
+        _check_int(side, "image side")
+        if side < 1:
+            raise InvalidConfig(f"image_hw must be two positive integers, got {image_hw!r}")
     h, w = image_hw
     ii, jj = np.mgrid[0:h, 0:w].astype(np.float64)
     images = np.empty((n, 1, h, w))

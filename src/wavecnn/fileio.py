@@ -149,7 +149,12 @@ DTYPE_TO_TAG = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 
 def write_tensor(path, array: np.ndarray) -> None:
+    """A WTN1 file of ``array``: float32 as float32, and bool, integer and
+    other float values as float64.  Any other kind of value (complex,
+    string, object) is InvalidConfig before a byte is written."""
     arr = np.asarray(array)
+    if arr.dtype.kind not in "biuf":
+        raise InvalidConfig(f"a raw tensor holds bool, integer or float values, got {arr.dtype}")
     tag = DTYPE_TO_TAG.get(arr.dtype, 1)
     _write(path, TENSOR_MAGIC, struct.pack(f"<BB{arr.ndim}Q", tag, arr.ndim, *arr.shape),
            np.ascontiguousarray(arr, dtype=TAG_TO_DTYPE[tag]))

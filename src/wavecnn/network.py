@@ -22,7 +22,7 @@ import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,10 +64,18 @@ class LayerSpec:
 
     def __post_init__(self):
         _check_hints(self)
+        keys = self._keys()
+        for field in fields(self)[1:]:  # as a JSON layer holds only its kind's keys
+            if field.name not in keys and getattr(self, field.name) != field.default:
+                raise InvalidConfig(f"a {self.kind!r} layer takes no {field.name}, "
+                                    f"got {getattr(self, field.name)!r}")
+
+    def _keys(self) -> tuple:
+        """The fields of this kind besides ``kind``; none for an unknown kind."""
+        return _KINDS[self.kind][0] if self.kind in _KINDS else ()
 
     def to_dict(self) -> dict:
-        keys = _KINDS[self.kind][0] if self.kind in _KINDS else ()
-        return {"kind": self.kind, **{name: getattr(self, name) for name in keys}}
+        return {"kind": self.kind, **{name: getattr(self, name) for name in self._keys()}}
 
 
 def conv(kernel: int, c_in: int, c_out: int, stride: int = 1) -> LayerSpec:

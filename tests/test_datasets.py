@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -171,7 +173,42 @@ class TestSynthetic:
             synthetic_classification(**args)
 
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("noise", math.nan, "noise must be finite and >= 0, got nan"),
+        ("noise", math.inf, "noise must be finite and >= 0, got inf"),
+        ("noise", -0.1, "noise must be finite and >= 0, got -0.1"),
+        ("noise", "0.1", "noise must be a real number, got '0.1'"),
+        ("amplitude", None, "amplitude must be a real number, got None"),
+        ("amplitude", True, "amplitude must be a real number, got True"),
+        ("amplitude", -math.inf, "amplitude must be finite and >= 0, got -inf"),
+        ("image_hw", (0, 5), "image_hw must be two positive integers, got (0, 5)"),
+        ("image_hw", (8,), "image_hw must be two positive integers, got (8,)"),
+        ("image_hw", 8, "image_hw must be two positive integers, got 8"),
+        ("image_hw", (8, 4.5), "image side must be an integer, got 4.5")])
+    def test_a_bad_noise_amplitude_or_image_size_is_refused(self, field, value, message):
+        """NaN noise used to give all-NaN images, a negative noise a bare
+        ValueError, a None amplitude a bare TypeError, and (0, 5) images of
+        no pixel."""
+        with pytest.raises(InvalidConfig) as info:
+            synthetic_classification(4, classes=2, **{field: value})
+        assert str(info.value) == message
+
+    def test_numpy_sizes_and_zero_noise_pass(self):
+        ds = synthetic_classification(4, classes=2, image_hw=(np.int64(6), 4), noise=0,
+                                      amplitude=np.float32(0.3))
+        assert ds.images.shape == (4, 1, 6, 4)
+
+
 class TestDatasetContainer:
+    @pytest.mark.parametrize("field", ["images", "labels"])
+    def test_a_field_that_is_no_array_is_refused(self, field):
+        """Lists used to die with a bare AttributeError on ``.ndim``."""
+        fields = {"images": np.zeros((2, 1, 4, 4)), "labels": np.zeros(2, dtype=np.int64)}
+        fields[field] = fields[field].tolist()
+        with pytest.raises(InvalidConfig, match=f"^dataset {field} must be a NumPy array, "
+                                                f"got list$"):
+            Dataset(**fields)
+
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatch):
             Dataset(np.zeros((2, 4, 4)), np.zeros(2, dtype=np.int64))

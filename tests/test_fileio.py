@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wavecnn import fileio
-from wavecnn.errors import FormatError
+from wavecnn.errors import FormatError, InvalidConfig
 from wavecnn.fileio import (TENSOR_MAGIC, read_pgm, read_tensor, write_pgm,
                             write_tensor)
 from wavecnn.network import build_model, mini_config, save_model
@@ -45,6 +45,26 @@ class TestTensorFormat:
         write_tensor(tmp_path / "i.wtn", np.arange(4))
         back = read_tensor(tmp_path / "i.wtn")
         assert back.dtype == np.float64
+
+    def test_bool_input_promotes_to_f64(self, tmp_path):
+        write_tensor(tmp_path / "b.wtn", np.array([True, False]))
+        back = read_tensor(tmp_path / "b.wtn")
+        assert back.dtype == np.float64 and back.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("arr", [np.array([1 + 2j, 3j]), np.ones(2, np.complex64),
+                                     np.array(["a", "b"]), np.array([b"a"]),
+                                     np.array([None, 1.0], dtype=object)])
+    def test_values_that_are_no_real_number_are_refused_before_a_byte(self, tmp_path, arr):
+        """A complex array used to be written as its real part with only
+        NumPy's ComplexWarning, and a string array raised a bare ValueError."""
+        path = tmp_path / "t.wtn"
+        write_tensor(path, np.zeros(2))
+        with pytest.raises(InvalidConfig) as info:
+            write_tensor(path, arr)
+        assert str(info.value) == \
+            f"a raw tensor holds bool, integer or float values, got {arr.dtype}"
+        assert np.array_equal(read_tensor(path), np.zeros(2))
+        assert os.listdir(tmp_path) == ["t.wtn"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.wtn"

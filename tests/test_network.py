@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import fractions
 import hashlib
 import inspect
 import json
@@ -25,7 +26,8 @@ from hypothesis import given, settings, strategies as st
 from wavecnn import fileio, network as nw, robustness
 from wavecnn.cli import main
 from wavecnn.datasets import Dataset, save_dataset, synthetic_classification
-from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismatch
+from wavecnn.denoise import DenoiseConfig, denoise_image
+from wavecnn.errors import DivergedLoss, FormatError, InvalidConfig, ShapeMismatch, WaveError
 from wavecnn.layers import Conv2d, Dense, Flatten, PadToEven, WaveletDown
 from wavecnn.robustness import ShiftTrialConfig, error_matrix, shift_consistency
 
@@ -109,6 +111,18 @@ class TestModelConfig:
         with pytest.raises(InvalidConfig, match="layer 0"):
             nw.ModelConfig.from_dict({"layers": [entry]})
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"kind": "relu", "kernel": 5}, "a 'relu' layer takes no kernel, got 5"),
+        ({"kind": "down", "mode": "max_pool", "stride": 2}, "a 'down' layer takes no stride, got 2"),
+        ({"kind": "flatten", "n_out": 3}, "a 'flatten' layer takes no n_out, got 3"),
+        ({"kind": "batchnorm", "channels": 2, "c_in": 2}, "a 'batchnorm' layer takes no c_in, got 2"),
+        ({"kind": "pool", "pad_odd": True}, "a 'pool' layer takes no pad_odd, got True")])
+    def test_fields_outside_the_kind_are_rejected_by_the_constructor(self, fields, message):
+        """As from JSON; the constructor used to keep them, and ``to_dict``
+        to drop them."""
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            nw.LayerSpec(**fields)
+
     @pytest.mark.parametrize("spec,message", [
         (nw.conv(3, 1, 2, stride=3), "stride must be 1 or 2, got 3"),
         (nw.downsample("strided_conv"), "strided_conv downsample needs c_in"),
@@ -189,6 +203,103 @@ class TestTrainConfig:
         cfg = nw.TrainConfig(lr=np.float32(0.5), momentum=np.float64(0.0),
                              weight_decay=np.int64(0))
         assert cfg.lr == 0.5 and cfg.momentum == 0.0 and cfg.weight_decay == 0
+
+    def test_numbers_are_stored_as_python_numbers(self):
+        """A fraction used to reach the momentum update and raise a bare
+        UFuncTypeError there; every setting is now a Python int or float."""
+        cfg = nw.TrainConfig(lr=np.float32(0.5), momentum=fractions.Fraction(9, 10),
+                             weight_decay=np.int64(0), batch=np.int32(4), epochs=np.uint8(1))
+        assert [type(v) for v in dataclasses.astuple(cfg)] == [float, float, float, int, int]
+        assert cfg.momentum == 0.9
+        nw.train(_tiny_model(), _separable_2class(8), cfg)
+
+    @pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay"])
+    def test_an_int_past_the_float_range_is_refused(self, name):
+        """``math.isfinite`` used to raise a bare OverflowError on it."""
+        with pytest.raises(InvalidConfig, match=f"^training {name} must be finite, got 1000"):
+            nw.TrainConfig(**{name: 10 ** 400})
+
+
+# Values that no config field should take: strings, None, bools, non-finite,
+# negative, fractional and huge numbers, lists, and dtypes other than float32
+# and float64.
+_BAD_VALUES = st.one_of(
+    st.text(max_size=3), st.none(), st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 10 ** 400, 0.5, -2.5]),
+    st.integers(-2 ** 70, -1), st.fractions(-8, 8, max_denominator=8),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.sampled_from([np.float16, np.int32, np.uint8, np.bool_, np.complex64, "int16", "U2",
+                     object]))
+
+# A valid instance of each config class, and the fields to vary in it: each
+# layer field on a layer of a kind that reads it.
+_TINY = nw.ModelConfig(layers=(nw.flatten(), nw.dense(16, 2)))
+_FIELD_CASES = (
+    [(spec, name) for spec in (nw.conv(3, 1, 2), nw.batchnorm(2),
+                               nw.downsample("strided_conv", c_in=2, c_out=2),
+                               nw.downsample("dwt_ll", "haar", pad_odd=True), nw.dense(4, 2))
+     for name in ("kind", *spec._keys())]
+    + [(base, field.name) for base in (_TINY, nw.TrainConfig(epochs=1, batch=4), DenoiseConfig(),
+                                       ShiftTrialConfig(max_shift=1, pairs=2))
+       for field in dataclasses.fields(base)])
+
+
+def _saves(model, path) -> None:
+    nw.save_model(model, path)
+    back = nw.load_model(path)
+    assert (back.config, back.dtype, back.checksum()) == \
+        (model.config, model.dtype, model.checksum())
+
+
+def _survives(cfg, path) -> None:
+    """The round trips of a config its class accepted, and the work it
+    configures; a WaveError from that work is a refusal too.  A layer is
+    tried in a model of its own, after a ``Flatten`` for a dense one, and
+    training runs one epoch, whatever the count (10**400 is one)."""
+    if isinstance(cfg, nw.LayerSpec):
+        cfg = nw.ModelConfig(layers=(nw.flatten(), cfg) if cfg.kind == "dense" else (cfg,))
+    ds = Dataset(np.full((4, 1, 4, 4), 0.5), np.arange(4) % 2)
+    try:
+        if isinstance(cfg, nw.ModelConfig):
+            model = nw.build_model(cfg)
+            assert nw.ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+            _saves(model, path)
+        elif isinstance(cfg, nw.TrainConfig):
+            assert nw.TrainConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
+            nw.train(nw.build_model(_TINY), ds, dataclasses.replace(cfg, epochs=1))
+        elif isinstance(cfg, DenoiseConfig):
+            denoise_image(ds.images[0], cfg)
+        else:
+            shift_consistency(nw.build_model(_TINY), ds, cfg)
+    except WaveError:
+        pass
+
+
+class TestOneFieldRule:
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(draw=st.data())
+    def test_a_bad_value_is_refused_or_survives(self, draw):
+        """Each field of the five config classes, and a model's dtype, takes
+        a value drawn from ``_BAD_VALUES``: the class refuses it with a
+        WaveError, or the config survives its dict and checkpoint round
+        trips with the same checksum and dtype, and the work it configures
+        runs or refuses it with a WaveError."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.wcn")
+            for base, name in _FIELD_CASES:
+                value = draw.draw(_BAD_VALUES, label=f"{type(base).__name__}.{name}")
+                try:
+                    cfg = dataclasses.replace(base, **{name: value})
+                except WaveError:
+                    continue
+                assert type(getattr(cfg, name)) is type(getattr(base, name))
+                _survives(cfg, path)
+            try:
+                model = nw.build_model(_TINY, dtype=draw.draw(_BAD_VALUES, label="dtype"))
+            except WaveError:
+                return
+            assert model.dtype in (np.float32, np.float64)
+            _saves(model, path)
 
 
 _MINI_CASES = (("max_pool", ""), ("avg_pool", ""), ("strided_conv", ""),
@@ -730,6 +841,25 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(InvalidConfig):
             nw.load_model(path)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex64, np.bool_, "f2",
+                                       ">f4", object, "no such type"])
+    def test_only_float32_and_float64_models(self, dtype):
+        """A float16 model used to save and load back as float64 under
+        another checksum, and int32 and complex64 models were built."""
+        with pytest.raises(InvalidConfig) as info:
+            nw.build_model(nw.mini_config("max_pool", image_hw=(8, 8)), dtype=dtype)
+        assert str(info.value) == f"a model computes in float32 or float64, got {dtype!r}"
+
+    def test_numpy_integer_fields_are_saved(self, tmp_path):
+        """They used to pass every check and then fail ``json.dumps`` in
+        ``save_model`` with a bare TypeError."""
+        cfg = nw.mini_config("max_pool", image_hw=(np.int64(8), np.int32(8)), classes=np.int64(2),
+                             seed=np.uint16(3))
+        model = nw.build_model(cfg)
+        nw.save_model(model, tmp_path / "m.wcn")
+        back = nw.load_model(tmp_path / "m.wcn")
+        assert back.config == cfg and back.checksum() == model.checksum()
 
     def test_float64_checkpoint(self, tmp_path):
         model = nw.build_model(nw.mini_config("max_pool"), dtype=np.float64)
