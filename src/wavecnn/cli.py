@@ -211,6 +211,10 @@ def _load_run_config(path) -> dict:
     for k, t in _RUN_KEYS.items():
         if t and type(cfg.get(k, t())) is not t:
             raise InvalidConfig(f"{path}: run config: {k} must be {t.__name__}, got {cfg[k]!r}")
+    unread = sorted(cfg.keys() & {"arch", "mode", "wavelet"})  # the reference architecture's
+    if "layers" in cfg and unread:
+        raise InvalidConfig(f"{path}: run config: 'layers' replaces the reference "
+                            f"architecture, so {unread} would be ignored")
     return cfg
 
 

@@ -10,6 +10,7 @@ each field holds a value of its type hint.
 
 import functools
 import numbers
+import sys
 import typing
 
 
@@ -57,9 +58,12 @@ def _check_int(value, label: str) -> None:
 
 def _check_real(value, label: str) -> None:
     """InvalidConfig, naming ``value`` as ``label``, unless it is a real
-    number; a bool is none, though Python counts it as one."""
+    number that a float holds (NaN and the infinities too); a bool is none,
+    though Python counts it as one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidConfig(f"{label} must be a real number, got {value!r}")
+    if isinstance(value, numbers.Rational) and abs(value) > sys.float_info.max:
+        raise InvalidConfig(f"{label} must lie in the float range, got {value!r}")
 
 
 _hints = functools.cache(typing.get_type_hints)
@@ -79,10 +83,7 @@ def _check_hints(obj, prefix: str = "") -> None:
         kind, items = typing.get_origin(hint) or hint, typing.get_args(hint)[:1]
         if kind is int or kind is float:
             (_check_int if kind is int else _check_real)(value, label)
-            try:
-                object.__setattr__(obj, name, kind(value))
-            except OverflowError:  # an int past the float range
-                raise InvalidConfig(f"{label} must be finite, got {value!r}") from None
+            object.__setattr__(obj, name, kind(value))
         elif type(value) is not kind or items and any(type(v) is not items[0] for v in value):
             want = " of ".join(t.__name__ for t in (kind, *items))
             raise InvalidConfig(f"{label} must be {want}, got {value!r}")

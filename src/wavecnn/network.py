@@ -256,11 +256,11 @@ class Model:
 
     The constructor checks that ``dtype`` is float32 or float64, the element
     types of ``fileio.DTYPE_TO_TAG`` and so the one precision rule (any
-    other is InvalidConfig before anything is built), that the config's
-    layers chain and declare at most ``MAX_STATE_VALUES`` state values, and builds them with their state
-    declared but not allocated: :func:`build_model` draws the initial
-    values and :func:`load_model` reads them from a file.  An
-    unfilled model can still be counted
+    other is InvalidConfig before anything is built), and that the config's
+    layers chain and declare at most ``MAX_STATE_VALUES`` state values; it
+    builds the layers with their state declared but not allocated:
+    :func:`build_model` draws the initial values and :func:`load_model`
+    reads them from a file.  An unfilled model can still be counted
     (:func:`wavecnn.complexity.model_madds`).
     """
 
@@ -432,11 +432,12 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_hints(self, "training")
-        for name, kind in _hints(TrainConfig).items():  # counts >= 1, rates finite
-            value = getattr(self, name)
-            if not (value >= 1 if kind is int else math.isfinite(value)):
-                rule = ">= 1" if kind is int else "finite"
-                raise InvalidConfig(f"training {name} must be {rule}, got {value}")
+        for name in ("batch", "epochs"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"training {name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "momentum", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"training {name} must be finite, got {getattr(self, name)}")
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":

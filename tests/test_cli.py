@@ -609,6 +609,9 @@ BAD_RUN_CONFIGS = [
     ({"mode": "max_pool", "loss": "mse"}, BOTH),
     ({"arch": "resnet"}, BOTH),
     ({"layers": {"kind": "relu"}}, BOTH),
+    # keys of the reference architecture, which an explicit layer list replaces
+    ({"mode": 5, "layers": [{"kind": "relu"}]}, BOTH),
+    ({"arch": "mini", "wavelet": "haar", "layers": [{"kind": "relu"}]}, BOTH),
     ({"layers": [{"kind": "pool"}]}, BOTH),
     ({"layers": [{"kind": "conv", "kernel": 3, "c_in": 1, "c_out": 2}], "seed": 1.5}, BOTH),
     ({"mode": "max_pool", "seed": -1}, BOTH),

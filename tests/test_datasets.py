@@ -181,14 +181,15 @@ class TestSynthetic:
         ("amplitude", None, "amplitude must be a real number, got None"),
         ("amplitude", True, "amplitude must be a real number, got True"),
         ("amplitude", -math.inf, "amplitude must be finite and >= 0, got -inf"),
+        ("noise", 10 ** 400, f"noise must lie in the float range, got {10 ** 400}"),
         ("image_hw", (0, 5), "image_hw must be two positive integers, got (0, 5)"),
         ("image_hw", (8,), "image_hw must be two positive integers, got (8,)"),
         ("image_hw", 8, "image_hw must be two positive integers, got 8"),
         ("image_hw", (8, 4.5), "image side must be an integer, got 4.5")])
     def test_a_bad_noise_amplitude_or_image_size_is_refused(self, field, value, message):
         """NaN noise used to give all-NaN images, a negative noise a bare
-        ValueError, a None amplitude a bare TypeError, and (0, 5) images of
-        no pixel."""
+        ValueError, a None amplitude a bare TypeError, an int past the float
+        range a bare OverflowError, and (0, 5) images of no pixel."""
         with pytest.raises(InvalidConfig) as info:
             synthetic_classification(4, classes=2, **{field: value})
         assert str(info.value) == message

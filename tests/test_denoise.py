@@ -75,6 +75,16 @@ class TestSoftShrink:
                 soft_shrink(np.zeros(3), threshold)
         assert str(info.value) == f"threshold must be a real number, got {threshold!r}"
 
+    @pytest.mark.parametrize("where", ["DenoiseConfig", "soft_shrink"])
+    def test_a_threshold_past_the_float_range_is_refused(self, where):
+        """``soft_shrink`` used to raise a bare OverflowError from ``np.clip``."""
+        with pytest.raises(InvalidConfig) as info:
+            if where == "DenoiseConfig":
+                DenoiseConfig(threshold=10 ** 400)
+            else:
+                soft_shrink(np.zeros(3), 10 ** 400)
+        assert str(info.value) == f"threshold must lie in the float range, got {10 ** 400}"
+
 
 def _smooth_image(h=64, w=64):
     ii, jj = np.mgrid[0:h, 0:w] / max(h, w)

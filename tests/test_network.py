@@ -113,9 +113,11 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("fields,message", [
         ({"kind": "relu", "kernel": 5}, "a 'relu' layer takes no kernel, got 5"),
-        ({"kind": "down", "mode": "max_pool", "stride": 2}, "a 'down' layer takes no stride, got 2"),
+        ({"kind": "down", "mode": "max_pool", "stride": 2},
+         "a 'down' layer takes no stride, got 2"),
         ({"kind": "flatten", "n_out": 3}, "a 'flatten' layer takes no n_out, got 3"),
-        ({"kind": "batchnorm", "channels": 2, "c_in": 2}, "a 'batchnorm' layer takes no c_in, got 2"),
+        ({"kind": "batchnorm", "channels": 2, "c_in": 2},
+         "a 'batchnorm' layer takes no c_in, got 2"),
         ({"kind": "pool", "pad_odd": True}, "a 'pool' layer takes no pad_odd, got True")])
     def test_fields_outside_the_kind_are_rejected_by_the_constructor(self, fields, message):
         """As from JSON; the constructor used to keep them, and ``to_dict``
@@ -216,8 +218,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay"])
     def test_an_int_past_the_float_range_is_refused(self, name):
         """``math.isfinite`` used to raise a bare OverflowError on it."""
-        with pytest.raises(InvalidConfig, match=f"^training {name} must be finite, got 1000"):
+        with pytest.raises(InvalidConfig) as info:
             nw.TrainConfig(**{name: 10 ** 400})
+        assert str(info.value) == f"training {name} must lie in the float range, got {10 ** 400}"
 
 
 # Values that no config field should take: strings, None, bools, non-finite,

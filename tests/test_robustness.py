@@ -627,7 +627,7 @@ class TestNonIntegerSetting:
                                              ("pairs", "shift pairs")])
     @pytest.mark.parametrize("value", [2.5, 2.0, True])
     def test_shift_trial_config(self, field, label, value):
-        with pytest.raises(InvalidConfig, match=f"{label} must be an integer, got {value!r}"):
+        with pytest.raises(InvalidConfig, match=rf"^{label} must be an integer, got {value!r}$"):
             ShiftTrialConfig(**{field: value})
 
     def test_numpy_integers_pass(self):

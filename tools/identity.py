@@ -97,7 +97,8 @@ def write_inputs() -> None:
     Path("two_class.json").write_text(json.dumps({"layers": two_class}))
     Path("repeated.json").write_text('{"seed": 1, "seed": 2}')
     conv = {"kind": "conv", "kernel": "3", "c_in": 1, "c_out": 2}
-    for name, cfg in (("str_kernel", {"layers": [conv]}), ("str_epochs", {"train": {"epochs": "2"}}),
+    for name, cfg in (("str_kernel", {"layers": [conv]}),
+                      ("str_epochs", {"train": {"epochs": "2"}}),
                       ("int_mode", {"mode": 5}), ("bool_seed", {"seed": True})):
         Path(f"{name}.json").write_text(json.dumps(cfg))
     Path("latin1.csv").write_bytes(b"corruption,severity,error\ngau\xdf,1,0.5\n")
