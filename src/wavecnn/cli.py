@@ -209,7 +209,7 @@ def _load_run_config(path) -> dict:
         return {}
     cfg = network._check_fields(_load_json(path), _RUN_KEYS, f"{path}: run config")
     for k, t in _RUN_KEYS.items():
-        if t and type(cfg.get(k, t())) is not t:
+        if t and k in cfg and type(cfg[k]) is not t:
             raise InvalidConfig(f"{path}: run config: {k} must be {t.__name__}, got {cfg[k]!r}")
     unread = sorted(cfg.keys() & {"arch", "mode", "wavelet"})  # the reference architecture's
     if "layers" in cfg and unread:
